@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -383,9 +383,7 @@ def _run_decay(cfg: ExperimentConfig, out: str) -> list:
 def _warm_base(cfg: ExperimentConfig):
     """Warm the chain, then one forced unit-time trajectory as the base."""
     p = cfg.params
-    stride1 = cfg.solver if cfg.solver.store_stride == 1 else SolverConfig(
-        grid=cfg.grid, damping=cfg.solver.damping, dt=cfg.solver.dt, p=cfg.solver.p
-    )
+    stride1 = replace(cfg.solver, store_stride=1)
     u0 = build_initial(cfg)
     y = warm_start(u0, p["warm_steps"], cfg.noise, stride1, cfg.master_seed) if p["warm_steps"] else u0
     (zeta,) = sample_noise_paths(
@@ -438,9 +436,7 @@ def _run_couple(cfg: ExperimentConfig, out: str) -> list:
         x0 = build_initial(cfg, "b")
     else:
         x0 = y0 + random_h1_field(cfg.grid, p["delta"], 2.0, cfg.master_seed, 2)
-    stride1 = cfg.solver if cfg.solver.store_stride == 1 else SolverConfig(
-        grid=cfg.grid, damping=cfg.solver.damping, dt=cfg.solver.dt, p=cfg.solver.p
-    )
+    stride1 = replace(cfg.solver, store_stride=1)
     report = synchronous_coupling_experiment(
         y0,
         x0,

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import SolverConfig, Trajectory, linear_group, markov_step, phase_theta, solve_nls
 from .linearized import control_response_matrix, h1_coords, solve_linearized
-from .noise import NoisePath, NoiseSpec, haar_eval
+from .noise import NoisePath, NoiseSpec, haar_l2_eval
 from .spectral import FourierField, ROOT_2PI, ValidationError, hs_norm_sq
 
 
@@ -151,8 +151,7 @@ def realize_shift_cells(cmap: ControlBasisMap, coeffs: np.ndarray, spec: NoiseSp
             raise ValidationError("mode %d has zero noise amplitude" % k)
         if j > spec.level_max:
             raise ValidationError("control level %d finer than the noise cells" % j)
-        scale = 2.0 ** (j / 2.0) if j else 1.0
-        delta[m] += coeffs[c] * comp * scale * haar_eval(j, l, t_mid) / (b * ROOT_2PI)
+        delta[m] += coeffs[c] * comp * haar_l2_eval(j, l, t_mid) / (b * ROOT_2PI)
     return delta
 
 
@@ -255,14 +254,7 @@ def contraction_test(
     """Run S(y, zeta) against S(x, xi) with the stabilizing shift and compare
     the coupled separation to the initial one, alongside the unshifted run."""
     if cfg.store_stride != 1:
-        cfg = SolverConfig(
-            grid=cfg.grid,
-            damping=cfg.damping,
-            dt=cfg.dt,
-            p=cfg.p,
-            store_stride=1,
-            blowup_threshold=cfg.blowup_threshold,
-        )
+        cfg = replace(cfg, store_stride=1)
     base_y = solve_nls(y, zeta, 1.0, cfg)
     cmap = build_control_basis_map(base_y, zeta.spec.modes, time_level, galerkin_cutoff)
     shift = stabilizing_shift(base_y, x, gamma, cmap)

@@ -11,6 +11,13 @@ band-limited factors stay alias-free; without forcing it is the exact
 modulus-preserving rotation u -> u exp(-i |u|^{p-1} dt), with forcing a
 two-stage explicit midpoint rule.
 
+One kernel, _split_steps, runs every flow that shares this splitting: it
+takes the middle substep on the padded grid as a parameter.  Its three
+substeps are the nonlinear/forcing step above (_evolve), the frozen-coefficient
+tangent midpoint rule (linearized._midpoint), and that rule's exact adjoint
+run backward in time with conjugated quarter phases
+(linearized._midpoint_adjoint).
+
 All state arrays carry the mode axis last and arbitrary batch axes in
 front, which is what keeps ensemble runs affordable.
 """
@@ -27,6 +34,7 @@ import numpy as np
 from .noise import NoisePath
 from .spectral import (
     ROOT_2PI,
+    TWO_PI,
     DampingProfile,
     FourierField,
     Grid,
@@ -62,13 +70,10 @@ class SolverConfig:
     damping: DampingProfile
     dt: float = DEFAULT_DT
     p: int = 3
-    scheme: str = "strang-split"
     store_stride: int = 1
     blowup_threshold: float = H1_BLOWUP
 
     def __post_init__(self):
-        if self.scheme != "strang-split":
-            raise ValidationError("unknown scheme %r" % (self.scheme,))
         if not (0.0 < self.dt <= MAX_DT * (1 + 1e-12)):
             raise ValidationError("dt must sit in (0, %g], got %r" % (MAX_DT, self.dt))
         if self.p < 3 or self.p % 2 == 0:
@@ -88,22 +93,26 @@ class SolverConfig:
 
     @cached_property
     def _tab(self) -> SimpleNamespace:
-        grid = self.grid
-        k = grid.modes
-        n_grid = grid.n_points
-        n_pad = pad_points(grid.k_max, self.p)
-        return SimpleNamespace(
-            n_grid=n_grid,
-            n_pad=n_pad,
-            idx_grid=np.mod(k, n_grid),
-            idx_pad=np.mod(k, n_pad),
-            phase_q=np.exp(-1j * k.astype(float) ** 2 * (self.dt / 4.0)),
-            decay_half=np.exp(-self.damping.values * (self.dt / 2.0)),
-            pad_scale=n_pad / ROOT_2PI,
-            unpad_scale=ROOT_2PI / n_pad,
-            h1_weights=1.0 + k.astype(float) ** 2,
-            x_pad=2.0 * math.pi * np.arange(n_pad) / n_pad,
-        )
+        return _step_tables(self.grid, self.damping, self.dt, self.p)
+
+
+def _step_tables(grid: Grid, damping: DampingProfile, dt: float, p: int) -> SimpleNamespace:
+    """Per-step tables of the split step of size dt."""
+    k = grid.modes
+    n_grid = grid.n_points
+    n_pad = pad_points(grid.k_max, p)
+    return SimpleNamespace(
+        n_grid=n_grid,
+        n_pad=n_pad,
+        idx_grid=np.mod(k, n_grid),
+        idx_pad=np.mod(k, n_pad),
+        phase_q=np.exp(-1j * k.astype(float) ** 2 * (dt / 4.0)),
+        decay_half=np.exp(-damping.values * (dt / 2.0)),
+        pad_scale=n_pad / ROOT_2PI,
+        unpad_scale=ROOT_2PI / n_pad,
+        h1_weights=1.0 + k.astype(float) ** 2,
+        x_pad=2.0 * math.pi * np.arange(n_pad) / n_pad,
+    )
 
 
 def _amp_pow(v: np.ndarray, p: int) -> np.ndarray:
@@ -130,78 +139,65 @@ def _from_pad_physical(v: np.ndarray, tab) -> np.ndarray:
     return np.fft.fft(v)[..., tab.idx_pad] * tab.unpad_scale
 
 
-def _nonlinear_full(u: np.ndarray, tab, dt: float, p: int, drive) -> np.ndarray:
-    """Full nonlinear substep on the padded grid; drive is physical or None."""
-    v = _to_pad_physical(u, tab)
-    if drive is None:
-        v = v * np.exp(-1j * dt * _amp_pow(v, p))
-    else:
-        a1 = -1j * (_amp_pow(v, p) * v + drive)
-        vm = v + (0.5 * dt) * a1
-        v = v + dt * (-1j) * (_amp_pow(vm, p) * vm + drive)
-    return _from_pad_physical(v, tab)
+def _split_steps(u: np.ndarray, tab, steps, substep):
+    """The one Strang step loop: yields (n, u) after each step n of steps.
 
-
-class _SparseDrive:
-    """Physical-space forcing built from a few active exponentials per step.
-
-    vals_fn(step) returns the amplitude of exp(i k x) per active mode, either
-    shaped (n_modes,) or batched (B, n_modes).  The forcing is an explicit
-    sum over the active modes, not vals @ rows: a matrix product picks its
-    BLAS kernel by the number of rows, so a chain's forcing would depend on
-    the block it is stepped in.  The sum gives every row the same bits.
+    Each step is a linear half step, substep(n, v) on the padded physical
+    grid, and a second linear half step.
     """
-
-    def __init__(self, mode_ks, tab, vals_fn):
-        self.rows = np.exp(1j * np.multiply.outer(np.asarray(mode_ks, float), tab.x_pad))
-        self.vals_fn = vals_fn
-
-    def __call__(self, step: int):
-        vals = self.vals_fn(step)
-        out = vals[..., 0, None] * self.rows[0]
-        for j in range(1, len(self.rows)):
-            out += vals[..., j, None] * self.rows[j]
-        return out
+    for n in steps:
+        v = substep(n, _to_pad_physical(_lin_half(u, tab), tab))
+        u = _lin_half(_from_pad_physical(v, tab), tab)
+        yield n, u
 
 
-def _path_cell_lookup(cfg: SolverConfig, n_cells: int):
-    spu = cfg.steps_for(1.0)
-    if spu % n_cells != 0:
-        raise ValidationError(
-            "dt=%r does not divide the noise cell width 1/%d" % (cfg.dt, n_cells)
-        )
-    per_cell = spu // n_cells
-    return spu, per_cell
+def _noise_drive(rows, cfg: SolverConfig):
+    """Physical-space noise forcing of a block of chains.
 
-
-def _noise_drive(paths, cfg: SolverConfig) -> _SparseDrive:
-    spec = paths[0].spec
-    for path in paths:
-        if path.spec.modes != spec.modes or path.cells.shape != paths[0].cells.shape:
-            raise ValidationError("concatenated paths must share one noise spec")
+    rows[i] lists the unit-interval paths chain i runs through, one per time
+    unit; drive(step) has shape (len(rows), n_pad).  The forcing is an
+    explicit sum over the few active modes, not vals @ exps: a matrix product
+    picks its BLAS kernel by the number of rows, so a chain's forcing would
+    depend on the block it is stepped in.  The sum gives every row the same
+    bits.
+    """
+    first = rows[0][0]
+    spec = first.spec
+    for row in rows:
+        for path in row:
+            if path.spec.modes != spec.modes or path.cells.shape != first.cells.shape:
+                raise ValidationError("paths must share one noise spec")
     if any(abs(k) > cfg.grid.k_max for k in spec.modes):
         raise ValidationError("noise mode outside the grid band")
-    spu, per_cell = _path_cell_lookup(cfg, spec.n_cells)
+    spu = cfg.steps_for(1.0)
+    if spu % spec.n_cells != 0:
+        raise ValidationError(
+            "dt=%r does not divide the noise cell width 1/%d" % (cfg.dt, spec.n_cells)
+        )
+    per_cell = spu // spec.n_cells
     amp = np.asarray(spec.amplitudes)[:, None]
-    unit_cells = [amp * p.cells for p in paths]
+    stack = np.array([[amp * p.cells for p in row] for row in rows])  # (B, units, modes, cells)
+    exps = np.exp(1j * np.multiply.outer(np.asarray(spec.modes, float), cfg._tab.x_pad))
 
-    def vals(step):
+    def drive(step: int):
         unit, within = divmod(step, spu)
-        return unit_cells[unit][:, within // per_cell]
+        vals = stack[:, unit, :, within // per_cell]
+        out = vals[:, 0, None] * exps[0]
+        for j in range(1, len(exps)):
+            out += vals[:, j, None] * exps[j]
+        return out
 
-    return _SparseDrive(spec.modes, cfg._tab, vals)
+    return drive
 
 
-def _noise_drive_batch(paths, cfg: SolverConfig) -> _SparseDrive:
-    spec = paths[0].spec
-    spu, per_cell = _path_cell_lookup(cfg, spec.n_cells)
-    amp = np.asarray(spec.amplitudes)[None, :, None]
-    stack = amp * np.stack([p.cells for p in paths])  # (B, n_modes, n_cells)
+def _row_drive(paths, cfg: SolverConfig):
+    """Forcing of one chain through paths, as row 0 of the block builder.
 
-    def vals(step):
-        return stack[:, :, (step % spu) // per_cell]
-
-    return _SparseDrive(spec.modes, cfg._tab, vals)
+    Single-chain runs step a 1-D state: a (1, n_coeff) block costs about 10%
+    more per step.
+    """
+    block = _noise_drive([paths], cfg)
+    return lambda step: block(step)[0]
 
 
 def _h1_sq(u: np.ndarray, tab) -> np.ndarray:
@@ -209,22 +205,30 @@ def _h1_sq(u: np.ndarray, tab) -> np.ndarray:
     return np.add.reduce((u.real**2 + u.imag**2) * tab.h1_weights, axis=-1)
 
 
-def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, drive, collect: bool, t0: float = 0.0):
-    """Core loop.  u has shape (..., n_coeff); returns (times, stored, final)."""
+def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, drive, collect: bool):
+    """Nonlinear flow over n_steps.  u has shape (..., n_coeff); drive(n) is
+    the padded physical forcing of step n, or drive is None.  Returns
+    (times, stored, final)."""
     tab = cfg._tab
+    dt, p = cfg.dt, cfg.p
     thr2 = cfg.blowup_threshold**2
-    times = [t0]
-    stored = [u.copy()] if collect else []
-    for n in range(n_steps):
-        u = _lin_half(u, tab)
-        u = _nonlinear_full(u, tab, cfg.dt, cfg.p, drive(n) if drive is not None else None)
-        u = _lin_half(u, tab)
+
+    def substep(n, v):
+        if drive is None:
+            return v * np.exp(-1j * dt * _amp_pow(v, p))
+        f = drive(n)
+        vm = v + (0.5 * dt) * (-1j * (_amp_pow(v, p) * v + f))
+        return v + dt * (-1j) * (_amp_pow(vm, p) * vm + f)
+
+    times = [0.0]
+    stored = [u] if collect else []
+    for n, u in _split_steps(u, tab, range(n_steps), substep):
         h1 = _h1_sq(u, tab)
         if np.max(h1) > thr2:
-            raise BlowUpError(n + 1, t0 + (n + 1) * cfg.dt, float(np.sqrt(np.max(h1))))
+            raise BlowUpError(n + 1, (n + 1) * dt, float(np.sqrt(np.max(h1))))
         if collect and ((n + 1) % cfg.store_stride == 0 or n + 1 == n_steps):
-            times.append(t0 + (n + 1) * cfg.dt)
-            stored.append(u.copy())
+            times.append((n + 1) * dt)
+            stored.append(u)
     return np.asarray(times), stored, u
 
 
@@ -293,7 +297,7 @@ def solve_nls(u0: FourierField, forcing, horizon: float, cfg: SolverConfig) -> T
         raise ValidationError("initial state lives on a different grid")
     n_steps = cfg.steps_for(horizon)
     paths = _as_path_list(forcing, horizon, cfg)
-    drive = _noise_drive(paths, cfg) if paths is not None else None
+    drive = _row_drive(paths, cfg) if paths is not None else None
     times, stored, _ = _evolve(u0.coeffs.astype(np.complex128), cfg, n_steps, drive, True)
     return Trajectory(cfg.grid, times, np.stack(stored), cfg, forcing)
 
@@ -303,7 +307,7 @@ def markov_step(u0: FourierField, path: NoisePath, cfg: SolverConfig) -> Fourier
     if u0.grid != cfg.grid:
         raise ValidationError("initial state lives on a different grid")
     n_steps = cfg.steps_for(1.0)
-    drive = _noise_drive([path], cfg) if path is not None else None
+    drive = _row_drive([path], cfg) if path is not None else None
     _, _, final = _evolve(u0.coeffs.astype(np.complex128), cfg, n_steps, drive, False)
     return FourierField(cfg.grid, final)
 
@@ -314,7 +318,7 @@ def markov_step_batch(coeffs: np.ndarray, paths, cfg: SolverConfig) -> np.ndarra
     if coeffs.ndim != 2 or coeffs.shape[0] != len(paths):
         raise ValidationError("need one path per batch row")
     n_steps = cfg.steps_for(1.0)
-    drive = _noise_drive_batch(paths, cfg)
+    drive = _noise_drive([[p] for p in paths], cfg)
     _, _, final = _evolve(coeffs, cfg, n_steps, drive, False)
     return final
 
@@ -327,38 +331,26 @@ def linear_group(u0: FourierField, t: float, damping: DampingProfile, dt: float)
     """
     if u0.grid != damping.grid:
         raise ValidationError("state and damping live on different grids")
-    out = linear_group_coeffs(u0.coeffs, t, damping, dt)
-    return FourierField(u0.grid, out)
-
-
-def linear_group_coeffs(coeffs: np.ndarray, t: float, damping: DampingProfile, dt: float):
     if t < 0:
         raise ValidationError("group time must be nonnegative")
     if dt <= 0:
         raise ValidationError("dt must be positive")
-    if t == 0:
-        return np.asarray(coeffs, dtype=np.complex128).copy()
-    grid = damping.grid
-    n = max(1, int(round(t / dt)))
-    h = t / n
-    k = grid.modes
-    tab = SimpleNamespace(
-        n_grid=grid.n_points,
-        idx_grid=np.mod(k, grid.n_points),
-        phase_q=np.exp(-1j * k.astype(float) ** 2 * (h / 4.0)),
-        decay_half=np.exp(-damping.values * (h / 2.0)),
-    )
-    u = np.asarray(coeffs, dtype=np.complex128)
-    for _ in range(2 * n):
-        u = _lin_half(u, tab)
-    return u
+    u = u0.coeffs.astype(np.complex128)
+    if t > 0:
+        n = max(1, int(round(t / dt)))
+        tab = _step_tables(damping.grid, damping, t / n, 3)
+        for _ in range(2 * n):
+            u = _lin_half(u, tab)
+    return FourierField(u0.grid, u)
 
 
 def energy_series(coeffs: np.ndarray, p: int = 3) -> np.ndarray:
     """Energy of each row of a (n, n_coeff) coefficient stack.
 
-    Matches spectral.energy row by row; the potential term is synthesized in
-    chunks so long trajectories do not hold the padded grid all at once.
+    Bitwise equal to spectral.energy row by row, whatever the number of
+    rows: both reduce each row along its own axis in the same order.  The
+    potential term is synthesized in chunks so long trajectories do not hold
+    the padded grid all at once.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     squeeze = c.ndim == 1
@@ -366,7 +358,7 @@ def energy_series(coeffs: np.ndarray, p: int = 3) -> np.ndarray:
         c = c[None, :]
     k_max = (c.shape[-1] - 1) // 2
     k = np.arange(-k_max, k_max + 1, dtype=float)
-    quad = 0.5 * ((c.real**2 + c.imag**2) @ (1.0 + k**2))
+    quad = 0.5 * np.add.reduce((1.0 + k**2) * (c.real**2 + c.imag**2), axis=-1)
     m = pad_points(k_max, p)
     half = (p + 1) // 2
     quart = np.empty(c.shape[0])
@@ -375,7 +367,7 @@ def energy_series(coeffs: np.ndarray, p: int = 3) -> np.ndarray:
         v = synth(c[lo : lo + chunk], m)
         amp2 = v.real**2 + v.imag**2
         quart[lo : lo + chunk] = np.mean(amp2**half, axis=-1)
-    out = quad + quart * (2.0 * math.pi / (p + 1))
+    out = quad + quart * TWO_PI / (p + 1)
     return out[0] if squeeze else out
 
 

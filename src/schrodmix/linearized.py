@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import SolverConfig, Trajectory, _lin_half, _to_pad_physical, _from_pad_physical
-from .noise import haar_eval
+from .dynamics import Trajectory, _split_steps, _to_pad_physical
+from .noise import haar_l2_eval
 from .spectral import FourierField, Grid, ROOT_2PI, ValidationError
 
 _TIME_TOL = 1.0e-9
@@ -101,18 +102,16 @@ class ControlForcing:
 
 
 def _forward_steps(v, tab, c1, c2, dt, drive_phys, collect):
-    """March v (batch, C) through all steps; drive_phys[n] physical or None."""
-    stored = [v.copy()] if collect else []
-    n_steps = c1.shape[0]
-    for n in range(n_steps):
-        v = _lin_half(v, tab)
-        w = _to_pad_physical(v, tab)
+    """March v (batch, C) through all steps; drive_phys(n) physical or None."""
+    stored = [v] if collect else []
+
+    def substep(n, w):
         g = None if drive_phys is None else drive_phys(n)
-        w = _midpoint(w, c1[n], c2[n], dt, g)
-        v = _from_pad_physical(w, tab)
-        v = _lin_half(v, tab)
+        return _midpoint(w, c1[n], c2[n], dt, g)
+
+    for _, v in _split_steps(v, tab, range(c1.shape[0]), substep):
         if collect:
-            stored.append(v.copy())
+            stored.append(v)
     return stored, v
 
 
@@ -176,34 +175,18 @@ def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> LinearizedRu
     if phi1.grid != base.grid:
         raise ValidationError("terminal state lives on a different grid")
     tab, c1, c2 = _base_tables(base)
-    adj = _AdjointTables(tab)
+    adj = SimpleNamespace(**{**vars(tab), "phase_q": np.conj(tab.phase_q)})
     dt = base.config.dt
-    n_steps = c1.shape[0]
     phi = phi1.coeffs.astype(np.complex128)
-    stored = [phi.copy()]
-    for n in range(n_steps - 1, -1, -1):
-        phi = _lin_half(phi, adj)
-        w = _to_pad_physical(phi, adj)
-        w = _midpoint_adjoint(w, c1[n], c2[n], dt)
-        phi = _from_pad_physical(w, adj)
-        phi = _lin_half(phi, adj)
-        stored.append(phi.copy())
+    stored = [phi]
+
+    def substep(n, w):
+        return _midpoint_adjoint(w, c1[n], c2[n], dt)
+
+    for _, phi in _split_steps(phi, adj, range(c1.shape[0] - 1, -1, -1), substep):
+        stored.append(phi)
     stored.reverse()
     return LinearizedRun(base, base.times.copy(), np.stack(stored), "backward")
-
-
-class _AdjointTables:
-    """Table view with conjugated quarter phases (adjoint linear half step)."""
-
-    def __init__(self, tab):
-        self.n_grid = tab.n_grid
-        self.n_pad = tab.n_pad
-        self.idx_grid = tab.idx_grid
-        self.idx_pad = tab.idx_pad
-        self.phase_q = np.conj(tab.phase_q)
-        self.decay_half = tab.decay_half
-        self.pad_scale = tab.pad_scale
-        self.unpad_scale = tab.unpad_scale
 
 
 def duality_pairing(v_run: LinearizedRun, phi_run: LinearizedRun, t: float) -> float:
@@ -290,11 +273,6 @@ def control_response_matrix(base: Trajectory, modes, time_level: int, cutoff: in
         if abs(k) > base.grid.k_max:
             raise ValidationError("control mode %d outside the band" % k)
     t_mid = (np.arange(n_steps) + 0.5) * cfg.dt
-    hvals = np.stack(
-        [2.0 ** (j / 2.0) * haar_eval(j, l, t_mid) if j else haar_eval(0, 0, t_mid)
-         for (j, l) in keys]
-    )  # (n_keys, n_steps)
-
     col_keys = []
     for k in modes:
         for key in keys:
@@ -305,9 +283,7 @@ def control_response_matrix(base: Trajectory, modes, time_level: int, cutoff: in
     # per-step drive amplitudes of exp(ikx) per column: comp * hval / sqrt(2pi)
     vals = np.zeros((n_steps, n_cols, len(modes)), dtype=np.complex128)
     for c, (k, j, l, comp) in enumerate(col_keys):
-        m = modes.index(k)
-        key_idx = keys.index((j, l))
-        vals[:, c, m] = comp * hvals[key_idx] / ROOT_2PI
+        vals[:, c, modes.index(k)] = comp * haar_l2_eval(j, l, t_mid) / ROOT_2PI
 
     tab, c1, c2 = _base_tables(base)
     rows = np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))
@@ -362,6 +338,11 @@ class GramianReport:
 
 def gramian_matrix(base: Trajectory, modes, time_level: int, cutoff: int) -> np.ndarray:
     a, _ = control_response_matrix(base, modes, time_level, cutoff)
+    return _symmetric_gram(a)
+
+
+def _symmetric_gram(a: np.ndarray) -> np.ndarray:
+    """A A^T, symmetrized against round-off."""
     g = a @ a.T
     return 0.5 * (g + g.T)
 
@@ -371,8 +352,7 @@ def assemble_gramian(
 ) -> GramianReport:
     """Gramian of the Duhamel control map over the Haar-in-time control basis."""
     a, cols = control_response_matrix(base, modes, time_level, cutoff)
-    g = a @ a.T
-    g = 0.5 * (g + g.T)
+    g = _symmetric_gram(a)
     eigs = np.linalg.eigvalsh(g)[::-1].copy()
     sel = mode_coord_indices(target_cutoff, cutoff)
     sub = g[np.ix_(sel, sel)]

@@ -378,7 +378,7 @@ def attractor_proximity(states, s: float = 1.25) -> dict:
     tail_mask = np.abs(k) > cut
     w1 = (1.0 + k.astype(float) ** 2) * tail_mask
     amp2 = coeffs.real**2 + coeffs.imag**2
-    tail = np.sqrt(amp2 @ w1)
+    tail = np.sqrt(np.add.reduce(amp2 * w1, axis=-1))
     hs = np.sqrt(hs_norm_sq(coeffs, s))
     return {"tail_h1": tail, "hs_norm": hs, "s": s, "tail_cutoff": cut}
 

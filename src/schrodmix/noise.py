@@ -41,6 +41,11 @@ def haar_eval(j: int, l: int, t):
     return out
 
 
+def haar_l2_eval(j: int, l: int, t):
+    """L2(0,1)-normalized Haar function 2^(j/2) h_jl at times t."""
+    return 2.0 ** (j / 2.0) * haar_eval(j, l, t)
+
+
 def _check_haar_index(j: int, l: int):
     if j < 0 or l < 0:
         raise ValidationError("Haar indices must be nonnegative")

@@ -286,3 +286,10 @@ def test_attractor_proximity():
     assert vals["tail_h1"][0] == 0.0
     np.testing.assert_allclose(vals["tail_h1"][1], 2.0 * math.sqrt(1.0 + 225.0), rtol=1e-12)
     np.testing.assert_allclose(vals["hs_norm"][0], 2.0 * 2.0**0.625, rtol=1e-12)
+    # a state's values do not depend on how many states are stacked with it
+    states = [random_h1_field(GRID, 0.5, 2.0, 60 + i, 0) for i in range(65)]
+    block = attractor_proximity(states)
+    for i, st in enumerate(states):
+        alone = attractor_proximity([st])
+        assert block["tail_h1"][i] == alone["tail_h1"][0]
+        assert block["hs_norm"][i] == alone["hs_norm"][0]
