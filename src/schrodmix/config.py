@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .control import contraction_test, saturation_span
-from .dynamics import SolverConfig, smoothing_remainder, solve_nls
+from .dynamics import SolverConfig, solve_nls, trajectory_remainder
 from .linearized import assemble_gramian
 from .mixing import (
     chain_seed_record,
@@ -371,10 +371,7 @@ def _run_decay(cfg: ExperimentConfig, out: str) -> list:
     p = cfg.params
     report = decay_experiment(build_initial(cfg), p["horizon"], cfg.solver)
     curve = os.path.join(out, "decay_curve.csv")
-    with open(curve, "w", newline="") as fh:
-        fh.write("t,energy\n")
-        for t, e in zip(report.times, report.energies):
-            fh.write("%s,%s\n" % (store.FLOAT_FMT % t, store.FLOAT_FMT % e))
+    store.write_curve_csv(curve, ("t", "energy"), zip(report.times, report.energies))
     jpath = os.path.join(out, "decay.json")
     store.write_json_report(jpath, report.to_json_dict())
     return [curve, jpath]
@@ -451,15 +448,16 @@ def _run_couple(cfg: ExperimentConfig, out: str) -> list:
         tau0=p["tau0"],
     )
     curve = os.path.join(out, "couple_curve.csv")
-    with open(curve, "w", newline="") as fh:
-        fh.write("step,separation,ratio,shift_norm\n")
-        for n, sep in enumerate(report.separations):
-            ratio = report.ratios[n - 1] if n >= 1 else float("nan")
-            shift = report.shift_norms[n - 1] if n >= 1 else 0.0
-            fh.write(
-                "%d,%s,%s,%s\n"
-                % (n, store.FLOAT_FMT % sep, store.FLOAT_FMT % ratio, store.FLOAT_FMT % shift)
-            )
+    store.write_curve_csv(
+        curve,
+        ("step", "separation", "ratio", "shift_norm"),
+        zip(
+            range(len(report.separations)),
+            report.separations,
+            [float("nan"), *report.ratios],
+            [0.0, *report.shift_norms],
+        ),
+    )
     jpath = os.path.join(out, "couple.json")
     store.write_json_report(jpath, report.to_json_dict())
     return [curve, jpath]
@@ -480,17 +478,11 @@ def _run_mix(cfg: ExperimentConfig, out: str) -> list:
     )
     report.config_digest = cfg.digest()
     curve = os.path.join(out, "mix_curve.csv")
-    with open(curve, "w", newline="") as fh:
-        fh.write("step,distance,alt_distance\n")
-        for n in range(len(report.distances)):
-            fh.write(
-                "%d,%s,%s\n"
-                % (
-                    n,
-                    store.FLOAT_FMT % report.distances[n],
-                    store.FLOAT_FMT % report.alt_distances[n],
-                )
-            )
+    store.write_curve_csv(
+        curve,
+        ("step", "distance", "alt_distance"),
+        zip(range(len(report.distances)), report.distances, report.alt_distances),
+    )
     jpath = os.path.join(out, "mix.json")
     store.write_json_report(jpath, report.to_json_dict())
     return [curve, jpath]
@@ -515,8 +507,8 @@ def _run_smooth(cfg: ExperimentConfig, out: str) -> list:
     u0 = build_initial(cfg)
     horizon = p["horizon"]
     forcing = _unit_paths(cfg, int(round(horizon))) if p["forced"] else None
-    rem = smoothing_remainder(u0, forcing, horizon, cfg.solver)
     traj = solve_nls(u0, forcing, horizon, cfg.solver)
+    rem = trajectory_remainder(traj, horizon)
     s = p["probe_s"]
     payload = {
         "t": float(horizon),

@@ -2,21 +2,26 @@
 
     i u_t + u_xx + i a(x) u = |u|^{p-1} u + f(t, x),   x on the 2pi torus,
 
-with p >= 3 odd.  One step of size dt composes a linear half step, the
-nonlinear/forcing substep, and a second linear half step.  The linear half
-step is itself split symmetrically: quarter-step spectral phases
-exp(-i k^2 dt/4) around the exact pointwise decay exp(-a(x) dt/2).  The
-nonlinear substep is evaluated on a zero-padded grid so products of
-band-limited factors stay alias-free; without forcing it is the exact
-modulus-preserving rotation u -> u exp(-i |u|^{p-1} dt), with forcing a
-two-stage explicit midpoint rule.
+with p >= 3 odd.  One step of size dt is the symmetric composition
+
+    P_half . unpad o [D_half . N . D_half] o pad . P_half
+
+of the exact free phase P_half = exp(-i k^2 dt/2), applied in spectral
+space, and, on a zero-padded physical grid, the exact pointwise decay
+D_half = exp(-a(x) dt/2) around the nonlinear/forcing substep N.  The padded
+grid keeps products of band-limited factors alias-free.  Without forcing N is
+the exact modulus-preserving rotation u -> u exp(-i |u|^{p-1} dt), with
+forcing a two-stage explicit midpoint rule.  The damping a(x) is localized,
+so it is applied where it is diagonal, on the padded grid the substep needs
+anyway: a step costs one padded inverse FFT and one padded FFT.
 
 One kernel, _split_steps, runs every flow that shares this splitting: it
-takes the middle substep on the padded grid as a parameter.  Its three
-substeps are the nonlinear/forcing step above (_evolve), the frozen-coefficient
-tangent midpoint rule (linearized._midpoint), and that rule's exact adjoint
-run backward in time with conjugated quarter phases
-(linearized._midpoint_adjoint).
+takes the middle substep N as a parameter.  Its substeps are the
+nonlinear/forcing step above (_evolve), the frozen-coefficient tangent
+midpoint rule (linearized._midpoint), that rule's exact adjoint run backward
+in time with conjugated phases (linearized._midpoint_adjoint; D_half is real
+and diagonal, so it is its own adjoint), and the identity, which makes
+linear_group the damped free group of the same splitting.
 
 All state arrays carry the mode axis last and arbitrary batch axes in
 front, which is what keeps ensemble runs affordable.
@@ -51,15 +56,21 @@ _TIME_TOL = 1.0e-9
 
 
 class BlowUpError(RuntimeError):
-    """Signals that the H1 norm crossed the blow-up guard during a run."""
+    """Signals that the H1 norm crossed the blow-up guard during a run.
 
-    def __init__(self, step: int, time: float, norm: float):
+    row is the index, within its block, of the chain with the largest H1
+    norm (0 for a single chain); h1_norm is that chain's norm.
+    """
+
+    def __init__(self, step: int, time: float, norm: float, row: int = 0):
         super().__init__(
-            "H1 norm %.3e crossed the blow-up guard at step %d (t=%.6f)" % (norm, step, time)
+            "H1 norm %.3e of row %d crossed the blow-up guard at step %d (t=%.6f)"
+            % (norm, row, step, time)
         )
         self.step = step
         self.time = time
         self.h1_norm = norm
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -97,21 +108,23 @@ class SolverConfig:
 
 
 def _step_tables(grid: Grid, damping: DampingProfile, dt: float, p: int) -> SimpleNamespace:
-    """Per-step tables of the split step of size dt."""
+    """Per-step tables of the split step of size dt.
+
+    phase_in and phase_out are the half-step phases with the padding scales
+    folded in; decay is D_half sampled on the padded grid.
+    """
     k = grid.modes
-    n_grid = grid.n_points
     n_pad = pad_points(grid.k_max, p)
+    x_pad = 2.0 * math.pi * np.arange(n_pad) / n_pad
+    phase_half = np.exp(-1j * k.astype(float) ** 2 * (dt / 2.0))
     return SimpleNamespace(
-        n_grid=n_grid,
         n_pad=n_pad,
-        idx_grid=np.mod(k, n_grid),
         idx_pad=np.mod(k, n_pad),
-        phase_q=np.exp(-1j * k.astype(float) ** 2 * (dt / 4.0)),
-        decay_half=np.exp(-damping.values * (dt / 2.0)),
-        pad_scale=n_pad / ROOT_2PI,
-        unpad_scale=ROOT_2PI / n_pad,
+        phase_in=phase_half * (n_pad / ROOT_2PI),
+        phase_out=phase_half * (ROOT_2PI / n_pad),
+        decay=np.exp(-damping.at(x_pad) * (dt / 2.0)),
         h1_weights=1.0 + k.astype(float) ** 2,
-        x_pad=2.0 * math.pi * np.arange(n_pad) / n_pad,
+        x_pad=x_pad,
     )
 
 
@@ -120,35 +133,23 @@ def _amp_pow(v: np.ndarray, p: int) -> np.ndarray:
     return a2 if p == 3 else a2 ** ((p - 1) // 2)
 
 
-def _lin_half(u: np.ndarray, tab) -> np.ndarray:
-    """One linear half step (time dt/2): quarter phase, decay, quarter phase."""
-    u = u * tab.phase_q
-    w = np.zeros(u.shape[:-1] + (tab.n_grid,), dtype=np.complex128)
-    w[..., tab.idx_grid] = u
-    w = np.fft.fft(np.fft.ifft(w) * tab.decay_half)
-    return w[..., tab.idx_grid] * tab.phase_q
-
-
-def _to_pad_physical(u: np.ndarray, tab) -> np.ndarray:
-    w = np.zeros(u.shape[:-1] + (tab.n_pad,), dtype=np.complex128)
-    w[..., tab.idx_pad] = u
-    return np.fft.ifft(w) * tab.pad_scale
-
-
-def _from_pad_physical(v: np.ndarray, tab) -> np.ndarray:
-    return np.fft.fft(v)[..., tab.idx_pad] * tab.unpad_scale
-
-
 def _split_steps(u: np.ndarray, tab, steps, substep):
     """The one Strang step loop: yields (n, u) after each step n of steps.
 
-    Each step is a linear half step, substep(n, v) on the padded physical
-    grid, and a second linear half step.
+    Step n is P_half . unpad o [D_half . substep(n, .) . D_half] o pad . P_half,
+    with substep(n, v) acting on the padded physical grid.  The padded
+    buffer's zero band is written once and reused.
     """
+    w = np.zeros(u.shape[:-1] + (tab.n_pad,), dtype=np.complex128)
     for n in steps:
-        v = substep(n, _to_pad_physical(_lin_half(u, tab), tab))
-        u = _lin_half(_from_pad_physical(v, tab), tab)
+        w[..., tab.idx_pad] = u * tab.phase_in
+        v = substep(n, np.fft.ifft(w) * tab.decay) * tab.decay
+        u = np.fft.fft(v)[..., tab.idx_pad] * tab.phase_out
         yield n, u
+
+
+def _identity(n, v):
+    return v
 
 
 def _noise_drive(rows, cfg: SolverConfig):
@@ -225,7 +226,8 @@ def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, drive, collect: bool
     for n, u in _split_steps(u, tab, range(n_steps), substep):
         h1 = _h1_sq(u, tab)
         if np.max(h1) > thr2:
-            raise BlowUpError(n + 1, (n + 1) * dt, float(np.sqrt(np.max(h1))))
+            row = int(np.argmax(h1))
+            raise BlowUpError(n + 1, (n + 1) * dt, float(np.sqrt(h1.flat[row])), row)
         if collect and ((n + 1) % cfg.store_stride == 0 or n + 1 == n_steps):
             times.append((n + 1) * dt)
             stored.append(u)
@@ -324,10 +326,13 @@ def markov_step_batch(coeffs: np.ndarray, paths, cfg: SolverConfig) -> np.ndarra
 
 
 def linear_group(u0: FourierField, t: float, damping: DampingProfile, dt: float) -> FourierField:
-    """Damped free group S_a(t): exact spectral phases around exact decay.
+    """Damped free group S_a(t): the solver's split step with the identity
+    substep, at the step t/n closest to dt.
 
-    The substep arrangement matches the solver's linear half steps, so for a
-    zero potential the linearized solver and this map agree to round-off.
+    Each step is the exact spectral half phases around two exact pointwise
+    half-step decays exp(-a(x) dt/2) on the padded grid, so for a zero
+    potential the linearized solver and this map take the same steps and
+    agree to round-off.
     """
     if u0.grid != damping.grid:
         raise ValidationError("state and damping live on different grids")
@@ -339,8 +344,8 @@ def linear_group(u0: FourierField, t: float, damping: DampingProfile, dt: float)
     if t > 0:
         n = max(1, int(round(t / dt)))
         tab = _step_tables(damping.grid, damping, t / n, 3)
-        for _ in range(2 * n):
-            u = _lin_half(u, tab)
+        for _, u in _split_steps(u, tab, range(n), _identity):
+            pass
     return FourierField(u0.grid, u)
 
 
@@ -438,7 +443,11 @@ def smoothing_remainder(u0: FourierField, forcing, t: float, cfg: SolverConfig) 
     regularity that the full flow enjoys over its linear part once the
     resonant phase has been removed.
     """
-    traj = solve_nls(u0, forcing, t, cfg)
+    return trajectory_remainder(solve_nls(u0, forcing, t, cfg), t)
+
+
+def trajectory_remainder(traj: Trajectory, t: float) -> FourierField:
+    """smoothing_remainder of the run already stored in traj, at time t."""
     theta = phase_theta(traj, t)
-    lin = linear_group(u0, t, cfg.damping, cfg.dt)
-    return traj.endpoint - complex(math.cos(theta), -math.sin(theta)) * lin
+    lin = linear_group(traj.state(0), t, traj.config.damping, traj.config.dt)
+    return traj.state_at(t) - complex(math.cos(theta), -math.sin(theta)) * lin

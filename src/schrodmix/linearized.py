@@ -26,9 +26,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import Trajectory, _split_steps, _to_pad_physical
+from .dynamics import Trajectory, _split_steps
 from .noise import haar_l2_eval
-from .spectral import FourierField, Grid, ROOT_2PI, ValidationError
+from .spectral import FourierField, Grid, ROOT_2PI, ValidationError, synth
 
 _TIME_TOL = 1.0e-9
 
@@ -61,7 +61,7 @@ def _base_tables(base: Trajectory):
         raise ValidationError("linearization needs a base stored at every step")
     tab = cfg._tab
     mids = 0.5 * (base.coeffs[:-1] + base.coeffs[1:])
-    u = _to_pad_physical(mids, tab)
+    u = synth(mids, tab.n_pad)
     a2 = u.real**2 + u.imag**2
     p = cfg.p
     r = a2 if p == 3 else a2 ** ((p - 1) // 2)
@@ -175,7 +175,9 @@ def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> LinearizedRu
     if phi1.grid != base.grid:
         raise ValidationError("terminal state lives on a different grid")
     tab, c1, c2 = _base_tables(base)
-    adj = SimpleNamespace(**{**vars(tab), "phase_q": np.conj(tab.phase_q)})
+    adj = SimpleNamespace(
+        **{**vars(tab), "phase_in": np.conj(tab.phase_in), "phase_out": np.conj(tab.phase_out)}
+    )
     dt = base.config.dt
     phi = phi1.coeffs.astype(np.complex128)
     stored = [phi]

@@ -239,6 +239,8 @@ class DampingProfile:
 
     Values always come from one of the closed-form constructors below, so the
     profile is C-infinity by construction; raw user samples are not accepted.
+    The closed form (kind, params) is kept, so the profile can be evaluated
+    on any other grid as well, and values must match it.
     """
 
     grid: Grid
@@ -252,6 +254,8 @@ class DampingProfile:
             raise ValidationError("damping samples must match grid.n_points")
         if np.any(v < 0.0):
             raise ValidationError("damping must be nonnegative")
+        if not np.array_equal(v, _damping_values(self.kind, self.params, self.grid.points)):
+            raise ValidationError("damping samples must be the %s closed form" % (self.kind,))
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -263,15 +267,39 @@ class DampingProfile:
     def describe(self) -> str:
         return "%s%r" % (self.kind, tuple(round(p, 6) for p in self.params))
 
+    def at(self, x: np.ndarray) -> np.ndarray:
+        """The closed-form a(x) at any points x, such as a finer grid's."""
+        return _damping_values(self.kind, self.params, x)
+
+
+def _damping_values(kind: str, params: tuple, x: np.ndarray) -> np.ndarray:
+    """The one evaluator of the closed-form damping profiles at points x."""
+    if kind == "zero":
+        return np.zeros_like(x)
+    if kind == "constant":
+        return np.full_like(x, params[0])
+    if kind == "bump":
+        amplitude, center, width = params
+        s = (np.mod(x - center + math.pi, TWO_PI) - math.pi) / width
+        vals = np.zeros_like(x)
+        inside = np.abs(s) < 1.0
+        vals[inside] = amplitude * np.exp(-1.0 / (1.0 - s[inside] ** 2))
+        return vals
+    raise ValidationError("unknown damping kind %r" % (kind,))
+
+
+def _closed_form_damping(grid: Grid, kind: str, params: tuple) -> DampingProfile:
+    return DampingProfile(grid, _damping_values(kind, params, grid.points), kind, params)
+
 
 def zero_damping(grid: Grid) -> DampingProfile:
-    return DampingProfile(grid, np.zeros(grid.n_points), "zero", ())
+    return _closed_form_damping(grid, "zero", ())
 
 
 def constant_damping(grid: Grid, value: float) -> DampingProfile:
     if value < 0:
         raise ValidationError("damping constant must be >= 0")
-    return DampingProfile(grid, np.full(grid.n_points, float(value)), "constant", (float(value),))
+    return _closed_form_damping(grid, "constant", (float(value),))
 
 
 def bump_damping(grid: Grid, amplitude: float, center: float, width: float) -> DampingProfile:
@@ -280,10 +308,4 @@ def bump_damping(grid: Grid, amplitude: float, center: float, width: float) -> D
         raise ValidationError("bump amplitude must be >= 0")
     if not (0 < width < math.pi):
         raise ValidationError("bump width must sit in (0, pi)")
-    x = grid.points
-    d = np.mod(x - center + math.pi, TWO_PI) - math.pi
-    s = d / width
-    vals = np.zeros_like(x)
-    inside = np.abs(s) < 1.0
-    vals[inside] = amplitude * np.exp(-1.0 / (1.0 - s[inside] ** 2))
-    return DampingProfile(grid, vals, "bump", (float(amplitude), float(center), float(width)))
+    return _closed_form_damping(grid, "bump", (float(amplitude), float(center), float(width)))

@@ -138,6 +138,19 @@ def read_trajectory_bin(path):
     return times, coeffs, Grid(n_points=n_points, k_max=k_max)
 
 
+def write_curve_csv(path, header, rows) -> None:
+    """Experiment curve: a header line, then one line per row, integers as
+    %d and floats at full precision."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_curve_cell(v) for v in row) + "\n")
+
+
+def _curve_cell(v) -> str:
+    return "%d" % v if isinstance(v, (int, np.integer)) else FLOAT_FMT % v
+
+
 # ---------------------------------------------------------------------------
 # noise paths
 

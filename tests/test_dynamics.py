@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schrodmix import (
     BlowUpError,
@@ -26,6 +28,8 @@ from schrodmix import (
     plane_wave,
     smoothing_remainder,
     sobolev_norm,
+    solve_adjoint_backward,
+    solve_linearized,
     solve_nls,
     zero_damping,
     zero_field,
@@ -177,6 +181,21 @@ def test_blowup_guard():
     err = info.value
     assert err.h1_norm > 1.0e6
     assert err.step >= 0 and err.time >= 0.0
+    assert err.row == 0
+
+
+def test_blowup_guard_names_the_row():
+    cfg = damped_cfg(blowup_threshold=1.0)
+    spec = NoiseSpec()
+    paths = [sample_noise_path(spec, (32, 0, i, 0)) for i in range(6)]
+    block = np.stack([random_h1_field(GRID, 0.2, 3.0, 50 + i, 0).coeffs for i in range(6)])
+    block[4] *= 25.0  # H1 norm 5: only this chain crosses the guard
+    with pytest.raises(BlowUpError) as info:
+        markov_step_batch(block, paths, cfg)
+    err = info.value
+    assert err.row == 4 and err.step == 1
+    assert 4.0 < err.h1_norm < 5.0
+    assert "row 4" in str(err)
 
 
 def test_trajectory_accessors():
@@ -209,6 +228,60 @@ def test_markov_step_batch_matches_scalar():
         markov_step_batch(block[0], paths[:1], cfg)
     with pytest.raises(ValidationError):
         markov_step_batch(block, paths[:2], cfg)
+
+
+@settings(max_examples=8, deadline=None, database=None, derandomize=True)
+@given(n_rows=st.integers(1, 70), seed=st.integers(0, 2**16))
+def test_markov_step_batch_rows_match_alone(n_rows, seed):
+    # the kernel may not mix rows: no per-step quantity from a product over rows
+    cfg = damped_cfg()
+    spec = NoiseSpec()
+    paths = [sample_noise_path(spec, (seed, 0, i, 0)) for i in range(n_rows)]
+    fields = [random_h1_field(GRID, 0.4, 3.0, seed, i) for i in range(n_rows)]
+    out = markov_step_batch(np.stack([f.coeffs for f in fields]), paths, cfg)
+    for i in range(n_rows):
+        np.testing.assert_array_equal(out[i], markov_step(fields[i], paths[i], cfg).coeffs)
+
+
+def _count_ffts(monkeypatch, run) -> int:
+    n = [0]
+    with monkeypatch.context() as m:
+        for name in ("fft", "ifft"):
+
+            def counted(*args, _real=getattr(np.fft, name), **kw):
+                n[0] += 1
+                return _real(*args, **kw)
+
+            m.setattr(np.fft, name, counted)
+        run()
+    return n[0]
+
+
+def test_two_ffts_per_step(monkeypatch):
+    # one padded ifft and one padded fft per step in every flow: no round
+    # trips through the unpadded grid.  Set-up transforms do not depend on
+    # the number of steps and cancel in the difference.
+    spec = NoiseSpec()
+    paths = [sample_noise_path(spec, (33, 0, i, 0)) for i in range(3)]
+    u0 = random_h1_field(GRID, 0.5, 3.0, 33, 0)
+    block = np.stack([u0.coeffs] * 3)
+    w = random_h1_field(GRID, 1.0, 2.5, 34, 1)
+    counts = {}
+    for dt in (DT, DT / 2):
+        cfg = SolverConfig(grid=GRID, damping=bump_damping(GRID, 1.0, math.pi, 1.5), dt=dt)
+        base = solve_nls(u0, None, 1.0, cfg)
+        runs = {
+            "solve_nls": lambda: solve_nls(u0, paths[0], 1.0, cfg),
+            "markov_step_batch": lambda: markov_step_batch(block, paths, cfg),
+            "solve_linearized": lambda: solve_linearized(base, w, w),
+            "solve_adjoint_backward": lambda: solve_adjoint_backward(base, w),
+        }
+        for name, run in runs.items():
+            counts.setdefault(name, []).append(
+                (cfg.steps_for(1.0), _count_ffts(monkeypatch, run))
+            )
+    for name, ((n1, c1), (n2, c2)) in counts.items():
+        assert c2 - c1 == 2 * (n2 - n1), (name, c1, c2)
 
 
 @pytest.mark.parametrize("n_rows", [1, 64, 65])

@@ -22,6 +22,7 @@ from schrodmix import (
 )
 from schrodmix.spectral import (
     ROOT_2PI,
+    DampingProfile,
     hs_norm_sq,
     l2_inner,
     lp_power_integral,
@@ -237,6 +238,12 @@ def test_damping_profiles():
     assert np.all(b.values[outside] == 0)
     assert b.values[np.argmin(np.abs(x - math.pi))] > 0
     assert "bump" in b.describe()
+    # at() is the closed form the constructors use, on any grid
+    fine = Grid(4 * GRID.n_points, GRID.k_max)
+    for prof, twin in ((z, zero_damping(fine)), (c, constant_damping(fine, 0.25)),
+                       (b, bump_damping(fine, 1.5, math.pi, 1.5))):
+        np.testing.assert_array_equal(prof.at(GRID.points), prof.values)
+        np.testing.assert_array_equal(prof.at(fine.points), twin.values)
 
 
 def test_damping_validation():
@@ -246,3 +253,8 @@ def test_damping_validation():
         bump_damping(GRID, 1.0, math.pi, 0.0)
     with pytest.raises(ValidationError):
         bump_damping(GRID, 1.0, math.pi, 4.0)  # width must stay below pi
+    # raw samples would be lost on the solver's padded grid
+    with pytest.raises(ValidationError):
+        DampingProfile(GRID, np.full(GRID.n_points, 0.3))
+    with pytest.raises(ValidationError):
+        DampingProfile(GRID, np.full(GRID.n_points, 0.3), "ramp", (0.3,))
