@@ -108,6 +108,8 @@ from .store import (
     read_noise_path_csv,
     read_trajectory_bin,
     read_trajectory_csv,
+    report_dict,
+    report_from_dict,
     write_json_report,
     write_manifest,
     write_noise_path_csv,

@@ -10,6 +10,7 @@ configs with the same digest run the same experiment.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -242,6 +243,11 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         level_max=noi["level_max"],
     )
     exp = dict(sections["experiment"])
+    if sections["run"]["seed"] < 0:
+        raise ValidationError("seed must be >= 0, got %d" % sections["run"]["seed"])
+    for key, low in (("n_chains", 1), ("n_steps", 0), ("warm_steps", 0)):
+        if exp[key] < low:
+            raise ValidationError("%s must be >= %d, got %d" % (key, low, exp[key]))
     kind = exp["kind"]
     if kind not in KINDS:
         raise ValidationError("experiment kind must be one of %s, got %r" % (KINDS, kind))
@@ -343,7 +349,7 @@ def _unit_paths(cfg: ExperimentConfig, n_units: int, start: int = 0) -> list:
     return sample_noise_paths(cfg.noise, records)
 
 
-def _run_simulate(cfg: ExperimentConfig, out: str) -> list:
+def _run_simulate(cfg: ExperimentConfig, out: str) -> tuple:
     p = cfg.params
     u0 = build_initial(cfg)
     horizon = p["horizon"]
@@ -364,17 +370,15 @@ def _run_simulate(cfg: ExperimentConfig, out: str) -> list:
     store.write_trajectory_csv(csv_path, traj.times, traj.coeffs)
     store.write_trajectory_bin(bin_path, traj.times, traj.coeffs, cfg.grid)
     written.extend([csv_path, bin_path])
-    return written
+    return written, None
 
 
-def _run_decay(cfg: ExperimentConfig, out: str) -> list:
+def _run_decay(cfg: ExperimentConfig, out: str) -> tuple:
     p = cfg.params
     report = decay_experiment(build_initial(cfg), p["horizon"], cfg.solver)
     curve = os.path.join(out, "decay_curve.csv")
     store.write_curve_csv(curve, ("t", "energy"), zip(report.times, report.energies))
-    jpath = os.path.join(out, "decay.json")
-    store.write_json_report(jpath, report.to_json_dict())
-    return [curve, jpath]
+    return [curve], report
 
 
 def _warm_base(cfg: ExperimentConfig):
@@ -389,7 +393,7 @@ def _warm_base(cfg: ExperimentConfig):
     return solve_nls(y, zeta, 1.0, stride1), zeta, stride1
 
 
-def _run_gramian(cfg: ExperimentConfig, out: str) -> list:
+def _run_gramian(cfg: ExperimentConfig, out: str) -> tuple:
     p = cfg.params
     base, _, _ = _warm_base(cfg)
     report = assemble_gramian(
@@ -399,12 +403,10 @@ def _run_gramian(cfg: ExperimentConfig, out: str) -> list:
         p["galerkin_cutoff"],
         target_cutoff=p["target_cutoff"],
     )
-    jpath = os.path.join(out, "gramian.json")
-    store.write_json_report(jpath, report.to_json_dict())
-    return [jpath]
+    return [], report
 
 
-def _run_stabilize(cfg: ExperimentConfig, out: str) -> list:
+def _run_stabilize(cfg: ExperimentConfig, out: str) -> tuple:
     p = cfg.params
     base, zeta, stride1 = _warm_base(cfg)
     y = base.state(0)
@@ -421,12 +423,10 @@ def _run_stabilize(cfg: ExperimentConfig, out: str) -> list:
         tau0=p["tau0"],
         seeds=(cfg.master_seed,),
     )
-    jpath = os.path.join(out, "stabilize.json")
-    store.write_json_report(jpath, report.to_json_dict())
-    return [jpath]
+    return [], report
 
 
-def _run_couple(cfg: ExperimentConfig, out: str) -> list:
+def _run_couple(cfg: ExperimentConfig, out: str) -> tuple:
     p = cfg.params
     y0 = build_initial(cfg)
     if p["initial_b"]:
@@ -458,12 +458,10 @@ def _run_couple(cfg: ExperimentConfig, out: str) -> list:
             [0.0, *report.shift_norms],
         ),
     )
-    jpath = os.path.join(out, "couple.json")
-    store.write_json_report(jpath, report.to_json_dict())
-    return [curve, jpath]
+    return [curve], report
 
 
-def _run_mix(cfg: ExperimentConfig, out: str) -> list:
+def _run_mix(cfg: ExperimentConfig, out: str) -> tuple:
     p = cfg.params
     if not p["initial_b"]:
         raise ValidationError("mix needs a second initial datum (initial_b)")
@@ -483,12 +481,10 @@ def _run_mix(cfg: ExperimentConfig, out: str) -> list:
         ("step", "distance", "alt_distance"),
         zip(range(len(report.distances)), report.distances, report.alt_distances),
     )
-    jpath = os.path.join(out, "mix.json")
-    store.write_json_report(jpath, report.to_json_dict())
-    return [curve, jpath]
+    return [curve], report
 
 
-def _run_saturate(cfg: ExperimentConfig, out: str) -> list:
+def _run_saturate(cfg: ExperimentConfig, out: str) -> tuple:
     p = cfg.params
     final, interval = saturation_span(frozenset(p["sat_modes"]), p["iterations"])
     payload = {
@@ -497,12 +493,10 @@ def _run_saturate(cfg: ExperimentConfig, out: str) -> list:
         "modes": sorted(int(k) for k in final),
         "interval": [int(interval[0]), int(interval[1])],
     }
-    jpath = os.path.join(out, "saturate.json")
-    store.write_json_report(jpath, payload)
-    return [jpath]
+    return [], payload
 
 
-def _run_smooth(cfg: ExperimentConfig, out: str) -> list:
+def _run_smooth(cfg: ExperimentConfig, out: str) -> tuple:
     p = cfg.params
     u0 = build_initial(cfg)
     horizon = p["horizon"]
@@ -518,11 +512,11 @@ def _run_smooth(cfg: ExperimentConfig, out: str) -> list:
         "remainder_h1": sobolev_norm(rem, 1.0),
         "remainder_hs": sobolev_norm(rem, s),
     }
-    jpath = os.path.join(out, "smooth.json")
-    store.write_json_report(jpath, payload)
-    return [jpath]
+    return [], payload
 
 
+# Each runner writes its data files into the output directory and returns
+# (their paths, the report or None); run_experiment writes the report.
 _RUNNERS = {
     "simulate": _run_simulate,
     "decay": _run_decay,
@@ -544,16 +538,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> store.RunM
         cfg = config_from_sections(sections)
     out = str(out_dir) if out_dir is not None else cfg.output_dir
     os.makedirs(out, exist_ok=True)
+    # a manifest left by an earlier run must not vouch for this run's outputs
+    mpath = os.path.join(out, "manifest.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(mpath)
     manifest = store.RunManifest(
         kind=cfg.kind,
         config_digest=cfg.digest(),
         master_seed=cfg.master_seed,
-        version=store.package_version(),
         started_at=store.utc_stamp(),
     )
-    written = _RUNNERS[cfg.kind](cfg, out)
+    written, report = _RUNNERS[cfg.kind](cfg, out)
+    if report is not None:
+        jpath = os.path.join(out, "%s.json" % cfg.kind)
+        store.write_json_report(jpath, report)
+        written.append(jpath)
     for path in written:
         manifest.add_output(path)
     manifest.finished_at = store.utc_stamp()
-    store.write_manifest(os.path.join(out, "manifest.json"), manifest)
+    store.write_manifest(mpath, manifest)
     return manifest

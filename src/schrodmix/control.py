@@ -211,33 +211,6 @@ class StabilizationReport:
     seeds: tuple = ()
     degenerate: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "gamma": float(self.gamma),
-            "q_ratio": float(self.q_ratio),
-            "uncontrolled_ratio": float(self.uncontrolled_ratio),
-            "shift_norm": float(self.shift_norm),
-            "success": bool(self.success),
-            "norm_kind": self.norm_kind,
-            "separation": float(self.separation),
-            "seeds": list(self.seeds),
-            "degenerate": bool(self.degenerate),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "StabilizationReport":
-        return cls(
-            gamma=float(d["gamma"]),
-            q_ratio=float(d["q_ratio"]),
-            uncontrolled_ratio=float(d["uncontrolled_ratio"]),
-            shift_norm=float(d["shift_norm"]),
-            success=bool(d["success"]),
-            norm_kind=str(d["norm_kind"]),
-            separation=float(d["separation"]),
-            seeds=tuple(d["seeds"]),
-            degenerate=bool(d.get("degenerate", False)),
-        )
-
 
 def contraction_test(
     y: FourierField,

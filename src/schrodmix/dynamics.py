@@ -44,6 +44,8 @@ from .spectral import (
     FourierField,
     Grid,
     ValidationError,
+    analyze,
+    hs_norm_sq,
     lp_power_integral,
     pad_points,
     synth,
@@ -265,8 +267,6 @@ class Trajectory:
         return self.state(self.index_at(t))
 
     def norms(self, s: float = 1.0) -> np.ndarray:
-        from .spectral import hs_norm_sq
-
         return np.sqrt(hs_norm_sq(self.coeffs, s))
 
 
@@ -405,8 +405,6 @@ def nmult(factors) -> FourierField:
     for i, f in enumerate(factors):
         v = synth(f.coeffs, pad)
         prod *= v if i % 2 == 0 else np.conj(v)
-    from .spectral import analyze
-
     return FourierField(grid, analyze(prod, grid.k_max))
 
 

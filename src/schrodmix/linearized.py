@@ -312,31 +312,6 @@ class GramianReport:
     quadrature_steps: int
     column_count: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "modes": list(self.modes),
-            "time_basis_level": self.time_basis_level,
-            "galerkin_cutoff": self.galerkin_cutoff,
-            "target_cutoff": self.target_cutoff,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "target_subspace_min_eig": float(self.target_subspace_min_eig),
-            "quadrature_steps": self.quadrature_steps,
-            "column_count": self.column_count,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GramianReport":
-        return cls(
-            modes=tuple(d["modes"]),
-            time_basis_level=int(d["time_basis_level"]),
-            galerkin_cutoff=int(d["galerkin_cutoff"]),
-            target_cutoff=int(d["target_cutoff"]),
-            eigenvalues=np.asarray(d["eigenvalues"], dtype=float),
-            target_subspace_min_eig=float(d["target_subspace_min_eig"]),
-            quadrature_steps=int(d["quadrature_steps"]),
-            column_count=int(d["column_count"]),
-        )
-
 
 def gramian_matrix(base: Trajectory, modes, time_level: int, cutoff: int) -> np.ndarray:
     a, _ = control_response_matrix(base, modes, time_level, cutoff)

@@ -235,17 +235,6 @@ class DecayReport:
     degenerate: bool
     horizon: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "times": [float(t) for t in self.times],
-            "energies": [float(e) for e in self.energies],
-            "beta_hat": float(self.beta_hat),
-            "r_value": float(self.r_value),
-            "window_start": int(self.window_start),
-            "degenerate": bool(self.degenerate),
-            "horizon": float(self.horizon),
-        }
-
 
 def decay_experiment(u0: FourierField, horizon: float, cfg: SolverConfig) -> DecayReport:
     """Unforced damped run; fits log E on the trailing half of the horizon."""
@@ -274,22 +263,6 @@ class MixReport:
     n_steps: int
     master_seed: int
     config_digest: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "distances": [float(d) for d in self.distances],
-            "alt_distances": [float(d) for d in self.alt_distances],
-            "noise_floor": float(self.noise_floor),
-            "fit_stop": int(self.fit_stop),
-            "gamma_hat": float(self.gamma_hat),
-            "alt_gamma_hat": float(self.alt_gamma_hat),
-            "r_value": float(self.r_value),
-            "below_floor_step": int(self.below_floor_step),
-            "n_chains": int(self.n_chains),
-            "n_steps": int(self.n_steps),
-            "master_seed": int(self.master_seed),
-            "config_digest": self.config_digest,
-        }
 
 
 def mixing_experiment(
@@ -392,17 +365,6 @@ class CouplingReport:
     gamma: float
     master_seed: int
     norm_kind: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "separations": [float(v) for v in self.separations],
-            "ratios": [float(v) for v in self.ratios],
-            "shift_norms": [float(v) for v in self.shift_norms],
-            "use_control": bool(self.use_control),
-            "gamma": float(self.gamma),
-            "master_seed": int(self.master_seed),
-            "norm_kind": self.norm_kind,
-        }
 
 
 def synchronous_coupling_experiment(

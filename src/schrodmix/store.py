@@ -8,13 +8,17 @@ sorted keys for the same reason.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import hashlib
 import json
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from importlib import metadata
+from typing import get_type_hints
 
 import numpy as np
 
@@ -195,11 +199,53 @@ def read_noise_path_csv(path, spec: NoiseSpec) -> NoisePath:
 # reports and manifests
 
 
-def write_json_report(path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-        fh.write("\n")
+# JSON form of each report field type: the reports are flat dataclasses, and
+# a field's annotation alone says how it is written and read back.
+_TO_JSON = {
+    float: float,
+    int: int,
+    bool: bool,
+    str: str,
+    tuple: list,
+    list: list,
+    np.ndarray: lambda a: [float(v) for v in a],
+}
+_FROM_JSON = {**_TO_JSON, tuple: tuple, np.ndarray: lambda v: np.asarray(v, dtype=float)}
+
+
+@functools.cache
+def _field_types(cls) -> tuple:
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+def report_dict(obj) -> dict:
+    """JSON-ready dict of a report dataclass: one key per field, floats, ints
+    and bools cast, arrays as lists of floats, tuples as lists."""
+    return {name: _TO_JSON[tp](getattr(obj, name)) for name, tp in _field_types(type(obj))}
+
+
+def report_from_dict(cls, d: dict):
+    """Inverse of report_dict; a field missing from d takes its default."""
+    return cls(**{name: _FROM_JSON[tp](d[name]) for name, tp in _field_types(cls) if name in d})
+
+
+def write_json_report(path, payload) -> None:
+    """Write a dict or a report dataclass as sorted-key JSON.  The text goes
+    to a temporary file beside path, which then replaces path, so a reader
+    never sees a torn file."""
+    if not isinstance(payload, dict):
+        payload = report_dict(payload)
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    tmp = "%s.tmp" % path
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_json_report(path) -> dict:
@@ -223,50 +269,24 @@ class RunManifest:
     kind: str
     config_digest: str
     master_seed: int
-    version: str = ""
+    version: str = field(default_factory=package_version)
     started_at: str = ""
     finished_at: str = ""
     outputs: list = field(default_factory=list)
 
     def add_output(self, path) -> None:
-        p = str(path)
         self.outputs.append(
-            {"path": p.rsplit("/", 1)[-1], "sha256": file_digest(p), "bytes": _file_size(p)}
+            {
+                "path": os.path.basename(path),
+                "sha256": file_digest(path),
+                "bytes": os.path.getsize(path),
+            }
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config_digest": self.config_digest,
-            "master_seed": int(self.master_seed),
-            "version": self.version or package_version(),
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "outputs": self.outputs,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RunManifest":
-        return cls(
-            kind=d["kind"],
-            config_digest=d["config_digest"],
-            master_seed=int(d["master_seed"]),
-            version=d.get("version", ""),
-            started_at=d.get("started_at", ""),
-            finished_at=d.get("finished_at", ""),
-            outputs=list(d.get("outputs", [])),
-        )
-
-
-def _file_size(path) -> int:
-    import os
-
-    return os.stat(path).st_size
 
 
 def write_manifest(path, manifest: RunManifest) -> None:
-    write_json_report(path, manifest.to_json_dict())
+    write_json_report(path, manifest)
 
 
 def read_manifest(path) -> RunManifest:
-    return RunManifest.from_json_dict(read_json_report(path))
+    return report_from_dict(RunManifest, read_json_report(path))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from schrodmix import NoiseSpec, ValidationError, sobolev_norm, to_physical
+from schrodmix import BlowUpError, NoiseSpec, ValidationError, sobolev_norm, to_physical
 from schrodmix import cli, store
 from schrodmix.config import (
     KINDS,
@@ -280,10 +280,12 @@ def test_manifest_digests_and_round_trip(tmp_path):
     assert m.outputs[0]["bytes"] == 8
     mpath = tmp_path / "manifest.json"
     store.write_manifest(mpath, m)
+    assert store.read_json_report(mpath) == store.report_dict(m)
     back = store.read_manifest(mpath)
     assert back.kind == "simulate"
     assert back.config_digest == m.config_digest
     assert back.outputs == m.outputs
+    assert back.version == store.package_version()
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +458,31 @@ def test_rerun_reproduces_output_digests(tmp_path):
     assert m1.config_digest == m2.config_digest
 
 
+def test_failed_rerun_leaves_no_manifest(tmp_path):
+    out = tmp_path / "used"
+    run_kind(tmp_path, {"experiment": {"kind": "saturate"}}, "used")
+    blow = load_config(write_cfg(tmp_path, {"experiment": {"initial_amplitude": 1.0e8}}))
+    with pytest.raises(BlowUpError):
+        run_experiment(blow, out_dir=out)
+    assert not (out / "manifest.json").exists()
+    assert (out / "saturate.json").exists()
+
+
+def test_json_report_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "r.json"
+    store.write_json_report(path, {"a": 1})
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(store.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        store.write_json_report(path, {"a": 2})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -486,6 +513,28 @@ def test_cli_invalid_config(tmp_path, capsys):
     ret = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o3")])
     assert ret == cli.EXIT_VALIDATION
     assert "q > 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, extra",
+    [
+        ({"experiment": {"initial": "random_h1"}, "run": {"seed": -1}}, []),
+        ({"experiment": {"initial": "random_h1"}}, ["--seed", "-5"]),
+        ({"experiment": {"kind": "mix", "initial_b": "random_h1", "n_chains": 0}}, []),
+        ({"experiment": {"kind": "couple", "n_steps": -1}}, []),
+        ({"experiment": {"kind": "gramian", "warm_steps": -1}}, []),
+        ({"experiment": {"kind": "mix", "initial_b": "random_h1", "n_steps": -2}}, []),
+    ],
+    ids=["seed", "seed_flag", "n_chains", "couple_n_steps", "warm_steps", "mix_n_steps"],
+)
+def test_cli_rejects_out_of_range_counts(tmp_path, capsys, overrides, extra):
+    path = write_cfg(tmp_path, overrides, name="counts.txt")
+    kind = overrides["experiment"].get("kind", "simulate")
+    out = tmp_path / "o"
+    ret = cli.main([kind, "--config", str(path), "--out", str(out)] + extra)
+    assert ret == cli.EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_blow_up(tmp_path, capsys):

@@ -16,6 +16,8 @@ from schrodmix import (
     equivalent_norm,
     pseudo_inverse_apply,
     regularized_pinv_solve,
+    report_dict,
+    report_from_dict,
     saturation_span,
     sobolev_norm,
     solve_nls,
@@ -273,8 +275,8 @@ def test_stabilization_report_json_round_trip():
         separation=0.05,
         seeds=(1, 2),
     )
-    back = StabilizationReport.from_json_dict(rep.to_json_dict())
+    back = report_from_dict(StabilizationReport, report_dict(rep))
     assert back == rep
-    legacy = rep.to_json_dict()
+    legacy = report_dict(rep)
     legacy.pop("degenerate")
-    assert not StabilizationReport.from_json_dict(legacy).degenerate
+    assert not report_from_dict(StabilizationReport, legacy).degenerate

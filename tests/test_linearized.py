@@ -19,6 +19,8 @@ from schrodmix import (
     duhamel_control_map,
     linear_group,
     markov_step,
+    report_dict,
+    report_from_dict,
     sobolev_norm,
     solve_adjoint_backward,
     solve_linearized,
@@ -299,7 +301,7 @@ def test_gramian_report_fields_and_json():
     assert np.all(rep.eigenvalues >= -1e-12)
     assert rep.target_subspace_min_eig > 0
     assert rep.quadrature_steps == 128
-    back = GramianReport.from_json_dict(rep.to_json_dict())
+    back = report_from_dict(GramianReport, report_dict(rep))
     np.testing.assert_allclose(back.eigenvalues, rep.eigenvalues, rtol=1e-15)
     assert back.modes == rep.modes
     assert back.target_subspace_min_eig == rep.target_subspace_min_eig

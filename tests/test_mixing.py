@@ -26,6 +26,7 @@ from schrodmix import (
     evolve_ensemble,
     loglinear_fit,
     mixing_experiment,
+    report_dict,
     run_chain,
     sobolev_norm,
     synchronous_coupling_experiment,
@@ -202,7 +203,7 @@ def test_decay_experiment_damped_run():
     assert rep.beta_hat > 0
     assert rep.energies[-1] < rep.energies[0]
     assert rep.window_start == int(np.searchsorted(rep.times, 4.0))
-    back = rep.to_json_dict()
+    back = report_dict(rep)
     assert back["beta_hat"] == pytest.approx(rep.beta_hat)
     assert len(back["energies"]) == len(rep.energies)
 
@@ -230,7 +231,7 @@ def test_mixing_report_shapes_and_json():
     assert rep.alt_distances.shape == (3,)
     assert rep.n_chains == 30 and rep.n_steps == 2
     assert rep.distances[0] > 0
-    d = rep.to_json_dict()
+    d = report_dict(rep)
     assert len(d["distances"]) == 3
     assert d["master_seed"] == 5
     assert d["config_digest"] == ""
@@ -267,7 +268,7 @@ def test_coupling_report_json():
         master_seed=3,
         norm_kind="h1",
     )
-    d = rep.to_json_dict()
+    d = report_dict(rep)
     assert d["separations"] == [1.0, 0.5]
     assert d["norm_kind"] == "h1"
 
