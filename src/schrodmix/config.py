@@ -224,6 +224,11 @@ def _build_damping(grid: Grid, sol: dict):
 
 
 def config_from_sections(sections: dict) -> ExperimentConfig:
+    for name, keys in _SCHEMA.items():
+        for key, (kind, _) in keys.items():
+            value = sections[name][key]
+            if kind in ("float", "floats") and not np.all(np.isfinite(value)):
+                raise ValidationError("[%s] %s must be finite, got %r" % (name, key, value))
     grid = Grid(n_points=sections["grid"]["n_points"], k_max=sections["grid"]["k_max"])
     sol = sections["solver"]
     damping = _build_damping(grid, sol)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import SolverConfig, Trajectory, linear_group, markov_step, phase_theta, solve_nls
 from .linearized import control_response_matrix, h1_coords, solve_linearized
-from .noise import NoisePath, NoiseSpec, haar_l2_eval
+from .noise import NoisePath, NoiseSpec, haar_cells
 from .spectral import FourierField, ROOT_2PI, ValidationError, hs_norm_sq
 
 
@@ -139,9 +139,8 @@ def realize_shift_cells(cmap: ControlBasisMap, coeffs: np.ndarray, spec: NoiseSp
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (cmap.column_count,):
         raise ValidationError("coefficient vector does not match the map")
-    n_cells = spec.n_cells
-    t_mid = (np.arange(n_cells) + 0.5) / n_cells
-    delta = np.zeros((len(spec.modes), n_cells), dtype=np.complex128)
+    idx, sign = haar_cells(spec.level_max, spec.n_cells)
+    delta = np.zeros((len(spec.modes), spec.n_cells), dtype=np.complex128)
     for c, (k, j, l, comp) in enumerate(cmap.column_keys):
         if k not in spec.modes:
             raise ValidationError("control mode %d is not a noise mode" % k)
@@ -151,7 +150,8 @@ def realize_shift_cells(cmap: ControlBasisMap, coeffs: np.ndarray, spec: NoiseSp
             raise ValidationError("mode %d has zero noise amplitude" % k)
         if j > spec.level_max:
             raise ValidationError("control level %d finer than the noise cells" % j)
-        delta[m] += coeffs[c] * comp * haar_l2_eval(j, l, t_mid) / (b * ROOT_2PI)
+        hval = 2.0 ** (j / 2.0) * np.where(idx[j] == l, sign[j], 0.0)
+        delta[m] += coeffs[c] * comp * hval / (b * ROOT_2PI)
     return delta
 
 

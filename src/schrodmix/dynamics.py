@@ -61,7 +61,8 @@ class BlowUpError(RuntimeError):
     """Signals that the H1 norm crossed the blow-up guard during a run.
 
     row is the index, within its block, of the chain with the largest H1
-    norm (0 for a single chain); h1_norm is that chain's norm.
+    norm, or of the first chain whose norm is NaN (0 for a single chain);
+    h1_norm is that chain's norm.
     """
 
     def __init__(self, step: int, time: float, norm: float, row: int = 0):
@@ -227,7 +228,7 @@ def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, drive, collect: bool
     stored = [u] if collect else []
     for n, u in _split_steps(u, tab, range(n_steps), substep):
         h1 = _h1_sq(u, tab)
-        if np.max(h1) > thr2:
+        if not (np.max(h1) <= thr2):  # NaN compares false, so it trips too
             row = int(np.argmax(h1))
             raise BlowUpError(n + 1, (n + 1) * dt, float(np.sqrt(h1.flat[row])), row)
         if collect and ((n + 1) % cfg.store_stride == 0 or n + 1 == n_steps):

@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .dynamics import Trajectory, _split_steps
-from .noise import haar_l2_eval
+from .noise import haar_cells, haar_time_keys
 from .spectral import FourierField, Grid, ROOT_2PI, ValidationError, synth
 
 _TIME_TOL = 1.0e-9
@@ -210,16 +210,6 @@ def duhamel_control_map(base: Trajectory, g) -> FourierField:
 # control basis and Gramian
 
 
-def haar_time_keys(level: int):
-    """(j, l) keys of the noise-compatible time basis up to a Haar level."""
-    if level < 0:
-        raise ValidationError("time basis level must be >= 0")
-    keys = [(0, 0)]
-    for j in range(1, level + 1):
-        keys.extend((j, l) for l in range(2**j))
-    return keys
-
-
 def h1_coords(coeffs: np.ndarray, k_max: int, cutoff: int) -> np.ndarray:
     """Real H1 coordinates of the band |k| <= cutoff; batched on leading axes."""
     if cutoff > k_max:
@@ -259,22 +249,19 @@ def control_response_matrix(base: Trajectory, modes, time_level: int, cutoff: in
     """Final-time responses of the unit control basis, in H1 coordinates.
 
     Columns run over (mode k in modes) x (Haar time key) x (component 1, i);
-    the time functions are L2-normalized so the basis is orthonormal in
-    L2(0,1) x L2(torus).  Returns (matrix, column_keys).
+    the time functions are L2-normalized over the base's one time unit, so
+    the basis is orthonormal in L2(0,1) x L2(torus).  Returns (matrix, column_keys).
     """
     cfg = base.config
     n_steps = base.n_stored - 1
+    if abs(n_steps * cfg.dt - 1.0) > _TIME_TOL:
+        raise ValidationError("the control basis needs a base over one time unit")
     keys = haar_time_keys(time_level)
-    finest = 2 ** (time_level + 1)
-    if n_steps % finest != 0:
-        raise ValidationError(
-            "time basis level %d needs steps divisible by %d" % (time_level, finest)
-        )
+    idx, sign = haar_cells(time_level, n_steps)
     modes = tuple(int(k) for k in modes)
     for k in modes:
         if abs(k) > base.grid.k_max:
             raise ValidationError("control mode %d outside the band" % k)
-    t_mid = (np.arange(n_steps) + 0.5) * cfg.dt
     col_keys = []
     for k in modes:
         for key in keys:
@@ -285,7 +272,8 @@ def control_response_matrix(base: Trajectory, modes, time_level: int, cutoff: in
     # per-step drive amplitudes of exp(ikx) per column: comp * hval / sqrt(2pi)
     vals = np.zeros((n_steps, n_cols, len(modes)), dtype=np.complex128)
     for c, (k, j, l, comp) in enumerate(col_keys):
-        vals[:, c, modes.index(k)] = comp * haar_l2_eval(j, l, t_mid) / ROOT_2PI
+        hval = 2.0 ** (j / 2.0) * np.where(idx[j] == l, sign[j], 0.0)
+        vals[:, c, modes.index(k)] = comp * hval / ROOT_2PI
 
     tab, c1, c2 = _base_tables(base)
     rows = np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))

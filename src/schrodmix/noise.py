@@ -10,6 +10,10 @@ left half of [l 2^-j, (l+1) 2^-j) and -1 on the right half) and i.i.d. xi
 drawn from a compactly supported Lipschitz density on [-1, 1].  The physical
 forcing field is sum_k b_k eta_k(t) e^{ikx}.  Paths are piecewise constant on
 the 2^(J+1) dyadic cells of [0,1), which is how they are stored.
+
+The Haar cell layout, which h_{jl} covers a cell and with which sign, is the
+one table haar_cells; path synthesis, haar_inner, the control basis and the
+realized control shift all read it, and haar_eval is its pointwise reference.
 """
 
 from __future__ import annotations
@@ -41,11 +45,6 @@ def haar_eval(j: int, l: int, t):
     return out
 
 
-def haar_l2_eval(j: int, l: int, t):
-    """L2(0,1)-normalized Haar function 2^(j/2) h_jl at times t."""
-    return 2.0 ** (j / 2.0) * haar_eval(j, l, t)
-
-
 def _check_haar_index(j: int, l: int):
     if j < 0 or l < 0:
         raise ValidationError("Haar indices must be nonnegative")
@@ -55,18 +54,37 @@ def _check_haar_index(j: int, l: int):
         raise ValidationError("level %d admits l < %d, got %d" % (j, 2**j, l))
 
 
-def _haar_cell_signs(j: int, l: int, resolution: int) -> np.ndarray:
-    """Values (+1/-1/0) on the 2^resolution dyadic cells, exact integers."""
-    n = 2**resolution
-    signs = np.zeros(n, dtype=np.int64)
-    if j == 0:
-        signs[:] = 1
-        return signs
-    per = n // 2**j  # cells per support; resolution must exceed level
-    start = l * per
-    signs[start : start + per // 2] = 1
-    signs[start + per // 2 : start + per] = -1
-    return signs
+def haar_time_keys(level: int):
+    """(j, l) keys of the Haar functions up to a level, in coefficient order."""
+    if level < 0:
+        raise ValidationError("time basis level must be >= 0")
+    keys = [(0, 0)]
+    for j in range(1, level + 1):
+        keys.extend((j, l) for l in range(2**j))
+    return keys
+
+
+def haar_cells(level: int, n_cells: int):
+    """The Haar cell table on n_cells uniform cells of [0, 1).
+
+    Returns (idx, sign), both of shape (level + 1, n_cells): on cell c, the
+    level-j function h_{j, idx[j, c]} is the one whose support holds the cell,
+    and sign[j, c] (+1.0 or -1.0) is its value there.  Row 0 is the constant
+    h_0.
+    """
+    if level < 0 or n_cells < 1 or n_cells % 2 ** (level + 1) != 0:
+        raise ValidationError(
+            "Haar level %d needs a cell count divisible by %d, got %d"
+            % (level, 2 ** (level + 1), n_cells)
+        )
+    c = np.arange(n_cells)
+    idx = np.zeros((level + 1, n_cells), dtype=np.intp)
+    sign = np.ones((level + 1, n_cells))
+    for j in range(1, level + 1):
+        per = n_cells >> j  # cells per support
+        idx[j] = c // per
+        sign[j, c % per >= per // 2] = -1.0
+    return idx, sign
 
 
 def haar_inner(j: int, l: int, jp: int, lp: int, normalized: bool = False) -> Fraction:
@@ -79,8 +97,9 @@ def haar_inner(j: int, l: int, jp: int, lp: int, normalized: bool = False) -> Fr
     _check_haar_index(j, l)
     _check_haar_index(jp, lp)
     res = max(j, jp) + 1
-    s1 = _haar_cell_signs(j, l, res)
-    s2 = _haar_cell_signs(jp, lp, res)
+    idx, sign = haar_cells(res - 1, 2**res)
+    s1 = np.where(idx[j] == l, sign[j], 0.0)
+    s2 = np.where(idx[jp] == lp, sign[jp], 0.0)
     raw = Fraction(int(np.sum(s1 * s2)), 2**res)
     if not normalized:
         return raw
@@ -130,10 +149,6 @@ class RhoSpec:
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         return self.ppf(rng.random(shape))
 
-    @property
-    def variance(self) -> float:
-        return 1.0 / 3.0 - 2.0 / math.pi**2
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -153,11 +168,11 @@ class NoiseSpec:
             raise ValidationError("duplicate noise modes")
         if len(self.amplitudes) != len(self.modes):
             raise ValidationError("one amplitude per mode")
-        if any(b < 0 for b in self.amplitudes):
+        if not all(b >= 0 for b in self.amplitudes):
             raise ValidationError("amplitudes must be >= 0")
-        if self.haar_q <= 1.0:
+        if not self.haar_q > 1.0:
             raise ValidationError("level decay exponent must satisfy q > 1")
-        if self.haar_c < 0:
+        if not self.haar_c >= 0:
             raise ValidationError("haar_c must be >= 0")
         if not (1 <= self.level_max <= 16):
             raise ValidationError("level_max must sit in 1..16")
@@ -175,7 +190,7 @@ class NoiseSpec:
 
     @property
     def n_xi_pairs(self) -> int:
-        return 1 + (2 ** (self.level_max + 1) - 2)
+        return 2 ** (self.level_max + 1) - 1
 
     def sup_bound(self, mode_index: int) -> float:
         """max_t |b_k eta_k(t)| <= b_k sqrt(2) (1 + sum_j c_j)."""
@@ -229,24 +244,6 @@ class NoisePath:
         return NoisePath(self.spec, self.cells - delta, self.seed_record, note)
 
 
-def _xi_matrix(spec: NoiseSpec, uniforms: np.ndarray) -> np.ndarray:
-    """Map uniform draws (n_pairs, 2) for one mode to complex cell values."""
-    xi = uniforms  # already transformed through rho.ppf by the caller
-    n_cells = spec.n_cells
-    vals = np.full(n_cells, complex(xi[0, 0], xi[0, 1]), dtype=np.complex128)
-    pos = 1
-    weights = spec.level_weights
-    for j in range(1, spec.level_max + 1):
-        cnt = 2**j
-        block = weights[j - 1] * (xi[pos : pos + cnt, 0] + 1j * xi[pos : pos + cnt, 1])
-        pos += cnt
-        per = n_cells // cnt
-        level_vals = np.repeat(block, per)
-        signs = np.tile(np.repeat(np.array([1.0, -1.0]), per // 2), cnt)
-        vals = vals + level_vals * signs
-    return vals
-
-
 def _mode_uniforms(spec: NoiseSpec, seed_record, mode_index: int) -> np.ndarray:
     entropy = tuple(int(v) for v in seed_record) + (int(mode_index),)
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
@@ -270,12 +267,15 @@ def sample_noise_paths(spec: NoiseSpec, seed_records) -> list:
     for i, rec in enumerate(records):
         for m in range(n_modes):
             stack[i, m] = _mode_uniforms(spec, rec, m)
-    xi = spec.rho.ppf(stack)
-    paths = []
-    for i, rec in enumerate(records):
-        cells = np.stack([_xi_matrix(spec, xi[i, m]) for m in range(n_modes)])
-        paths.append(NoisePath(spec, cells, rec))
-    return paths
+    # z[..., p] is key p of haar_time_keys.  Gathers and elementwise sums only
+    # (no matrix product over records), so a path is the same in any block.
+    z = spec.rho.ppf(stack).view(np.complex128)[..., 0]
+    idx, sign = haar_cells(spec.level_max, spec.n_cells)
+    vals = z[..., idx[0]]
+    for j, w in enumerate(spec.level_weights, start=1):
+        first = 2**j - 1
+        vals = vals + (w * z[..., first : first + 2**j])[..., idx[j]] * sign[j]
+    return [NoisePath(spec, vals[i], rec) for i, rec in enumerate(records)]
 
 
 def path_field_coeffs(path: NoisePath, cell: int, grid: Grid) -> np.ndarray:

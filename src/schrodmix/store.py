@@ -93,6 +93,8 @@ def read_trajectory_csv(path):
     for i in range(n_stored):
         block = rows[i * n_coeff : (i + 1) * n_coeff]
         times.append(block[0][0])
+        if len({m for _, m, _, _ in block}) != n_coeff:
+            raise ValidationError("a mode repeats inside one time block")
         for t, m, re, im in block:
             if t != block[0][0]:
                 raise ValidationError("mixed times inside one block")
@@ -175,7 +177,7 @@ def write_noise_path_csv(path, noise: NoisePath) -> None:
 
 def read_noise_path_csv(path, spec: NoiseSpec) -> NoisePath:
     cells = np.zeros((len(spec.modes), spec.n_cells), dtype=np.complex128)
-    seen = 0
+    seen = np.zeros(cells.shape, dtype=bool)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r)
@@ -188,9 +190,12 @@ def read_noise_path_csv(path, spec: NoiseSpec) -> NoisePath:
                 raise ValidationError("mode %d not in the noise spec" % k)
             if not (0 <= c < spec.n_cells):
                 raise ValidationError("cell index %d out of range" % c)
-            cells[spec.modes.index(k), c] = complex(float(rec[3]), float(rec[4]))
-            seen += 1
-    if seen != spec.n_cells * len(spec.modes):
+            m = spec.modes.index(k)
+            if seen[m, c]:
+                raise ValidationError("noise CSV repeats cell %d of mode %d" % (c, k))
+            seen[m, c] = True
+            cells[m, c] = complex(float(rec[3]), float(rec[4]))
+    if not seen.all():
         raise ValidationError("noise CSV does not cover every (cell, mode)")
     return NoisePath(spec, cells, None, note="loaded")
 

@@ -270,6 +270,30 @@ def test_noise_path_csv_round_trip(tmp_path):
         store.read_noise_path_csv(path, other)
 
 
+def test_noise_path_csv_rejects_repeated_cell(tmp_path):
+    spec = NoiseSpec(amplitudes=(0.1, 0.1))
+    (z,) = sample_noise_paths(spec, [(5, 0, 0, 0)])
+    path = tmp_path / "noise.csv"
+    store.write_noise_path_csv(path, z)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[1]  # the row count stays right, one (cell, mode) is missing
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="repeats cell"):
+        store.read_noise_path_csv(path, spec)
+
+
+def test_trajectory_csv_rejects_repeated_mode(tmp_path):
+    times = np.array([0.0, 0.5])
+    coeffs = np.arange(10.0).reshape(2, 5) + 1j
+    path = tmp_path / "traj.csv"
+    store.write_trajectory_csv(path, times, coeffs)
+    lines = path.read_text().splitlines()
+    lines[8] = lines[7]  # the second block lists one mode twice and misses one
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="mode repeats"):
+        store.read_trajectory_csv(path)
+
+
 def test_manifest_digests_and_round_trip(tmp_path):
     blob = tmp_path / "blob.txt"
     blob.write_text("payload\n")
@@ -534,6 +558,31 @@ def test_cli_rejects_out_of_range_counts(tmp_path, capsys, overrides, extra):
     ret = cli.main([kind, "--config", str(path), "--out", str(out)] + extra)
     assert ret == cli.EXIT_VALIDATION
     assert "validation error" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"experiment": {"kind": "smooth", "probe_s": "nan"}},
+        {"experiment": {"forced": "true"}, "noise": {"haar_c": "nan"}},
+        {"noise": {"amplitudes": "0.1, inf"}},
+        {"solver": {"damping_amplitude": "-inf"}},
+        {"solver": {"damping_center": "nan"}},
+        {"experiment": {"horizon": "inf"}},
+        {"experiment": {"kind": "decay", "tau0": "nan"}},
+    ],
+    ids=[
+        "probe_s", "haar_c", "amplitudes", "damping_amplitude", "damping_center", "horizon", "tau0"
+    ],
+)
+def test_cli_rejects_non_finite_floats(tmp_path, capsys, overrides):
+    path = write_cfg(tmp_path, overrides, name="finite.txt")
+    kind = overrides.get("experiment", {}).get("kind", "simulate")
+    out = tmp_path / "o"
+    ret = cli.main([kind, "--config", str(path), "--out", str(out)])
+    assert ret == cli.EXIT_VALIDATION
+    assert "must be finite" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

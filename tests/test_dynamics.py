@@ -198,6 +198,18 @@ def test_blowup_guard_names_the_row():
     assert "row 4" in str(err)
 
 
+def test_blowup_guard_trips_on_nan():
+    cfg = damped_cfg()
+    spec = NoiseSpec()
+    paths = [sample_noise_path(spec, (33, 0, i, 0)) for i in range(5)]
+    block = np.stack([random_h1_field(GRID, 0.2, 3.0, 60 + i, 0).coeffs for i in range(5)])
+    block[3, 4] = np.nan
+    with pytest.raises(BlowUpError) as info:
+        markov_step_batch(block, paths, cfg)
+    assert info.value.row == 3 and info.value.step == 1
+    assert math.isnan(info.value.h1_norm)
+
+
 def test_trajectory_accessors():
     cfg = damped_cfg(store_stride=4)
     u0 = random_h1_field(GRID, 0.5, 3.0, 2, 0)

@@ -256,6 +256,9 @@ def test_response_matrix_shape_and_validation():
         control_response_matrix(base, (0, 99), 2, 5)
     with pytest.raises(ValidationError):
         control_response_matrix(base, (0,), 7, 5)  # 128 steps, 256 finest cells
+    long_base = solve_nls(zero_field(GRID), None, 2.0, cfg)
+    with pytest.raises(ValidationError, match="one time unit"):
+        control_response_matrix(long_base, (0,), 2, 5)
 
 
 def test_gramian_zero_base_structure():

@@ -8,8 +8,10 @@ import pytest
 
 from schrodmix import Grid, NoisePath, NoiseSpec, RhoSpec, ValidationError
 from schrodmix.noise import (
+    haar_cells,
     haar_eval,
     haar_inner,
+    haar_time_keys,
     noise_field_at,
     path_field_coeffs,
     sample_noise_path,
@@ -60,16 +62,28 @@ def test_haar_eval_index_errors():
         haar_eval(2, -1, 0.5)
 
 
-def haar_keys(level):
-    keys = [(0, 0)]
-    for j in range(1, level + 1):
-        keys.extend((j, l) for l in range(2**j))
-    return keys
+def test_haar_cells_match_haar_eval():
+    """Each key's table row is haar_eval at the cell midpoints, on the
+    coarsest cells the level allows and on 4x finer ones."""
+    for level in range(7):
+        for n_cells in (2 ** (level + 1), 2 ** (level + 3)):
+            idx, sign = haar_cells(level, n_cells)
+            assert idx.shape == sign.shape == (level + 1, n_cells)
+            t_mid = (np.arange(n_cells) + 0.5) / n_cells
+            for j, l in haar_time_keys(level):
+                row = np.where(idx[j] == l, sign[j], 0.0)
+                np.testing.assert_array_equal(row, haar_eval(j, l, t_mid))
+
+
+def test_haar_cells_validation():
+    for level, n_cells in ((2, 12), (2, 4), (0, 1), (0, 0), (-1, 4)):
+        with pytest.raises(ValidationError):
+            haar_cells(level, n_cells)
 
 
 def test_haar_orthonormality_small_levels():
     """Exact rational inner products on levels up to 3."""
-    keys = haar_keys(3)
+    keys = haar_time_keys(3)
     for a, (j, l) in enumerate(keys):
         for jp, lp in keys[a:]:
             got = haar_inner(j, l, jp, lp, normalized=True)
@@ -161,6 +175,11 @@ def test_sample_determinism_and_batch_equivalence():
     np.testing.assert_array_equal(batch[1].cells, a.cells)
     c = sample_noise_path(spec, (11, 1, 4, 10))
     assert np.any(c.cells != a.cells)
+    # a path does not depend on the block it is sampled in, to the last bit
+    for size in (1, 64, 65):
+        records = [(size, i, 2, 0) for i in range(size)]
+        for path, r in zip(sample_noise_paths(spec, records), records):
+            assert path.cells.tobytes() == sample_noise_path(spec, r).cells.tobytes()
 
 
 def test_path_shape_and_sup_bound():
