@@ -292,8 +292,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(cfg.canonical_text())
+    store._write_atomic(path, cfg.canonical_text())
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +300,8 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def build_initial(cfg: ExperimentConfig, which: str = "a") -> FourierField:
-    p = cfg.params
-    if which == "a":
-        name, amp, mode, tail, salt = (
-            p["initial"],
-            p["initial_amplitude"],
-            p["initial_mode"],
-            p["initial_tail"],
-            0,
-        )
-    else:
-        name, amp, mode, tail, salt = (
-            p["initial_b"],
-            p["initial_b_amplitude"],
-            p["initial_b_mode"],
-            p["initial_b_tail"],
-            1,
-        )
+    key, salt = ("initial", 0) if which == "a" else ("initial_b", 1)
+    name, amp, mode, tail = (cfg.params[key + s] for s in ("", "_amplitude", "_mode", "_tail"))
     grid = cfg.grid
     if name == "zero":
         return zero_field(grid)
@@ -349,27 +333,28 @@ def random_h1_field(grid: Grid, amplitude: float, tail: float, seed: int, salt: 
 # experiment dispatch
 
 
-def _unit_paths(cfg: ExperimentConfig, n_units: int, start: int = 0) -> list:
-    records = [chain_seed_record(cfg.master_seed, 0, 0, start + n) for n in range(n_units)]
+def _forcing_paths(cfg: ExperimentConfig):
+    """The unit paths that force a run over cfg's horizon, or None unforced."""
+    if not cfg.params["forced"]:
+        return None
+    horizon = cfg.params["horizon"]
+    n_units = int(round(horizon))
+    if abs(horizon - n_units) > 1e-9 or n_units < 1:
+        raise ValidationError("forced runs need an integer horizon >= 1")
+    records = [chain_seed_record(cfg.master_seed, 0, 0, n) for n in range(n_units)]
     return sample_noise_paths(cfg.noise, records)
 
 
 def _run_simulate(cfg: ExperimentConfig, out: str) -> tuple:
     p = cfg.params
     u0 = build_initial(cfg)
-    horizon = p["horizon"]
-    forcing = None
+    forcing = _forcing_paths(cfg)
     written = []
-    if p["forced"]:
-        n_units = int(round(horizon))
-        if abs(horizon - n_units) > 1e-9 or n_units < 1:
-            raise ValidationError("forced runs need an integer horizon >= 1")
-        forcing = _unit_paths(cfg, n_units)
-        for i, path_obj in enumerate(forcing):
-            fname = os.path.join(out, "noise_path_%03d.csv" % i)
-            store.write_noise_path_csv(fname, path_obj)
-            written.append(fname)
-    traj = solve_nls(u0, forcing, horizon, cfg.solver)
+    for i, path_obj in enumerate(forcing or ()):
+        fname = os.path.join(out, "noise_path_%03d.csv" % i)
+        store.write_noise_path_csv(fname, path_obj)
+        written.append(fname)
+    traj = solve_nls(u0, forcing, p["horizon"], cfg.solver)
     csv_path = os.path.join(out, "trajectory.csv")
     bin_path = os.path.join(out, "trajectory.bin")
     store.write_trajectory_csv(csv_path, traj.times, traj.coeffs)
@@ -505,8 +490,7 @@ def _run_smooth(cfg: ExperimentConfig, out: str) -> tuple:
     p = cfg.params
     u0 = build_initial(cfg)
     horizon = p["horizon"]
-    forcing = _unit_paths(cfg, int(round(horizon))) if p["forced"] else None
-    traj = solve_nls(u0, forcing, horizon, cfg.solver)
+    traj = solve_nls(u0, _forcing_paths(cfg), horizon, cfg.solver)
     rem = trajectory_remainder(traj, horizon)
     s = p["probe_s"]
     payload = {

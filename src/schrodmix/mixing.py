@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import build_control_basis_map, equivalent_norm, stabilizing_shift
-from .dynamics import SolverConfig, energy_series, markov_step_batch, solve_nls
+from .dynamics import SolverConfig, energy_series, markov_step, markov_step_batch, solve_nls
 from .noise import NoiseSpec, sample_noise_paths
 from .spectral import FourierField, Grid, ValidationError, hs_norm_sq
 
@@ -49,11 +49,9 @@ def run_chain(u0: FourierField, n_steps: int, spec: NoiseSpec, cfg: SolverConfig
               master_seed: int) -> list:
     """Iterate the unit-time Markov step; returns states at steps 0..n_steps."""
     states = [u0]
-    coeffs = u0.coeffs[None, :].astype(np.complex128)
     for n in range(n_steps):
-        paths = sample_noise_paths(spec, [chain_seed_record(master_seed, SOLO_TAG, 0, n)])
-        coeffs = markov_step_batch(coeffs, paths, cfg)
-        states.append(FourierField(u0.grid, coeffs[0]))
+        (path,) = sample_noise_paths(spec, [chain_seed_record(master_seed, SOLO_TAG, 0, n)])
+        states.append(markov_step(states[-1], path, cfg))
     return states
 
 
@@ -407,17 +405,11 @@ def synchronous_coupling_experiment(
             cmap = build_control_basis_map(base_y, spec.modes, time_level, galerkin_cutoff)
             shift = stabilizing_shift(base_y, x, gamma, cmap)
             y = base_y.endpoint
-            x = FourierField(
-                cfg.grid,
-                markov_step_batch(x.coeffs[None, :], [shift.path], cfg)[0],
-            )
+            x = markov_step(x, shift.path, cfg)
             shift_norms.append(shift.shift_norm)
         else:
-            stacked = markov_step_batch(
-                np.stack([y.coeffs, x.coeffs]), [zeta, zeta], cfg
-            )
-            y = FourierField(cfg.grid, stacked[0])
-            x = FourierField(cfg.grid, stacked[1])
+            y_next, x_next = markov_step_batch(np.stack([y.coeffs, x.coeffs]), [zeta, zeta], cfg)
+            y, x = FourierField(cfg.grid, y_next), FourierField(cfg.grid, x_next)
             shift_norms.append(0.0)
         seps.append(norm(y - x))
     seps = np.asarray(seps)

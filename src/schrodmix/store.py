@@ -3,13 +3,12 @@ and the run manifest that makes results reproducible byte for byte.
 
 All text output uses '.' decimals, '\n' line endings, and %.17g floats, so a
 rerun from the same manifest produces identical bytes.  JSON is written with
-sorted keys for the same reason.
+sorted keys for the same reason.  Every file goes through one atomic write.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import hashlib
 import json
@@ -29,8 +28,6 @@ _MAGIC = b"SMIX"
 _BIN_VERSION = 1
 _HEADER = struct.Struct("<4sBBHIHH")  # magic, version, flags, n_coeff, n_stored, k_max, n_points
 
-FLOAT_FMT = "%.17g"
-
 
 def package_version() -> str:
     try:
@@ -48,6 +45,66 @@ def file_digest(path) -> str:
 
 
 # ---------------------------------------------------------------------------
+# writing and numeric tables
+
+
+def _write_atomic(path, data) -> None:
+    """Write data (str or bytes) to a temporary file beside path, which then
+    replaces path: a reader never sees a torn file, and a failed write
+    leaves the old file and no temporary behind."""
+    tmp = "%s.tmp" % path
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+_TABLE_CHUNK = 4096  # rows per % operation
+_TRAJECTORY_HEADER = "t,mode,re,im"
+_NOISE_HEADER = "cell_index,t_left,mode_k,re,im"
+
+
+def _write_table(path, header: str, fmt: str, *columns) -> None:
+    """header, then one fmt line (one % conversion per column) per row of
+    the equal-length 1-D columns, formatted a chunk of rows at a time.  The
+    columns are stacked as float64, so a %d column holds integers < 2**53."""
+    table = np.column_stack(columns)
+    buf = bytearray(header.encode("ascii") + b"\n")
+    for lo in range(0, len(table), _TABLE_CHUNK):
+        chunk = table[lo : lo + _TABLE_CHUNK]
+        buf += (fmt * len(chunk) % tuple(chunk.ravel().tolist())).encode("ascii")
+    _write_atomic(path, buf)
+
+
+def _read_table(path, header: str, what: str, index_cols) -> np.ndarray:
+    """The rows under header as an (n_rows, n_cols) float array, with the
+    columns index_cols checked to hold integers."""
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline().rstrip("\n")
+        if first != header:
+            raise ValidationError("unexpected %s CSV header: %r" % (what, first.split(",")))
+        empty = all(line.isspace() for line in fh)
+    n_cols = header.count(",") + 1
+    if empty:  # np.loadtxt would warn that the input holds no data
+        return np.zeros((0, n_cols))
+    try:
+        data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValidationError("malformed %s CSV row: %s" % (what, exc)) from None
+    if data.shape[1] != n_cols:
+        raise ValidationError("%s CSV rows need %d columns, got %d" % (what, n_cols, data.shape[1]))
+    idx = data[:, index_cols]
+    bad = (idx != np.trunc(idx)) | (np.abs(idx) >= 2.0**31)
+    if bad.any():
+        raise ValidationError("%s CSV holds a non-integer index %s" % (what, idx[bad][0]))
+    return data
+
+
+# ---------------------------------------------------------------------------
 # trajectories
 
 
@@ -57,49 +114,36 @@ def write_trajectory_csv(path, times: np.ndarray, coeffs: np.ndarray) -> None:
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2 or coeffs.shape[0] != len(times):
         raise ValidationError("coeffs must be (n_stored, n_coeff) matching times")
-    k_max = (coeffs.shape[1] - 1) // 2
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "mode", "re", "im"])
-        for i, t in enumerate(times):
-            row_t = FLOAT_FMT % t
-            for j in range(coeffs.shape[1]):
-                c = coeffs[i, j]
-                w.writerow([row_t, j - k_max, FLOAT_FMT % c.real, FLOAT_FMT % c.imag])
+    n_stored, n_coeff = coeffs.shape
+    modes = np.tile(np.arange(n_coeff) - (n_coeff - 1) // 2, n_stored)
+    flat = coeffs.ravel()
+    t = np.repeat(times, n_coeff)
+    _write_table(path, _TRAJECTORY_HEADER, "%.17g,%d,%.17g,%.17g\n", t, modes, flat.real, flat.imag)
 
 
 def read_trajectory_csv(path):
-    """Returns (times, coeffs) with the mode axis reassembled from the rows."""
-    times = []
-    rows = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != ["t", "mode", "re", "im"]:
-            raise ValidationError("unexpected trajectory CSV header: %r" % (header,))
-        for rec in r:
-            rows.append((float(rec[0]), int(rec[1]), float(rec[2]), float(rec[3])))
-    if not rows:
+    """Returns (times, coeffs): every block of rows lists each mode of one
+    symmetric band once, at one time."""
+    data = _read_table(path, _TRAJECTORY_HEADER, "trajectory", [1])
+    if len(data) == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
-    modes = sorted({m for _, m, _, _ in rows})
-    k_max = max(modes)
-    if modes != list(range(-k_max, k_max + 1)):
+    band = np.unique(data[:, 1])
+    k_max = int(band[-1])
+    if len(band) != 2 * k_max + 1 or band[0] != -k_max:
         raise ValidationError("trajectory CSV does not cover a symmetric band")
-    n_coeff = 2 * k_max + 1
-    if len(rows) % n_coeff != 0:
+    if len(data) % len(band) != 0:
         raise ValidationError("row count is not a multiple of the band size")
-    n_stored = len(rows) // n_coeff
-    coeffs = np.zeros((n_stored, n_coeff), dtype=np.complex128)
-    for i in range(n_stored):
-        block = rows[i * n_coeff : (i + 1) * n_coeff]
-        times.append(block[0][0])
-        if len({m for _, m, _, _ in block}) != n_coeff:
-            raise ValidationError("a mode repeats inside one time block")
-        for t, m, re, im in block:
-            if t != block[0][0]:
-                raise ValidationError("mixed times inside one block")
-            coeffs[i, m + k_max] = complex(re, im)
-    return np.asarray(times), coeffs
+    t, mode, re, im = data.reshape(-1, len(band), 4).transpose(2, 0, 1)
+    col = mode.astype(np.intp) + k_max
+    if np.any(np.sort(col, axis=1) != np.arange(len(band))):
+        raise ValidationError("a mode repeats inside one time block")
+    if np.any(t != t[:, :1]):
+        raise ValidationError("mixed times inside one block")
+    row = np.arange(len(col))[:, None]
+    coeffs = np.empty(col.shape, dtype=np.complex128)
+    coeffs.real[row, col] = re
+    coeffs.imag[row, col] = im
+    return t[:, 0].copy(), coeffs
 
 
 def write_trajectory_bin(path, times: np.ndarray, coeffs: np.ndarray, grid: Grid) -> None:
@@ -113,10 +157,7 @@ def write_trajectory_bin(path, times: np.ndarray, coeffs: np.ndarray, grid: Grid
     header = _HEADER.pack(
         _MAGIC, _BIN_VERSION, 0, coeffs.shape[1], coeffs.shape[0], grid.k_max, grid.n_points
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(times.tobytes())
-        fh.write(coeffs.tobytes())
+    _write_atomic(path, b"".join((header, times.tobytes(), coeffs.tobytes())))
 
 
 def read_trajectory_bin(path):
@@ -147,14 +188,12 @@ def read_trajectory_bin(path):
 def write_curve_csv(path, header, rows) -> None:
     """Experiment curve: a header line, then one line per row, integers as
     %d and floats at full precision."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_curve_cell(v) for v in row) + "\n")
+    lines = [",".join(header), *(",".join(_curve_cell(v) for v in row) for row in rows)]
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _curve_cell(v) -> str:
-    return "%d" % v if isinstance(v, (int, np.integer)) else FLOAT_FMT % v
+    return "%d" % v if isinstance(v, (int, np.integer)) else "%.17g" % v
 
 
 # ---------------------------------------------------------------------------
@@ -164,39 +203,34 @@ def _curve_cell(v) -> str:
 def write_noise_path_csv(path, noise: NoisePath) -> None:
     """Cell table of eta_k (amplitudes b_k are *not* folded in; they live in
     the NoiseSpec, so shifted paths and raw draws share one format)."""
-    n_cells = noise.spec.n_cells
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["cell_index", "t_left", "mode_k", "re", "im"])
-        for c in range(n_cells):
-            t_left = FLOAT_FMT % (c / n_cells)
-            for m, k in enumerate(noise.spec.modes):
-                v = noise.cells[m, c]
-                w.writerow([c, t_left, k, FLOAT_FMT % v.real, FLOAT_FMT % v.imag])
+    spec = noise.spec
+    cell = np.repeat(np.arange(spec.n_cells), len(spec.modes))
+    mode = np.tile(spec.modes, spec.n_cells)
+    flat = noise.cells.T.ravel()
+    fmt = "%d,%.17g,%d,%.17g,%.17g\n"
+    _write_table(path, _NOISE_HEADER, fmt, cell, cell / spec.n_cells, mode, flat.real, flat.imag)
 
 
 def read_noise_path_csv(path, spec: NoiseSpec) -> NoisePath:
-    cells = np.zeros((len(spec.modes), spec.n_cells), dtype=np.complex128)
-    seen = np.zeros(cells.shape, dtype=bool)
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != ["cell_index", "t_left", "mode_k", "re", "im"]:
-            raise ValidationError("unexpected noise CSV header: %r" % (header,))
-        for rec in r:
-            c = int(rec[0])
-            k = int(rec[2])
-            if k not in spec.modes:
-                raise ValidationError("mode %d not in the noise spec" % k)
-            if not (0 <= c < spec.n_cells):
-                raise ValidationError("cell index %d out of range" % c)
-            m = spec.modes.index(k)
-            if seen[m, c]:
-                raise ValidationError("noise CSV repeats cell %d of mode %d" % (c, k))
-            seen[m, c] = True
-            cells[m, c] = complex(float(rec[3]), float(rec[4]))
-    if not seen.all():
+    """The path a noise CSV holds: every (cell, mode) of spec exactly once."""
+    data = _read_table(path, _NOISE_HEADER, "noise", [0, 2])
+    c, k = data[:, 0].astype(np.intp), data[:, 2].astype(np.intp)
+    unknown = ~np.isin(k, spec.modes)
+    if unknown.any():
+        raise ValidationError("mode %d not in the noise spec" % k[unknown][0])
+    outside = (c < 0) | (c >= spec.n_cells)
+    if outside.any():
+        raise ValidationError("cell index %d out of range" % c[outside][0])
+    m = np.argmax(k[:, None] == np.asarray(spec.modes), axis=1)
+    counts = np.bincount(m * spec.n_cells + c, minlength=len(spec.modes) * spec.n_cells)
+    if counts.max() > 1:
+        m_rep, c_rep = divmod(int(np.argmax(counts > 1)), spec.n_cells)
+        raise ValidationError("noise CSV repeats cell %d of mode %d" % (c_rep, spec.modes[m_rep]))
+    if counts.min() == 0:
         raise ValidationError("noise CSV does not cover every (cell, mode)")
+    cells = np.empty((len(spec.modes), spec.n_cells), dtype=np.complex128)
+    cells.real[m, c] = data[:, 3]
+    cells.imag[m, c] = data[:, 4]
     return NoisePath(spec, cells, None, note="loaded")
 
 
@@ -236,21 +270,10 @@ def report_from_dict(cls, d: dict):
 
 
 def write_json_report(path, payload) -> None:
-    """Write a dict or a report dataclass as sorted-key JSON.  The text goes
-    to a temporary file beside path, which then replaces path, so a reader
-    never sees a torn file."""
+    """Write a dict or a report dataclass as sorted-key JSON."""
     if not isinstance(payload, dict):
         payload = report_dict(payload)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    tmp = "%s.tmp" % path
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def read_json_report(path) -> dict:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schrodmix import BlowUpError, NoiseSpec, ValidationError, sobolev_norm, to_physical
 from schrodmix import cli, store
@@ -17,7 +19,7 @@ from schrodmix.config import (
     run_experiment,
     save_config,
 )
-from schrodmix.noise import sample_noise_paths
+from schrodmix.noise import NoisePath, sample_noise_paths
 from schrodmix.spectral import Grid
 
 
@@ -204,6 +206,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(c2, coeffs)
 
 
+@pytest.mark.filterwarnings("error")
 def test_trajectory_csv_errors(tmp_path):
     with pytest.raises(ValidationError, match="coeffs must be"):
         store.write_trajectory_csv(tmp_path / "x.csv", [0.0], np.zeros(3, dtype=complex))
@@ -292,6 +295,128 @@ def test_trajectory_csv_rejects_repeated_mode(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match="mode repeats"):
         store.read_trajectory_csv(path)
+
+
+TRAJECTORY_GOLDEN = (
+    "t,mode,re,im\n"
+    "0,-1,nan,-0\n"
+    "0,0,inf,4.9406564584124654e-324\n"
+    "0,1,-inf,1\n"
+    "0.10000000000000001,-1,-0,inf\n"
+    "0.10000000000000001,0,0.33333333333333331,-inf\n"
+    "0.10000000000000001,1,2.5000000000000171e-310,nan\n"
+)
+
+NOISE_GOLDEN = (
+    "cell_index,t_left,mode_k,re,im\n"
+    "0,0,1,nan,-0\n"
+    "0,0,0,-inf,0.33333333333333331\n"
+    "1,0.25,1,4.9406564584124654e-324,inf\n"
+    "1,0.25,0,-0,0\n"
+    "2,0.5,1,0.25,0\n"
+    "2,0.5,0,2,0\n"
+    "3,0.75,1,0,1\n"
+    "3,0.75,0,3,0\n"
+)
+
+
+def test_csv_writers_golden_bytes(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    coeffs = np.array(
+        [
+            [complex(nan, -0.0), complex(inf, 5e-324), complex(-inf, 1.0)],
+            [complex(-0.0, inf), complex(1 / 3, -inf), complex(2.5e-310, nan)],
+        ]
+    )
+    path = tmp_path / "traj.csv"
+    store.write_trajectory_csv(path, [0.0, 0.1], coeffs)
+    assert path.read_bytes() == TRAJECTORY_GOLDEN.encode()
+    t, c = store.read_trajectory_csv(path)
+    assert t.tobytes() == np.array([0.0, 0.1]).tobytes()
+    assert c.tobytes() == coeffs.tobytes()
+
+    spec = NoiseSpec(modes=(1, 0), amplitudes=(0.1, 0.1), level_max=1)
+    cells = np.array(
+        [
+            [complex(nan, -0.0), complex(5e-324, inf), 0.25, 1j],
+            [complex(-inf, 1 / 3), complex(-0.0, 0.0), 2, 3],
+        ]
+    )
+    path = tmp_path / "noise.csv"
+    store.write_noise_path_csv(path, NoisePath(spec, cells))
+    assert path.read_bytes() == NOISE_GOLDEN.encode()
+    assert store.read_noise_path_csv(path, spec).cells.tobytes() == cells.tobytes()
+
+
+def _damage_row(path, row, damage, mode_col):
+    """Rewrite one data row of a CSV table: drop its last field, make its
+    first field non-numeric, start it with '#' (which opens no comment), or
+    give its mode a fractional part."""
+    lines = path.read_text().splitlines()
+    fields = lines[row].split(",")
+    if damage == "short_row":
+        fields.pop()
+    elif damage == "non_numeric":
+        fields[0] = "x"
+    elif damage == "comment":
+        fields[0] = "#" + fields[0]
+    else:
+        fields[mode_col] += ".5"
+    lines[row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+_DAMAGE = ["short_row", "non_numeric", "comment", "fractional_mode"]
+
+
+@pytest.mark.parametrize("damage", _DAMAGE)
+def test_trajectory_csv_rejects_malformed_row(tmp_path, damage):
+    path = tmp_path / "traj.csv"
+    store.write_trajectory_csv(path, [0.0, 0.5], np.arange(6.0).reshape(2, 3) + 1j)
+    _damage_row(path, 4, damage, mode_col=1)
+    with pytest.raises(ValidationError, match="trajectory CSV"):
+        store.read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("damage", _DAMAGE)
+def test_noise_path_csv_rejects_malformed_row(tmp_path, damage):
+    spec = NoiseSpec(amplitudes=(0.1, 0.1), level_max=1)
+    (z,) = sample_noise_paths(spec, [(5, 0, 0, 0)])
+    path = tmp_path / "noise.csv"
+    store.write_noise_path_csv(path, z)
+    _damage_row(path, 3, damage, mode_col=2)
+    with pytest.raises(ValidationError, match="noise CSV"):
+        store.read_noise_path_csv(path, spec)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_trajectory_round_trips_are_bitwise(tmp_path_factory, data):
+    """CSV and binary round trips keep every bit, -0.0, infinities and
+    subnormals included; only a NaN's sign and payload are not kept by the
+    text form, which has one spelling for NaN."""
+    k_max = data.draw(st.integers(1, 3))
+    n_stored = data.draw(st.integers(1, 4))
+    n = n_stored * (2 * k_max + 1)
+    times = np.array(data.draw(st.lists(_FLOATS, min_size=n_stored, max_size=n_stored)))
+    parts = np.array(data.draw(st.lists(_FLOATS, min_size=2 * n, max_size=2 * n)))
+    coeffs = np.empty((n_stored, 2 * k_max + 1), dtype=np.complex128)
+    coeffs.real = parts[:n].reshape(coeffs.shape)
+    coeffs.imag = parts[n:].reshape(coeffs.shape)
+    times[np.isnan(times)] = 0.0  # a NaN time can never equal its block's time
+    grid = Grid(4 * k_max, k_max)
+    tmp = tmp_path_factory.mktemp("rt")
+    store.write_trajectory_bin(tmp / "t.bin", times, coeffs, grid)
+    t_bin, c_bin, _ = store.read_trajectory_bin(tmp / "t.bin")
+    assert t_bin.tobytes() == times.tobytes() and c_bin.tobytes() == coeffs.tobytes()
+    store.write_trajectory_csv(tmp / "t.csv", times, coeffs)
+    t_csv, c_csv = store.read_trajectory_csv(tmp / "t.csv")
+    canonical = np.where(np.isnan(coeffs.view(float)), np.nan, coeffs.view(float))
+    assert t_csv.tobytes() == times.tobytes()
+    assert c_csv.view(float).tobytes() == canonical.tobytes()
 
 
 def test_manifest_digests_and_round_trip(tmp_path):
@@ -492,9 +617,26 @@ def test_failed_rerun_leaves_no_manifest(tmp_path):
     assert (out / "saturate.json").exists()
 
 
-def test_json_report_write_is_atomic(tmp_path, monkeypatch):
-    path = tmp_path / "r.json"
-    store.write_json_report(path, {"a": 1})
+_WRITERS = {
+    "trajectory_csv": lambda p, v: store.write_trajectory_csv(p, [0.0], np.full((1, 3), v + 0j)),
+    "trajectory_bin": lambda p, v: store.write_trajectory_bin(
+        p, [0.0], np.full((1, 3), v + 0j), Grid(8, 1)
+    ),
+    "curve_csv": lambda p, v: store.write_curve_csv(p, ("step", "x"), [(0, v)]),
+    "noise_csv": lambda p, v: store.write_noise_path_csv(
+        p, NoisePath(NoiseSpec(amplitudes=(0.1, 0.1), level_max=1), np.full((2, 4), v + 0j))
+    ),
+    "json": lambda p, v: store.write_json_report(p, {"a": v}),
+    "config": lambda p, v: save_config(
+        config_from_sections(parse_config_text(make_text({"run": {"seed": v}}))), p
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_output_write_is_atomic(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out"
+    _WRITERS[writer](path, 1)
     before = path.read_bytes()
 
     def fail(src, dst):
@@ -502,9 +644,9 @@ def test_json_report_write_is_atomic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(store.os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
-        store.write_json_report(path, {"a": 2})
+        _WRITERS[writer](path, 2)
     assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +725,17 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, overrides):
     ret = cli.main([kind, "--config", str(path), "--out", str(out)])
     assert ret == cli.EXIT_VALIDATION
     assert "must be finite" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["simulate", "smooth"])
+def test_cli_forced_run_needs_integer_horizon(tmp_path, capsys, kind):
+    overrides = {"experiment": {"kind": kind, "forced": "true", "horizon": 1.5}}
+    path = write_cfg(tmp_path, overrides, name="forced.txt")
+    out = tmp_path / "o"
+    ret = cli.main([kind, "--config", str(path), "--out", str(out)])
+    assert ret == cli.EXIT_VALIDATION
+    assert "forced runs need an integer horizon >= 1" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 
