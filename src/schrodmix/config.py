@@ -300,8 +300,23 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def build_initial(cfg: ExperimentConfig, which: str = "a") -> FourierField:
-    key, salt = ("initial", 0) if which == "a" else ("initial_b", 1)
-    name, amp, mode, tail = (cfg.params[key + s] for s in ("", "_amplitude", "_mode", "_tail"))
+    p = cfg.params
+    if which == "a":
+        name, amp, mode, tail, salt = (
+            p["initial"],
+            p["initial_amplitude"],
+            p["initial_mode"],
+            p["initial_tail"],
+            0,
+        )
+    else:
+        name, amp, mode, tail, salt = (
+            p["initial_b"],
+            p["initial_b_amplitude"],
+            p["initial_b_mode"],
+            p["initial_b_tail"],
+            1,
+        )
     grid = cfg.grid
     if name == "zero":
         return zero_field(grid)

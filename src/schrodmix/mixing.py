@@ -405,11 +405,17 @@ def synchronous_coupling_experiment(
             cmap = build_control_basis_map(base_y, spec.modes, time_level, galerkin_cutoff)
             shift = stabilizing_shift(base_y, x, gamma, cmap)
             y = base_y.endpoint
-            x = markov_step(x, shift.path, cfg)
+            x = FourierField(
+                cfg.grid,
+                markov_step_batch(x.coeffs[None, :], [shift.path], cfg)[0],
+            )
             shift_norms.append(shift.shift_norm)
         else:
-            y_next, x_next = markov_step_batch(np.stack([y.coeffs, x.coeffs]), [zeta, zeta], cfg)
-            y, x = FourierField(cfg.grid, y_next), FourierField(cfg.grid, x_next)
+            stacked = markov_step_batch(
+                np.stack([y.coeffs, x.coeffs]), [zeta, zeta], cfg
+            )
+            y = FourierField(cfg.grid, stacked[0])
+            x = FourierField(cfg.grid, stacked[1])
             shift_norms.append(0.0)
         seps.append(norm(y - x))
     seps = np.asarray(seps)

@@ -186,14 +186,12 @@ def read_trajectory_bin(path):
 
 
 def write_curve_csv(path, header, rows) -> None:
-    """Experiment curve: a header line, then one line per row, integers as
-    %d and floats at full precision."""
-    lines = [",".join(header), *(",".join(_curve_cell(v) for v in row) for row in rows)]
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def _curve_cell(v) -> str:
-    return "%d" % v if isinstance(v, (int, np.integer)) else "%.17g" % v
+    """Experiment curve: a header line, then one line per row; a column whose
+    first value is an integer is written %d, any other at full precision."""
+    columns = list(zip(*rows)) or [()]  # no rows: the header alone
+    is_int = [bool(col) and isinstance(col[0], (int, np.integer)) for col in columns]
+    fmt = ",".join("%d" if i else "%.17g" for i in is_int)
+    _write_table(path, ",".join(header), fmt + "\n", *columns)
 
 
 # ---------------------------------------------------------------------------

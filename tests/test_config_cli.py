@@ -319,6 +319,13 @@ NOISE_GOLDEN = (
     "3,0.75,0,3,0\n"
 )
 
+CURVE_GOLDEN = (
+    "step,a,b,c\n"
+    "0,0.33333333333333331,nan,0\n"
+    "1,-0,inf,4.9406564584124654e-324\n"
+    "2,-inf,2,1\n"
+)
+
 
 def test_csv_writers_golden_bytes(tmp_path):
     nan, inf = float("nan"), float("inf")
@@ -346,6 +353,13 @@ def test_csv_writers_golden_bytes(tmp_path):
     store.write_noise_path_csv(path, NoisePath(spec, cells))
     assert path.read_bytes() == NOISE_GOLDEN.encode()
     assert store.read_noise_path_csv(path, spec).cells.tobytes() == cells.tobytes()
+
+    path = tmp_path / "curve.csv"
+    rows = [(0, 1 / 3, nan, 0.0), (1, np.float64(-0.0), inf, 5e-324), (np.int64(2), -inf, 2.0, 1)]
+    store.write_curve_csv(path, ("step", "a", "b", "c"), iter(rows))
+    assert path.read_bytes() == CURVE_GOLDEN.encode()
+    store.write_curve_csv(path, ("step", "a"), [])
+    assert path.read_bytes() == b"step,a\n"
 
 
 def _damage_row(path, row, damage, mode_col):
