@@ -219,6 +219,13 @@ def read_noise_path_csv(path, spec: NoiseSpec) -> NoisePath:
     outside = (c < 0) | (c >= spec.n_cells)
     if outside.any():
         raise ValidationError("cell index %d out of range" % c[outside][0])
+    off = data[:, 1] != c / spec.n_cells
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValidationError(
+            "noise CSV row %d: t_left %r is not the left end of cell %d"
+            % (i + 1, float(data[i, 1]), c[i])
+        )
     m = np.argmax(k[:, None] == np.asarray(spec.modes), axis=1)
     counts = np.bincount(m * spec.n_cells + c, minlength=len(spec.modes) * spec.n_cells)
     if counts.max() > 1:

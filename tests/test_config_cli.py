@@ -107,6 +107,74 @@ def test_canonical_text_is_insensitive_to_input_order(tmp_path):
     assert config_from_sections(a).canonical_text() == config_from_sections(b).canonical_text()
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NONNEG = st.floats(0.0, 1e6)
+# splitlines() separators cannot sit inside a config line
+_LINE_TEXT = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Zl", "Zp")))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_canonical_text_round_trip_keeps_the_digest(data):
+    """Any valid config, its floats spelled in any exact form, rebuilds from
+    its canonical text with the same digest."""
+    draw = data.draw
+    n_points = draw(st.sampled_from((32, 64, 128)))
+    modes = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3, unique=True))
+    sections = {
+        "grid": {"n_points": n_points, "k_max": draw(st.integers(5, n_points // 2 - 1))},
+        "solver": {
+            "dt": 2.0 ** -draw(st.integers(7, 10)),
+            "p": draw(st.sampled_from((3, 5, 7))),
+            "store_stride": draw(st.integers(1, 64)),
+            "damping": draw(st.sampled_from(("zero", "constant", "bump"))),
+            "damping_value": draw(_NONNEG),
+            "damping_amplitude": draw(_NONNEG),
+            "damping_center": draw(st.floats(-10.0, 10.0)),
+            "damping_width": draw(st.floats(1e-3, math.pi, exclude_max=True)),
+        },
+        "noise": {
+            "modes": tuple(modes),
+            "amplitudes": tuple(draw(_NONNEG) for _ in modes),
+            "haar_c": draw(_NONNEG),
+            "haar_q": draw(st.floats(1.0, 1e6, exclude_min=True)),
+            "level_max": draw(st.integers(1, 6)),
+        },
+        "experiment": {
+            "kind": draw(st.sampled_from(KINDS)),
+            "forced": draw(st.booleans()),
+            "n_steps": draw(st.integers(0, 10**6)),
+            "n_chains": draw(st.integers(1, 10**6)),
+            "initial": draw(st.sampled_from(("zero", "constant", "plane_wave", "random_h1"))),
+            "initial_b": draw(st.sampled_from(("", "zero", "random_h1"))),
+            "horizon": draw(_FINITE),
+            "gamma": draw(_FINITE),
+            "probe_s": draw(_FINITE),
+            "sat_modes": tuple(draw(st.lists(st.integers(-(2**40), 2**40), max_size=4))),
+        },
+        "run": {"seed": draw(st.integers(0, 2**63)), "output_dir": draw(_LINE_TEXT)},
+    }
+
+    def spell(value):
+        if isinstance(value, bool):
+            return draw(st.sampled_from(("true", "yes", "1") if value else ("false", "no", "0")))
+        if isinstance(value, float):
+            return draw(st.sampled_from(("%r", "%.17e", "%.17g"))) % value
+        if isinstance(value, tuple):
+            return ", ".join(spell(v) for v in value)
+        return str(value)
+
+    text = "".join(
+        "[%s]\n" % name + "".join("%s = %s\n" % (k, spell(v)) for k, v in keys.items())
+        for name, keys in sections.items()
+    )
+    cfg = config_from_sections(parse_config_text(text))
+    again = config_from_sections(parse_config_text(cfg.canonical_text()))
+    assert again.canonical_text() == cfg.canonical_text()
+    assert again.digest() == cfg.digest()
+    assert again.sections == cfg.sections
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ValidationError, match="line 1: unknown section"):
         parse_config_text("[bogus]")
@@ -282,6 +350,21 @@ def test_noise_path_csv_rejects_repeated_cell(tmp_path):
     lines[2] = lines[1]  # the row count stays right, one (cell, mode) is missing
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match="repeats cell"):
+        store.read_noise_path_csv(path, spec)
+
+
+def test_noise_path_csv_rejects_wrong_t_left(tmp_path):
+    spec = NoiseSpec(amplitudes=(0.1, 0.1))
+    (z,) = sample_noise_paths(spec, [(5, 0, 0, 0)])
+    path = tmp_path / "noise.csv"
+    store.write_noise_path_csv(path, z)
+    lines = path.read_text().splitlines()
+    fields = lines[3].split(",")
+    assert fields[:2] == ["1", "0.0078125"]  # cell 1 of 128 starts at t = 1/128
+    fields[1] = "0.9"
+    lines[3] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="row 3: t_left 0.9 is not the left end of cell 1"):
         store.read_noise_path_csv(path, spec)
 
 

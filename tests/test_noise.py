@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schrodmix import Grid, NoisePath, NoiseSpec, RhoSpec, ValidationError
 from schrodmix.noise import (
@@ -124,6 +126,46 @@ def test_rho_ppf_inverts_cdf():
     assert np.all(x >= -1) and np.all(x <= 1)
 
 
+# (u, x_hi, x_lo): the exact inverse x = x_hi + x_lo as a double-double,
+# computed once with mpmath at 140 digits (no test dependency on it).  The
+# points reach within 40 ulp of 0 and 1, where the closed-form CDF cancels,
+# and include x near +-0.9 and +-0.71, either side of the series switch.
+_PPF_REFERENCE = (
+    (5e-324, -1.0, 1.817838871445603e-108),
+    (1e-300, -1.0, 1.0673179995528817e-100),
+    (1e-17, -0.9999977005330765, -4.610283578507887e-18),
+    (2.0**-53, -0.9999948702376763, -3.427051448303054e-17),
+    (40 * 2.0**-53, -0.9999824564596279, -1.4437367510903444e-17),
+    (1e-09, -0.998932681800447, 9.070477762680451e-18),
+    (0.0009295937314318801, -0.8956474847137046, 1.959794017791754e-18),
+    (0.019837981362766, -0.7069553035356905, -4.419135506539764e-17),
+    (0.25, -0.26474189536615045, -1.5713307370783479e-18),
+    (0.5, 0.0, 0.0),
+    (0.75, 0.26474189536615045, 1.5713307370783479e-18),
+    (0.980162018637234, 0.7069553035356902, 3.76814803410379e-17),
+    (0.9991853475558014, 0.9001541027351572, -1.533017894185662e-18),
+    (1 - 1e-09, 0.998932681810509, -1.6398238012586106e-17),
+    (1 - 40 * 2.0**-53, 0.9999824564596279, 1.4437367510903444e-17),
+    (1 - 2.0**-53, 0.9999948702376763, 3.427051448303054e-17),
+)
+
+
+def test_rho_ppf_tail_accuracy():
+    u, x_hi, x_lo = np.array(_PPF_REFERENCE).T
+    x = RhoSpec().ppf(u)
+    # x - x_hi is exact where the two are close, so this is the true error
+    assert np.max(np.abs((x - x_hi) - x_lo)) <= 2.3e-16
+    assert RhoSpec().ppf(0.5) == 0.0
+    np.testing.assert_array_equal(RhoSpec().ppf(np.array([0.0, 1.0])), [-1.0, 1.0])
+
+
+def test_rho_ppf_rejects_outside_unit_interval():
+    rho = RhoSpec()
+    for bad in (np.nan, -1e-300, 1.0 + 2.0**-52, np.inf):
+        with pytest.raises(ValidationError, match="outside"):
+            rho.ppf(np.array([0.5, bad]))
+
+
 def test_rho_sampling_statistics():
     rho = RhoSpec()
     rng = np.random.default_rng(2024)
@@ -180,6 +222,19 @@ def test_sample_determinism_and_batch_equivalence():
         records = [(size, i, 2, 0) for i in range(size)]
         for path, r in zip(sample_noise_paths(spec, records), records):
             assert path.cells.tobytes() == sample_noise_path(spec, r).cells.tobytes()
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(size=st.integers(1, 70), data=st.data())
+def test_sampled_path_is_the_same_in_any_block(size, data):
+    # the Newton inverse runs a fixed step count elementwise, so no draw
+    # depends on its block neighbours
+    spec = NoiseSpec()
+    seeds = st.tuples(*[st.integers(0, 2**31 - 1)] * 4)
+    records = data.draw(st.lists(seeds, min_size=size, max_size=size))
+    pos = data.draw(st.integers(0, size - 1))
+    alone = sample_noise_path(spec, records[pos])
+    assert sample_noise_paths(spec, records)[pos].cells.tobytes() == alone.cells.tobytes()
 
 
 def test_path_shape_and_sup_bound():
