@@ -52,12 +52,10 @@ from .dynamics import (
     solve_nls,
 )
 from .linearized import (
-    ControlForcing,
     GramianReport,
     assemble_gramian,
     control_response_matrix,
     duality_pairing,
-    duhamel_control_map,
     solve_adjoint_backward,
     solve_linearized,
 )

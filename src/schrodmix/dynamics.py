@@ -146,7 +146,12 @@ def _split_steps(u: np.ndarray, tab, steps, substep):
     w = np.zeros(u.shape[:-1] + (tab.n_pad,), dtype=np.complex128)
     for n in steps:
         w[..., tab.idx_pad] = u * tab.phase_in
-        v = substep(n, np.fft.ifft(w) * tab.decay) * tab.decay
+        # the decays are applied in place: a fresh block-sized temporary for
+        # each lets glibc trim and refault the heap top every step
+        v = np.fft.ifft(w)
+        v *= tab.decay
+        v = substep(n, v)
+        v *= tab.decay
         u = np.fft.fft(v)[..., tab.idx_pad] * tab.phase_out
         yield n, u
 

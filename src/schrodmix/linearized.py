@@ -1,5 +1,5 @@
 """Linearization along a stored trajectory, its backward adjoint, and the
-controllability Gramian assembled from Duhamel responses.
+controllability Gramian assembled from the control response matrix.
 
 The forward tangent flow solves
 
@@ -20,15 +20,14 @@ a Galerkin band |k| <= cutoff, where the coordinate map
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
 from .dynamics import Trajectory, _split_steps
-from .noise import haar_cells, haar_time_keys
-from .spectral import FourierField, Grid, ROOT_2PI, ValidationError, synth
+from .noise import haar_basis, haar_time_keys
+from .spectral import FourierField, ROOT_2PI, ValidationError, synth
 
 _TIME_TOL = 1.0e-9
 
@@ -40,7 +39,6 @@ class LinearizedRun:
     base: Trajectory
     times: np.ndarray
     coeffs: np.ndarray = field(repr=False)
-    direction: str = "forward"
 
     def state(self, i: int) -> FourierField:
         return FourierField(self.base.grid, self.coeffs[i])
@@ -48,10 +46,6 @@ class LinearizedRun:
     @property
     def endpoint(self) -> FourierField:
         return self.state(-1)
-
-    @property
-    def start(self) -> FourierField:
-        return self.state(0)
 
 
 def _base_tables(base: Trajectory):
@@ -69,36 +63,6 @@ def _base_tables(base: Trajectory):
     c1 = ((p + 1) / 2.0) * r
     c2 = ((p - 1) / 2.0) * w
     return tab, c1, c2
-
-
-class ControlForcing:
-    """Piecewise-constant-in-time spectral forcing g(t, x) on [0, 1).
-
-    cell_coeffs[c] holds the coefficients of g on the c-th of n uniform time
-    cells, in the normalized basis e_k.  Cells must align with solver steps.
-    """
-
-    def __init__(self, grid: Grid, cell_coeffs: np.ndarray):
-        cell_coeffs = np.asarray(cell_coeffs, dtype=np.complex128)
-        if cell_coeffs.ndim == 1:
-            cell_coeffs = cell_coeffs[None, :]
-        if cell_coeffs.shape[-1] != grid.n_coeff:
-            raise ValidationError("forcing coefficients do not match the grid band")
-        self.grid = grid
-        self.cell_coeffs = cell_coeffs
-
-    @classmethod
-    def constant(cls, f: FourierField) -> "ControlForcing":
-        return cls(f.grid, f.coeffs[None, :])
-
-    def step_values(self, n_steps: int) -> np.ndarray:
-        n_cells = self.cell_coeffs.shape[0]
-        if n_steps % n_cells != 0:
-            raise ValidationError(
-                "%d solver steps do not align with %d forcing cells" % (n_steps, n_cells)
-            )
-        per = n_steps // n_cells
-        return np.repeat(self.cell_coeffs, per, axis=0)
 
 
 def _forward_steps(v, tab, c1, c2, dt, drive_phys, collect):
@@ -134,36 +98,15 @@ def _midpoint_adjoint(w, c1, c2, dt):
     return w + dt * rhs(wm)
 
 
-def solve_linearized(base: Trajectory, v0: FourierField, g=None) -> LinearizedRun:
-    """Tangent flow along base from v0, optionally forced by g (ControlForcing)."""
+def solve_linearized(base: Trajectory, v0: FourierField) -> LinearizedRun:
+    """Unforced tangent flow along base from v0."""
     if v0.grid != base.grid:
         raise ValidationError("direction lives on a different grid")
     tab, c1, c2 = _base_tables(base)
-    drive = _control_drive(g, base) if g is not None else None
     stored, _ = _forward_steps(
-        v0.coeffs.astype(np.complex128), tab, c1, c2, base.config.dt, drive, True
+        v0.coeffs.astype(np.complex128), tab, c1, c2, base.config.dt, None, True
     )
-    return LinearizedRun(base, base.times.copy(), np.stack(stored), "forward")
-
-
-def _control_drive(g, base: Trajectory):
-    n_steps = base.n_stored - 1
-    if isinstance(g, FourierField):
-        g = ControlForcing.constant(g)
-    if not isinstance(g, ControlForcing):
-        raise ValidationError("forcing must be a FourierField or ControlForcing")
-    if g.grid != base.grid:
-        raise ValidationError("forcing lives on a different grid")
-    vals = g.step_values(n_steps)  # (n_steps, C) spectral
-    tab = base.config._tab
-    phys = np.zeros((n_steps, tab.n_pad), dtype=np.complex128)
-    phys[:, tab.idx_pad] = vals / ROOT_2PI
-    phys = np.fft.ifft(phys) * tab.n_pad
-
-    def drive(n):
-        return phys[n]
-
-    return drive
+    return LinearizedRun(base, base.times.copy(), np.stack(stored))
 
 
 def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> LinearizedRun:
@@ -188,7 +131,7 @@ def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> LinearizedRu
     for _, phi in _split_steps(phi, adj, range(c1.shape[0] - 1, -1, -1), substep):
         stored.append(phi)
     stored.reverse()
-    return LinearizedRun(base, base.times.copy(), np.stack(stored), "backward")
+    return LinearizedRun(base, base.times.copy(), np.stack(stored))
 
 
 def duality_pairing(v_run: LinearizedRun, phi_run: LinearizedRun, t: float) -> float:
@@ -198,12 +141,6 @@ def duality_pairing(v_run: LinearizedRun, phi_run: LinearizedRun, t: float) -> f
         raise ValidationError("time %r not stored" % (t,))
     j = int(np.argmin(np.abs(phi_run.times - t)))
     return float(np.sum(v_run.coeffs[i] * np.conj(phi_run.coeffs[j])).real)
-
-
-def duhamel_control_map(base: Trajectory, g) -> FourierField:
-    """Response at the final time to forcing g from a zero initial tangent."""
-    zero = FourierField(base.grid, np.zeros(base.grid.n_coeff, dtype=np.complex128))
-    return solve_linearized(base, zero, g).endpoint
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +194,7 @@ def control_response_matrix(base: Trajectory, modes, time_level: int, cutoff: in
     if abs(n_steps * cfg.dt - 1.0) > _TIME_TOL:
         raise ValidationError("the control basis needs a base over one time unit")
     keys = haar_time_keys(time_level)
-    idx, sign = haar_cells(time_level, n_steps)
+    basis = haar_basis(time_level, n_steps)
     modes = tuple(int(k) for k in modes)
     for k in modes:
         if abs(k) > base.grid.k_max:
@@ -269,11 +206,10 @@ def control_response_matrix(base: Trajectory, modes, time_level: int, cutoff: in
                 col_keys.append((k, key[0], key[1], comp))
     n_cols = len(col_keys)
 
-    # per-step drive amplitudes of exp(ikx) per column: comp * hval / sqrt(2pi)
+    # per-step drive amplitudes of exp(ikx) per column: comp * 2^(j/2) h_jl / sqrt(2pi)
     vals = np.zeros((n_steps, n_cols, len(modes)), dtype=np.complex128)
     for c, (k, j, l, comp) in enumerate(col_keys):
-        hval = 2.0 ** (j / 2.0) * np.where(idx[j] == l, sign[j], 0.0)
-        vals[:, c, modes.index(k)] = comp * hval / ROOT_2PI
+        vals[:, c, modes.index(k)] = comp * basis[2**j - 1 + l] / ROOT_2PI
 
     tab, c1, c2 = _base_tables(base)
     rows = np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))
@@ -315,7 +251,7 @@ def _symmetric_gram(a: np.ndarray) -> np.ndarray:
 def assemble_gramian(
     base: Trajectory, modes, time_level: int, cutoff: int, target_cutoff: int = 2
 ) -> GramianReport:
-    """Gramian of the Duhamel control map over the Haar-in-time control basis."""
+    """Gramian of the control response map over the Haar-in-time control basis."""
     a, cols = control_response_matrix(base, modes, time_level, cutoff)
     g = _symmetric_gram(a)
     eigs = np.linalg.eigvalsh(g)[::-1].copy()

@@ -376,7 +376,6 @@ def synchronous_coupling_experiment(
     gamma: float = 1e-2,
     time_level: int = 2,
     galerkin_cutoff: int = 8,
-    use_equivalent_norm: bool = True,
     tau0: float = 1.0,
 ) -> CouplingReport:
     """Drive two chains with the same per-step noise realization; optionally
@@ -385,16 +384,12 @@ def synchronous_coupling_experiment(
     Without control each chain's marginal law is exactly the solo run_chain
     law (identical seeds give identical states); with control the x chain
     follows the shifted realization and the per-step separation ratios are
-    recorded.
+    recorded.  Separations are measured in equivalent_norm with the given tau0.
     """
     if cfg.store_stride != 1 and use_control:
         raise ValidationError("controlled coupling needs store_stride=1")
-    if use_equivalent_norm:
-        norm = lambda f: equivalent_norm(f, cfg, tau0)
-        kind = "h1_after_group(tau0=%g)" % tau0
-    else:
-        norm = lambda f: float(np.sqrt(hs_norm_sq(f.coeffs, 1.0)))
-        kind = "h1"
+    norm = lambda f: equivalent_norm(f, cfg, tau0)
+    kind = "h1_after_group(tau0=%g)" % tau0
     y, x = y0, x0
     seps = [norm(y - x)]
     shift_norms = []

@@ -12,8 +12,11 @@ forcing field is sum_k b_k eta_k(t) e^{ikx}.  Paths are piecewise constant on
 the 2^(J+1) dyadic cells of [0,1), which is how they are stored.
 
 The Haar cell layout, which h_{jl} covers a cell and with which sign, is the
-one table haar_cells; path synthesis, haar_inner, the control basis and the
-realized control shift all read it, and haar_eval is its pointwise reference.
+one table haar_cells; path synthesis and haar_inner read it, and haar_eval is
+its pointwise reference.  The L2-normalized control basis 2^(j/2) h_{jl} on
+the cells is the one table haar_basis, built from haar_cells; the control
+response matrix (linearized) and the realized control shift (control) both
+read it.
 """
 
 from __future__ import annotations
@@ -92,6 +95,20 @@ def haar_cells(level: int, n_cells: int):
         idx[j] = c // per
         sign[j, c % per >= per // 2] = -1.0
     return idx, sign
+
+
+def haar_basis(level: int, n_cells: int) -> np.ndarray:
+    """The L2-normalized Haar control basis on n_cells uniform cells of [0, 1).
+
+    Row 2^j - 1 + l holds 2^(j/2) h_{jl} on every cell, so the rows run over
+    haar_time_keys(level) in order and are orthonormal in L2(0, 1).
+    """
+    idx, sign = haar_cells(level, n_cells)
+    out = np.zeros((2 ** (level + 1) - 1, n_cells))
+    c = np.arange(n_cells)
+    for j in range(level + 1):
+        out[2**j - 1 + idx[j], c] = 2.0 ** (j / 2.0) * sign[j]
+    return out
 
 
 def haar_inner(j: int, l: int, jp: int, lp: int, normalized: bool = False) -> Fraction:

@@ -303,9 +303,18 @@ def constant_damping(grid: Grid, value: float) -> DampingProfile:
 
 
 def bump_damping(grid: Grid, amplitude: float, center: float, width: float) -> DampingProfile:
-    """C-infinity bump A*exp(-1/(1-s^2)), s = wrapped(x-center)/width, |s| < 1."""
+    """C-infinity bump A*exp(-1/(1-s^2)), s = wrapped(x-center)/width, |s| < 1.
+
+    The width must be at least the grid spacing 2pi/n_points and below pi.
+    """
     if amplitude < 0:
         raise ValidationError("bump amplitude must be >= 0")
     if not (0 < width < math.pi):
         raise ValidationError("bump width must sit in (0, pi)")
+    spacing = TWO_PI / grid.n_points
+    if width < spacing:
+        # a narrower bump damps at most one grid point, or none
+        raise ValidationError(
+            "bump width %r is below the grid spacing 2pi/n_points = %r" % (width, spacing)
+        )
     return _closed_form_damping(grid, "bump", (float(amplitude), float(center), float(width)))

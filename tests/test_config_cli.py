@@ -131,7 +131,7 @@ def test_canonical_text_round_trip_keeps_the_digest(data):
             "damping_value": draw(_NONNEG),
             "damping_amplitude": draw(_NONNEG),
             "damping_center": draw(st.floats(-10.0, 10.0)),
-            "damping_width": draw(st.floats(1e-3, math.pi, exclude_max=True)),
+            "damping_width": draw(st.floats(2 * math.pi / n_points, math.pi, exclude_max=True)),
         },
         "noise": {
             "modes": tuple(modes),
@@ -822,6 +822,17 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, overrides):
     ret = cli.main([kind, "--config", str(path), "--out", str(out)])
     assert ret == cli.EXIT_VALIDATION
     assert "must be finite" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_cli_rejects_bump_narrower_than_grid_spacing(tmp_path, capsys):
+    overrides = {"grid": {"n_points": 128}, "solver": {"damping": "bump", "damping_width": 1e-3}}
+    path = write_cfg(tmp_path, overrides, name="narrow.txt")
+    out = tmp_path / "o"
+    ret = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+    assert ret == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "below the grid spacing" in err and "0.001" in err and repr(2 * math.pi / 128) in err
     assert not (out / "manifest.json").exists()
 
 

@@ -36,6 +36,7 @@ from schrodmix import (
 )
 from schrodmix.config import random_h1_field
 from schrodmix.dynamics import _h1_sq, _noise_drive, energy_series
+from schrodmix.linearized import control_response_matrix
 from schrodmix.noise import sample_noise_path
 
 GRID = Grid(64, 20)
@@ -285,7 +286,8 @@ def test_two_ffts_per_step(monkeypatch):
         runs = {
             "solve_nls": lambda: solve_nls(u0, paths[0], 1.0, cfg),
             "markov_step_batch": lambda: markov_step_batch(block, paths, cfg),
-            "solve_linearized": lambda: solve_linearized(base, w, w),
+            "solve_linearized": lambda: solve_linearized(base, w),
+            "control_response_matrix": lambda: control_response_matrix(base, (0, 1), 2, 5),
             "solve_adjoint_backward": lambda: solve_adjoint_backward(base, w),
         }
         for name, run in runs.items():

@@ -1,4 +1,4 @@
-"""Linearized flow, backward adjoint, Duhamel map, and Gramian assembly."""
+"""Linearized flow, backward adjoint, control response matrix, and Gramian assembly."""
 
 import math
 
@@ -16,7 +16,6 @@ from schrodmix import (
     basis_field,
     bump_damping,
     duality_pairing,
-    duhamel_control_map,
     linear_group,
     markov_step,
     report_dict,
@@ -30,7 +29,6 @@ from schrodmix import (
 )
 from schrodmix.config import random_h1_field
 from schrodmix.linearized import (
-    ControlForcing,
     control_response_matrix,
     coords_to_coeffs,
     gramian_matrix,
@@ -38,8 +36,7 @@ from schrodmix.linearized import (
     haar_time_keys,
     mode_coord_indices,
 )
-from schrodmix.noise import sample_noise_path
-from schrodmix.spectral import ROOT_2PI
+from schrodmix.noise import haar_eval, sample_noise_path
 
 GRID = Grid(64, 20)
 DT = 2.0**-7
@@ -152,60 +149,37 @@ def test_duality_drift_on_noisy_base():
     assert drift <= 1e-6 * sobolev_norm(v0, 0.0) * sobolev_norm(phi1, 0.0)
 
 
-def test_duhamel_zero_forcing():
-    base = noisy_base(damped_cfg())
-    out = duhamel_control_map(base, ControlForcing.constant(zero_field(GRID)))
-    assert np.all(out.coeffs == 0)
+def test_response_constant_mode_zero_closed_form():
+    """On a free zero base iv_t = g with g = comp e_0 gives v(1) = -i comp e_0."""
+    cutoff = 5
+    base = zero_base(free_cfg())
+    mat, keys = control_response_matrix(base, (0,), 0, cutoff)
+    assert keys == [(0, 0, 0, 1.0), (0, 0, 0, 1.0j)]
+    for col, comp in zip(mat.T, (1.0, 1.0j)):
+        want = h1_coords(-1j * comp * np.eye(GRID.n_coeff)[GRID.k_max], GRID.k_max, cutoff)
+        np.testing.assert_allclose(col, want, rtol=0, atol=1e-12)
 
 
-def test_duhamel_constant_mode_zero_closed_form():
-    """iv_t = g with constant physical g = 1 gives v(1) = -i."""
-    cfg = free_cfg()
-    base = zero_base(cfg)
-    g_field = FourierField(GRID, np.eye(GRID.n_coeff)[GRID.k_max] * ROOT_2PI)
-    out = duhamel_control_map(base, ControlForcing.constant(g_field))
-    np.testing.assert_allclose(out.coeff(0), -1j * ROOT_2PI, rtol=1e-10)
-    rest = np.delete(out.coeffs, GRID.k_max)
-    np.testing.assert_allclose(rest, 0, atol=1e-12)
-
-
-def test_duhamel_linearity():
-    base = noisy_base(damped_cfg(), seed=9)
-    g1 = random_h1_field(GRID, 0.4, 2.0, 40, 0)
-    g2 = random_h1_field(GRID, 0.3, 2.0, 40, 1)
-    a = duhamel_control_map(base, ControlForcing.constant(g1))
-    b = duhamel_control_map(base, ControlForcing.constant(g2))
-    ab = duhamel_control_map(base, ControlForcing.constant(g1 + g2))
-    np.testing.assert_allclose(ab.coeffs, (a + b).coeffs, rtol=1e-10, atol=1e-12)
-
-
-def test_adjoint_consistency_identity():
-    """The response pairs with the endpoint like the time integral against
-    the backward run; the forcing enters through -i g, hence the Im."""
+def test_response_adjoint_identity():
+    """Each column pairs with the endpoint like the time integral of its
+    control against the backward run; the control enters through -i g,
+    hence the Im.  Midpoint quadrature on each step, where g is constant."""
     cfg = SolverConfig(grid=GRID, damping=bump_damping(GRID, 1.0, math.pi, 1.5), dt=2.0**-10)
     z = sample_noise_path(NoiseSpec(), (3, 0, 0, 0))
     u0 = random_h1_field(GRID, 0.5, 3.0, 1, 0)
     base = solve_nls(u0, z, 1.0, cfg)
-    gf = random_h1_field(GRID, 0.3, 2.0, 9, 1)
     phi1 = random_h1_field(GRID, 1.0, 2.0, 4, 2)
-    v1 = duhamel_control_map(base, ControlForcing.constant(gf))
+    mat, keys = control_response_matrix(base, (0, 1), 2, GRID.k_max)
+    assert len(keys) == 28
     phi = solve_adjoint_backward(base, phi1)
-    lhs = float(np.real(np.sum(v1.coeffs * np.conj(phi1.coeffs))))
-    vals = [
-        float(np.imag(np.sum(gf.coeffs * np.conj(phi.state(i).coeffs))))
-        for i in range(len(phi.times))
-    ]
-    rhs = float(np.trapezoid(vals, phi.times))
-    assert abs(lhs - rhs) <= 1e-6 * abs(lhs)
-
-
-def test_control_forcing_validation():
-    g_field = basis_field(GRID, 0, 1.0)
-    force = ControlForcing.constant(g_field)
-    np.testing.assert_array_equal(force.step_values(4)[3], g_field.coeffs)
-    two = ControlForcing(GRID, np.stack([g_field.coeffs, 2.0 * g_field.coeffs]))
-    with pytest.raises(ValidationError):
-        two.step_values(3)
+    phi_mid = 0.5 * (phi.coeffs[:-1] + phi.coeffs[1:])
+    t_mid = 0.5 * (phi.times[:-1] + phi.times[1:])
+    for col, (k, j, l, comp) in zip(mat.T, keys):
+        v1 = coords_to_coeffs(col, GRID.k_max, GRID.k_max)
+        lhs = float(np.real(np.sum(v1 * np.conj(phi1.coeffs))))
+        g = comp * 2.0 ** (j / 2.0) * haar_eval(j, l, t_mid)  # on e_k, per step
+        rhs = float(np.sum(np.imag(g * np.conj(phi_mid[:, k + GRID.k_max]))) * cfg.dt)
+        assert abs(lhs - rhs) <= 1e-6 * abs(lhs), (k, j, l, comp)
 
 
 def test_h1_coords_round_trip():

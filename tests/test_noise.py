@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from schrodmix import Grid, NoisePath, NoiseSpec, RhoSpec, ValidationError
 from schrodmix.noise import (
+    haar_basis,
     haar_cells,
     haar_eval,
     haar_inner,
@@ -66,21 +67,29 @@ def test_haar_eval_index_errors():
 
 def test_haar_cells_match_haar_eval():
     """Each key's table row is haar_eval at the cell midpoints, on the
-    coarsest cells the level allows and on 4x finer ones."""
+    coarsest cells the level allows and on 4x finer ones; the control basis
+    row of the key is that times 2^(j/2), and the rows are orthonormal."""
     for level in range(7):
         for n_cells in (2 ** (level + 1), 2 ** (level + 3)):
             idx, sign = haar_cells(level, n_cells)
             assert idx.shape == sign.shape == (level + 1, n_cells)
+            basis = haar_basis(level, n_cells)
+            assert basis.shape == (len(haar_time_keys(level)), n_cells)
             t_mid = (np.arange(n_cells) + 0.5) / n_cells
-            for j, l in haar_time_keys(level):
+            for p, (j, l) in enumerate(haar_time_keys(level)):
                 row = np.where(idx[j] == l, sign[j], 0.0)
                 np.testing.assert_array_equal(row, haar_eval(j, l, t_mid))
+                np.testing.assert_array_equal(basis[p], 2.0 ** (j / 2.0) * row)
+            gram = basis @ basis.T / n_cells
+            np.testing.assert_allclose(gram, np.eye(len(basis)), rtol=0, atol=1e-14)
 
 
 def test_haar_cells_validation():
     for level, n_cells in ((2, 12), (2, 4), (0, 1), (0, 0), (-1, 4)):
         with pytest.raises(ValidationError):
             haar_cells(level, n_cells)
+        with pytest.raises(ValidationError):
+            haar_basis(level, n_cells)
 
 
 def test_haar_orthonormality_small_levels():

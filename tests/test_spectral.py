@@ -246,6 +246,16 @@ def test_damping_profiles():
         np.testing.assert_array_equal(prof.at(fine.points), twin.values)
 
 
+@pytest.mark.parametrize("width", [1e-3, 5e-324])
+def test_bump_narrower_than_grid_spacing_rejected(width):
+    # such a bump damps one grid point (1e-3) or none at all (5e-324)
+    spacing = 2 * math.pi / GRID.n_points
+    with pytest.raises(ValidationError, match="below the grid spacing") as err:
+        bump_damping(GRID, 1.0, math.pi, width)
+    assert repr(width) in str(err.value) and repr(spacing) in str(err.value)
+    assert bump_damping(GRID, 1.0, math.pi, spacing).values.max() > 0
+
+
 def test_damping_validation():
     with pytest.raises(ValidationError):
         constant_damping(GRID, -0.1)
