@@ -123,7 +123,7 @@ def compact_T_apply(base: Trajectory, w: FourierField) -> FourierField:
     run = solve_linearized(base, w)
     theta = phase_theta(base, float(base.times[-1]))
     cfg = base.config
-    lin = linear_group(w, float(base.times[-1]), cfg.damping, cfg.dt)
+    lin = linear_group(w, float(base.times[-1]), cfg.damping, cfg.dt, cfg.p)
     return run.endpoint - cmath.exp(-1j * theta) * lin
 
 
@@ -187,7 +187,7 @@ def equivalent_norm(w: FourierField, cfg: SolverConfig, tau0: float = 1.0) -> fl
     A practical stand-in for the norm in which the damped group is a strict
     contraction; the plain H1 norm can grow transiently under S_a.
     """
-    out = linear_group(w, tau0, cfg.damping, cfg.dt)
+    out = linear_group(w, tau0, cfg.damping, cfg.dt, cfg.p)
     return float(math.sqrt(hs_norm_sq(out.coeffs, 1.0)))
 
 

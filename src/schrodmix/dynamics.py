@@ -122,7 +122,7 @@ def _step_tables(grid: Grid, damping: DampingProfile, dt: float, p: int) -> Simp
     phase_half = np.exp(-1j * k.astype(float) ** 2 * (dt / 2.0))
     return SimpleNamespace(
         n_pad=n_pad,
-        idx_pad=np.mod(k, n_pad),
+        k_max=grid.k_max,
         phase_in=phase_half * (n_pad / ROOT_2PI),
         phase_out=phase_half * (ROOT_2PI / n_pad),
         decay=np.exp(-damping.at(x_pad) * (dt / 2.0)),
@@ -140,19 +140,35 @@ def _split_steps(u: np.ndarray, tab, steps, substep):
     """The one Strang step loop: yields (n, u) after each step n of steps.
 
     Step n is P_half . unpad o [D_half . substep(n, .) . D_half] o pad . P_half,
-    with substep(n, v) acting on the padded physical grid.  The padded
-    buffer's zero band is written once and reused.
+    with substep(n, v) acting on the padded physical grid.  Padding writes
+    modes 0..K to the front of the padded spectrum and -K..-1 to its back,
+    two slice products; unpadding reads the same slices back.  The padded
+    spectrum (its zero band written once), the physical grid and the
+    transformed spectrum are three buffers allocated once per sweep, which
+    the FFTs fill through out=; only the yielded u is fresh each step, so a
+    caller may keep it.
     """
-    w = np.zeros(u.shape[:-1] + (tab.n_pad,), dtype=np.complex128)
+    kk, n_pad = tab.k_max, tab.n_pad
+    shape = u.shape[:-1] + (n_pad,)
+    w = np.zeros(shape, dtype=np.complex128)
+    phys = np.empty(shape, dtype=np.complex128)
+    spec = np.empty(shape, dtype=np.complex128)
+    head, tail = w[..., : kk + 1], w[..., n_pad - kk :]
+    in_pos, in_neg = tab.phase_in[kk:], tab.phase_in[:kk]
+    out_pos, out_neg = tab.phase_out[kk:], tab.phase_out[:kk]
     for n in steps:
-        w[..., tab.idx_pad] = u * tab.phase_in
+        np.multiply(u[..., kk:], in_pos, out=head)
+        np.multiply(u[..., :kk], in_neg, out=tail)
         # the decays are applied in place: a fresh block-sized temporary for
         # each lets glibc trim and refault the heap top every step
-        v = np.fft.ifft(w)
+        v = np.fft.ifft(w, out=phys)
         v *= tab.decay
         v = substep(n, v)
         v *= tab.decay
-        u = np.fft.fft(v)[..., tab.idx_pad] * tab.phase_out
+        np.fft.fft(v, out=spec)
+        u = np.empty(u.shape, dtype=np.complex128)
+        np.multiply(spec[..., : kk + 1], out_pos, out=u[..., kk:])
+        np.multiply(spec[..., n_pad - kk :], out_neg, out=u[..., :kk])
         yield n, u
 
 
@@ -164,7 +180,9 @@ def _noise_drive(rows, cfg: SolverConfig):
     """Physical-space noise forcing of a block of chains.
 
     rows[i] lists the unit-interval paths chain i runs through, one per time
-    unit; drive(step) has shape (len(rows), n_pad).  The forcing is an
+    unit; drive(step) has shape (len(rows), n_pad).  The forcing is constant
+    on each noise cell, so it is built once per cell into one buffer, which
+    drive returns until the next cell overwrites it.  The forcing is an
     explicit sum over the few active modes, not vals @ exps: a matrix product
     picks its BLAS kernel by the number of rows, so a chain's forcing would
     depend on the block it is stepped in.  The sum gives every row the same
@@ -188,12 +206,19 @@ def _noise_drive(rows, cfg: SolverConfig):
     stack = np.array([[amp * p.cells for p in row] for row in rows])  # (B, units, modes, cells)
     exps = np.exp(1j * np.multiply.outer(np.asarray(spec.modes, float), cfg._tab.x_pad))
 
+    out = np.empty((len(rows), cfg._tab.n_pad), dtype=np.complex128)
+    built = None
+
     def drive(step: int):
+        nonlocal built
         unit, within = divmod(step, spu)
-        vals = stack[:, unit, :, within // per_cell]
-        out = vals[:, 0, None] * exps[0]
-        for j in range(1, len(exps)):
-            out += vals[:, j, None] * exps[j]
+        cell = (unit, within // per_cell)
+        if cell != built:
+            vals = stack[:, unit, :, cell[1]]
+            np.multiply(vals[:, 0, None], exps[0], out=out)
+            for j in range(1, len(exps)):
+                np.add(out, vals[:, j, None] * exps[j], out=out)
+            built = cell
         return out
 
     return drive
@@ -233,7 +258,7 @@ def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, drive, collect: bool
     stored = [u] if collect else []
     for n, u in _split_steps(u, tab, range(n_steps), substep):
         h1 = _h1_sq(u, tab)
-        if not (np.max(h1) <= thr2):  # NaN compares false, so it trips too
+        if not (h1.max() <= thr2):  # NaN compares false, so it trips too
             row = int(np.argmax(h1))
             raise BlowUpError(n + 1, (n + 1) * dt, float(np.sqrt(h1.flat[row])), row)
         if collect and ((n + 1) % cfg.store_stride == 0 or n + 1 == n_steps):
@@ -331,14 +356,16 @@ def markov_step_batch(coeffs: np.ndarray, paths, cfg: SolverConfig) -> np.ndarra
     return final
 
 
-def linear_group(u0: FourierField, t: float, damping: DampingProfile, dt: float) -> FourierField:
+def linear_group(
+    u0: FourierField, t: float, damping: DampingProfile, dt: float, p: int = 3
+) -> FourierField:
     """Damped free group S_a(t): the solver's split step with the identity
     substep, at the step t/n closest to dt.
 
     Each step is the exact spectral half phases around two exact pointwise
-    half-step decays exp(-a(x) dt/2) on the padded grid, so for a zero
-    potential the linearized solver and this map take the same steps and
-    agree to round-off.
+    half-step decays exp(-a(x) dt/2) on the padded grid of the power p, so
+    for a zero potential the linearized solver of that p and this map take
+    the same steps and agree to round-off.
     """
     if u0.grid != damping.grid:
         raise ValidationError("state and damping live on different grids")
@@ -349,7 +376,7 @@ def linear_group(u0: FourierField, t: float, damping: DampingProfile, dt: float)
     u = u0.coeffs.astype(np.complex128)
     if t > 0:
         n = max(1, int(round(t / dt)))
-        tab = _step_tables(damping.grid, damping, t / n, 3)
+        tab = _step_tables(damping.grid, damping, t / n, p)
         for _, u in _split_steps(u, tab, range(n), _identity):
             pass
     return FourierField(u0.grid, u)
@@ -453,5 +480,6 @@ def smoothing_remainder(u0: FourierField, forcing, t: float, cfg: SolverConfig) 
 def trajectory_remainder(traj: Trajectory, t: float) -> FourierField:
     """smoothing_remainder of the run already stored in traj, at time t."""
     theta = phase_theta(traj, t)
-    lin = linear_group(traj.state(0), t, traj.config.damping, traj.config.dt)
+    cfg = traj.config
+    lin = linear_group(traj.state(0), t, cfg.damping, cfg.dt, cfg.p)
     return traj.state_at(t) - complex(math.cos(theta), -math.sin(theta)) * lin

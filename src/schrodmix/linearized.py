@@ -13,6 +13,12 @@ stored states solve
 
     i phi_t + phi_xx - i a(x) phi = ((p+1)/2)|u|^{p-1} phi - ((p-1)/2)|u|^{p-3} u^2 conj(phi).
 
+The control response matrix is the one forced tangent solve.  Its columns
+are driven by the Haar-in-time control basis, and a column is exactly zero
+before its Haar function's support begins, so each column is marched only
+from there: at time level 3 that is 63% of the dense column steps, at level
+6 53%, with every bit of the result unchanged.
+
 Gramian coordinates use the real H1 inner product Re<.,.>_{H1} restricted to
 a Galerkin band |k| <= cutoff, where the coordinate map
 (Re u_k, Im u_k) -> sqrt(1+k^2) (Re u_k, Im u_k) is a real isometry.
@@ -65,25 +71,23 @@ def _base_tables(base: Trajectory):
     return tab, c1, c2
 
 
-def _forward_steps(v, tab, c1, c2, dt, drive_phys, collect):
-    """March v (batch, C) through all steps; drive_phys(n) physical or None."""
-    stored = [v] if collect else []
+def _forward_steps(v, tab, c1, c2, dt, steps, drive_ig=None):
+    """Tangent steps of v (batch, C): yields (n, v) after each step n of steps.
+
+    drive_ig(n) is i g of step n on the padded grid, or drive_ig is None.
+    """
 
     def substep(n, w):
-        g = None if drive_phys is None else drive_phys(n)
-        return _midpoint(w, c1[n], c2[n], dt, g)
+        return _midpoint(w, c1[n], c2[n], dt, None if drive_ig is None else drive_ig(n))
 
-    for _, v in _split_steps(v, tab, range(c1.shape[0]), substep):
-        if collect:
-            stored.append(v)
-    return stored, v
+    return _split_steps(v, tab, steps, substep)
 
 
-def _midpoint(w, c1, c2, dt, g):
+def _midpoint(w, c1, c2, dt, ig):
     def rhs(z):
         out = -1j * (c1 * z + c2 * np.conj(z))
-        if g is not None:
-            out = out - 1j * g
+        if ig is not None:
+            out -= ig
         return out
 
     wm = w + (0.5 * dt) * rhs(w)
@@ -103,9 +107,10 @@ def solve_linearized(base: Trajectory, v0: FourierField) -> LinearizedRun:
     if v0.grid != base.grid:
         raise ValidationError("direction lives on a different grid")
     tab, c1, c2 = _base_tables(base)
-    stored, _ = _forward_steps(
-        v0.coeffs.astype(np.complex128), tab, c1, c2, base.config.dt, None, True
-    )
+    v = v0.coeffs.astype(np.complex128)
+    stored = [v]
+    for _, v in _forward_steps(v, tab, c1, c2, base.config.dt, range(c1.shape[0])):
+        stored.append(v)
     return LinearizedRun(base, base.times.copy(), np.stack(stored))
 
 
@@ -188,6 +193,14 @@ def control_response_matrix(base: Trajectory, modes, time_level: int, cutoff: in
     Columns run over (mode k in modes) x (Haar time key) x (component 1, i);
     the time functions are L2-normalized over the base's one time unit, so
     the basis is orthonormal in L2(0,1) x L2(torus).  Returns (matrix, column_keys).
+
+    A column is exactly zero until its Haar function's support begins, so
+    the columns are marched in order of their first forced step (the first
+    nonzero of their haar_basis row), and only the active ones: a column
+    joins the block as a zero row on the control cell where its support
+    begins.  The drive is constant on a control cell, and the active
+    columns' drive is a prefix of the sorted amplitudes, so i g is built
+    once per cell.
     """
     cfg = base.config
     n_steps = base.n_stored - 1
@@ -206,19 +219,31 @@ def control_response_matrix(base: Trajectory, modes, time_level: int, cutoff: in
                 col_keys.append((k, key[0], key[1], comp))
     n_cols = len(col_keys)
 
-    # per-step drive amplitudes of exp(ikx) per column: comp * 2^(j/2) h_jl / sqrt(2pi)
-    vals = np.zeros((n_steps, n_cols, len(modes)), dtype=np.complex128)
+    # per-cell drive amplitudes of exp(ikx) per column: comp * 2^(j/2) h_jl / sqrt(2pi)
+    per_cell = n_steps >> (time_level + 1)
+    vals = np.zeros((n_steps // per_cell, n_cols, len(modes)), dtype=np.complex128)
     for c, (k, j, l, comp) in enumerate(col_keys):
-        vals[:, c, modes.index(k)] = comp * basis[2**j - 1 + l] / ROOT_2PI
+        vals[:, c, modes.index(k)] = comp * basis[2**j - 1 + l, ::per_cell] / ROOT_2PI
+
+    # each column's first forced step, read off its basis row
+    first = np.argmax(basis != 0, axis=1)[[2**j - 1 + l for _, j, l, _ in col_keys]]
+    order = np.argsort(first, kind="stable")
+    vals, first = vals[:, order], first[order]
 
     tab, c1, c2 = _base_tables(base)
     rows = np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))
-
-    def drive(n):
-        return vals[n] @ rows
-
-    v0 = np.zeros((n_cols, base.grid.n_coeff), dtype=np.complex128)
-    _, final = _forward_steps(v0, tab, c1, c2, cfg.dt, drive, False)
+    v = np.zeros((0, base.grid.n_coeff), dtype=np.complex128)
+    for lo in range(0, n_steps, per_cell):
+        m = int(np.searchsorted(first, lo, side="right"))
+        if m > len(v):
+            v = np.concatenate([v, np.zeros((m - len(v), v.shape[1]), dtype=np.complex128)])
+        # exact whatever m is: each entry of vals is purely real or purely
+        # imaginary, with one nonzero per row
+        ig = 1j * (vals[lo // per_cell, :m] @ rows)
+        for _, v in _forward_steps(v, tab, c1, c2, cfg.dt, range(lo, lo + per_cell), lambda n: ig):
+            pass
+    final = np.empty_like(v)
+    final[order] = v
     matrix = h1_coords(final, base.grid.k_max, cutoff).T.copy()  # (n_x, n_cols)
     return matrix, col_keys
 

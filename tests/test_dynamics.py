@@ -246,14 +246,16 @@ def test_markov_step_batch_matches_scalar():
 @settings(max_examples=8, deadline=None, database=None, derandomize=True)
 @given(n_rows=st.integers(1, 70), seed=st.integers(0, 2**16))
 def test_markov_step_batch_rows_match_alone(n_rows, seed):
-    # the kernel may not mix rows: no per-step quantity from a product over rows
-    cfg = damped_cfg()
+    # the kernel may not mix rows: no per-step quantity from a product over
+    # rows.  p = 5 pads to another length, so the pad and unpad slices move.
     spec = NoiseSpec()
     paths = [sample_noise_path(spec, (seed, 0, i, 0)) for i in range(n_rows)]
     fields = [random_h1_field(GRID, 0.4, 3.0, seed, i) for i in range(n_rows)]
-    out = markov_step_batch(np.stack([f.coeffs for f in fields]), paths, cfg)
-    for i in range(n_rows):
-        np.testing.assert_array_equal(out[i], markov_step(fields[i], paths[i], cfg).coeffs)
+    for p in (3, 5):
+        cfg = damped_cfg(p=p)
+        out = markov_step_batch(np.stack([f.coeffs for f in fields]), paths, cfg)
+        for i in range(n_rows):
+            np.testing.assert_array_equal(out[i], markov_step(fields[i], paths[i], cfg).coeffs)
 
 
 def _count_ffts(monkeypatch, run) -> int:

@@ -28,7 +28,10 @@ from schrodmix import (
     zero_field,
 )
 from schrodmix.config import random_h1_field
+from schrodmix.control import compact_T_apply
 from schrodmix.linearized import (
+    _base_tables,
+    _forward_steps,
     control_response_matrix,
     coords_to_coeffs,
     gramian_matrix,
@@ -36,7 +39,8 @@ from schrodmix.linearized import (
     haar_time_keys,
     mode_coord_indices,
 )
-from schrodmix.noise import haar_eval, sample_noise_path
+from schrodmix.noise import haar_basis, haar_eval, sample_noise_path
+from schrodmix.spectral import ROOT_2PI
 
 GRID = Grid(64, 20)
 DT = 2.0**-7
@@ -61,13 +65,17 @@ def noisy_base(cfg, seed=3):
 
 
 def test_zero_base_reduces_to_linear_group():
-    cfg = damped_cfg()
-    base = zero_base(cfg)
+    # linear_group runs on the padded grid of the solver's p: at p = 5 a
+    # p = 3 grid samples the damping elsewhere and misses by about 2e-7
     v0 = random_h1_field(GRID, 1.0, 2.5, 7, 0)
-    run = solve_linearized(base, v0)
-    want = linear_group(v0, 1.0, cfg.damping, cfg.dt)
-    err = sobolev_norm(run.endpoint - want, 0.0)
-    assert err < 1e-10
+    for p in (3, 5):
+        cfg = damped_cfg(p=p)
+        base = zero_base(cfg)
+        run = solve_linearized(base, v0)
+        want = linear_group(v0, 1.0, cfg.damping, cfg.dt, cfg.p)
+        assert sobolev_norm(run.endpoint - want, 0.0) < 1e-10, p
+        # so the compact part vanishes on a zero base
+        assert sobolev_norm(compact_T_apply(base, v0), 0.0) < 1e-10, p
 
 
 def test_zero_direction_stays_zero():
@@ -158,6 +166,32 @@ def test_response_constant_mode_zero_closed_form():
     for col, comp in zip(mat.T, (1.0, 1.0j)):
         want = h1_coords(-1j * comp * np.eye(GRID.n_coeff)[GRID.k_max], GRID.k_max, cutoff)
         np.testing.assert_allclose(col, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_response_matrix_matches_dense_march(p):
+    # the production map starts each column where its Haar support begins;
+    # marching every column from step 0 must give the same bits, at every
+    # level and on the padded grid of either power
+    cfg = damped_cfg(p=p)
+    base = noisy_base(cfg)
+    modes, cutoff = (0, 1), 12
+    n_steps = base.n_stored - 1
+    tab, c1, c2 = _base_tables(base)
+    rows = np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))
+    for level in (0, 1, 3, 6):
+        got, keys = control_response_matrix(base, modes, level, cutoff)
+        basis = haar_basis(level, n_steps)
+        vals = np.zeros((n_steps, len(keys), len(modes)), dtype=np.complex128)
+        for c, (k, j, l, comp) in enumerate(keys):
+            vals[:, c, modes.index(k)] = comp * basis[2**j - 1 + l] / ROOT_2PI
+        v = np.zeros((len(keys), GRID.n_coeff), dtype=np.complex128)
+        steps = _forward_steps(v, tab, c1, c2, cfg.dt, range(n_steps), lambda n: 1j * (vals[n] @ rows))
+        for _, v in steps:
+            pass
+        want = h1_coords(v, GRID.k_max, cutoff).T
+        # compared as bit patterns, so a zero of the other sign fails too
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=str(level))
 
 
 def test_response_adjoint_identity():
