@@ -300,23 +300,9 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def build_initial(cfg: ExperimentConfig, which: str = "a") -> FourierField:
+    key, salt = ("initial", 0) if which == "a" else ("initial_b", 1)
     p = cfg.params
-    if which == "a":
-        name, amp, mode, tail, salt = (
-            p["initial"],
-            p["initial_amplitude"],
-            p["initial_mode"],
-            p["initial_tail"],
-            0,
-        )
-    else:
-        name, amp, mode, tail, salt = (
-            p["initial_b"],
-            p["initial_b_amplitude"],
-            p["initial_b_mode"],
-            p["initial_b_tail"],
-            1,
-        )
+    name, amp, mode, tail = (p[key + suffix] for suffix in ("", "_amplitude", "_mode", "_tail"))
     grid = cfg.grid
     if name == "zero":
         return zero_field(grid)
@@ -386,21 +372,22 @@ def _run_decay(cfg: ExperimentConfig, out: str) -> tuple:
     return [curve], report
 
 
-def _warm_base(cfg: ExperimentConfig):
-    """Warm the chain, then one forced unit-time trajectory as the base."""
+def _warm_state(cfg: ExperimentConfig) -> tuple:
+    """The warmed chain state y and the realization zeta of its next step."""
     p = cfg.params
-    stride1 = replace(cfg.solver, store_stride=1)
     u0 = build_initial(cfg)
-    y = warm_start(u0, p["warm_steps"], cfg.noise, stride1, cfg.master_seed) if p["warm_steps"] else u0
+    y = warm_start(u0, p["warm_steps"], cfg.noise, cfg.solver, cfg.master_seed)
     (zeta,) = sample_noise_paths(
         cfg.noise, [chain_seed_record(cfg.master_seed, 0, 0, p["warm_steps"])]
     )
-    return solve_nls(y, zeta, 1.0, stride1), zeta, stride1
+    return y, zeta
 
 
 def _run_gramian(cfg: ExperimentConfig, out: str) -> tuple:
     p = cfg.params
-    base, _, _ = _warm_base(cfg)
+    y, zeta = _warm_state(cfg)
+    # the Gramian linearizes its base at every step
+    base = solve_nls(y, zeta, 1.0, replace(cfg.solver, store_stride=1))
     report = assemble_gramian(
         base,
         cfg.noise.modes,
@@ -413,8 +400,7 @@ def _run_gramian(cfg: ExperimentConfig, out: str) -> tuple:
 
 def _run_stabilize(cfg: ExperimentConfig, out: str) -> tuple:
     p = cfg.params
-    base, zeta, stride1 = _warm_base(cfg)
-    y = base.state(0)
+    y, zeta = _warm_state(cfg)
     bump = random_h1_field(cfg.grid, p["delta"], 2.0, cfg.master_seed, 3)
     x = y + bump
     report = contraction_test(
@@ -422,7 +408,7 @@ def _run_stabilize(cfg: ExperimentConfig, out: str) -> tuple:
         x,
         zeta,
         p["gamma"],
-        stride1,
+        cfg.solver,
         time_level=p["time_level"],
         galerkin_cutoff=p["galerkin_cutoff"],
         tau0=p["tau0"],
@@ -438,13 +424,12 @@ def _run_couple(cfg: ExperimentConfig, out: str) -> tuple:
         x0 = build_initial(cfg, "b")
     else:
         x0 = y0 + random_h1_field(cfg.grid, p["delta"], 2.0, cfg.master_seed, 2)
-    stride1 = replace(cfg.solver, store_stride=1)
     report = synchronous_coupling_experiment(
         y0,
         x0,
         p["n_steps"],
         cfg.noise,
-        stride1,
+        cfg.solver,
         cfg.master_seed,
         use_control=p["use_control"],
         gamma=p["gamma"],

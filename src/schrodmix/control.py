@@ -220,8 +220,7 @@ def contraction_test(
     """Run S(y, zeta) against S(x, xi) with the stabilizing shift and compare
     the coupled separation to the initial one, alongside the unshifted run.
     Separations are measured in equivalent_norm with the given tau0."""
-    if cfg.store_stride != 1:
-        cfg = replace(cfg, store_stride=1)
+    cfg = replace(cfg, store_stride=1)  # the base is linearized at every step
     base_y = solve_nls(y, zeta, 1.0, cfg)
     cmap = build_control_basis_map(base_y, zeta.spec.modes, time_level, galerkin_cutoff)
     shift = stabilizing_shift(base_y, x, gamma, cmap)
@@ -231,30 +230,19 @@ def contraction_test(
     s_x_plain = markov_step(x, zeta, cfg)
 
     norm = lambda f: equivalent_norm(f, cfg, tau0)
-    kind = "h1_after_group(tau0=%g)" % tau0
     sep0 = norm(y - x)
-    if sep0 == 0.0:
-        # x = y leaves nothing to contract; 0/0 is reported as 0 by convention
-        return StabilizationReport(
-            gamma=gamma,
-            q_ratio=0.0,
-            uncontrolled_ratio=0.0,
-            shift_norm=shift.shift_norm,
-            success=True,
-            norm_kind=kind,
-            separation=0.0,
-            seeds=tuple(seeds),
-            degenerate=True,
-        )
-    q = norm(s_y - s_x_shifted) / sep0
-    q_plain = norm(s_y - s_x_plain) / sep0
+    # x = y leaves nothing to contract; 0/0 is reported as 0 by convention
+    degenerate = sep0 == 0.0
+    q = 0.0 if degenerate else norm(s_y - s_x_shifted) / sep0
+    q_plain = 0.0 if degenerate else norm(s_y - s_x_plain) / sep0
     return StabilizationReport(
         gamma=gamma,
         q_ratio=q,
         uncontrolled_ratio=q_plain,
         shift_norm=shift.shift_norm,
         success=bool(q < 1.0),
-        norm_kind=kind,
+        norm_kind="h1_after_group(tau0=%g)" % tau0,
         separation=sep0,
         seeds=tuple(seeds),
+        degenerate=degenerate,
     )

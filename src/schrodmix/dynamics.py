@@ -18,10 +18,12 @@ anyway: a step costs one padded inverse FFT and one padded FFT.
 One kernel, _split_steps, runs every flow that shares this splitting: it
 takes the middle substep N as a parameter.  Its substeps are the
 nonlinear/forcing step above (_evolve), the frozen-coefficient tangent
-midpoint rule (linearized._midpoint), that rule's exact adjoint run backward
-in time with conjugated phases (linearized._midpoint_adjoint; D_half is real
-and diagonal, so it is its own adjoint), and the identity, which makes
-linear_group the damped free group of the same splitting.
+midpoint rule (linearized._midpoint), the same rule with c1 negated run
+backward in time with conjugated phases, which is its exact adjoint (D_half
+is real and diagonal, so it is its own adjoint), and the identity, which
+makes linear_group the damped free group of the same splitting.  The frozen
+coefficients of the tangent rule belong to the base run they linearize:
+Trajectory.tangent_coefficients builds them once per base.
 
 All state arrays carry the mode axis last and arbitrary batch axes in
 front, which is what keeps ensemble runs affordable.
@@ -300,6 +302,24 @@ class Trajectory:
     def norms(self, s: float = 1.0) -> np.ndarray:
         return np.sqrt(hs_norm_sq(self.coeffs, s))
 
+    @cached_property
+    def tangent_coefficients(self) -> tuple:
+        """The frozen coefficients of the tangent flow along this run.
+
+        The derivative of |u|^{p-1} u at the midpoint state u of each step:
+        c1 = ((p+1)/2)|u|^{p-1} (real) and c2 = ((p-1)/2)|u|^{p-3} u^2, on
+        the padded grid, shape (n_steps, n_pad) each.  Built on first use
+        and kept as long as the run.
+        """
+        cfg = self.config
+        if cfg.store_stride != 1:
+            raise ValidationError("linearization needs a base stored at every step")
+        p = cfg.p
+        u = synth(0.5 * (self.coeffs[:-1] + self.coeffs[1:]), cfg._tab.n_pad)
+        c1 = ((p + 1) / 2.0) * _amp_pow(u, p)
+        c2 = ((p - 1) / 2.0) * (u**2 if p == 3 else u**2 * _amp_pow(u, p - 2))
+        return c1, c2
+
 
 def _as_path_list(forcing, horizon: float, cfg: SolverConfig):
     if forcing is None:
@@ -350,6 +370,8 @@ def markov_step_batch(coeffs: np.ndarray, paths, cfg: SolverConfig) -> np.ndarra
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2 or coeffs.shape[0] != len(paths):
         raise ValidationError("need one path per batch row")
+    if not paths:
+        return np.empty((0, cfg.grid.n_coeff), dtype=np.complex128)
     n_steps = cfg.steps_for(1.0)
     drive = _noise_drive([[p] for p in paths], cfg)
     _, _, final = _evolve(coeffs, cfg, n_steps, drive, False)

@@ -6,12 +6,19 @@ The forward tangent flow solves
     i v_t + v_xx + i a(x) v = ((p+1)/2)|u|^{p-1} v + ((p-1)/2)|u|^{p-3} u^2 conj(v) + g
 
 with u frozen per substep (midpoint interpolation of the stored base), using
-the same splitting as the nonlinear stepper.  The backward flow applies the
-exact real-L2 adjoint of each forward substep in reverse order, so the real
-pairing Re<v(t), phi(t)> is conserved to round-off by construction, and the
-stored states solve
+the same splitting as the nonlinear stepper.  The frozen coefficients (c1, c2)
+belong to the base: Trajectory.tangent_coefficients builds them once, on a
+base stored at every step, and every tangent, adjoint and control solve on
+that base reads them there.  The substep is one midpoint rule for
+w' = -i(c1 w + c2 conj(w)).  Its real-L2 transpose is the same rule with c1
+negated, so the backward flow runs that rule in reverse step order with
+conjugated phases; the real pairing Re<v(t), phi(t)> is then conserved to
+round-off by construction, and the stored states solve
 
     i phi_t + phi_xx - i a(x) phi = ((p+1)/2)|u|^{p-1} phi - ((p-1)/2)|u|^{p-3} u^2 conj(phi).
+
+Tangent and adjoint runs are Trajectory objects on the base's grid, times and
+solver config.
 
 The control response matrix is the one forced tangent solve.  Its columns
 are driven by the Haar-in-time control basis, and a column is exactly zero
@@ -26,49 +33,16 @@ a Galerkin band |k| <= cutoff, where the coordinate map
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .dynamics import Trajectory, _split_steps
 from .noise import haar_basis, haar_time_keys
-from .spectral import FourierField, ROOT_2PI, ValidationError, synth
+from .spectral import FourierField, ROOT_2PI, ValidationError
 
 _TIME_TOL = 1.0e-9
-
-
-@dataclass
-class LinearizedRun:
-    """Tangent or adjoint states stored on the base trajectory's time grid."""
-
-    base: Trajectory
-    times: np.ndarray
-    coeffs: np.ndarray = field(repr=False)
-
-    def state(self, i: int) -> FourierField:
-        return FourierField(self.base.grid, self.coeffs[i])
-
-    @property
-    def endpoint(self) -> FourierField:
-        return self.state(-1)
-
-
-def _base_tables(base: Trajectory):
-    """Frozen-coefficient data per step: c1 real, c2 complex on the padded grid."""
-    cfg = base.config
-    if cfg.store_stride != 1:
-        raise ValidationError("linearization needs a base stored at every step")
-    tab = cfg._tab
-    mids = 0.5 * (base.coeffs[:-1] + base.coeffs[1:])
-    u = synth(mids, tab.n_pad)
-    a2 = u.real**2 + u.imag**2
-    p = cfg.p
-    r = a2 if p == 3 else a2 ** ((p - 1) // 2)
-    w = u**2 if p == 3 else u**2 * a2 ** ((p - 3) // 2)
-    c1 = ((p + 1) / 2.0) * r
-    c2 = ((p - 1) / 2.0) * w
-    return tab, c1, c2
 
 
 def _forward_steps(v, tab, c1, c2, dt, steps, drive_ig=None):
@@ -94,58 +68,50 @@ def _midpoint(w, c1, c2, dt, ig):
     return w + dt * rhs(wm)
 
 
-def _midpoint_adjoint(w, c1, c2, dt):
-    def rhs(z):
-        return 1j * (c1 * z - c2 * np.conj(z))
-
-    wm = w + (0.5 * dt) * rhs(w)
-    return w + dt * rhs(wm)
-
-
-def solve_linearized(base: Trajectory, v0: FourierField) -> LinearizedRun:
+def solve_linearized(base: Trajectory, v0: FourierField) -> Trajectory:
     """Unforced tangent flow along base from v0."""
     if v0.grid != base.grid:
         raise ValidationError("direction lives on a different grid")
-    tab, c1, c2 = _base_tables(base)
+    cfg = base.config
+    c1, c2 = base.tangent_coefficients
     v = v0.coeffs.astype(np.complex128)
     stored = [v]
-    for _, v in _forward_steps(v, tab, c1, c2, base.config.dt, range(c1.shape[0])):
+    for _, v in _forward_steps(v, cfg._tab, c1, c2, cfg.dt, range(c1.shape[0])):
         stored.append(v)
-    return LinearizedRun(base, base.times.copy(), np.stack(stored))
+    return Trajectory(base.grid, base.times.copy(), np.stack(stored), cfg)
 
 
-def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> LinearizedRun:
+def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> Trajectory:
     """Backward adjoint flow: phi at every base time, phi(T) = phi1.
 
-    Applies the exact real-L2 adjoint of each forward substep in reverse, so
+    Applies the exact real-L2 adjoint of each forward substep in reverse (the
+    tangent midpoint rule with c1 negated, and conjugated phases), so
     Re<v(t_n), phi(t_n)> is constant in n for any tangent solution v.
     """
     if phi1.grid != base.grid:
         raise ValidationError("terminal state lives on a different grid")
-    tab, c1, c2 = _base_tables(base)
+    cfg = base.config
+    c1, c2 = base.tangent_coefficients
+    tab = cfg._tab
     adj = SimpleNamespace(
         **{**vars(tab), "phase_in": np.conj(tab.phase_in), "phase_out": np.conj(tab.phase_out)}
     )
-    dt = base.config.dt
     phi = phi1.coeffs.astype(np.complex128)
     stored = [phi]
 
     def substep(n, w):
-        return _midpoint_adjoint(w, c1[n], c2[n], dt)
+        return _midpoint(w, -c1[n], c2[n], cfg.dt, None)
 
     for _, phi in _split_steps(phi, adj, range(c1.shape[0] - 1, -1, -1), substep):
         stored.append(phi)
     stored.reverse()
-    return LinearizedRun(base, base.times.copy(), np.stack(stored))
+    return Trajectory(base.grid, base.times.copy(), np.stack(stored), cfg)
 
 
-def duality_pairing(v_run: LinearizedRun, phi_run: LinearizedRun, t: float) -> float:
-    """Re sum_k v_hat(t,k) conj(phi_hat(t,k)) at a stored time."""
-    i = int(np.argmin(np.abs(v_run.times - t)))
-    if abs(v_run.times[i] - t) > _TIME_TOL * max(1.0, abs(t)):
-        raise ValidationError("time %r not stored" % (t,))
-    j = int(np.argmin(np.abs(phi_run.times - t)))
-    return float(np.sum(v_run.coeffs[i] * np.conj(phi_run.coeffs[j])).real)
+def duality_pairing(v_run: Trajectory, phi_run: Trajectory, t: float) -> float:
+    """Re sum_k v_hat(t,k) conj(phi_hat(t,k)) at a time both runs store."""
+    v, phi = v_run.coeffs[v_run.index_at(t)], phi_run.coeffs[phi_run.index_at(t)]
+    return float(np.sum(v * np.conj(phi)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +196,8 @@ def control_response_matrix(base: Trajectory, modes, time_level: int, cutoff: in
     order = np.argsort(first, kind="stable")
     vals, first = vals[:, order], first[order]
 
-    tab, c1, c2 = _base_tables(base)
+    tab = cfg._tab
+    c1, c2 = base.tangent_coefficients
     rows = np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))
     v = np.zeros((0, base.grid.n_coeff), dtype=np.complex128)
     for lo in range(0, n_steps, per_cell):

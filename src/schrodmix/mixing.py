@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,9 +31,10 @@ def chain_seed_record(master_seed: int, tag: int, chain: int, step: int) -> tupl
     return (int(master_seed), int(tag), int(chain), int(step))
 
 
-# Chains are advanced in fixed-size row blocks.  The block size is a code
-# constant, never derived from the worker count, so the batched FFT shapes
-# (and with them every last bit of the result) do not depend on scheduling.
+# Chains are advanced in row blocks of this many chains.  A row's result is
+# bitwise the same in any block (no per-step quantity is a product over
+# rows), so the size does not set the bits: it bounds the memory that one
+# block's padded buffers hold at once.
 ENSEMBLE_BLOCK = 64
 
 
@@ -271,8 +272,6 @@ def mixing_experiment(
     spec: NoiseSpec,
     cfg: SolverConfig,
     master_seed: int,
-    dictionary: ObservableDictionary = None,
-    alt_dictionary: ObservableDictionary = None,
 ) -> MixReport:
     """Evolve two independent ensembles and track their dictionary distance.
 
@@ -283,16 +282,14 @@ def mixing_experiment(
     """
     grid = cfg.grid
     zero = FourierField(grid, np.zeros(grid.n_coeff, complex))
-    if dictionary is None:
-        dictionary = default_dictionary(grid, anchors=(u0_a, u0_b, zero))
-    if alt_dictionary is None:
-        alt_dictionary = default_dictionary(
-            grid,
-            anchors=(0.5 * (u0_a + u0_b), u0_b, 0.5 * u0_a),
-            coeff_modes=(0, 1, 3),
-            phases=(0.7, 2.1),
-            alpha=2.0,
-        )
+    dictionary = default_dictionary(grid, anchors=(u0_a, u0_b, zero))
+    alt_dictionary = default_dictionary(
+        grid,
+        anchors=(0.5 * (u0_a + u0_b), u0_b, 0.5 * u0_a),
+        coeff_modes=(0, 1, 3),
+        phases=(0.7, 2.1),
+        alpha=2.0,
+    )
     ens_a = Ensemble.from_field(u0_a, n_chains, master_seed, ENSEMBLE_TAGS[0])
     ens_b = Ensemble.from_field(u0_b, n_chains, master_seed, ENSEMBLE_TAGS[1])
     dists = [dual_lipschitz_estimate(ens_a, ens_b, dictionary)]
@@ -385,9 +382,10 @@ def synchronous_coupling_experiment(
     law (identical seeds give identical states); with control the x chain
     follows the shifted realization and the per-step separation ratios are
     recorded.  Separations are measured in equivalent_norm with the given tau0.
+    With control, each step's y run is solved at store_stride 1, whatever
+    cfg's stride, because the control linearizes it at every step.
     """
-    if cfg.store_stride != 1 and use_control:
-        raise ValidationError("controlled coupling needs store_stride=1")
+    base_cfg = replace(cfg, store_stride=1)
     norm = lambda f: equivalent_norm(f, cfg, tau0)
     kind = "h1_after_group(tau0=%g)" % tau0
     y, x = y0, x0
@@ -396,7 +394,7 @@ def synchronous_coupling_experiment(
     for n in range(n_steps):
         (zeta,) = sample_noise_paths(spec, [chain_seed_record(master_seed, SOLO_TAG, 0, n)])
         if use_control:
-            base_y = solve_nls(y, zeta, 1.0, cfg)
+            base_y = solve_nls(y, zeta, 1.0, base_cfg)
             cmap = build_control_basis_map(base_y, spec.modes, time_level, galerkin_cutoff)
             shift = stabilizing_shift(base_y, x, gamma, cmap)
             y = base_y.endpoint

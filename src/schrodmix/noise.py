@@ -133,7 +133,6 @@ def haar_inner(j: int, l: int, jp: int, lp: int, normalized: bool = False) -> Fr
     return raw * Fraction(2 ** ((j + jp) // 2))
 
 
-@dataclass(frozen=True)
 class RhoSpec:
     """Sampling density for the Haar coefficients: raised cosine on [-1, 1].
 
@@ -147,12 +146,6 @@ class RhoSpec:
     count is fixed and every operation is elementwise, so a draw is a
     deterministic function of its own uniform alone, whatever array it is in.
     """
-
-    kind: str = "raised_cosine"
-
-    def __post_init__(self):
-        if self.kind != "raised_cosine":
-            raise ValidationError("unknown density kind %r" % (self.kind,))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -213,7 +206,6 @@ class NoiseSpec:
     haar_c: float = 0.5
     haar_q: float = 2.0
     level_max: int = 6
-    rho: RhoSpec = field(default_factory=RhoSpec)
 
     def __post_init__(self):
         if len(self.modes) == 0:
@@ -266,7 +258,6 @@ class NoisePath:
     spec: NoiseSpec
     cells: np.ndarray = field(repr=False)
     seed_record: tuple | None = None
-    note: str = ""
 
     def __post_init__(self):
         c = np.asarray(self.cells, dtype=np.complex128)
@@ -291,11 +282,15 @@ class NoisePath:
     def sup_norm(self, mode_index: int) -> float:
         return float(np.abs(self.cells[mode_index]).max()) * self.spec.amplitudes[mode_index]
 
-    def shifted(self, delta_cells: np.ndarray, note: str = "shifted") -> "NoisePath":
+    def shifted(self, delta_cells: np.ndarray) -> "NoisePath":
         delta = np.asarray(delta_cells, dtype=np.complex128)
         if delta.shape != self.cells.shape:
             raise ValidationError("shift shape mismatch")
-        return NoisePath(self.spec, self.cells - delta, self.seed_record, note)
+        return NoisePath(self.spec, self.cells - delta, self.seed_record)
+
+
+# the one sampling density of the Haar coefficients
+_RHO = RhoSpec()
 
 
 def _mode_uniforms(spec: NoiseSpec, seed_record, mode_index: int) -> np.ndarray:
@@ -325,7 +320,7 @@ def sample_noise_paths(spec: NoiseSpec, seed_records) -> list:
             stack[i, m] = _mode_uniforms(spec, rec, m)
     # z[..., p] is key p of haar_time_keys.  Gathers and elementwise sums only
     # (no matrix product over records), so a path is the same in any block.
-    z = spec.rho.ppf(stack).view(np.complex128)[..., 0]
+    z = _RHO.ppf(stack).view(np.complex128)[..., 0]
     idx, sign = haar_cells(spec.level_max, spec.n_cells)
     vals = z[..., idx[0]]
     for j, w in enumerate(spec.level_weights, start=1):

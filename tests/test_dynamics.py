@@ -243,6 +243,11 @@ def test_markov_step_batch_matches_scalar():
         markov_step_batch(block, paths[:2], cfg)
 
 
+def test_markov_step_batch_of_no_rows():
+    out = markov_step_batch(np.zeros((0, GRID.n_coeff)), [], damped_cfg())
+    assert out.shape == (0, GRID.n_coeff) and out.dtype == np.complex128
+
+
 @settings(max_examples=8, deadline=None, database=None, derandomize=True)
 @given(n_rows=st.integers(1, 70), seed=st.integers(0, 2**16))
 def test_markov_step_batch_rows_match_alone(n_rows, seed):

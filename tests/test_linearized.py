@@ -1,5 +1,6 @@
 """Linearized flow, backward adjoint, control response matrix, and Gramian assembly."""
 
+import functools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from schrodmix import (
     Grid,
     NoiseSpec,
     SolverConfig,
+    Trajectory,
     ValidationError,
     assemble_gramian,
     basis_field,
@@ -30,7 +32,6 @@ from schrodmix import (
 from schrodmix.config import random_h1_field
 from schrodmix.control import compact_T_apply
 from schrodmix.linearized import (
-    _base_tables,
     _forward_steps,
     control_response_matrix,
     coords_to_coeffs,
@@ -145,6 +146,19 @@ def test_duality_constant_mode_zero():
     np.testing.assert_allclose(duality_pairing(v2, phi, 0.5), 2.0, rtol=1e-12)
 
 
+def test_duality_pairing_needs_both_times_stored():
+    # the adjoint's base takes half the step over half the horizon, so t = 1
+    # is stored by the tangent run only: the pairing may not fall back on
+    # the adjoint's nearest row
+    e0 = basis_field(GRID, 0, 1.0)
+    v = solve_linearized(zero_base(free_cfg()), e0)
+    half = SolverConfig(grid=GRID, damping=zero_damping(GRID), dt=DT / 2)
+    phi = solve_adjoint_backward(solve_nls(zero_field(GRID), None, 0.5, half), e0)
+    np.testing.assert_allclose(duality_pairing(v, phi, 0.5), 1.0, rtol=1e-12)
+    with pytest.raises(ValidationError, match="not on the stored grid"):
+        duality_pairing(v, phi, 1.0)
+
+
 def test_duality_drift_on_noisy_base():
     cfg = damped_cfg()
     base = noisy_base(cfg, seed=23)
@@ -177,7 +191,8 @@ def test_response_matrix_matches_dense_march(p):
     base = noisy_base(cfg)
     modes, cutoff = (0, 1), 12
     n_steps = base.n_stored - 1
-    tab, c1, c2 = _base_tables(base)
+    tab = cfg._tab
+    c1, c2 = base.tangent_coefficients
     rows = np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))
     for level in (0, 1, 3, 6):
         got, keys = control_response_matrix(base, modes, level, cutoff)
@@ -192,6 +207,25 @@ def test_response_matrix_matches_dense_march(p):
         want = h1_coords(v, GRID.k_max, cutoff).T
         # compared as bit patterns, so a zero of the other sign fails too
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=str(level))
+
+
+def test_tangent_coefficients_built_once_per_base(monkeypatch):
+    # the control map, T and the adjoint on one base share its coefficients
+    builds = []
+    build = Trajectory.__dict__["tangent_coefficients"].func
+
+    def counted(base):
+        builds.append(base)
+        return build(base)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Trajectory, "tangent_coefficients")
+    monkeypatch.setattr(Trajectory, "tangent_coefficients", prop)
+    base = noisy_base(damped_cfg())
+    control_response_matrix(base, (0, 1), 2, 8)
+    compact_T_apply(base, random_h1_field(GRID, 1e-3, 2.0, 5, 0))
+    solve_adjoint_backward(base, random_h1_field(GRID, 1.0, 2.0, 5, 1))
+    assert builds == [base]
 
 
 def test_response_adjoint_identity():

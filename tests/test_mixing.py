@@ -20,6 +20,7 @@ from schrodmix import (
     attractor_proximity,
     basis_field,
     bump_damping,
+    contraction_test,
     decay_experiment,
     default_dictionary,
     dual_lipschitz_estimate,
@@ -28,12 +29,13 @@ from schrodmix import (
     mixing_experiment,
     report_dict,
     run_chain,
+    sample_noise_paths,
     sobolev_norm,
     synchronous_coupling_experiment,
     zero_field,
 )
 from schrodmix.config import random_h1_field
-from schrodmix.mixing import ENSEMBLE_BLOCK, chain_seed_record, warm_start
+from schrodmix.mixing import ENSEMBLE_BLOCK, SOLO_TAG, chain_seed_record, warm_start
 
 GRID = Grid(64, 20)
 DT = 2.0**-7
@@ -256,6 +258,24 @@ def test_coupling_marginals_match_solo_chains():
     np.testing.assert_allclose(rep.ratios, rep.separations[1:] / rep.separations[:-1])
     assert not rep.use_control
     assert np.all(rep.shift_norms == 0.0)
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+def test_controlled_coupling_step_is_the_contraction_test(stride):
+    # one controlled coupled step is the contraction experiment on the same
+    # states and realization, bit for bit; both solve their base at every
+    # step whatever the stride of cfg
+    cfg = damped_cfg(store_stride=stride)
+    spec = small_spec()
+    y0 = random_h1_field(GRID, 0.5, 3.0, 10, 0)
+    x0 = y0 + random_h1_field(GRID, 1e-3, 2.0, 10, 1)
+    kw = dict(time_level=1, galerkin_cutoff=4)
+    rep = synchronous_coupling_experiment(y0, x0, 1, spec, cfg, 13, use_control=True, **kw)
+    (zeta,) = sample_noise_paths(spec, [chain_seed_record(13, SOLO_TAG, 0, 0)])
+    want = contraction_test(y0, x0, zeta, rep.gamma, cfg, **kw)
+    got = (rep.ratios[0], rep.shift_norms[0], rep.separations[0])
+    assert got == (want.q_ratio, want.shift_norm, want.separation)
+    assert want.shift_norm > 0 and not want.degenerate
 
 
 def test_coupling_report_json():
