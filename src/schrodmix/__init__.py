@@ -2,8 +2,8 @@
 Schrodinger equation on the one-dimensional torus.
 
 The pieces: band-limited fields and Sobolev bookkeeping (spectral), Haar-cell
-colored noise (noise), a Strang-split integrator and resonance calculus
-(dynamics), linearized/adjoint flows and controllability Gramians
+colored noise (noise), a Strang-split integrator, the energy and resonance
+calculus (dynamics), linearized/adjoint flows and controllability Gramians
 (linearized), pseudo-inverse control synthesis and contraction experiments
 (control), ensemble mixing diagnostics (mixing), and config/CLI/persistence
 plumbing (config, cli, store).
@@ -17,7 +17,6 @@ from .spectral import (
     basis_field,
     bump_damping,
     constant_damping,
-    energy,
     plane_wave,
     sobolev_norm,
     to_physical,
@@ -40,6 +39,7 @@ from .dynamics import (
     BlowUpError,
     SolverConfig,
     Trajectory,
+    energy,
     energy_series,
     linear_group,
     markov_step,

@@ -36,6 +36,7 @@ from .spectral import (
     bump_damping,
     constant_damping,
     hs_norm_sq,
+    mode_weights,
     plane_wave,
     sobolev_norm,
     zero_damping,
@@ -320,8 +321,7 @@ def build_initial(cfg: ExperimentConfig, which: str = "a") -> FourierField:
 def random_h1_field(grid: Grid, amplitude: float, tail: float, seed: int, salt: int) -> FourierField:
     """Gaussian coefficients shaped by <k>^-tail, scaled to the target H1 norm."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 777, int(salt))))
-    k = grid.modes.astype(float)
-    mag = (1.0 + k**2) ** (-tail / 2.0)
+    mag = mode_weights(grid.k_max, -tail / 2.0)
     z = rng.standard_normal(grid.n_coeff) + 1j * rng.standard_normal(grid.n_coeff)
     c = z * mag
     norm = math.sqrt(float(hs_norm_sq(c, 1.0)))

@@ -25,6 +25,9 @@ makes linear_group the damped free group of the same splitting.  The frozen
 coefficients of the tangent rule belong to the base run they linearize:
 Trajectory.tangent_coefficients builds them once per base.
 
+Everything that depends on p and its padded grid lives here, beside the
+nonlinearity: pad_points, the energy and lp_power_integral.
+
 All state arrays carry the mode axis last and arbitrary batch axes in
 front, which is what keeps ensemble runs affordable.
 """
@@ -48,8 +51,6 @@ from .spectral import (
     ValidationError,
     analyze,
     hs_norm_sq,
-    lp_power_integral,
-    pad_points,
     synth,
 )
 
@@ -92,8 +93,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.dt <= MAX_DT * (1 + 1e-12)):
             raise ValidationError("dt must sit in (0, %g], got %r" % (MAX_DT, self.dt))
-        if self.p < 3 or self.p % 2 == 0:
-            raise ValidationError("p must be odd and >= 3")
+        _check_power(self.p)
         if self.store_stride < 1 or int(self.store_stride) != self.store_stride:
             raise ValidationError("store_stride must be a positive integer")
         if self.damping.grid != self.grid:
@@ -112,6 +112,29 @@ class SolverConfig:
         return _step_tables(self.grid, self.damping, self.dt, self.p)
 
 
+def _check_power(p: int) -> None:
+    if p < 3 or p % 2 == 0:
+        raise ValidationError("p must be odd and >= 3, got %r" % (p,))
+
+
+def _five_smooth_even(n: int) -> int:
+    """Smallest even integer >= n with no prime factor beyond 5 (FFT friendly)."""
+    m = n if n % 2 == 0 else n + 1
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 2
+
+
+def pad_points(k_max: int, p: int) -> int:
+    """Physical resolution that keeps p-fold products of band-K fields alias-free."""
+    return _five_smooth_even((p + 1) * k_max + 2)
+
+
 def _step_tables(grid: Grid, damping: DampingProfile, dt: float, p: int) -> SimpleNamespace:
     """Per-step tables of the split step of size dt.
 
@@ -128,7 +151,6 @@ def _step_tables(grid: Grid, damping: DampingProfile, dt: float, p: int) -> Simp
         phase_in=phase_half * (n_pad / ROOT_2PI),
         phase_out=phase_half * (ROOT_2PI / n_pad),
         decay=np.exp(-damping.at(x_pad) * (dt / 2.0)),
-        h1_weights=1.0 + k.astype(float) ** 2,
         x_pad=x_pad,
     )
 
@@ -236,11 +258,6 @@ def _row_drive(paths, cfg: SolverConfig):
     return lambda step: block(step)[0]
 
 
-def _h1_sq(u: np.ndarray, tab) -> np.ndarray:
-    """Squared H1 norm per row, reduced along the last axis row by row."""
-    return np.add.reduce((u.real**2 + u.imag**2) * tab.h1_weights, axis=-1)
-
-
 def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, drive, collect: bool):
     """Nonlinear flow over n_steps.  u has shape (..., n_coeff); drive(n) is
     the padded physical forcing of step n, or drive is None.  Returns
@@ -259,7 +276,7 @@ def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, drive, collect: bool
     times = [0.0]
     stored = [u] if collect else []
     for n, u in _split_steps(u, tab, range(n_steps), substep):
-        h1 = _h1_sq(u, tab)
+        h1 = hs_norm_sq(u, 1.0)
         if not (h1.max() <= thr2):  # NaN compares false, so it trips too
             row = int(np.argmax(h1))
             raise BlowUpError(n + 1, (n + 1) * dt, float(np.sqrt(h1.flat[row])), row)
@@ -368,8 +385,9 @@ def markov_step(u0: FourierField, path: NoisePath, cfg: SolverConfig) -> Fourier
 def markov_step_batch(coeffs: np.ndarray, paths, cfg: SolverConfig) -> np.ndarray:
     """Batched unit step: coeffs (B, n_coeff) under per-row noise paths."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.ndim != 2 or coeffs.shape[0] != len(paths):
-        raise ValidationError("need one path per batch row")
+    if coeffs.shape != (len(paths), cfg.grid.n_coeff):
+        raise ValidationError("need one row of %d coefficients per path, got shape %r"
+                              % (cfg.grid.n_coeff, coeffs.shape))
     if not paths:
         return np.empty((0, cfg.grid.n_coeff), dtype=np.complex128)
     n_steps = cfg.steps_for(1.0)
@@ -404,39 +422,48 @@ def linear_group(
     return FourierField(u0.grid, u)
 
 
-def energy_series(coeffs: np.ndarray, p: int = 3) -> np.ndarray:
-    """Energy of each row of a (n, n_coeff) coefficient stack.
-
-    Bitwise equal to spectral.energy row by row, whatever the number of
-    rows: both reduce each row along its own axis in the same order.  The
-    potential term is synthesized in chunks so long trajectories do not hold
-    the padded grid all at once.
-    """
+def _padded_power_mean(coeffs: np.ndarray, q: int, p: int) -> np.ndarray:
+    """Mean of |u|^(q-1) on the padded grid of p along the last axis, each
+    row on its own: the one body behind the energy and lp_power_integral.
+    Rows are synthesized 2048 at a time, so long runs never hold the whole
+    padded block."""
     c = np.asarray(coeffs, dtype=np.complex128)
-    squeeze = c.ndim == 1
-    if squeeze:
-        c = c[None, :]
-    k_max = (c.shape[-1] - 1) // 2
-    k = np.arange(-k_max, k_max + 1, dtype=float)
-    quad = 0.5 * np.add.reduce((1.0 + k**2) * (c.real**2 + c.imag**2), axis=-1)
-    m = pad_points(k_max, p)
-    half = (p + 1) // 2
-    quart = np.empty(c.shape[0])
-    chunk = 2048
-    for lo in range(0, c.shape[0], chunk):
-        v = synth(c[lo : lo + chunk], m)
-        amp2 = v.real**2 + v.imag**2
-        quart[lo : lo + chunk] = np.mean(amp2**half, axis=-1)
-    out = quad + quart * TWO_PI / (p + 1)
-    return out[0] if squeeze else out
+    rows = c.reshape(-1, c.shape[-1])
+    m = pad_points((c.shape[-1] - 1) // 2, p)
+    out = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], 2048):
+        v = synth(rows[lo : lo + 2048], m)
+        out[lo : lo + 2048] = np.mean(_amp_pow(v, q), axis=-1)
+    return out.reshape(c.shape[:-1])
+
+
+def energy_series(coeffs: np.ndarray, p: int = 3) -> np.ndarray:
+    """(1/2)int |u|^2 + (1/2)int |u_x|^2 + 1/(p+1) int |u|^{p+1} along the
+    last axis: the one energy body, for one state or a stack of them."""
+    _check_power(p)
+    c = np.asarray(coeffs, dtype=np.complex128)
+    return 0.5 * hs_norm_sq(c, 1.0) + _padded_power_mean(c, p + 2, p) * TWO_PI / (p + 1)
+
+
+def energy(f: FourierField, p: int = 3) -> float:
+    """energy_series of one field, as a float."""
+    return float(energy_series(f.coeffs, p))
+
+
+def lp_power_integral(coeffs: np.ndarray, p: int) -> np.ndarray:
+    """int |u|^{p-1} dx along the last axis, exact for band-limited u; at
+    p = 3 it is the squared L2 norm (Parseval)."""
+    _check_power(p)
+    if p == 3:
+        return hs_norm_sq(coeffs, 0.0)
+    return _padded_power_mean(coeffs, p, p) * TWO_PI
 
 
 def phase_theta(traj: Trajectory, t: float) -> float:
     """Accumulated resonant phase ((p+1)/4pi) int_0^t ||u||_{L^{p-1}}^{p-1} ds."""
     i = traj.index_at(t)
     p = traj.config.p
-    pad = pad_points(traj.grid.k_max, p)
-    vals = lp_power_integral(traj.coeffs[: i + 1], p, pad)
+    vals = lp_power_integral(traj.coeffs[: i + 1], p)
     integral = float(np.trapezoid(vals, traj.times[: i + 1]))
     return (p + 1) / (4.0 * math.pi) * integral
 

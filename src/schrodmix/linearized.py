@@ -40,7 +40,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _split_steps
 from .noise import haar_basis, haar_time_keys
-from .spectral import FourierField, ROOT_2PI, ValidationError
+from .spectral import FourierField, ROOT_2PI, ValidationError, mode_weights
 
 _TIME_TOL = 1.0e-9
 
@@ -123,8 +123,7 @@ def h1_coords(coeffs: np.ndarray, k_max: int, cutoff: int) -> np.ndarray:
     if cutoff > k_max:
         raise ValidationError("cutoff exceeds the stored band")
     c = np.asarray(coeffs)[..., k_max - cutoff : k_max + cutoff + 1]
-    k = np.arange(-cutoff, cutoff + 1, dtype=float)
-    w = np.sqrt(1.0 + k**2)
+    w = np.sqrt(mode_weights(cutoff, 1.0))
     out = np.empty(c.shape[:-1] + (2 * c.shape[-1],), dtype=float)
     out[..., 0::2] = w * c.real
     out[..., 1::2] = w * c.imag
@@ -134,8 +133,7 @@ def h1_coords(coeffs: np.ndarray, k_max: int, cutoff: int) -> np.ndarray:
 def coords_to_coeffs(x: np.ndarray, cutoff: int, k_max: int) -> np.ndarray:
     """Inverse of h1_coords, zero outside the cutoff band."""
     x = np.asarray(x, dtype=float)
-    k = np.arange(-cutoff, cutoff + 1, dtype=float)
-    w = np.sqrt(1.0 + k**2)
+    w = np.sqrt(mode_weights(cutoff, 1.0))
     band = (x[..., 0::2] + 1j * x[..., 1::2]) / w
     out = np.zeros(x.shape[:-1] + (2 * k_max + 1,), dtype=np.complex128)
     out[..., k_max - cutoff : k_max + cutoff + 1] = band

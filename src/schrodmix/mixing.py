@@ -39,11 +39,12 @@ ENSEMBLE_BLOCK = 64
 
 
 def _worker_count() -> int:
-    try:
-        workers = int(os.environ.get("SCHRODMIX_WORKERS", "1") or "1")
-    except ValueError:
-        return 1
-    return max(1, workers)
+    """SCHRODMIX_WORKERS, 1 when unset or empty; anything but a positive
+    integer raises, so a typo does not quietly run serially."""
+    raw = os.environ.get("SCHRODMIX_WORKERS", "").strip()
+    if raw and not (raw.isdecimal() and int(raw) >= 1):
+        raise ValidationError("SCHRODMIX_WORKERS must be a positive integer, got %r" % (raw,))
+    return int(raw or 1)
 
 
 def run_chain(u0: FourierField, n_steps: int, spec: NoiseSpec, cfg: SolverConfig,
@@ -340,13 +341,8 @@ def attractor_proximity(states, s: float = 1.25) -> dict:
         raise ValidationError("need at least one state")
     grid = states[0].grid
     coeffs = np.stack([st.coeffs for st in states])
-    k_max = grid.k_max
-    cut = k_max // 2
-    k = grid.modes
-    tail_mask = np.abs(k) > cut
-    w1 = (1.0 + k.astype(float) ** 2) * tail_mask
-    amp2 = coeffs.real**2 + coeffs.imag**2
-    tail = np.sqrt(np.add.reduce(amp2 * w1, axis=-1))
+    cut = grid.k_max // 2
+    tail = np.sqrt(hs_norm_sq(coeffs * (np.abs(grid.modes) > cut), 1.0))
     hs = np.sqrt(hs_norm_sq(coeffs, s))
     return {"tail_h1": tail, "hs_norm": hs, "s": s, "tail_cutoff": cut}
 

@@ -1,16 +1,19 @@
-"""Grids, Fourier fields, norms and energy for 2pi-periodic complex fields.
+"""Grids, Fourier fields, Sobolev weights and norms, and damping profiles
+for 2pi-periodic complex fields.
 
 Fields are stored as coefficients in the orthonormal basis
 e_k(x) = exp(ikx)/sqrt(2pi), k = -k_max..k_max.  Coefficient arrays are
 ordered by increasing k, so index i holds mode k = i - k_max.  Physical
 samples live on the uniform grid x_j = 2pi j / n.  The transform helpers
 accept arbitrary leading batch axes; the mode axis is always last.
+Nothing here depends on the power p: the energy lives in dynamics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,17 +165,21 @@ def to_spectral(values, grid: Grid) -> FourierField:
     return FourierField(grid, analyze(values, grid.k_max))
 
 
+@lru_cache(maxsize=None)
 def mode_weights(k_max: int, s: float) -> np.ndarray:
+    """The one Sobolev weight table (1+k^2)^s, k = -k_max..k_max: cached
+    per (k_max, s) and read-only, so no caller can alter the shared copy."""
     k = np.arange(-k_max, k_max + 1)
-    return (1.0 + k.astype(float) ** 2) ** s
+    w = (1.0 + k.astype(float) ** 2) ** s
+    w.flags.writeable = False
+    return w
 
 
 def hs_norm_sq(coeffs: np.ndarray, s: float) -> np.ndarray:
-    """Squared H^s norm along the last axis (batched)."""
-    k_max = (np.asarray(coeffs).shape[-1] - 1) // 2
-    w = mode_weights(k_max, s)
+    """Squared H^s norm along the last axis, each row reduced on its own."""
     c = np.asarray(coeffs)
-    return np.sum(w * (c.real**2 + c.imag**2), axis=-1)
+    w = mode_weights((c.shape[-1] - 1) // 2, s)
+    return np.add.reduce(w * (c.real**2 + c.imag**2), axis=-1)
 
 
 def sobolev_norm(f: FourierField, s: float) -> float:
@@ -189,48 +196,6 @@ def real_inner(f: FourierField, g: FourierField, s: float = 0.0) -> float:
     f._check_same_grid(g)
     w = mode_weights(f.grid.k_max, s)
     return float(np.sum(w * (f.coeffs * np.conj(g.coeffs)).real))
-
-
-def _five_smooth_even(n: int) -> int:
-    """Smallest even integer >= n with no prime factor beyond 5 (FFT friendly)."""
-    m = n if n % 2 == 0 else n + 1
-    while True:
-        r = m
-        for p in (2, 3, 5):
-            while r % p == 0:
-                r //= p
-        if r == 1:
-            return m
-        m += 2
-
-
-def pad_points(k_max: int, p: int) -> int:
-    """Physical resolution that keeps p-fold products of band-K fields alias-free."""
-    return _five_smooth_even((p + 1) * k_max + 2)
-
-
-def energy(f: FourierField, p: int = 3) -> float:
-    """(1/2)int |v|^2 + (1/2)int |v_x|^2 + 1/(p+1) int |v|^{p+1}."""
-    if p < 3 or p % 2 == 0:
-        raise ValidationError("p must be odd and >= 3, got %r" % (p,))
-    c = f.coeffs
-    k = f.grid.modes.astype(float)
-    quad = 0.5 * float(np.sum((1.0 + k**2) * (c.real**2 + c.imag**2)))
-    m = pad_points(f.grid.k_max, p)
-    v = synth(c, m)
-    amp2 = v.real**2 + v.imag**2
-    quart = float(np.mean(amp2 ** ((p + 1) // 2))) * TWO_PI / (p + 1)
-    return quad + quart
-
-
-def lp_power_integral(coeffs: np.ndarray, p: int, pad: int) -> np.ndarray:
-    """int |u|^{p-1} dx along the last axis, exact for band-limited u (batched)."""
-    if p == 3:
-        c = np.asarray(coeffs)
-        return np.sum(c.real**2 + c.imag**2, axis=-1)
-    v = synth(coeffs, pad)
-    amp2 = v.real**2 + v.imag**2
-    return np.mean(amp2 ** ((p - 1) // 2), axis=-1) * TWO_PI
 
 
 @dataclass(frozen=True)

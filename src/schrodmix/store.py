@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from importlib import metadata
 from typing import get_type_hints
@@ -270,7 +270,12 @@ def report_dict(obj) -> dict:
 
 
 def report_from_dict(cls, d: dict):
-    """Inverse of report_dict; a field missing from d takes its default."""
+    """Inverse of report_dict; a field missing from d takes its default, and
+    a missing field without one is a ValidationError naming it."""
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValidationError("%s lacks field(s) %s" % (cls.__name__, ", ".join(missing)))
     return cls(**{name: _FROM_JSON[tp](d[name]) for name, tp in _field_types(cls) if name in d})
 
 

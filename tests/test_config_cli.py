@@ -534,6 +534,16 @@ def test_manifest_digests_and_round_trip(tmp_path):
     assert back.version == store.package_version()
 
 
+def test_read_manifest_names_missing_fields(tmp_path):
+    mpath = tmp_path / "manifest.json"
+    store.write_json_report(mpath, {"kind": "simulate", "master_seed": 4})
+    with pytest.raises(ValidationError, match="config_digest"):
+        store.read_manifest(mpath)
+    store.write_json_report(mpath, {"kind": "simulate"})
+    with pytest.raises(ValidationError, match="config_digest, master_seed"):
+        store.read_manifest(mpath)
+
+
 # ---------------------------------------------------------------------------
 # experiment runners
 

@@ -35,9 +35,10 @@ from schrodmix import (
     zero_field,
 )
 from schrodmix.config import random_h1_field
-from schrodmix.dynamics import _h1_sq, _noise_drive, energy_series
+from schrodmix.dynamics import _noise_drive, energy_series
 from schrodmix.linearized import control_response_matrix
 from schrodmix.noise import sample_noise_path
+from schrodmix.spectral import hs_norm_sq
 
 GRID = Grid(64, 20)
 DT = 2.0**-7
@@ -243,6 +244,12 @@ def test_markov_step_batch_matches_scalar():
         markov_step_batch(block, paths[:2], cfg)
 
 
+def test_markov_step_batch_rejects_wrong_width():
+    paths = [sample_noise_path(NoiseSpec(), (30, 0, 0, 0))]
+    with pytest.raises(ValidationError, match=str(GRID.n_coeff)):
+        markov_step_batch(np.zeros((1, 5)), paths, damped_cfg())
+
+
 def test_markov_step_batch_of_no_rows():
     out = markov_step_batch(np.zeros((0, GRID.n_coeff)), [], damped_cfg())
     assert out.shape == (0, GRID.n_coeff) and out.dtype == np.complex128
@@ -323,13 +330,13 @@ def test_noise_drive_rows_independent_of_block(n_rows, modes):
 
 @pytest.mark.parametrize("n_rows", [1, 64, 65])
 def test_blowup_norm_rows_independent_of_block(n_rows):
-    tab = damped_cfg()._tab
+    # the blow-up guard reads hs_norm_sq(u, 1.0) on the whole block
     rng = np.random.default_rng(n_rows)
     block = rng.normal(size=(n_rows, GRID.n_coeff)) + 1j * rng.normal(size=(n_rows, GRID.n_coeff))
-    h1 = _h1_sq(block, tab)
+    h1 = hs_norm_sq(block, 1.0)
     assert h1.shape == (n_rows,)
     for i in range(n_rows):
-        assert h1[i] == _h1_sq(block[i], tab)
+        assert h1[i] == hs_norm_sq(block[i], 1.0)
 
 
 def test_phase_theta_constant_amplitude():
@@ -399,7 +406,8 @@ def brute_nres(f1, f2, f3):
 def test_nmult_is_cubic_modulus_product():
     u = low_mode_field(1)
     got = nmult([u, u, u])
-    from schrodmix.spectral import pad_points, synth, analyze
+    from schrodmix.dynamics import pad_points
+    from schrodmix.spectral import synth, analyze
 
     n_pad = pad_points(GRID.k_max, 3)
     v = synth(u.coeffs, n_pad)
@@ -485,7 +493,8 @@ def test_smoothing_remainder_zero_and_identity():
 
 
 def test_energy_series_matches_energy():
-    # every row equals spectral.energy bitwise, whatever the block size
+    # every row equals the energy of that state alone, bitwise, whatever
+    # the block size
     rng = np.random.default_rng(14)
     for n_rows in (1, 4, 64, 65):
         shape = (n_rows, GRID.n_coeff)

@@ -35,7 +35,13 @@ from schrodmix import (
     zero_field,
 )
 from schrodmix.config import random_h1_field
-from schrodmix.mixing import ENSEMBLE_BLOCK, SOLO_TAG, chain_seed_record, warm_start
+from schrodmix.mixing import (
+    ENSEMBLE_BLOCK,
+    SOLO_TAG,
+    _worker_count,
+    chain_seed_record,
+    warm_start,
+)
 
 GRID = Grid(64, 20)
 DT = 2.0**-7
@@ -173,6 +179,20 @@ def test_worker_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("SCHRODMIX_WORKERS", "3")
     three = evolve_ensemble(ens, spec, cfg)
     np.testing.assert_array_equal(one.coeffs, three.coeffs)
+
+
+def test_worker_count_rejects_malformed_values(monkeypatch):
+    for raw in ("two", "0", "-3", "1.5"):
+        monkeypatch.setenv("SCHRODMIX_WORKERS", raw)
+        with pytest.raises(ValidationError, match="SCHRODMIX_WORKERS"):
+            _worker_count()
+    # unset or empty means one worker
+    monkeypatch.setenv("SCHRODMIX_WORKERS", "")
+    assert _worker_count() == 1
+    monkeypatch.delenv("SCHRODMIX_WORKERS")
+    assert _worker_count() == 1
+    monkeypatch.setenv("SCHRODMIX_WORKERS", "3")
+    assert _worker_count() == 3
 
 
 def test_loglinear_fit_recovers_line():

@@ -16,6 +16,7 @@ from schrodmix import (
     GramianReport,
     MixReport,
     StabilizationReport,
+    ValidationError,
     report_dict,
     report_from_dict,
 )
@@ -178,7 +179,7 @@ def test_report_from_dict_fills_defaults():
     legacy = dict(want)
     legacy.pop("degenerate")
     assert report_from_dict(StabilizationReport, legacy).degenerate is False
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError, match="q_ratio, uncontrolled_ratio"):
         report_from_dict(StabilizationReport, {"gamma": 1.0})
 
 

@@ -1,4 +1,5 @@
-"""Grids, transforms, norms, energy, damping profiles."""
+"""Grids, transforms, Sobolev weights and norms, damping profiles, and the
+energy and power integrals of dynamics that read them."""
 
 import math
 
@@ -20,14 +21,15 @@ from schrodmix import (
     zero_damping,
     zero_field,
 )
+from schrodmix.dynamics import energy_series, lp_power_integral, pad_points
 from schrodmix.spectral import (
     ROOT_2PI,
     DampingProfile,
     hs_norm_sq,
     l2_inner,
-    lp_power_integral,
-    pad_points,
+    mode_weights,
     real_inner,
+    synth,
 )
 
 GRID = Grid(128, 42)
@@ -197,10 +199,11 @@ def test_energy_plane_wave():
 
 def test_energy_validation():
     f = zero_field(GRID)
-    with pytest.raises(ValidationError):
-        energy(f, 4)
-    with pytest.raises(ValidationError):
-        energy(f, 1)
+    for p in (4, 1):
+        with pytest.raises(ValidationError):
+            energy(f, p)
+        with pytest.raises(ValidationError):
+            energy_series(f.coeffs[None, :], p)
 
 
 def test_energy_dominates_l2():
@@ -220,8 +223,29 @@ def test_hs_norm_sq_batched():
 
 def test_lp_power_integral_cubic_shortcut():
     f = random_field(GRID, 9, scale=0.5)
-    val = lp_power_integral(f.coeffs, 3, pad_points(GRID.k_max, 3))
+    val = lp_power_integral(f.coeffs, 3)
     np.testing.assert_allclose(val, np.sum(np.abs(f.coeffs) ** 2), rtol=1e-12)
+
+
+def test_lp_power_integral_resolves_its_power():
+    # the padded grid comes from p: |u|^4 at p = 5 matches a far finer grid
+    f = random_field(GRID, 10, scale=0.5)
+    fine = np.mean(np.abs(synth(f.coeffs, 8 * GRID.n_points)) ** 4) * 2.0 * math.pi
+    np.testing.assert_allclose(lp_power_integral(f.coeffs, 5), fine, rtol=1e-12)
+    with pytest.raises(ValidationError):
+        lp_power_integral(f.coeffs, 4)
+
+
+def test_mode_weights_cached_read_only():
+    w = mode_weights(GRID.k_max, 1.0)
+    assert mode_weights(GRID.k_max, 1.0) is w
+    assert mode_weights(GRID.k_max, 1) is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    k = GRID.modes.astype(float)
+    np.testing.assert_array_equal(w, 1.0 + k**2)
+    np.testing.assert_array_equal(mode_weights(GRID.k_max, 0.0), np.ones(GRID.n_coeff))
 
 
 def test_damping_profiles():
