@@ -50,6 +50,7 @@ from .dynamics import (
     phase_theta,
     smoothing_remainder,
     solve_nls,
+    solve_nls_batch,
 )
 from .linearized import (
     GramianReport,
@@ -65,6 +66,7 @@ from .control import (
     compact_T_apply,
     contraction_test,
     equivalent_norm,
+    free_image,
     pseudo_inverse_apply,
     regularized_pinv_solve,
     saturate_once,

@@ -10,17 +10,34 @@ Coefficients come from the Tikhonov-regularized pseudo-inverse
 c = A^T (A A^T + gamma I)^{-1} d over the Haar-in-time control basis, and the
 realized control is subtracted from the driving noise path, so the shifted
 realization stays inside the span the noise itself lives on.
+
+A controlled step needs two images of the separation w = x - y(0) besides
+the map: the tangent endpoint v(1) and the free image S_a(1) w.  Both can be
+formed where a sweep already runs.  The control sweep marches w as one more,
+unforced row (build_control_basis_map with x), and the separation measured
+in equivalent_norm at tau0 = 1 is S_a(1) w itself (free_image).  Such an
+image is a SeparationImage that records what it was formed from, and
+stabilizing_shift refuses one formed for another base or another x.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import SolverConfig, Trajectory, linear_group, markov_step, phase_theta, solve_nls
+from .dynamics import (
+    SolverConfig,
+    Trajectory,
+    linear_group,
+    markov_step,  # unused here; bound for the benchmark tracer, which wraps it
+    markov_step_batch,
+    phase_theta,
+    solve_nls,
+)
 from .linearized import control_response_matrix, h1_coords, solve_linearized
 from .noise import NoisePath, NoiseSpec, haar_basis
 from .spectral import FourierField, ROOT_2PI, ValidationError, hs_norm_sq
@@ -80,15 +97,43 @@ def regularized_pinv_solve(a: np.ndarray, gamma: float, target: np.ndarray) -> n
     return a.T @ np.linalg.solve(gram, target)
 
 
+@dataclass(frozen=True)
+class SeparationImage:
+    """An image of the separation w = x - y(0) formed ahead of the shift.
+
+    source is what the image was formed with: a weak reference to the base
+    run for the tangent endpoint v(1), so a map kept past its step does not
+    keep the base's tangent coefficients alive, or the free-group key and
+    time (see free_image) for S_a(t) w.
+    """
+
+    w: FourierField = field(repr=False)
+    source: object = field(repr=False)
+    image: FourierField = field(repr=False)
+
+    @property
+    def norm(self) -> float:
+        """H1 norm of the image."""
+        return float(math.sqrt(hs_norm_sq(self.image.coeffs, 1.0)))
+
+    def _for(self, w: FourierField) -> FourierField:
+        """The image, once w is checked to be the separation it was formed from."""
+        if not np.array_equal(self.w.coeffs, w.coeffs):
+            raise ValidationError("separation image was formed for another x")
+        return self.image
+
+
 @dataclass
 class ControlBasisMap:
-    """Matrix of final-time responses of the control basis, plus its layout."""
+    """Matrix of final-time responses of the control basis, plus its layout,
+    and the tangent image of the one separation marched with it, if any."""
 
     matrix: np.ndarray = field(repr=False)
     column_keys: list = field(repr=False)
     modes: tuple = ()
     time_level: int = 0
     galerkin_cutoff: int = 0
+    separation: SeparationImage = field(default=None, repr=False)
 
     @property
     def column_count(self) -> int:
@@ -96,15 +141,24 @@ class ControlBasisMap:
 
 
 def build_control_basis_map(
-    base: Trajectory, modes, time_level: int, galerkin_cutoff: int
+    base: Trajectory, modes, time_level: int, galerkin_cutoff: int, x: FourierField = None
 ) -> ControlBasisMap:
-    matrix, keys = control_response_matrix(base, modes, time_level, galerkin_cutoff)
+    """The control map on base.  With x, the sweep also marches x - y(0), and
+    the map serves stabilizing_shift for that x alone; without, for any x."""
+    separation = None
+    if x is None:
+        matrix, keys = control_response_matrix(base, modes, time_level, galerkin_cutoff)
+    else:
+        w = x - base.state(0)
+        matrix, keys, v1 = control_response_matrix(base, modes, time_level, galerkin_cutoff, w)
+        separation = SeparationImage(w, weakref.ref(base), v1)
     return ControlBasisMap(
         matrix=matrix,
         column_keys=keys,
         modes=tuple(int(k) for k in modes),
         time_level=time_level,
         galerkin_cutoff=galerkin_cutoff,
+        separation=separation,
     )
 
 
@@ -118,13 +172,21 @@ def pseudo_inverse_apply(cmap: ControlBasisMap, gamma: float, target) -> np.ndar
     return regularized_pinv_solve(cmap.matrix, gamma, target)
 
 
-def compact_T_apply(base: Trajectory, w: FourierField) -> FourierField:
-    """T(y, zeta)(w): tangent endpoint minus phase-adjusted damped free flow."""
-    run = solve_linearized(base, w)
-    theta = phase_theta(base, float(base.times[-1]))
-    cfg = base.config
-    lin = linear_group(w, float(base.times[-1]), cfg.damping, cfg.dt, cfg.p)
-    return run.endpoint - cmath.exp(-1j * theta) * lin
+def compact_T_apply(
+    base: Trajectory, w: FourierField, tangent: FourierField = None, free: FourierField = None
+) -> FourierField:
+    """T(y, zeta)(w): tangent endpoint minus phase-adjusted damped free flow.
+
+    tangent and free, when given, are v(1) and S_a(1) w already formed for
+    this base and w; each one not given is formed here.
+    """
+    horizon = float(base.times[-1])
+    if tangent is None:
+        tangent = solve_linearized(base, w).endpoint
+    if free is None:
+        free = free_image(w, base.config, horizon).image
+    theta = phase_theta(base, horizon)
+    return tangent - cmath.exp(-1j * theta) * free
 
 
 def realize_shift_cells(cmap: ControlBasisMap, coeffs: np.ndarray, spec: NoiseSpec) -> np.ndarray:
@@ -163,32 +225,65 @@ class ShiftResult:
 
 
 def stabilizing_shift(
-    base_y: Trajectory, x: FourierField, gamma: float, cmap: ControlBasisMap
+    base_y: Trajectory,
+    x: FourierField,
+    gamma: float,
+    cmap: ControlBasisMap,
+    free: SeparationImage = None,
 ) -> ShiftResult:
     """Shifted noise xi = zeta - R^gamma T(y, zeta)(x - y) for the coupled step.
 
     base_y must be the stored unit-interval run from y under the realization
-    zeta (its forcing record), with the control map assembled on it.
+    zeta (its forcing record), with the control map assembled on it.  T's
+    tangent image is the map's separation row when it has one, and its free
+    image is free when that was formed at base_y's horizon; either must have
+    been formed for base_y and this x, or ValidationError is raised.
     """
     zeta = base_y.forcing
     if not isinstance(zeta, NoisePath):
         raise ValidationError("base trajectory must record its driving noise path")
-    y0 = base_y.state(0)
-    d = compact_T_apply(base_y, x - y0)
+    w = x - base_y.state(0)
+    horizon = float(base_y.times[-1])
+    tangent = lin = None
+    if cmap.separation is not None:
+        if cmap.separation.source() is not base_y:
+            raise ValidationError("the map's separation row was marched along another base")
+        tangent = cmap.separation._for(w)
+    if free is not None:
+        key, t = free.source
+        if key != _free_group_key(base_y.config):
+            raise ValidationError("free image was formed under another base's free group")
+        if t == horizon:
+            lin = free._for(w)
+    d = compact_T_apply(base_y, w, tangent, lin)
     coeffs = pseudo_inverse_apply(cmap, gamma, d)
     delta = realize_shift_cells(cmap, coeffs, zeta.spec)
     xi = zeta.shifted(delta)
     return ShiftResult(path=xi, coefficients=coeffs, shift_norm=float(np.linalg.norm(coeffs)))
 
 
+def _free_group_key(cfg: SolverConfig) -> tuple:
+    """What S_a(t) reads from cfg: the damping's closed form, dt and p."""
+    d = cfg.damping
+    return (d.grid, d.kind, d.params, cfg.dt, cfg.p)
+
+
+def free_image(w: FourierField, cfg: SolverConfig, t: float) -> SeparationImage:
+    """S_a(t) w, the damped free group of cfg's splitting, with what it was
+    formed from."""
+    image = linear_group(w, t, cfg.damping, cfg.dt, cfg.p)
+    return SeparationImage(w, (_free_group_key(cfg), t), image)
+
+
 def equivalent_norm(w: FourierField, cfg: SolverConfig, tau0: float = 1.0) -> float:
     """H1 norm after riding the damped free group for tau0 time units.
 
     A practical stand-in for the norm in which the damped group is a strict
-    contraction; the plain H1 norm can grow transiently under S_a.
+    contraction; the plain H1 norm can grow transiently under S_a.  Every
+    operation of S_a is sign-symmetric, so S_a(-w) = -S_a(w) bit for bit and
+    the norm of w - v is that of v - w.
     """
-    out = linear_group(w, tau0, cfg.damping, cfg.dt, cfg.p)
-    return float(math.sqrt(hs_norm_sq(out.coeffs, 1.0)))
+    return free_image(w, cfg, tau0).norm
 
 
 @dataclass
@@ -222,19 +317,21 @@ def contraction_test(
     Separations are measured in equivalent_norm with the given tau0."""
     cfg = replace(cfg, store_stride=1)  # the base is linearized at every step
     base_y = solve_nls(y, zeta, 1.0, cfg)
-    cmap = build_control_basis_map(base_y, zeta.spec.modes, time_level, galerkin_cutoff)
-    shift = stabilizing_shift(base_y, x, gamma, cmap)
+    # the separation rides in the control sweep, and its measured free image
+    # is T's when tau0 is the base's horizon
+    cmap = build_control_basis_map(base_y, zeta.spec.modes, time_level, galerkin_cutoff, x=x)
+    sep = free_image(x - y, cfg, tau0)
+    shift = stabilizing_shift(base_y, x, gamma, cmap, free=sep)
 
     s_y = base_y.endpoint
-    s_x_shifted = markov_step(x, shift.path, cfg)
-    s_x_plain = markov_step(x, zeta, cfg)
+    shifted, plain = markov_step_batch(np.stack([x.coeffs, x.coeffs]), [shift.path, zeta], cfg)
 
-    norm = lambda f: equivalent_norm(f, cfg, tau0)
-    sep0 = norm(y - x)
+    norm = lambda c: equivalent_norm(s_y - FourierField(cfg.grid, c), cfg, tau0)
+    sep0 = sep.norm
     # x = y leaves nothing to contract; 0/0 is reported as 0 by convention
     degenerate = sep0 == 0.0
-    q = 0.0 if degenerate else norm(s_y - s_x_shifted) / sep0
-    q_plain = 0.0 if degenerate else norm(s_y - s_x_plain) / sep0
+    q = 0.0 if degenerate else norm(shifted) / sep0
+    q_plain = 0.0 if degenerate else norm(plain) / sep0
     return StabilizationReport(
         gamma=gamma,
         q_ratio=q,

@@ -382,18 +382,33 @@ def markov_step(u0: FourierField, path: NoisePath, cfg: SolverConfig) -> Fourier
     return FourierField(cfg.grid, final)
 
 
-def markov_step_batch(coeffs: np.ndarray, paths, cfg: SolverConfig) -> np.ndarray:
-    """Batched unit step: coeffs (B, n_coeff) under per-row noise paths."""
+def _block_unit_run(coeffs: np.ndarray, paths, cfg: SolverConfig, collect: bool):
+    """_evolve of a block over one time unit, row i under paths[i]; a block
+    of no rows takes no steps."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.shape != (len(paths), cfg.grid.n_coeff):
         raise ValidationError("need one row of %d coefficients per path, got shape %r"
                               % (cfg.grid.n_coeff, coeffs.shape))
     if not paths:
-        return np.empty((0, cfg.grid.n_coeff), dtype=np.complex128)
-    n_steps = cfg.steps_for(1.0)
+        return np.zeros(1), [coeffs], coeffs
     drive = _noise_drive([[p] for p in paths], cfg)
-    _, _, final = _evolve(coeffs, cfg, n_steps, drive, False)
-    return final
+    return _evolve(coeffs, cfg, cfg.steps_for(1.0), drive, collect)
+
+
+def markov_step_batch(coeffs: np.ndarray, paths, cfg: SolverConfig) -> np.ndarray:
+    """Batched unit step: coeffs (B, n_coeff) under per-row noise paths."""
+    return _block_unit_run(coeffs, paths, cfg, False)[2]
+
+
+def solve_nls_batch(coeffs: np.ndarray, paths, cfg: SolverConfig) -> list:
+    """Stored unit runs of a block, one Trajectory per row: row i of coeffs
+    under paths[i], stored at cfg's stride.  Rows step independently, so
+    run i is solve_nls(row i, paths[i], 1.0, cfg) bit for bit."""
+    times, stored, _ = _block_unit_run(coeffs, paths, cfg, True)
+    return [
+        Trajectory(cfg.grid, times.copy(), np.stack([u[i] for u in stored]), cfg, path)
+        for i, path in enumerate(paths)
+    ]
 
 
 def linear_group(

@@ -50,22 +50,41 @@ def _forward_steps(v, tab, c1, c2, dt, steps, drive_ig=None):
 
     drive_ig(n) is i g of step n on the padded grid, or drive_ig is None.
     """
+    buf = _midpoint_buffers(v, tab)
 
     def substep(n, w):
-        return _midpoint(w, c1[n], c2[n], dt, None if drive_ig is None else drive_ig(n))
+        return _midpoint(w, c1[n], c2[n], dt, None if drive_ig is None else drive_ig(n), buf)
 
     return _split_steps(v, tab, steps, substep)
 
 
-def _midpoint(w, c1, c2, dt, ig):
-    def rhs(z):
-        out = -1j * (c1 * z + c2 * np.conj(z))
-        if ig is not None:
-            out -= ig
-        return out
+def _midpoint_buffers(v, tab) -> tuple:
+    """The three padded scratch blocks _midpoint needs for a sweep of v."""
+    shape = v.shape[:-1] + (tab.n_pad,)
+    return tuple(np.empty(shape, dtype=np.complex128) for _ in range(3))
 
-    wm = w + (0.5 * dt) * rhs(w)
-    return w + dt * rhs(wm)
+
+def _midpoint(w, c1, c2, dt, ig, buf):
+    """One midpoint step of w' = -i(c1 w + c2 conj(w)) - ig, written over w.
+
+    The operations are those of the plain expression, in its order, so the
+    bits are too; they only write into buf, allocated once per sweep.  A
+    fresh temporary per operation on a 60-row control block is 170 KB, past
+    glibc's 128 KB mmap threshold, and the page faults of those temporaries
+    made the control sweep 20% slower.
+    """
+    a, b, m = buf
+
+    def rhs(z):
+        np.multiply(c1, z, out=a)
+        np.multiply(c2, np.conjugate(z, out=b), out=b)
+        np.multiply(-1j, np.add(a, b, out=a), out=a)
+        if ig is not None:
+            np.subtract(a, ig, out=a)
+        return a
+
+    np.add(w, np.multiply(0.5 * dt, rhs(w), out=a), out=m)
+    return np.add(w, np.multiply(dt, rhs(m), out=a), out=w)
 
 
 def solve_linearized(base: Trajectory, v0: FourierField) -> Trajectory:
@@ -99,8 +118,10 @@ def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> Trajectory:
     phi = phi1.coeffs.astype(np.complex128)
     stored = [phi]
 
+    buf = _midpoint_buffers(phi, tab)
+
     def substep(n, w):
-        return _midpoint(w, -c1[n], c2[n], cfg.dt, None)
+        return _midpoint(w, -c1[n], c2[n], cfg.dt, None, buf)
 
     for _, phi in _split_steps(phi, adj, range(c1.shape[0] - 1, -1, -1), substep):
         stored.append(phi)
@@ -130,16 +151,6 @@ def h1_coords(coeffs: np.ndarray, k_max: int, cutoff: int) -> np.ndarray:
     return out
 
 
-def coords_to_coeffs(x: np.ndarray, cutoff: int, k_max: int) -> np.ndarray:
-    """Inverse of h1_coords, zero outside the cutoff band."""
-    x = np.asarray(x, dtype=float)
-    w = np.sqrt(mode_weights(cutoff, 1.0))
-    band = (x[..., 0::2] + 1j * x[..., 1::2]) / w
-    out = np.zeros(x.shape[:-1] + (2 * k_max + 1,), dtype=np.complex128)
-    out[..., k_max - cutoff : k_max + cutoff + 1] = band
-    return out
-
-
 def mode_coord_indices(target_cutoff: int, cutoff: int) -> np.ndarray:
     """Coordinate positions of the modes |k| <= target_cutoff inside h1_coords."""
     if target_cutoff > cutoff:
@@ -151,12 +162,19 @@ def mode_coord_indices(target_cutoff: int, cutoff: int) -> np.ndarray:
     return np.asarray(sel, dtype=int)
 
 
-def control_response_matrix(base: Trajectory, modes, time_level: int, cutoff: int):
+def control_response_matrix(
+    base: Trajectory, modes, time_level: int, cutoff: int, separation: FourierField = None
+):
     """Final-time responses of the unit control basis, in H1 coordinates.
 
     Columns run over (mode k in modes) x (Haar time key) x (component 1, i);
     the time functions are L2-normalized over the base's one time unit, so
     the basis is orthonormal in L2(0,1) x L2(torus).  Returns (matrix, column_keys).
+
+    With a separation w, the sweep also marches w as one more row, unforced
+    and from step 0: its drive row is exactly zero and every row steps on
+    its own, so the row is solve_linearized(base, w) bit for bit and the
+    columns are unchanged.  Returns (matrix, column_keys, v(1)) then.
 
     A column is exactly zero until its Haar function's support begins, so
     the columns are marched in order of their first forced step (the first
@@ -197,20 +215,30 @@ def control_response_matrix(base: Trajectory, modes, time_level: int, cutoff: in
     tab = cfg._tab
     c1, c2 = base.tangent_coefficients
     rows = np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))
-    v = np.zeros((0, base.grid.n_coeff), dtype=np.complex128)
+    # the separation, if any, is row 0 and the columns follow it
+    if separation is None:
+        v = np.zeros((0, base.grid.n_coeff), dtype=np.complex128)
+    else:
+        if separation.grid != base.grid:
+            raise ValidationError("separation lives on a different grid")
+        v = separation.coeffs.astype(np.complex128)[None, :]
+    off = len(v)
     for lo in range(0, n_steps, per_cell):
         m = int(np.searchsorted(first, lo, side="right"))
-        if m > len(v):
-            v = np.concatenate([v, np.zeros((m - len(v), v.shape[1]), dtype=np.complex128)])
+        if off + m > len(v):
+            v = np.concatenate([v, np.zeros((off + m - len(v), v.shape[1]), dtype=np.complex128)])
         # exact whatever m is: each entry of vals is purely real or purely
         # imaginary, with one nonzero per row
-        ig = 1j * (vals[lo // per_cell, :m] @ rows)
+        ig = np.zeros((off + m, tab.n_pad), dtype=np.complex128)
+        ig[off:] = 1j * (vals[lo // per_cell, :m] @ rows)
         for _, v in _forward_steps(v, tab, c1, c2, cfg.dt, range(lo, lo + per_cell), lambda n: ig):
             pass
-    final = np.empty_like(v)
-    final[order] = v
+    final = np.empty_like(v[off:])
+    final[order] = v[off:]
     matrix = h1_coords(final, base.grid.k_max, cutoff).T.copy()  # (n_x, n_cols)
-    return matrix, col_keys
+    if separation is None:
+        return matrix, col_keys
+    return matrix, col_keys, FourierField(base.grid, v[0].copy())
 
 
 @dataclass

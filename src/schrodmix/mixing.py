@@ -18,8 +18,20 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import build_control_basis_map, equivalent_norm, stabilizing_shift
-from .dynamics import SolverConfig, energy_series, markov_step, markov_step_batch, solve_nls
+from .control import (
+    build_control_basis_map,
+    equivalent_norm,  # unused here; bound for the benchmark tracer, which wraps it
+    free_image,
+    stabilizing_shift,
+)
+from .dynamics import (
+    SolverConfig,
+    energy_series,
+    markov_step,
+    markov_step_batch,
+    solve_nls,
+    solve_nls_batch,
+)
 from .noise import NoiseSpec, sample_noise_paths
 from .spectral import FourierField, Grid, ValidationError, hs_norm_sq
 
@@ -380,33 +392,52 @@ def synchronous_coupling_experiment(
     recorded.  Separations are measured in equivalent_norm with the given tau0.
     With control, each step's y run is solved at store_stride 1, whatever
     cfg's stride, because the control linearizes it at every step.
+
+    A controlled step takes three sweeps.  The control sweep marches x - y
+    with its columns (T's tangent image), the measured separation's free
+    image is T's when tau0 is one time unit, and x's step under xi_n runs
+    in one stored block with the next base, y_{n+1} under zeta_{n+1}; the
+    last x step runs alone.  Every row steps on its own, so each output is
+    what separate solves give, bit for bit.
     """
     base_cfg = replace(cfg, store_stride=1)
-    norm = lambda f: equivalent_norm(f, cfg, tau0)
     kind = "h1_after_group(tau0=%g)" % tau0
+
+    def draw(n):
+        return sample_noise_paths(spec, [chain_seed_record(master_seed, SOLO_TAG, 0, n)])[0]
+
     y, x = y0, x0
-    seps = [norm(y - x)]
+    sep = free_image(x - y, cfg, tau0)
+    seps = [sep.norm]
     shift_norms = []
+    if use_control and n_steps > 0:
+        base_y = solve_nls(y, draw(0), 1.0, base_cfg)
     for n in range(n_steps):
-        (zeta,) = sample_noise_paths(spec, [chain_seed_record(master_seed, SOLO_TAG, 0, n)])
         if use_control:
-            base_y = solve_nls(y, zeta, 1.0, base_cfg)
-            cmap = build_control_basis_map(base_y, spec.modes, time_level, galerkin_cutoff)
-            shift = stabilizing_shift(base_y, x, gamma, cmap)
+            cmap = build_control_basis_map(base_y, spec.modes, time_level, galerkin_cutoff, x=x)
+            shift = stabilizing_shift(base_y, x, gamma, cmap, free=sep)
             y = base_y.endpoint
-            x = FourierField(
-                cfg.grid,
-                markov_step_batch(x.coeffs[None, :], [shift.path], cfg)[0],
-            )
+            if n + 1 < n_steps:
+                x_run, base_y = solve_nls_batch(
+                    np.stack([x.coeffs, y.coeffs]), [shift.path, draw(n + 1)], base_cfg
+                )
+                x = FourierField(cfg.grid, x_run.coeffs[-1].copy())  # not a view of the run
+            else:
+                x = FourierField(
+                    cfg.grid,
+                    markov_step_batch(x.coeffs[None, :], [shift.path], cfg)[0],
+                )
             shift_norms.append(shift.shift_norm)
         else:
+            zeta = draw(n)
             stacked = markov_step_batch(
                 np.stack([y.coeffs, x.coeffs]), [zeta, zeta], cfg
             )
             y = FourierField(cfg.grid, stacked[0])
             x = FourierField(cfg.grid, stacked[1])
             shift_norms.append(0.0)
-        seps.append(norm(y - x))
+        sep = free_image(x - y, cfg, tau0)
+        seps.append(sep.norm)
     seps = np.asarray(seps)
     ratios = np.divide(seps[1:], seps[:-1], out=np.full(n_steps, np.nan), where=seps[:-1] > 0)
     return CouplingReport(

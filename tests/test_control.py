@@ -14,6 +14,7 @@ from schrodmix import (
     bump_damping,
     contraction_test,
     equivalent_norm,
+    free_image,
     markov_step,
     pseudo_inverse_apply,
     regularized_pinv_solve,
@@ -243,6 +244,51 @@ def test_stabilizing_shift_scales_linearly():
     delta_full = z.cells - full.path.cells
     delta_half = z.cells - half.path.cells
     np.testing.assert_allclose(delta_half, 0.5 * delta_full, rtol=1e-8, atol=1e-16)
+
+
+def test_precomputed_images_give_the_general_shift():
+    # the separation row of the map and the measured free image are the
+    # images T would form itself; at tau0 = 0.5 the free image is not T's,
+    # and T forms its own
+    base, z, u0, cfg = noisy_base(seed=11)
+    bump = random_h1_field(GRID, 1e-2, 2.0, 12, 0)
+    x = u0 + bump
+    plain = build_control_basis_map(base, z.spec.modes, 1, 4)
+    riding = build_control_basis_map(base, z.spec.modes, 1, 4, x=x)
+    assert riding.matrix.tobytes() == plain.matrix.tobytes()
+    assert plain.separation is None and riding.separation.source() is base
+    want = stabilizing_shift(base, x, 1e-2, plain)
+    for free in (None, free_image(x - u0, cfg, 1.0), free_image(x - u0, cfg, 0.5)):
+        got = stabilizing_shift(base, x, 1e-2, riding, free=free)
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got.path.cells.tobytes() == want.path.cells.tobytes()
+        again = stabilizing_shift(base, x, 1e-2, plain, free=free)
+        assert again.coefficients.tobytes() == want.coefficients.tobytes()
+    # a map without a separation row serves any x
+    for scale in (0.5, 2.0):
+        xs = u0 + scale * bump
+        own = build_control_basis_map(base, z.spec.modes, 1, 4, x=xs)
+        got = stabilizing_shift(base, xs, 1e-2, plain)
+        assert got.coefficients.tobytes() == stabilizing_shift(base, xs, 1e-2, own).coefficients.tobytes()
+
+
+def test_precomputed_images_for_another_base_or_x_are_refused():
+    base, z, u0, cfg = noisy_base(seed=11)
+    bump = random_h1_field(GRID, 1e-2, 2.0, 12, 0)
+    x = u0 + bump
+    riding = build_control_basis_map(base, z.spec.modes, 1, 4, x=x)
+    other = solve_nls(u0, sample_noise_path(z.spec, (12, 0, 0, 0)), 1.0, cfg)
+    with pytest.raises(ValidationError, match="another base"):
+        stabilizing_shift(other, x, 1e-2, riding)
+    with pytest.raises(ValidationError, match="another x"):
+        stabilizing_shift(base, u0 + 0.5 * bump, 1e-2, riding)
+    plain = build_control_basis_map(base, z.spec.modes, 1, 4)
+    with pytest.raises(ValidationError, match="another x"):
+        stabilizing_shift(base, x, 1e-2, plain, free=free_image(0.5 * bump, cfg, 1.0))
+    undamped = SolverConfig(grid=GRID, damping=zero_damping(GRID), dt=DT)
+    for t in (1.0, 0.5):
+        with pytest.raises(ValidationError, match="another base"):
+            stabilizing_shift(base, x, 1e-2, plain, free=free_image(x - u0, undamped, t))
 
 
 def test_stabilizing_shift_requires_noise_base():

@@ -31,6 +31,7 @@ from schrodmix import (
     solve_adjoint_backward,
     solve_linearized,
     solve_nls,
+    solve_nls_batch,
     zero_damping,
     zero_field,
 )
@@ -102,6 +103,18 @@ def test_linear_group_constant_damping_factorizes():
     damped = linear_group(u, t, constant_damping(GRID, 0.8), DT)
     free = linear_group(u, t, zero_damping(GRID), DT)
     np.testing.assert_allclose(damped.coeffs, math.exp(-0.8 * t) * free.coeffs, rtol=1e-10)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_linear_group_is_sign_symmetric_bitwise(p):
+    # every operation of the free group commutes with negation, so the
+    # separation y - x and its negative have images that are exact negatives
+    cfg = damped_cfg(p=p)
+    w = random_h1_field(GRID, 0.7, 2.5, 61, 0)
+    for t in (1.0, 0.5):
+        plus = linear_group(w, t, cfg.damping, cfg.dt, p)
+        minus = linear_group(-w, t, cfg.damping, cfg.dt, p)
+        assert (-minus.coeffs).tobytes() == plus.coeffs.tobytes()
 
 
 def test_linear_group_time_validation():
@@ -253,6 +266,28 @@ def test_markov_step_batch_rejects_wrong_width():
 def test_markov_step_batch_of_no_rows():
     out = markov_step_batch(np.zeros((0, GRID.n_coeff)), [], damped_cfg())
     assert out.shape == (0, GRID.n_coeff) and out.dtype == np.complex128
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+def test_stored_block_rows_match_single_runs(stride):
+    # the controlled coupling steps x under xi beside the next base y under
+    # zeta: each row is its own stored run, and its endpoint the batch step
+    cfg = damped_cfg(store_stride=stride)
+    spec = NoiseSpec()
+    zeta, xi = (sample_noise_path(spec, (62, 0, i, 0)) for i in range(2))
+    y = random_h1_field(GRID, 0.5, 3.0, 62, 0)
+    x = random_h1_field(GRID, 0.5, 3.0, 62, 1)
+    x_run, y_run = solve_nls_batch(np.stack([x.coeffs, y.coeffs]), [xi, zeta], cfg)
+    for run, u0, path in ((x_run, x, xi), (y_run, y, zeta)):
+        alone = solve_nls(u0, path, 1.0, cfg)
+        assert run.coeffs.tobytes() == alone.coeffs.tobytes()
+        assert run.times.tobytes() == alone.times.tobytes()
+        assert run.forcing is path and run.config is cfg
+    step = markov_step_batch(x.coeffs[None, :], [xi], cfg)[0]
+    assert x_run.endpoint.coeffs.tobytes() == step.tobytes()
+    assert solve_nls_batch(np.zeros((0, GRID.n_coeff)), [], cfg) == []
+    with pytest.raises(ValidationError):
+        solve_nls_batch(y.coeffs, [zeta], cfg)
 
 
 @settings(max_examples=8, deadline=None, database=None, derandomize=True)

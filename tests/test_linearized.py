@@ -33,8 +33,9 @@ from schrodmix.config import random_h1_field
 from schrodmix.control import compact_T_apply
 from schrodmix.linearized import (
     _forward_steps,
+    _midpoint,
+    _midpoint_buffers,
     control_response_matrix,
-    coords_to_coeffs,
     gramian_matrix,
     h1_coords,
     haar_time_keys,
@@ -53,6 +54,12 @@ def free_cfg(**kw):
 
 def damped_cfg(**kw):
     return SolverConfig(grid=GRID, damping=bump_damping(GRID, 1.0, math.pi, 1.5), dt=DT, **kw)
+
+
+def full_band_coeffs(x):
+    """The inverse of h1_coords on the whole band of GRID."""
+    w = np.sqrt(1.0 + GRID.modes.astype(float) ** 2)
+    return (x[0::2] + 1j * x[1::2]) / w
 
 
 def zero_base(cfg):
@@ -209,6 +216,49 @@ def test_response_matrix_matches_dense_march(p):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=str(level))
 
 
+def test_tangent_midpoint_keeps_the_plain_bits():
+    # the substep writes into scratch blocks, with the operations of the
+    # plain expression in its order: forced, unforced and adjoint (c1 < 0)
+    tab = damped_cfg()._tab
+    rng = np.random.default_rng(9)
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    w, ig, c2 = cplx(5, tab.n_pad), cplx(5, tab.n_pad), cplx(tab.n_pad)
+    c1 = rng.standard_normal(tab.n_pad) ** 2
+
+    def plain(c1, ig):
+        def rhs(z):
+            out = -1j * (c1 * z + c2 * np.conj(z))
+            if ig is not None:
+                out -= ig
+            return out
+
+        wm = w + (0.5 * DT) * rhs(w)
+        return w + DT * rhs(wm)
+
+    buf = _midpoint_buffers(np.zeros((5, GRID.n_coeff)), tab)
+    for c, g in ((c1, ig), (c1, None), (-c1, None)):
+        got = _midpoint(w.copy(), c, c2, DT, g, buf)
+        assert got.tobytes() == plain(c, g).tobytes()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_separation_row_rides_in_the_control_sweep(p):
+    # the separation marched with the columns from step 0, under a zero
+    # drive row, is the unforced tangent run bit for bit, and the columns
+    # do not notice it: also with no columns at all
+    cfg = damped_cfg(p=p)
+    base = noisy_base(cfg)
+    w = random_h1_field(GRID, 1e-3, 2.0, 71, 0)
+    want = solve_linearized(base, w).endpoint.coeffs
+    for modes, level in (((0, 1), 0), ((0, 1), 3), ((), 2)):
+        plain, keys = control_response_matrix(base, modes, level, 8)
+        got, keys_w, v1 = control_response_matrix(base, modes, level, 8, w)
+        assert v1.coeffs.tobytes() == want.tobytes(), (modes, level)
+        assert got.tobytes() == plain.tobytes() and keys_w == keys, (modes, level)
+    with pytest.raises(ValidationError, match="grid"):
+        control_response_matrix(base, (0,), 1, 8, zero_field(Grid(32, 10)))
+
+
 def test_tangent_coefficients_built_once_per_base(monkeypatch):
     # the control map, T and the adjoint on one base share its coefficients
     builds = []
@@ -243,7 +293,7 @@ def test_response_adjoint_identity():
     phi_mid = 0.5 * (phi.coeffs[:-1] + phi.coeffs[1:])
     t_mid = 0.5 * (phi.times[:-1] + phi.times[1:])
     for col, (k, j, l, comp) in zip(mat.T, keys):
-        v1 = coords_to_coeffs(col, GRID.k_max, GRID.k_max)
+        v1 = full_band_coeffs(col)
         lhs = float(np.real(np.sum(v1 * np.conj(phi1.coeffs))))
         g = comp * 2.0 ** (j / 2.0) * haar_eval(j, l, t_mid)  # on e_k, per step
         rhs = float(np.sum(np.imag(g * np.conj(phi_mid[:, k + GRID.k_max]))) * cfg.dt)
@@ -255,7 +305,7 @@ def test_h1_coords_round_trip():
     c = rng.standard_normal(GRID.n_coeff) + 1j * rng.standard_normal(GRID.n_coeff)
     x = h1_coords(c, GRID.k_max, GRID.k_max)
     assert x.shape == (2 * GRID.n_coeff,)
-    back = coords_to_coeffs(x, GRID.k_max, GRID.k_max)
+    back = full_band_coeffs(x)
     np.testing.assert_allclose(back, c, rtol=1e-14)
     # the squared coordinate norm is the squared H1 norm
     np.testing.assert_allclose(

@@ -1,6 +1,8 @@
 """Chains, ensembles, observable dictionaries, decay and mixing reports."""
 
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,16 +26,24 @@ from schrodmix import (
     decay_experiment,
     default_dictionary,
     dual_lipschitz_estimate,
+    equivalent_norm,
     evolve_ensemble,
+    linear_group,
     loglinear_fit,
+    markov_step,
     mixing_experiment,
+    phase_theta,
+    pseudo_inverse_apply,
     report_dict,
     run_chain,
     sample_noise_paths,
     sobolev_norm,
+    solve_linearized,
+    solve_nls,
     synchronous_coupling_experiment,
     zero_field,
 )
+from schrodmix.control import build_control_basis_map, realize_shift_cells
 from schrodmix.config import random_h1_field
 from schrodmix.mixing import (
     ENSEMBLE_BLOCK,
@@ -269,8 +279,6 @@ def test_coupling_marginals_match_solo_chains():
     rep = synchronous_coupling_experiment(y0, x0, n, spec, cfg, master_seed=13)
     ys = run_chain(y0, n, spec, cfg, master_seed=13)
     xs = run_chain(x0, n, spec, cfg, master_seed=13)
-    from schrodmix import equivalent_norm
-
     for i in range(n + 1):
         want = equivalent_norm(ys[i] - xs[i], cfg)
         np.testing.assert_allclose(rep.separations[i], want, rtol=1e-14)
@@ -296,6 +304,86 @@ def test_controlled_coupling_step_is_the_contraction_test(stride):
     got = (rep.ratios[0], rep.shift_norms[0], rep.separations[0])
     assert got == (want.q_ratio, want.shift_norm, want.separation)
     assert want.shift_norm > 0 and not want.degenerate
+
+
+def _six_sweep_shift(y, x, zeta, gamma, cfg, time_level, galerkin_cutoff):
+    """A controlled step's base and shift as separate sweeps: the stored
+    base, the control sweep, the tangent run and the free group of T."""
+    base = solve_nls(y, zeta, 1.0, replace(cfg, store_stride=1))
+    cmap = build_control_basis_map(base, zeta.spec.modes, time_level, galerkin_cutoff)
+    w, t = x - y, float(base.times[-1])
+    d = solve_linearized(base, w).endpoint - cmath.exp(-1j * phase_theta(base, t)) * linear_group(
+        w, t, cfg.damping, cfg.dt, cfg.p
+    )
+    coeffs = pseudo_inverse_apply(cmap, gamma, d)
+    return base, zeta.shifted(realize_shift_cells(cmap, coeffs, zeta.spec)), coeffs
+
+
+@pytest.mark.parametrize("tau0", [1.0, 0.5])
+def test_controlled_coupling_matches_six_sweep_composition(tau0, monkeypatch):
+    # three sweeps per step (the separation in the control sweep, the
+    # measured free image shared with T at tau0 = 1, x's step beside the
+    # next base) give every reported number of six separate sweeps, bitwise
+    import schrodmix.control as control_mod
+    import schrodmix.mixing as mixing_mod
+
+    calls = {}
+    for mod, name in ((control_mod, "linear_group"), (control_mod, "solve_linearized"),
+                      (mixing_mod, "solve_nls"), (mixing_mod, "solve_nls_batch"),
+                      (mixing_mod, "markov_step_batch")):
+        def counted(*a, _f=getattr(mod, name), _name=name, **k):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*a, **k)
+
+        monkeypatch.setattr(mod, name, counted)
+    cfg = damped_cfg()
+    spec = small_spec()
+    y0 = random_h1_field(GRID, 0.5, 3.0, 10, 0)
+    x0 = y0 + random_h1_field(GRID, 1e-3, 2.0, 10, 1)
+    kw = dict(time_level=2, galerkin_cutoff=6)
+    rep = synchronous_coupling_experiment(y0, x0, 3, spec, cfg, 13, use_control=True, tau0=tau0, **kw)
+    monkeypatch.undo()
+    # one free-group sweep per measurement, plus T's own where tau0 is not
+    # the base's horizon; no tangent run; one stored sweep per step
+    assert calls == {
+        "linear_group": 4 + (0 if tau0 == 1.0 else 3),
+        "solve_nls": 1,
+        "solve_nls_batch": 2,
+        "markov_step_batch": 1,
+    }
+
+    norm = lambda f: equivalent_norm(f, cfg, tau0)
+    y, x = y0, x0
+    seps, shift_norms = [norm(y - x)], []
+    for n in range(3):
+        (zeta,) = sample_noise_paths(spec, [chain_seed_record(13, SOLO_TAG, 0, n)])
+        base, xi, coeffs = _six_sweep_shift(y, x, zeta, rep.gamma, cfg, **kw)
+        y, x = base.endpoint, markov_step(x, xi, cfg)
+        seps.append(norm(y - x))
+        shift_norms.append(float(np.linalg.norm(coeffs)))
+    seps = np.asarray(seps)
+    assert rep.separations.tobytes() == seps.tobytes()
+    assert rep.ratios.tobytes() == (seps[1:] / seps[:-1]).tobytes()
+    assert rep.shift_norms.tobytes() == np.asarray(shift_norms).tobytes()
+    assert rep.norm_kind == "h1_after_group(tau0=%g)" % tau0
+
+
+@pytest.mark.parametrize("tau0", [1.0, 0.5])
+def test_contraction_test_matches_six_sweep_composition(tau0):
+    cfg = damped_cfg()
+    (zeta,) = sample_noise_paths(small_spec(), [chain_seed_record(14, SOLO_TAG, 0, 0)])
+    y = random_h1_field(GRID, 0.5, 3.0, 14, 0)
+    x = y + random_h1_field(GRID, 1e-3, 2.0, 14, 1)
+    kw = dict(time_level=2, galerkin_cutoff=6)
+    rep = contraction_test(y, x, zeta, 1e-2, cfg, tau0=tau0, **kw)
+
+    norm = lambda f: equivalent_norm(f, cfg, tau0)
+    base, xi, coeffs = _six_sweep_shift(y, x, zeta, 1e-2, cfg, **kw)
+    sep0 = norm(y - x)
+    assert rep.separation == sep0
+    assert rep.q_ratio == norm(base.endpoint - markov_step(x, xi, cfg)) / sep0
+    assert rep.uncontrolled_ratio == norm(base.endpoint - markov_step(x, zeta, cfg)) / sep0
+    assert rep.shift_norm == float(np.linalg.norm(coeffs))
 
 
 def test_coupling_report_json():
