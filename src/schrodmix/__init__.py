@@ -66,7 +66,6 @@ from .control import (
     compact_T_apply,
     contraction_test,
     equivalent_norm,
-    free_image,
     pseudo_inverse_apply,
     regularized_pinv_solve,
     saturate_once,

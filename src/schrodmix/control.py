@@ -12,18 +12,18 @@ realized control is subtracted from the driving noise path, so the shifted
 realization stays inside the span the noise itself lives on.
 
 A controlled step needs two images of the separation w = x - y(0) besides
-the map: the tangent endpoint v(1) and the free image S_a(1) w.  Both can be
-formed where a sweep already runs.  The control sweep marches w as one more,
-unforced row (build_control_basis_map with x), and the separation measured
-in equivalent_norm at tau0 = 1 is S_a(1) w itself (free_image).  Such an
-image is a SeparationImage that records what it was formed from, and
-stabilizing_shift refuses one formed for another base or another x.
+the map: the tangent endpoint v(1) and the free image S_a(1) w.  The tangent
+endpoint can ride in the control sweep, which then marches w as one more,
+unforced row (build_control_basis_map with x).  The free image is formed in
+stabilizing_shift, which also returns the norm of the separation it acts on:
+at tau0 = 1 that is the norm of the image T uses.  A map records the base it
+was built on, and the x its separation row was marched for, and
+stabilizing_shift refuses it for another base or another x.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 import weakref
 from dataclasses import dataclass, field, replace
 
@@ -40,7 +40,7 @@ from .dynamics import (
 )
 from .linearized import control_response_matrix, h1_coords, solve_linearized
 from .noise import NoisePath, NoiseSpec, haar_basis
-from .spectral import FourierField, ROOT_2PI, ValidationError, hs_norm_sq
+from .spectral import FourierField, ROOT_2PI, ValidationError, sobolev_norm
 
 
 def saturate_once(base: frozenset, previous: frozenset) -> frozenset:
@@ -97,43 +97,21 @@ def regularized_pinv_solve(a: np.ndarray, gamma: float, target: np.ndarray) -> n
     return a.T @ np.linalg.solve(gram, target)
 
 
-@dataclass(frozen=True)
-class SeparationImage:
-    """An image of the separation w = x - y(0) formed ahead of the shift.
-
-    source is what the image was formed with: a weak reference to the base
-    run for the tangent endpoint v(1), so a map kept past its step does not
-    keep the base's tangent coefficients alive, or the free-group key and
-    time (see free_image) for S_a(t) w.
-    """
-
-    w: FourierField = field(repr=False)
-    source: object = field(repr=False)
-    image: FourierField = field(repr=False)
-
-    @property
-    def norm(self) -> float:
-        """H1 norm of the image."""
-        return float(math.sqrt(hs_norm_sq(self.image.coeffs, 1.0)))
-
-    def _for(self, w: FourierField) -> FourierField:
-        """The image, once w is checked to be the separation it was formed from."""
-        if not np.array_equal(self.w.coeffs, w.coeffs):
-            raise ValidationError("separation image was formed for another x")
-        return self.image
-
-
 @dataclass
 class ControlBasisMap:
     """Matrix of final-time responses of the control basis, plus its layout,
-    and the tangent image of the one separation marched with it, if any."""
+    a weak reference to the base it was built on (a map kept past its step
+    does not keep the base's tangent coefficients alive), and the x whose
+    separation x - y(0) was marched with it, with its tangent endpoint."""
 
     matrix: np.ndarray = field(repr=False)
     column_keys: list = field(repr=False)
+    base: weakref.ref = field(repr=False)
     modes: tuple = ()
     time_level: int = 0
     galerkin_cutoff: int = 0
-    separation: SeparationImage = field(default=None, repr=False)
+    x: FourierField = field(default=None, repr=False)
+    tangent: FourierField = field(default=None, repr=False)
 
     @property
     def column_count(self) -> int:
@@ -145,20 +123,21 @@ def build_control_basis_map(
 ) -> ControlBasisMap:
     """The control map on base.  With x, the sweep also marches x - y(0), and
     the map serves stabilizing_shift for that x alone; without, for any x."""
-    separation = None
+    tangent = None
     if x is None:
         matrix, keys = control_response_matrix(base, modes, time_level, galerkin_cutoff)
     else:
         w = x - base.state(0)
-        matrix, keys, v1 = control_response_matrix(base, modes, time_level, galerkin_cutoff, w)
-        separation = SeparationImage(w, weakref.ref(base), v1)
+        matrix, keys, tangent = control_response_matrix(base, modes, time_level, galerkin_cutoff, w)
     return ControlBasisMap(
         matrix=matrix,
         column_keys=keys,
+        base=weakref.ref(base),
         modes=tuple(int(k) for k in modes),
         time_level=time_level,
         galerkin_cutoff=galerkin_cutoff,
-        separation=separation,
+        x=x,
+        tangent=tangent,
     )
 
 
@@ -184,7 +163,7 @@ def compact_T_apply(
     if tangent is None:
         tangent = solve_linearized(base, w).endpoint
     if free is None:
-        free = free_image(w, base.config, horizon).image
+        free = _free_group(w, base.config, horizon)
     theta = phase_theta(base, horizon)
     return tangent - cmath.exp(-1j * theta) * free
 
@@ -222,6 +201,7 @@ class ShiftResult:
     path: NoisePath
     coefficients: np.ndarray
     shift_norm: float
+    separation: float
 
 
 def stabilizing_shift(
@@ -229,50 +209,42 @@ def stabilizing_shift(
     x: FourierField,
     gamma: float,
     cmap: ControlBasisMap,
-    free: SeparationImage = None,
+    tau0: float = 1.0,
 ) -> ShiftResult:
     """Shifted noise xi = zeta - R^gamma T(y, zeta)(x - y) for the coupled step.
 
     base_y must be the stored unit-interval run from y under the realization
-    zeta (its forcing record), with the control map assembled on it.  T's
-    tangent image is the map's separation row when it has one, and its free
-    image is free when that was formed at base_y's horizon; either must have
-    been formed for base_y and this x, or ValidationError is raised.
+    zeta (its forcing record), with the control map built on it; T's tangent
+    image is the map's separation row when it has one, which must have been
+    marched for this x.  Otherwise ValidationError is raised.  The result's
+    separation is equivalent_norm(x - y, tau0): at tau0 = base_y's horizon,
+    the norm of the free image T uses.
     """
     zeta = base_y.forcing
     if not isinstance(zeta, NoisePath):
         raise ValidationError("base trajectory must record its driving noise path")
+    if cmap.base() is not base_y:
+        raise ValidationError("the control map was built on another base")
+    if cmap.x is not None and not np.array_equal(cmap.x.coeffs, x.coeffs):
+        raise ValidationError("the map's separation row was marched for another x")
     w = x - base_y.state(0)
     horizon = float(base_y.times[-1])
-    tangent = lin = None
-    if cmap.separation is not None:
-        if cmap.separation.source() is not base_y:
-            raise ValidationError("the map's separation row was marched along another base")
-        tangent = cmap.separation._for(w)
-    if free is not None:
-        key, t = free.source
-        if key != _free_group_key(base_y.config):
-            raise ValidationError("free image was formed under another base's free group")
-        if t == horizon:
-            lin = free._for(w)
-    d = compact_T_apply(base_y, w, tangent, lin)
+    free = _free_group(w, base_y.config, horizon)
+    at_tau0 = free if tau0 == horizon else _free_group(w, base_y.config, tau0)
+    d = compact_T_apply(base_y, w, cmap.tangent, free)
     coeffs = pseudo_inverse_apply(cmap, gamma, d)
     delta = realize_shift_cells(cmap, coeffs, zeta.spec)
-    xi = zeta.shifted(delta)
-    return ShiftResult(path=xi, coefficients=coeffs, shift_norm=float(np.linalg.norm(coeffs)))
+    return ShiftResult(
+        path=zeta.shifted(delta),
+        coefficients=coeffs,
+        shift_norm=float(np.linalg.norm(coeffs)),
+        separation=sobolev_norm(at_tau0, 1.0),
+    )
 
 
-def _free_group_key(cfg: SolverConfig) -> tuple:
-    """What S_a(t) reads from cfg: the damping's closed form, dt and p."""
-    d = cfg.damping
-    return (d.grid, d.kind, d.params, cfg.dt, cfg.p)
-
-
-def free_image(w: FourierField, cfg: SolverConfig, t: float) -> SeparationImage:
-    """S_a(t) w, the damped free group of cfg's splitting, with what it was
-    formed from."""
-    image = linear_group(w, t, cfg.damping, cfg.dt, cfg.p)
-    return SeparationImage(w, (_free_group_key(cfg), t), image)
+def _free_group(w: FourierField, cfg: SolverConfig, t: float) -> FourierField:
+    """S_a(t) w, the damped free group of cfg's splitting."""
+    return linear_group(w, t, cfg.damping, cfg.dt, cfg.p)
 
 
 def equivalent_norm(w: FourierField, cfg: SolverConfig, tau0: float = 1.0) -> float:
@@ -283,7 +255,7 @@ def equivalent_norm(w: FourierField, cfg: SolverConfig, tau0: float = 1.0) -> fl
     operation of S_a is sign-symmetric, so S_a(-w) = -S_a(w) bit for bit and
     the norm of w - v is that of v - w.
     """
-    return free_image(w, cfg, tau0).norm
+    return sobolev_norm(_free_group(w, cfg, tau0), 1.0)
 
 
 @dataclass
@@ -317,17 +289,15 @@ def contraction_test(
     Separations are measured in equivalent_norm with the given tau0."""
     cfg = replace(cfg, store_stride=1)  # the base is linearized at every step
     base_y = solve_nls(y, zeta, 1.0, cfg)
-    # the separation rides in the control sweep, and its measured free image
-    # is T's when tau0 is the base's horizon
+    # the separation rides in the control sweep
     cmap = build_control_basis_map(base_y, zeta.spec.modes, time_level, galerkin_cutoff, x=x)
-    sep = free_image(x - y, cfg, tau0)
-    shift = stabilizing_shift(base_y, x, gamma, cmap, free=sep)
+    shift = stabilizing_shift(base_y, x, gamma, cmap, tau0)
 
     s_y = base_y.endpoint
     shifted, plain = markov_step_batch(np.stack([x.coeffs, x.coeffs]), [shift.path, zeta], cfg)
 
     norm = lambda c: equivalent_norm(s_y - FourierField(cfg.grid, c), cfg, tau0)
-    sep0 = sep.norm
+    sep0 = shift.separation
     # x = y leaves nothing to contract; 0/0 is reported as 0 by convention
     degenerate = sep0 == 0.0
     q = 0.0 if degenerate else norm(shifted) / sep0

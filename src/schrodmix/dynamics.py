@@ -34,6 +34,7 @@ front, which is what keeps ensemble runs affordable.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -475,7 +476,13 @@ def lp_power_integral(coeffs: np.ndarray, p: int) -> np.ndarray:
 
 
 def phase_theta(traj: Trajectory, t: float) -> float:
-    """Accumulated resonant phase ((p+1)/4pi) int_0^t ||u||_{L^{p-1}}^{p-1} ds."""
+    """Accumulated resonant phase ((p+1)/4pi) int_0^t ||u||_{L^{p-1}}^{p-1} ds.
+
+    The integral is the trapezoid over the solver's steps, so traj must be
+    stored at every step.
+    """
+    if traj.config.store_stride != 1:
+        raise ValidationError("the resonant phase needs a run stored at every step")
     i = traj.index_at(t)
     p = traj.config.p
     vals = lp_power_integral(traj.coeffs[: i + 1], p)
@@ -546,4 +553,4 @@ def trajectory_remainder(traj: Trajectory, t: float) -> FourierField:
     theta = phase_theta(traj, t)
     cfg = traj.config
     lin = linear_group(traj.state(0), t, cfg.damping, cfg.dt, cfg.p)
-    return traj.state_at(t) - complex(math.cos(theta), -math.sin(theta)) * lin
+    return traj.state_at(t) - cmath.exp(-1j * theta) * lin

@@ -18,12 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import (
-    build_control_basis_map,
-    equivalent_norm,  # unused here; bound for the benchmark tracer, which wraps it
-    free_image,
-    stabilizing_shift,
-)
+from .control import build_control_basis_map, equivalent_norm, stabilizing_shift
 from .dynamics import (
     SolverConfig,
     energy_series,
@@ -394,11 +389,11 @@ def synchronous_coupling_experiment(
     cfg's stride, because the control linearizes it at every step.
 
     A controlled step takes three sweeps.  The control sweep marches x - y
-    with its columns (T's tangent image), the measured separation's free
-    image is T's when tau0 is one time unit, and x's step under xi_n runs
-    in one stored block with the next base, y_{n+1} under zeta_{n+1}; the
-    last x step runs alone.  Every row steps on its own, so each output is
-    what separate solves give, bit for bit.
+    with its columns (T's tangent image), the shift measures the separation
+    it acts on (with T's own free image when tau0 is one time unit), and
+    x's step under xi_n runs in one stored block with the next base,
+    y_{n+1} under zeta_{n+1}; the last x step runs alone.  Every row steps
+    on its own, so each output is what separate solves give, bit for bit.
     """
     base_cfg = replace(cfg, store_stride=1)
     kind = "h1_after_group(tau0=%g)" % tau0
@@ -407,15 +402,15 @@ def synchronous_coupling_experiment(
         return sample_noise_paths(spec, [chain_seed_record(master_seed, SOLO_TAG, 0, n)])[0]
 
     y, x = y0, x0
-    sep = free_image(x - y, cfg, tau0)
-    seps = [sep.norm]
+    seps = []
     shift_norms = []
     if use_control and n_steps > 0:
         base_y = solve_nls(y, draw(0), 1.0, base_cfg)
     for n in range(n_steps):
         if use_control:
             cmap = build_control_basis_map(base_y, spec.modes, time_level, galerkin_cutoff, x=x)
-            shift = stabilizing_shift(base_y, x, gamma, cmap, free=sep)
+            shift = stabilizing_shift(base_y, x, gamma, cmap, tau0)
+            seps.append(shift.separation)
             y = base_y.endpoint
             if n + 1 < n_steps:
                 x_run, base_y = solve_nls_batch(
@@ -429,6 +424,7 @@ def synchronous_coupling_experiment(
                 )
             shift_norms.append(shift.shift_norm)
         else:
+            seps.append(equivalent_norm(x - y, cfg, tau0))
             zeta = draw(n)
             stacked = markov_step_batch(
                 np.stack([y.coeffs, x.coeffs]), [zeta, zeta], cfg
@@ -436,8 +432,7 @@ def synchronous_coupling_experiment(
             y = FourierField(cfg.grid, stacked[0])
             x = FourierField(cfg.grid, stacked[1])
             shift_norms.append(0.0)
-        sep = free_image(x - y, cfg, tau0)
-        seps.append(sep.norm)
+    seps.append(equivalent_norm(x - y, cfg, tau0))
     seps = np.asarray(seps)
     ratios = np.divide(seps[1:], seps[:-1], out=np.full(n_steps, np.nan), where=seps[:-1] > 0)
     return CouplingReport(

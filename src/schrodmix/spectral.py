@@ -205,11 +205,12 @@ class DampingProfile:
     Values always come from one of the closed-form constructors below, so the
     profile is C-infinity by construction; raw user samples are not accepted.
     The closed form (kind, params) is kept, so the profile can be evaluated
-    on any other grid as well, and values must match it.
+    on any other grid as well, and values must match it; profiles compare
+    and hash by (grid, kind, params).
     """
 
     grid: Grid
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False, compare=False)
     kind: str = "zero"
     params: tuple = ()
 

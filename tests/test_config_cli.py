@@ -857,6 +857,16 @@ def test_cli_forced_run_needs_integer_horizon(tmp_path, capsys, kind):
     assert not (out / "manifest.json").exists()
 
 
+def test_cli_smooth_needs_every_step_stored(tmp_path, capsys):
+    overrides = {"experiment": {"kind": "smooth", "horizon": 2.0}, "solver": {"store_stride": 4}}
+    path = write_cfg(tmp_path, overrides, name="stride.txt")
+    out = tmp_path / "o"
+    ret = cli.main(["smooth", "--config", str(path), "--out", str(out)])
+    assert ret == cli.EXIT_VALIDATION
+    assert "stored at every step" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists() and not (out / "smooth.json").exists()
+
+
 def test_cli_blow_up(tmp_path, capsys):
     path = write_cfg(
         tmp_path, {"experiment": {"initial_amplitude": 1.0e8}}, name="blow.txt"

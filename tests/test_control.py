@@ -14,7 +14,6 @@ from schrodmix import (
     bump_damping,
     contraction_test,
     equivalent_norm,
-    free_image,
     markov_step,
     pseudo_inverse_apply,
     regularized_pinv_solve,
@@ -247,23 +246,23 @@ def test_stabilizing_shift_scales_linearly():
 
 
 def test_precomputed_images_give_the_general_shift():
-    # the separation row of the map and the measured free image are the
-    # images T would form itself; at tau0 = 0.5 the free image is not T's,
-    # and T forms its own
+    # the separation row of a map built with x is the tangent image T would
+    # form itself, at any tau0; the shift measures the separation it acts on
     base, z, u0, cfg = noisy_base(seed=11)
     bump = random_h1_field(GRID, 1e-2, 2.0, 12, 0)
     x = u0 + bump
     plain = build_control_basis_map(base, z.spec.modes, 1, 4)
     riding = build_control_basis_map(base, z.spec.modes, 1, 4, x=x)
     assert riding.matrix.tobytes() == plain.matrix.tobytes()
-    assert plain.separation is None and riding.separation.source() is base
-    want = stabilizing_shift(base, x, 1e-2, plain)
-    for free in (None, free_image(x - u0, cfg, 1.0), free_image(x - u0, cfg, 0.5)):
-        got = stabilizing_shift(base, x, 1e-2, riding, free=free)
+    assert plain.x is None and plain.tangent is None and riding.x is x
+    assert plain.base() is base and riding.base() is base
+    for tau0 in (1.0, 0.5):
+        want = stabilizing_shift(base, x, 1e-2, plain, tau0)
+        got = stabilizing_shift(base, x, 1e-2, riding, tau0)
         assert got.coefficients.tobytes() == want.coefficients.tobytes()
         assert got.path.cells.tobytes() == want.path.cells.tobytes()
-        again = stabilizing_shift(base, x, 1e-2, plain, free=free)
-        assert again.coefficients.tobytes() == want.coefficients.tobytes()
+        sep = equivalent_norm(x - u0, cfg, tau0)
+        assert got.separation == want.separation == sep
     # a map without a separation row serves any x
     for scale in (0.5, 2.0):
         xs = u0 + scale * bump
@@ -276,19 +275,14 @@ def test_precomputed_images_for_another_base_or_x_are_refused():
     base, z, u0, cfg = noisy_base(seed=11)
     bump = random_h1_field(GRID, 1e-2, 2.0, 12, 0)
     x = u0 + bump
+    plain = build_control_basis_map(base, z.spec.modes, 1, 4)
     riding = build_control_basis_map(base, z.spec.modes, 1, 4, x=x)
     other = solve_nls(u0, sample_noise_path(z.spec, (12, 0, 0, 0)), 1.0, cfg)
-    with pytest.raises(ValidationError, match="another base"):
-        stabilizing_shift(other, x, 1e-2, riding)
+    for cmap in (plain, riding):
+        with pytest.raises(ValidationError, match="another base"):
+            stabilizing_shift(other, x, 1e-2, cmap)
     with pytest.raises(ValidationError, match="another x"):
         stabilizing_shift(base, u0 + 0.5 * bump, 1e-2, riding)
-    plain = build_control_basis_map(base, z.spec.modes, 1, 4)
-    with pytest.raises(ValidationError, match="another x"):
-        stabilizing_shift(base, x, 1e-2, plain, free=free_image(0.5 * bump, cfg, 1.0))
-    undamped = SolverConfig(grid=GRID, damping=zero_damping(GRID), dt=DT)
-    for t in (1.0, 0.5):
-        with pytest.raises(ValidationError, match="another base"):
-            stabilizing_shift(base, x, 1e-2, plain, free=free_image(x - u0, undamped, t))
 
 
 def test_stabilizing_shift_requires_noise_base():

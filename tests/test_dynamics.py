@@ -36,7 +36,7 @@ from schrodmix import (
     zero_field,
 )
 from schrodmix.config import random_h1_field
-from schrodmix.dynamics import _noise_drive, energy_series
+from schrodmix.dynamics import _noise_drive, energy_series, trajectory_remainder
 from schrodmix.linearized import control_response_matrix
 from schrodmix.noise import sample_noise_path
 from schrodmix.spectral import hs_norm_sq
@@ -395,6 +395,17 @@ def test_phase_theta_zero_and_monotone():
     traj = solve_nls(random_h1_field(GRID, 0.5, 3.0, 3, 0), z, 1.0, cfg)
     vals = [phase_theta(traj, t) for t in np.linspace(0.0, 1.0, 9)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+def test_phase_theta_needs_every_step_stored():
+    # the trapezoid runs over the stored states, so a coarser stride would
+    # change the phase (and smooth's remainder) with the storage alone
+    u0 = random_h1_field(GRID, 0.5, 3.0, 3, 0)
+    traj = solve_nls(u0, None, 1.0, damped_cfg(store_stride=4))
+    with pytest.raises(ValidationError, match="stored at every step"):
+        phase_theta(traj, 1.0)
+    with pytest.raises(ValidationError, match="stored at every step"):
+        trajectory_remainder(traj, 1.0)
 
 
 def low_mode_field(seed, top=3):

@@ -21,7 +21,7 @@ from schrodmix import (
     zero_damping,
     zero_field,
 )
-from schrodmix.dynamics import energy_series, lp_power_integral, pad_points
+from schrodmix.dynamics import SolverConfig, energy_series, lp_power_integral, pad_points
 from schrodmix.spectral import (
     ROOT_2PI,
     DampingProfile,
@@ -278,6 +278,18 @@ def test_bump_narrower_than_grid_spacing_rejected(width):
         bump_damping(GRID, 1.0, math.pi, width)
     assert repr(width) in str(err.value) and repr(spacing) in str(err.value)
     assert bump_damping(GRID, 1.0, math.pi, spacing).values.max() > 0
+
+
+def test_damping_profiles_compare_by_closed_form():
+    a = bump_damping(GRID, 1.0, math.pi, 1.5)
+    b = bump_damping(GRID, 1.0, math.pi, 1.5)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != bump_damping(GRID, 1.0, math.pi, 1.4)
+    assert a != constant_damping(GRID, 0.0) and zero_damping(GRID) == zero_damping(GRID)
+    # so do the solver configs that hold them
+    cfg = lambda d, dt=2.0**-7: SolverConfig(grid=GRID, damping=d, dt=dt)
+    assert cfg(a) == cfg(b) and hash(cfg(a)) == hash(cfg(b))
+    assert cfg(a) != cfg(b, 2.0**-8)
 
 
 def test_damping_validation():
