@@ -30,7 +30,6 @@ from .noise import (
     RhoSpec,
     haar_eval,
     haar_inner,
-    noise_field_at,
     sample_noise_path,
     sample_noise_paths,
 )
@@ -88,6 +87,7 @@ from .mixing import (
     loglinear_fit,
     mixing_experiment,
     run_chain,
+    solo_paths,
     synchronous_coupling_experiment,
     warm_start,
 )

@@ -19,16 +19,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .control import contraction_test, saturation_span
-from .dynamics import SolverConfig, solve_nls, trajectory_remainder
+from .dynamics import SolverConfig, solve_nls, steps_per_cell, trajectory_remainder
 from .linearized import assemble_gramian
 from .mixing import (
-    chain_seed_record,
     decay_experiment,
     mixing_experiment,
+    solo_paths,
     synchronous_coupling_experiment,
     warm_start,
 )
-from .noise import NoiseSpec, sample_noise_paths
+from .noise import NoiseSpec
 from .spectral import (
     FourierField,
     Grid,
@@ -261,19 +261,15 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         raise ValidationError("initial must be one of %s" % (_INITIAL_KINDS,))
     if exp["initial_b"] and exp["initial_b"] not in _INITIAL_KINDS:
         raise ValidationError("initial_b must be one of %s or empty" % (_INITIAL_KINDS,))
-    uses_noise = kind in ("gramian", "stabilize", "couple", "mix") or (
-        kind == "simulate" and exp["forced"]
-    )
-    if uses_noise:
-        spu = solver.steps_for(1.0)
-        if spu % noise.n_cells != 0:
-            raise ValidationError(
-                "dt must divide the noise cell width: %d solver steps per unit time "
-                "vs %d cells (SolverConfig/NoiseSpec cross constraint)" % (spu, noise.n_cells)
-            )
-        for k in noise.modes:
-            if abs(k) > grid.k_max:
-                raise ValidationError("noise mode %d outside the grid band" % k)
+    if kind in ("gramian", "stabilize", "couple", "mix") or (
+        kind in ("simulate", "smooth") and exp["forced"]
+    ):
+        steps_per_cell(noise, solver)
+    if kind == "smooth" and solver.store_stride != 1:
+        # the resonant phase integrates over every step of the run
+        raise ValidationError(
+            "smooth needs a run stored at every step, got store_stride %d" % solver.store_stride
+        )
     return ExperimentConfig(
         grid=grid,
         solver=solver,
@@ -342,8 +338,7 @@ def _forcing_paths(cfg: ExperimentConfig):
     n_units = int(round(horizon))
     if abs(horizon - n_units) > 1e-9 or n_units < 1:
         raise ValidationError("forced runs need an integer horizon >= 1")
-    records = [chain_seed_record(cfg.master_seed, 0, 0, n) for n in range(n_units)]
-    return sample_noise_paths(cfg.noise, records)
+    return solo_paths(cfg.noise, cfg.master_seed, range(n_units))
 
 
 def _run_simulate(cfg: ExperimentConfig, out: str) -> tuple:
@@ -377,9 +372,7 @@ def _warm_state(cfg: ExperimentConfig) -> tuple:
     p = cfg.params
     u0 = build_initial(cfg)
     y = warm_start(u0, p["warm_steps"], cfg.noise, cfg.solver, cfg.master_seed)
-    (zeta,) = sample_noise_paths(
-        cfg.noise, [chain_seed_record(cfg.master_seed, 0, 0, p["warm_steps"])]
-    )
+    (zeta,) = solo_paths(cfg.noise, cfg.master_seed, [p["warm_steps"]])
     return y, zeta
 
 

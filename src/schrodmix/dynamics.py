@@ -26,7 +26,9 @@ coefficients of the tangent rule belong to the base run they linearize:
 Trajectory.tangent_coefficients builds them once per base.
 
 Everything that depends on p and its padded grid lives here, beside the
-nonlinearity: pad_points, the energy and lp_power_integral.
+nonlinearity: pad_points, the energy and lp_power_integral.  So does the
+noise forcing: steps_per_cell is the one check that a NoiseSpec can force a
+SolverConfig, and _noise_drive the one builder of sum_k b_k eta_k e^{ikx}.
 
 All state arrays carry the mode axis last and arbitrary batch axes in
 front, which is what keeps ensemble runs affordable.
@@ -42,7 +44,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .noise import NoisePath
+from .noise import NoisePath, NoiseSpec
 from .spectral import (
     ROOT_2PI,
     TWO_PI,
@@ -201,6 +203,22 @@ def _identity(n, v):
     return v
 
 
+def steps_per_cell(spec: NoiseSpec, cfg: SolverConfig) -> int:
+    """Solver steps per noise cell: the one check that spec can force a run
+    under cfg, every noise mode inside the grid band and dt dividing the cell
+    width, so that every step sees a constant drive."""
+    spu = cfg.steps_for(1.0)
+    if spu % spec.n_cells != 0:
+        raise ValidationError(
+            "dt must divide the noise cell width: %d solver steps per unit time "
+            "vs %d cells (SolverConfig/NoiseSpec cross constraint)" % (spu, spec.n_cells)
+        )
+    for k in spec.modes:
+        if abs(k) > cfg.grid.k_max:
+            raise ValidationError("noise mode %d outside the grid band" % k)
+    return spu // spec.n_cells
+
+
 def _noise_drive(rows, cfg: SolverConfig):
     """Physical-space noise forcing of a block of chains.
 
@@ -211,22 +229,13 @@ def _noise_drive(rows, cfg: SolverConfig):
     explicit sum over the few active modes, not vals @ exps: a matrix product
     picks its BLAS kernel by the number of rows, so a chain's forcing would
     depend on the block it is stepped in.  The sum gives every row the same
-    bits.
+    bits.  Every path must carry the first one's NoiseSpec, amplitudes too.
     """
-    first = rows[0][0]
-    spec = first.spec
-    for row in rows:
-        for path in row:
-            if path.spec.modes != spec.modes or path.cells.shape != first.cells.shape:
-                raise ValidationError("paths must share one noise spec")
-    if any(abs(k) > cfg.grid.k_max for k in spec.modes):
-        raise ValidationError("noise mode outside the grid band")
-    spu = cfg.steps_for(1.0)
-    if spu % spec.n_cells != 0:
-        raise ValidationError(
-            "dt=%r does not divide the noise cell width 1/%d" % (cfg.dt, spec.n_cells)
-        )
-    per_cell = spu // spec.n_cells
+    spec = rows[0][0].spec
+    if any(path.spec != spec for row in rows for path in row):
+        raise ValidationError("paths must share one noise spec")
+    per_cell = steps_per_cell(spec, cfg)
+    spu = per_cell * spec.n_cells
     amp = np.asarray(spec.amplitudes)[:, None]
     stack = np.array([[amp * p.cells for p in row] for row in rows])  # (B, units, modes, cells)
     exps = np.exp(1j * np.multiply.outer(np.asarray(spec.modes, float), cfg._tab.x_pad))
@@ -339,7 +348,7 @@ class Trajectory:
         return c1, c2
 
 
-def _as_path_list(forcing, horizon: float, cfg: SolverConfig):
+def _as_path_list(forcing, horizon: float):
     if forcing is None:
         return None
     if isinstance(forcing, NoisePath):
@@ -367,7 +376,7 @@ def solve_nls(u0: FourierField, forcing, horizon: float, cfg: SolverConfig) -> T
     if u0.grid != cfg.grid:
         raise ValidationError("initial state lives on a different grid")
     n_steps = cfg.steps_for(horizon)
-    paths = _as_path_list(forcing, horizon, cfg)
+    paths = _as_path_list(forcing, horizon)
     drive = _row_drive(paths, cfg) if paths is not None else None
     times, stored, _ = _evolve(u0.coeffs.astype(np.complex128), cfg, n_steps, drive, True)
     return Trajectory(cfg.grid, times, np.stack(stored), cfg, forcing)

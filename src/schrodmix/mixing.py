@@ -3,10 +3,11 @@ experiments that probe decay, mixing, and coupled stabilization.
 
 Randomness discipline: every noise path is drawn from an integer record
 (master_seed, tag, chain, step) with the mode index appended inside the
-sampler.  Tags separate independent ensembles (0 = solo chains and coupled
-pairs, 1/2 = the two ensembles of a mixing run), so rerunning any experiment
-with the same master seed reproduces identical states no matter how the
-batch is chunked.
+sampler.  Tags separate independent ensembles (0 = the solo stream of
+solo_paths, which drives solo chains, coupled pairs and forced runs; 1/2 =
+the two ensembles of a mixing run), so rerunning any experiment with the
+same master seed reproduces identical states no matter how the batch is
+chunked.
 """
 
 from __future__ import annotations
@@ -38,6 +39,15 @@ def chain_seed_record(master_seed: int, tag: int, chain: int, step: int) -> tupl
     return (int(master_seed), int(tag), int(chain), int(step))
 
 
+def solo_paths(spec: NoiseSpec, master_seed: int, steps) -> list:
+    """The solo chain's paths at the given steps, drawn in one call from the
+    records (master_seed, SOLO_TAG, 0, n): the one stream that drives solo
+    chains, coupled pairs and forced runs.  A path is the same whether it is
+    drawn alone or in a block."""
+    records = [chain_seed_record(master_seed, SOLO_TAG, 0, n) for n in steps]
+    return sample_noise_paths(spec, records)
+
+
 # Chains are advanced in row blocks of this many chains.  A row's result is
 # bitwise the same in any block (no per-step quantity is a product over
 # rows), so the size does not set the bits: it bounds the memory that one
@@ -58,8 +68,7 @@ def run_chain(u0: FourierField, n_steps: int, spec: NoiseSpec, cfg: SolverConfig
               master_seed: int) -> list:
     """Iterate the unit-time Markov step; returns states at steps 0..n_steps."""
     states = [u0]
-    for n in range(n_steps):
-        (path,) = sample_noise_paths(spec, [chain_seed_record(master_seed, SOLO_TAG, 0, n)])
+    for path in solo_paths(spec, master_seed, range(n_steps)):
         states.append(markov_step(states[-1], path, cfg))
     return states
 
@@ -397,15 +406,12 @@ def synchronous_coupling_experiment(
     """
     base_cfg = replace(cfg, store_stride=1)
     kind = "h1_after_group(tau0=%g)" % tau0
-
-    def draw(n):
-        return sample_noise_paths(spec, [chain_seed_record(master_seed, SOLO_TAG, 0, n)])[0]
-
+    zetas = solo_paths(spec, master_seed, range(n_steps))
     y, x = y0, x0
     seps = []
     shift_norms = []
     if use_control and n_steps > 0:
-        base_y = solve_nls(y, draw(0), 1.0, base_cfg)
+        base_y = solve_nls(y, zetas[0], 1.0, base_cfg)
     for n in range(n_steps):
         if use_control:
             cmap = build_control_basis_map(base_y, spec.modes, time_level, galerkin_cutoff, x=x)
@@ -414,7 +420,7 @@ def synchronous_coupling_experiment(
             y = base_y.endpoint
             if n + 1 < n_steps:
                 x_run, base_y = solve_nls_batch(
-                    np.stack([x.coeffs, y.coeffs]), [shift.path, draw(n + 1)], base_cfg
+                    np.stack([x.coeffs, y.coeffs]), [shift.path, zetas[n + 1]], base_cfg
                 )
                 x = FourierField(cfg.grid, x_run.coeffs[-1].copy())  # not a view of the run
             else:
@@ -425,9 +431,8 @@ def synchronous_coupling_experiment(
             shift_norms.append(shift.shift_norm)
         else:
             seps.append(equivalent_norm(x - y, cfg, tau0))
-            zeta = draw(n)
             stacked = markov_step_batch(
-                np.stack([y.coeffs, x.coeffs]), [zeta, zeta], cfg
+                np.stack([y.coeffs, x.coeffs]), [zetas[n], zetas[n]], cfg
             )
             y = FourierField(cfg.grid, stacked[0])
             x = FourierField(cfg.grid, stacked[1])

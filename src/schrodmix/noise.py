@@ -8,8 +8,9 @@ One unit time interval carries, per active mode k, a complex process
 with sup-normalized Haar functions h (h_0 = 1 on [0,1); h_{jl} is +1 on the
 left half of [l 2^-j, (l+1) 2^-j) and -1 on the right half) and i.i.d. xi
 drawn from a compactly supported Lipschitz density on [-1, 1].  The physical
-forcing field is sum_k b_k eta_k(t) e^{ikx}.  Paths are piecewise constant on
-the 2^(J+1) dyadic cells of [0,1), which is how they are stored.
+forcing field is sum_k b_k eta_k(t) e^{ikx}, which dynamics builds.  Paths
+are piecewise constant on the 2^(J+1) dyadic cells of [0,1), which is how
+they are stored.
 
 The Haar cell layout, which h_{jl} covers a cell and with which sign, is the
 one table haar_cells; path synthesis and haar_inner read it, and haar_eval is
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral import FourierField, Grid, ROOT_2PI, ValidationError
+from .spectral import ValidationError
 
 # ppf solves G(e) = q for e = 1 - |x|, where G(e) = e/2 - sin(pi e)/(2 pi) is
 # the mass of the density on [1 - e, 1].  For e < _SERIES_E, G is summed as
@@ -327,21 +328,3 @@ def sample_noise_paths(spec: NoiseSpec, seed_records) -> list:
         first = 2**j - 1
         vals = vals + (w * z[..., first : first + 2**j])[..., idx[j]] * sign[j]
     return [NoisePath(spec, vals[i], rec) for i, rec in enumerate(records)]
-
-
-def path_field_coeffs(path: NoisePath, cell: int, grid: Grid) -> np.ndarray:
-    """Spectral coefficients of the physical forcing field on one cell.
-
-    The field is sum_k b_k eta_k e^{ikx}, so the coefficient on the
-    normalized basis e_k is b_k eta_k sqrt(2pi).
-    """
-    out = np.zeros(grid.n_coeff, dtype=np.complex128)
-    for m, k in enumerate(path.spec.modes):
-        if abs(k) > grid.k_max:
-            raise ValidationError("noise mode %d outside grid band" % k)
-        out[k + grid.k_max] = path.spec.amplitudes[m] * path.cells[m, cell] * ROOT_2PI
-    return out
-
-
-def noise_field_at(path: NoisePath, t: float, grid: Grid) -> FourierField:
-    return FourierField(grid, path_field_coeffs(path, path.cell_of(t), grid))

@@ -121,12 +121,14 @@ def test_canonical_text_round_trip_keeps_the_digest(data):
     draw = data.draw
     n_points = draw(st.sampled_from((32, 64, 128)))
     modes = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3, unique=True))
+    kind = draw(st.sampled_from(KINDS))
     sections = {
         "grid": {"n_points": n_points, "k_max": draw(st.integers(5, n_points // 2 - 1))},
         "solver": {
             "dt": 2.0 ** -draw(st.integers(7, 10)),
             "p": draw(st.sampled_from((3, 5, 7))),
-            "store_stride": draw(st.integers(1, 64)),
+            # smooth's resonant phase needs every step stored
+            "store_stride": 1 if kind == "smooth" else draw(st.integers(1, 64)),
             "damping": draw(st.sampled_from(("zero", "constant", "bump"))),
             "damping_value": draw(_NONNEG),
             "damping_amplitude": draw(_NONNEG),
@@ -141,7 +143,7 @@ def test_canonical_text_round_trip_keeps_the_digest(data):
             "level_max": draw(st.integers(1, 6)),
         },
         "experiment": {
-            "kind": draw(st.sampled_from(KINDS)),
+            "kind": kind,
             "forced": draw(st.booleans()),
             "n_steps": draw(st.integers(0, 10**6)),
             "n_chains": draw(st.integers(1, 10**6)),
@@ -206,6 +208,36 @@ def test_dt_must_divide_noise_cells():
     )
     with pytest.raises(ValidationError, match="SolverConfig/NoiseSpec cross constraint"):
         config_from_sections(parse_config_text(text))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_noise_drawing_kind_checks_the_cross_constraint_at_load(kind, tmp_path):
+    # 128 solver steps per unit against 256 noise cells: a kind that draws
+    # noise is refused at load, before any solve; the others run through
+    text = make_text(
+        {
+            "noise": {"level_max": 7},
+            "experiment": {"kind": kind, "forced": "true", "initial_b": "constant",
+                           "n_steps": 1, "n_chains": 2},
+        }
+    )
+    try:
+        cfg = config_from_sections(parse_config_text(text))
+    except ValidationError as exc:
+        assert "SolverConfig/NoiseSpec cross constraint" in str(exc)
+        return
+    run_experiment(cfg, out_dir=tmp_path / "o")
+    assert (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_smooth_needs_every_step_stored_at_load():
+    # the resonant phase integrates over every step, so smooth at a coarser
+    # stride is refused before it solves anything
+    text = make_text({"experiment": {"kind": "smooth", "horizon": 2.0}, "solver": {"store_stride": 4}})
+    with pytest.raises(ValidationError, match="stored at every step"):
+        config_from_sections(parse_config_text(text))
+    config_from_sections(parse_config_text(make_text({"experiment": {"kind": "smooth"}})))
+    config_from_sections(parse_config_text(make_text({"solver": {"store_stride": 4}})))
 
 
 def test_noise_mode_outside_band_rejected():

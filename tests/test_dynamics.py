@@ -36,10 +36,15 @@ from schrodmix import (
     zero_field,
 )
 from schrodmix.config import random_h1_field
-from schrodmix.dynamics import _noise_drive, energy_series, trajectory_remainder
+from schrodmix.dynamics import (
+    _noise_drive,
+    energy_series,
+    steps_per_cell,
+    trajectory_remainder,
+)
 from schrodmix.linearized import control_response_matrix
 from schrodmix.noise import sample_noise_path
-from schrodmix.spectral import hs_norm_sq
+from schrodmix.spectral import ROOT_2PI, hs_norm_sq, synth
 
 GRID = Grid(64, 20)
 DT = 2.0**-7
@@ -361,6 +366,56 @@ def test_noise_drive_rows_independent_of_block(n_rows, modes):
         assert out.shape == (n_rows, cfg._tab.n_pad)
         for i in range(n_rows):
             np.testing.assert_array_equal(out[i], singles[i](step)[0])
+
+
+def test_noise_drive_is_the_forcing_field_of_its_path():
+    # on each noise cell the padded forcing is sum_k b_k eta_k e^{ikx}, the
+    # field with coefficient b_k eta_k sqrt(2pi) on the normalized e_k
+    cfg = damped_cfg()
+    spec = NoiseSpec(modes=(0, 1), amplitudes=(0.3, 0.7))
+    path = sample_noise_path(spec, (9, 0, 0, 0))
+    drive = _noise_drive([[path]], cfg)
+    per_cell = steps_per_cell(spec, cfg)
+    assert per_cell * spec.n_cells == cfg.steps_for(1.0)
+    for cell in (0, 17, spec.n_cells - 1):
+        coeffs = np.zeros(GRID.n_coeff, dtype=np.complex128)
+        for m, k in enumerate(spec.modes):
+            coeffs[k + GRID.k_max] = spec.amplitudes[m] * path.cells[m, cell] * ROOT_2PI
+        expected = synth(coeffs, cfg._tab.n_pad)
+        for step in (cell * per_cell, (cell + 1) * per_cell - 1):
+            np.testing.assert_allclose(drive(step)[0], expected, rtol=0, atol=1e-14)
+
+
+def test_steps_per_cell_is_the_one_compatibility_check():
+    cfg = damped_cfg()
+    assert steps_per_cell(NoiseSpec(level_max=5), cfg) == 2
+    with pytest.raises(ValidationError, match="SolverConfig/NoiseSpec cross constraint"):
+        steps_per_cell(NoiseSpec(level_max=7), cfg)
+    with pytest.raises(ValidationError, match="noise mode 21 outside the grid band"):
+        steps_per_cell(NoiseSpec(modes=(0, 21)), cfg)
+    path = sample_noise_path(NoiseSpec(level_max=7), (1, 0, 0, 0))
+    with pytest.raises(ValidationError, match="cross constraint"):
+        markov_step(plane_wave(GRID, 1, 0.5), path, cfg)
+
+
+def test_markov_step_batch_refuses_mixed_specs():
+    # a block is forced under one spec: a row whose path has other amplitudes
+    # would otherwise be forced with its neighbour's
+    cfg = damped_cfg()
+    low = NoiseSpec(amplitudes=(0.1, 0.1))
+    high = NoiseSpec(amplitudes=(0.5, 0.5))
+    paths = [sample_noise_path(low, (5, 0, 0, 0)), sample_noise_path(high, (5, 0, 1, 0))]
+    u0 = plane_wave(GRID, 1, 0.5)
+    block = np.stack([u0.coeffs, u0.coeffs])
+    with pytest.raises(ValidationError, match="paths must share one noise spec"):
+        markov_step_batch(block, paths, cfg)
+    with pytest.raises(ValidationError, match="paths must share one noise spec"):
+        solve_nls(u0, paths, 2.0, cfg)
+    # the same two rows under one spec step as they do alone
+    same = [paths[0], sample_noise_path(low, (5, 0, 1, 0))]
+    out = markov_step_batch(block, same, cfg)
+    for row, path in zip(out, same):
+        np.testing.assert_array_equal(row, markov_step(u0, path, cfg).coeffs)
 
 
 @pytest.mark.parametrize("n_rows", [1, 64, 65])

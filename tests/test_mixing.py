@@ -50,6 +50,7 @@ from schrodmix.mixing import (
     SOLO_TAG,
     _worker_count,
     chain_seed_record,
+    solo_paths,
     warm_start,
 )
 
@@ -153,6 +154,16 @@ def test_run_chain_and_warm_start():
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
     warm = warm_start(u0, 3, spec, cfg, master_seed=42)
     np.testing.assert_array_equal(warm.coeffs, states[-1].coeffs)
+
+
+def test_solo_paths_are_the_solo_records_drawn_alone():
+    spec = small_spec()
+    paths = solo_paths(spec, 42, range(4))
+    assert [p.seed_record for p in paths] == [chain_seed_record(42, SOLO_TAG, 0, n) for n in range(4)]
+    for n, path in enumerate(paths):
+        (alone,) = solo_paths(spec, 42, [n])
+        assert alone.cells.tobytes() == path.cells.tobytes()
+    assert solo_paths(spec, 42, range(0)) == []
 
 
 def test_ensemble_evolution_matches_chain_records():

@@ -8,21 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schrodmix import Grid, NoisePath, NoiseSpec, RhoSpec, ValidationError
+from schrodmix import NoisePath, NoiseSpec, RhoSpec, ValidationError
 from schrodmix.noise import (
     haar_basis,
     haar_cells,
     haar_eval,
     haar_inner,
     haar_time_keys,
-    noise_field_at,
-    path_field_coeffs,
     sample_noise_path,
     sample_noise_paths,
 )
-from schrodmix.spectral import ROOT_2PI, to_physical
-
-GRID = Grid(128, 42)
 
 
 def test_haar_eval_level_zero():
@@ -310,35 +305,3 @@ def test_shifted_subtracts():
     np.testing.assert_allclose(moved.cells, path.cells - delta, rtol=1e-15)
     with pytest.raises(ValidationError):
         path.shifted(np.zeros((2, 3)))
-
-
-def test_noise_field_support_and_scaling():
-    spec = NoiseSpec(modes=(0, 1), amplitudes=(0.3, 0.7))
-    for seed in range(100):
-        path = sample_noise_path(spec, (seed, 0, 0, 0))
-        f = noise_field_at(path, 0.37, GRID)
-        cell = path.cell_of(0.37)
-        np.testing.assert_allclose(f.coeff(0), 0.3 * path.cells[0, cell] * ROOT_2PI)
-        np.testing.assert_allclose(f.coeff(1), 0.7 * path.cells[1, cell] * ROOT_2PI)
-        off = np.abs(f.coeffs) > 0
-        assert off.sum() <= 2
-        assert set(np.flatnonzero(off)) <= {GRID.k_max, GRID.k_max + 1}
-
-
-def test_noise_field_constant_unit_path():
-    spec = NoiseSpec(modes=(0, 1), amplitudes=(0.1, 0.2))
-    cells = np.zeros((2, spec.n_cells), dtype=complex)
-    cells[0] = 1.0
-    path = NoisePath(spec, cells, (0,))
-    f = noise_field_at(path, 0.5, GRID)
-    np.testing.assert_allclose(to_physical(f), 0.1, atol=1e-14)
-    with pytest.raises(ValidationError):
-        noise_field_at(path, 1.0, GRID)
-
-
-def test_path_field_coeffs_matches_field():
-    spec = NoiseSpec()
-    path = sample_noise_path(spec, (9, 0, 0, 0))
-    c = path_field_coeffs(path, 17, GRID)
-    t = (17 + 0.5) / spec.n_cells
-    np.testing.assert_allclose(c, noise_field_at(path, t, GRID).coeffs, rtol=1e-15)
