@@ -19,8 +19,6 @@ from .spectral import (
     constant_damping,
     plane_wave,
     sobolev_norm,
-    to_physical,
-    to_spectral,
     zero_damping,
     zero_field,
 )
@@ -47,7 +45,6 @@ from .dynamics import (
     nnonres,
     nres,
     phase_theta,
-    smoothing_remainder,
     solve_nls,
     solve_nls_batch,
 )

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import contraction_test, saturation_span
+from .control import check_shift_level, contraction_test, saturation_span
 from .dynamics import SolverConfig, solve_nls, steps_per_cell, trajectory_remainder
-from .linearized import assemble_gramian
+from .linearized import assemble_gramian, check_bands
 from .mixing import (
     decay_experiment,
     mixing_experiment,
@@ -28,7 +28,7 @@ from .mixing import (
     synchronous_coupling_experiment,
     warm_start,
 )
-from .noise import NoiseSpec
+from .noise import NoiseSpec, haar_cells
 from .spectral import (
     FourierField,
     Grid,
@@ -265,6 +265,15 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         kind in ("simulate", "smooth") and exp["forced"]
     ):
         steps_per_cell(noise, solver)
+    # the control layout, checked by the functions that build it: Haar cells
+    # on the solver steps, the Galerkin bands, and shifts on the noise cells
+    controlled = kind == "stabilize" or (kind == "couple" and exp["use_control"])
+    if kind == "gramian" or controlled:
+        haar_cells(exp["time_level"], solver.steps_for(1.0))
+        target = exp["target_cutoff"] if kind == "gramian" else 0
+        check_bands(exp["galerkin_cutoff"], grid.k_max, target)
+    if controlled:
+        check_shift_level(exp["time_level"], noise)
     if kind == "smooth" and solver.store_stride != 1:
         # the resonant phase integrates over every step of the run
         raise ValidationError(

@@ -141,14 +141,11 @@ def build_control_basis_map(
     )
 
 
-def pseudo_inverse_apply(cmap: ControlBasisMap, gamma: float, target) -> np.ndarray:
-    """Control coefficients steering toward a target field (or coordinate vector)."""
-    if isinstance(target, FourierField):
-        target = h1_coords(target.coeffs, target.grid.k_max, cmap.galerkin_cutoff)
-    target = np.asarray(target, dtype=float)
-    if target.shape != (cmap.matrix.shape[0],):
-        raise ValidationError("target coordinates do not match the map")
-    return regularized_pinv_solve(cmap.matrix, gamma, target)
+def pseudo_inverse_apply(cmap: ControlBasisMap, gamma: float, target: FourierField) -> np.ndarray:
+    """Control coefficients steering toward a target field, fitted in the
+    map's H1 Galerkin coordinates."""
+    coords = h1_coords(target.coeffs, target.grid.k_max, cmap.galerkin_cutoff)
+    return regularized_pinv_solve(cmap.matrix, gamma, coords)
 
 
 def compact_T_apply(
@@ -163,9 +160,16 @@ def compact_T_apply(
     if tangent is None:
         tangent = solve_linearized(base, w).endpoint
     if free is None:
-        free = _free_group(w, base.config, horizon)
+        free = linear_group(w, horizon, base.config)
     theta = phase_theta(base, horizon)
     return tangent - cmath.exp(-1j * theta) * free
+
+
+def check_shift_level(time_level: int, spec: NoiseSpec) -> None:
+    """The one check that controls of time_level can be realized as shifts
+    of spec's noise, which is constant on cells of level spec.level_max."""
+    if time_level > spec.level_max:
+        raise ValidationError("control level %d finer than the noise cells" % time_level)
 
 
 def realize_shift_cells(cmap: ControlBasisMap, coeffs: np.ndarray, spec: NoiseSpec) -> np.ndarray:
@@ -181,8 +185,7 @@ def realize_shift_cells(cmap: ControlBasisMap, coeffs: np.ndarray, spec: NoiseSp
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (cmap.column_count,):
         raise ValidationError("coefficient vector does not match the map")
-    if cmap.time_level > spec.level_max:
-        raise ValidationError("control level %d finer than the noise cells" % cmap.time_level)
+    check_shift_level(cmap.time_level, spec)
     basis = haar_basis(cmap.time_level, spec.n_cells)
     delta = np.zeros((len(spec.modes), spec.n_cells), dtype=np.complex128)
     for c, (k, j, l, comp) in enumerate(cmap.column_keys):
@@ -229,8 +232,8 @@ def stabilizing_shift(
         raise ValidationError("the map's separation row was marched for another x")
     w = x - base_y.state(0)
     horizon = float(base_y.times[-1])
-    free = _free_group(w, base_y.config, horizon)
-    at_tau0 = free if tau0 == horizon else _free_group(w, base_y.config, tau0)
+    free = linear_group(w, horizon, base_y.config)
+    at_tau0 = free if tau0 == horizon else linear_group(w, tau0, base_y.config)
     d = compact_T_apply(base_y, w, cmap.tangent, free)
     coeffs = pseudo_inverse_apply(cmap, gamma, d)
     delta = realize_shift_cells(cmap, coeffs, zeta.spec)
@@ -242,11 +245,6 @@ def stabilizing_shift(
     )
 
 
-def _free_group(w: FourierField, cfg: SolverConfig, t: float) -> FourierField:
-    """S_a(t) w, the damped free group of cfg's splitting."""
-    return linear_group(w, t, cfg.damping, cfg.dt, cfg.p)
-
-
 def equivalent_norm(w: FourierField, cfg: SolverConfig, tau0: float = 1.0) -> float:
     """H1 norm after riding the damped free group for tau0 time units.
 
@@ -255,7 +253,7 @@ def equivalent_norm(w: FourierField, cfg: SolverConfig, tau0: float = 1.0) -> fl
     operation of S_a is sign-symmetric, so S_a(-w) = -S_a(w) bit for bit and
     the norm of w - v is that of v - w.
     """
-    return sobolev_norm(_free_group(w, cfg, tau0), 1.0)
+    return sobolev_norm(linear_group(w, tau0, cfg), 1.0)
 
 
 @dataclass

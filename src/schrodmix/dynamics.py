@@ -421,27 +421,23 @@ def solve_nls_batch(coeffs: np.ndarray, paths, cfg: SolverConfig) -> list:
     ]
 
 
-def linear_group(
-    u0: FourierField, t: float, damping: DampingProfile, dt: float, p: int = 3
-) -> FourierField:
-    """Damped free group S_a(t): the solver's split step with the identity
-    substep, at the step t/n closest to dt.
+def linear_group(u0: FourierField, t: float, cfg: SolverConfig) -> FourierField:
+    """Damped free group S_a(t) of cfg's splitting: the split step with the
+    identity substep, at the step t/n closest to cfg.dt.
 
     Each step is the exact spectral half phases around two exact pointwise
-    half-step decays exp(-a(x) dt/2) on the padded grid of the power p, so
-    for a zero potential the linearized solver of that p and this map take
-    the same steps and agree to round-off.
+    half-step decays exp(-a(x) dt/2) on the padded grid of cfg.p, so for a
+    zero potential the linearized solver under cfg and this map take the
+    same steps and agree to round-off.
     """
-    if u0.grid != damping.grid:
-        raise ValidationError("state and damping live on different grids")
+    if u0.grid != cfg.grid:
+        raise ValidationError("state and solver config live on different grids")
     if t < 0:
         raise ValidationError("group time must be nonnegative")
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
     u = u0.coeffs.astype(np.complex128)
     if t > 0:
-        n = max(1, int(round(t / dt)))
-        tab = _step_tables(damping.grid, damping, t / n, p)
+        n = max(1, int(round(t / cfg.dt)))
+        tab = _step_tables(cfg.grid, cfg.damping, t / n, cfg.p)
         for _, u in _split_steps(u, tab, range(n), _identity):
             pass
     return FourierField(u0.grid, u)
@@ -523,23 +519,21 @@ def nmult(factors) -> FourierField:
 
 def nres(factors) -> FourierField:
     """Resonant part: for each odd slot m the frequency constraint pins the
-    m-th factor's mode, and the remaining factors collapse to the integral
-    of their alternating product; each such term contributes
-    u_m * integral / (2pi).  Single-resonant terms are counted once per slot,
+    m-th factor's mode, and the remaining factors collapse to the mean of
+    their alternating product over the torus; each such term contributes
+    u_m times that mean.  Single-resonant terms are counted once per slot,
     so coinciding factors are counted with multiplicity."""
     p, grid = _check_factors(factors)
     pad = pad_points(grid.k_max, p)
     phys = [synth(f.coeffs, pad) for f in factors]
     out = np.zeros(grid.n_coeff, dtype=np.complex128)
-    two_pi = 2.0 * math.pi
     for m in range(0, p, 2):  # odd slots in 1-based counting
         prod = np.ones(pad, dtype=np.complex128)
         for i in range(p):
             if i == m:
                 continue
             prod *= phys[i] if i % 2 == 0 else np.conj(phys[i])
-        integral = complex(np.mean(prod)) * two_pi
-        out += factors[m].coeffs * (integral / two_pi)
+        out += factors[m].coeffs * complex(np.mean(prod))
     return FourierField(grid, out)
 
 
@@ -547,19 +541,14 @@ def nnonres(factors) -> FourierField:
     return nmult(factors) - nres(factors)
 
 
-def smoothing_remainder(u0: FourierField, forcing, t: float, cfg: SolverConfig) -> FourierField:
-    """u(t) minus the phase-adjusted damped free evolution of u0.
+def trajectory_remainder(traj: Trajectory, t: float) -> FourierField:
+    """The smoothing remainder of the run stored in traj, at time t: u(t)
+    minus the phase-adjusted damped free evolution of u(0).
 
     The remainder is the smoothing diagnostic: it carries the gain of
     regularity that the full flow enjoys over its linear part once the
     resonant phase has been removed.
     """
-    return trajectory_remainder(solve_nls(u0, forcing, t, cfg), t)
-
-
-def trajectory_remainder(traj: Trajectory, t: float) -> FourierField:
-    """smoothing_remainder of the run already stored in traj, at time t."""
     theta = phase_theta(traj, t)
-    cfg = traj.config
-    lin = linear_group(traj.state(0), t, cfg.damping, cfg.dt, cfg.p)
+    lin = linear_group(traj.state(0), t, traj.config)
     return traj.state_at(t) - cmath.exp(-1j * theta) * lin

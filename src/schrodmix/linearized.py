@@ -38,11 +38,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import Trajectory, _split_steps
+from .dynamics import _TIME_TOL, Trajectory, _split_steps
 from .noise import haar_basis, haar_time_keys
 from .spectral import FourierField, ROOT_2PI, ValidationError, mode_weights
-
-_TIME_TOL = 1.0e-9
 
 
 def _forward_steps(v, tab, c1, c2, dt, steps, drive_ig=None):
@@ -139,10 +137,19 @@ def duality_pairing(v_run: Trajectory, phi_run: Trajectory, t: float) -> float:
 # control basis and Gramian
 
 
+def check_bands(cutoff: int, k_max: int = None, target_cutoff: int = 0) -> None:
+    """The one check of the Galerkin band |k| <= cutoff: it lies inside the
+    stored band |k| <= k_max, when given, and holds the target band
+    |k| <= target_cutoff."""
+    if k_max is not None and cutoff > k_max:
+        raise ValidationError("cutoff exceeds the stored band")
+    if target_cutoff > cutoff:
+        raise ValidationError("target band exceeds the Galerkin band")
+
+
 def h1_coords(coeffs: np.ndarray, k_max: int, cutoff: int) -> np.ndarray:
     """Real H1 coordinates of the band |k| <= cutoff; batched on leading axes."""
-    if cutoff > k_max:
-        raise ValidationError("cutoff exceeds the stored band")
+    check_bands(cutoff, k_max)
     c = np.asarray(coeffs)[..., k_max - cutoff : k_max + cutoff + 1]
     w = np.sqrt(mode_weights(cutoff, 1.0))
     out = np.empty(c.shape[:-1] + (2 * c.shape[-1],), dtype=float)
@@ -153,8 +160,7 @@ def h1_coords(coeffs: np.ndarray, k_max: int, cutoff: int) -> np.ndarray:
 
 def mode_coord_indices(target_cutoff: int, cutoff: int) -> np.ndarray:
     """Coordinate positions of the modes |k| <= target_cutoff inside h1_coords."""
-    if target_cutoff > cutoff:
-        raise ValidationError("target band exceeds the Galerkin band")
+    check_bands(cutoff, target_cutoff=target_cutoff)
     sel = []
     for k in range(-target_cutoff, target_cutoff + 1):
         i = k + cutoff
@@ -255,23 +261,13 @@ class GramianReport:
     column_count: int
 
 
-def gramian_matrix(base: Trajectory, modes, time_level: int, cutoff: int) -> np.ndarray:
-    a, _ = control_response_matrix(base, modes, time_level, cutoff)
-    return _symmetric_gram(a)
-
-
-def _symmetric_gram(a: np.ndarray) -> np.ndarray:
-    """A A^T, symmetrized against round-off."""
-    g = a @ a.T
-    return 0.5 * (g + g.T)
-
-
 def assemble_gramian(
     base: Trajectory, modes, time_level: int, cutoff: int, target_cutoff: int = 2
 ) -> GramianReport:
     """Gramian of the control response map over the Haar-in-time control basis."""
     a, cols = control_response_matrix(base, modes, time_level, cutoff)
-    g = _symmetric_gram(a)
+    g = a @ a.T
+    g = 0.5 * (g + g.T)  # symmetrized against round-off
     eigs = np.linalg.eigvalsh(g)[::-1].copy()
     sel = mode_coord_indices(target_cutoff, cutoff)
     sub = g[np.ix_(sel, sel)]

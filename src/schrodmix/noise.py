@@ -194,9 +194,6 @@ class RhoSpec:
         np.subtract(1.0, e, out=e)
         return np.copysign(e, u.reshape(-1) - 0.5, out=e).reshape(u.shape)[()]
 
-    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        return self.ppf(rng.random(shape))
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -243,9 +240,6 @@ class NoiseSpec:
         """max_t |b_k eta_k(t)| <= b_k sqrt(2) (1 + sum_j c_j)."""
         return self.amplitudes[mode_index] * math.sqrt(2.0) * (1.0 + float(self.level_weights.sum()))
 
-    def amplitude_of(self, k: int) -> float:
-        return self.amplitudes[self.modes.index(k)]
-
 
 @dataclass(frozen=True)
 class NoisePath:
@@ -270,15 +264,6 @@ class NoisePath:
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "cells", c)
-
-    def cell_of(self, t: float) -> int:
-        if not (0.0 <= t < 1.0):
-            raise ValidationError("path time must sit in [0, 1), got %r" % (t,))
-        return int(t * self.spec.n_cells)
-
-    def value_at(self, k: int, t: float) -> complex:
-        m = self.spec.modes.index(k)
-        return complex(self.cells[m, self.cell_of(t)])
 
     def sup_norm(self, mode_index: int) -> float:
         return float(np.abs(self.cells[mode_index]).max()) * self.spec.amplitudes[mode_index]

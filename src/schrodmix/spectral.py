@@ -4,8 +4,8 @@ for 2pi-periodic complex fields.
 Fields are stored as coefficients in the orthonormal basis
 e_k(x) = exp(ikx)/sqrt(2pi), k = -k_max..k_max.  Coefficient arrays are
 ordered by increasing k, so index i holds mode k = i - k_max.  Physical
-samples live on the uniform grid x_j = 2pi j / n.  The transform helpers
-accept arbitrary leading batch axes; the mode axis is always last.
+samples live on the uniform grid x_j = 2pi j / n.  The transforms synth and
+analyze accept arbitrary leading batch axes; the mode axis is always last.
 Nothing here depends on the power p: the energy lives in dynamics.
 """
 
@@ -150,21 +150,6 @@ def plane_wave(grid: Grid, k: int, amplitude: complex = 1.0) -> FourierField:
     return basis_field(grid, k, amplitude * ROOT_2PI)
 
 
-def to_physical(f: FourierField, n_points: int | None = None) -> np.ndarray:
-    n = f.grid.n_points if n_points is None else n_points
-    return synth(f.coeffs, n)
-
-
-def to_spectral(values, grid: Grid) -> FourierField:
-    values = np.asarray(values, dtype=np.complex128)
-    if values.shape != (grid.n_points,):
-        raise ValidationError(
-            "sample shape %r does not match grid (expected (%d,))"
-            % (values.shape, grid.n_points)
-        )
-    return FourierField(grid, analyze(values, grid.k_max))
-
-
 @lru_cache(maxsize=None)
 def mode_weights(k_max: int, s: float) -> np.ndarray:
     """The one Sobolev weight table (1+k^2)^s, k = -k_max..k_max: cached
@@ -184,18 +169,6 @@ def hs_norm_sq(coeffs: np.ndarray, s: float) -> np.ndarray:
 
 def sobolev_norm(f: FourierField, s: float) -> float:
     return float(np.sqrt(hs_norm_sq(f.coeffs, s)))
-
-
-def l2_inner(f: FourierField, g: FourierField) -> complex:
-    f._check_same_grid(g)
-    return complex(np.sum(f.coeffs * np.conj(g.coeffs)))
-
-
-def real_inner(f: FourierField, g: FourierField, s: float = 0.0) -> float:
-    """Re <f, g>_{H^s}, the real-Hilbert inner product used for Gramians."""
-    f._check_same_grid(g)
-    w = mode_weights(f.grid.k_max, s)
-    return float(np.sum(w * (f.coeffs * np.conj(g.coeffs)).real))
 
 
 @dataclass(frozen=True)
@@ -225,13 +198,6 @@ class DampingProfile:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.values == 0.0))
-
-    def describe(self) -> str:
-        return "%s%r" % (self.kind, tuple(round(p, 6) for p in self.params))
 
     def at(self, x: np.ndarray) -> np.ndarray:
         """The closed-form a(x) at any points x, such as a finer grid's."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schrodmix import BlowUpError, NoiseSpec, ValidationError, sobolev_norm, to_physical
+from schrodmix import BlowUpError, NoiseSpec, ValidationError, sobolev_norm
 from schrodmix import cli, store
 from schrodmix.config import (
     KINDS,
@@ -20,7 +20,7 @@ from schrodmix.config import (
     save_config,
 )
 from schrodmix.noise import NoisePath, sample_noise_paths
-from schrodmix.spectral import Grid
+from schrodmix.spectral import Grid, synth
 
 
 def make_text(overrides=None):
@@ -122,8 +122,12 @@ def test_canonical_text_round_trip_keeps_the_digest(data):
     n_points = draw(st.sampled_from((32, 64, 128)))
     modes = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3, unique=True))
     kind = draw(st.sampled_from(KINDS))
+    # the control kinds' default layout (time_level 2, galerkin_cutoff 8)
+    # must fit the noise cells and the grid band
+    control = kind in ("gramian", "stabilize", "couple")
+    k_max = draw(st.integers(8 if control else 5, n_points // 2 - 1))
     sections = {
-        "grid": {"n_points": n_points, "k_max": draw(st.integers(5, n_points // 2 - 1))},
+        "grid": {"n_points": n_points, "k_max": k_max},
         "solver": {
             "dt": 2.0 ** -draw(st.integers(7, 10)),
             "p": draw(st.sampled_from((3, 5, 7))),
@@ -140,7 +144,7 @@ def test_canonical_text_round_trip_keeps_the_digest(data):
             "amplitudes": tuple(draw(_NONNEG) for _ in modes),
             "haar_c": draw(_NONNEG),
             "haar_q": draw(st.floats(1.0, 1e6, exclude_min=True)),
-            "level_max": draw(st.integers(1, 6)),
+            "level_max": draw(st.integers(2 if control else 1, 6)),
         },
         "experiment": {
             "kind": kind,
@@ -240,6 +244,39 @@ def test_smooth_needs_every_step_stored_at_load():
     config_from_sections(parse_config_text(make_text({"solver": {"store_stride": 4}})))
 
 
+# each was refused only after the warm-up, the base solve and the control sweep
+_BAD_CONTROL = {
+    "stabilize_finer_than_noise": ({"kind": "stabilize", "time_level": 3}, "finer than the noise"),
+    "controlled_couple_finer_than_noise": (
+        {"kind": "couple", "use_control": "true", "time_level": 3}, "finer than the noise"),
+    "cutoff_above_band": ({"kind": "stabilize", "galerkin_cutoff": 21}, "exceeds the stored band"),
+    "target_above_cutoff": ({"kind": "gramian", "target_cutoff": 9}, "exceeds the Galerkin band"),
+    # 128 solver steps per unit cannot carry the 256 cells of level 7
+    "gramian_finer_than_steps": ({"kind": "gramian", "time_level": 7}, "divisible by 256, got 128"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONTROL))
+def test_bad_control_layout_is_refused_at_load(case, tmp_path, capsys):
+    experiment, match = _BAD_CONTROL[case]
+    overrides = {"noise": {"level_max": 2}, "experiment": {"n_steps": 1, **experiment}}
+    path = write_cfg(tmp_path, overrides)
+    out = tmp_path / "o"
+    assert cli.main([experiment["kind"], "--config", str(path), "--out", str(out)]) == 2
+    assert match in capsys.readouterr().err
+    # run_experiment makes the output directory first, so the config was
+    # refused at load
+    assert not out.exists()
+
+
+def test_control_keys_are_checked_only_where_used():
+    # gramian realizes no shift, and couple without control builds no map
+    for experiment in ({"kind": "gramian", "time_level": 3},
+                       {"kind": "couple", "time_level": 7, "galerkin_cutoff": 99}):
+        text = make_text({"noise": {"level_max": 2}, "experiment": experiment})
+        config_from_sections(parse_config_text(text))
+
+
 def test_noise_mode_outside_band_rejected():
     text = make_text(
         {"noise": {"modes": "0, 25", "amplitudes": "0.1, 0.1"}, "experiment": {"kind": "gramian"}}
@@ -275,7 +312,7 @@ def test_build_initial_variants(tmp_path):
         )
     )
     a = build_initial(cfg)
-    np.testing.assert_allclose(to_physical(a), 2.0, rtol=1e-12)
+    np.testing.assert_allclose(synth(a.coeffs, cfg.grid.n_points), 2.0, rtol=1e-12)
     b = build_initial(cfg, "b")
     assert abs(b.coeff(2)) > 0.0
     np.testing.assert_allclose(sobolev_norm(b, 0.0), 0.7 * math.sqrt(2.0 * math.pi), rtol=1e-12)

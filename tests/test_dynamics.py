@@ -26,7 +26,6 @@ from schrodmix import (
     nres,
     phase_theta,
     plane_wave,
-    smoothing_remainder,
     sobolev_norm,
     solve_adjoint_backward,
     solve_linearized,
@@ -85,7 +84,7 @@ def test_steps_for():
 def test_linear_group_free_single_mode():
     for k in (-3, 0, 5):
         u = basis_field(GRID, k, 1.0 + 0.5j)
-        out = linear_group(u, 0.3, zero_damping(GRID), DT)
+        out = linear_group(u, 0.3, free_cfg())
         want = (1.0 + 0.5j) * np.exp(-1j * k * k * 0.3)
         np.testing.assert_allclose(out.coeff(k), want, rtol=1e-12)
         rest = np.delete(out.coeffs, k + GRID.k_max)
@@ -96,7 +95,7 @@ def test_linear_group_unitary_without_damping():
     rng = np.random.default_rng(3)
     c = rng.standard_normal(GRID.n_coeff) + 1j * rng.standard_normal(GRID.n_coeff)
     u = FourierField(GRID, c)
-    out = linear_group(u, 0.7, zero_damping(GRID), DT)
+    out = linear_group(u, 0.7, free_cfg())
     np.testing.assert_allclose(sobolev_norm(out, 0.0), sobolev_norm(u, 0.0), rtol=1e-12)
 
 
@@ -105,8 +104,8 @@ def test_linear_group_constant_damping_factorizes():
     c = rng.standard_normal(GRID.n_coeff) + 1j * rng.standard_normal(GRID.n_coeff)
     u = FourierField(GRID, c)
     t = 0.5
-    damped = linear_group(u, t, constant_damping(GRID, 0.8), DT)
-    free = linear_group(u, t, zero_damping(GRID), DT)
+    damped = linear_group(u, t, SolverConfig(grid=GRID, damping=constant_damping(GRID, 0.8), dt=DT))
+    free = linear_group(u, t, free_cfg())
     np.testing.assert_allclose(damped.coeffs, math.exp(-0.8 * t) * free.coeffs, rtol=1e-10)
 
 
@@ -117,18 +116,18 @@ def test_linear_group_is_sign_symmetric_bitwise(p):
     cfg = damped_cfg(p=p)
     w = random_h1_field(GRID, 0.7, 2.5, 61, 0)
     for t in (1.0, 0.5):
-        plus = linear_group(w, t, cfg.damping, cfg.dt, p)
-        minus = linear_group(-w, t, cfg.damping, cfg.dt, p)
+        plus = linear_group(w, t, cfg)
+        minus = linear_group(-w, t, cfg)
         assert (-minus.coeffs).tobytes() == plus.coeffs.tobytes()
 
 
 def test_linear_group_time_validation():
     u = basis_field(GRID, 1, 1.0)
-    with pytest.raises(ValidationError):
-        linear_group(u, -0.1, zero_damping(GRID), DT)
-    np.testing.assert_allclose(
-        linear_group(u, 0.0, zero_damping(GRID), DT).coeffs, u.coeffs, atol=0
-    )
+    with pytest.raises(ValidationError, match="nonnegative"):
+        linear_group(u, -0.1, free_cfg())
+    np.testing.assert_allclose(linear_group(u, 0.0, free_cfg()).coeffs, u.coeffs, atol=0)
+    with pytest.raises(ValidationError, match="different grids"):
+        linear_group(basis_field(Grid(128, 42), 1, 1.0), 0.5, free_cfg())
 
 
 def test_solve_zero_stays_zero():
@@ -582,13 +581,14 @@ def test_nmult_validation():
 
 def test_smoothing_remainder_zero_and_identity():
     cfg = damped_cfg()
-    assert np.all(smoothing_remainder(zero_field(GRID), None, 1.0, cfg).coeffs == 0)
+    zero = solve_nls(zero_field(GRID), None, 1.0, cfg)
+    assert np.all(trajectory_remainder(zero, 1.0).coeffs == 0)
     u0 = random_h1_field(GRID, 0.6, 3.0, 13, 0)
     t = 2.0
-    rem = smoothing_remainder(u0, None, t, cfg)
     traj = solve_nls(u0, None, t, cfg)
+    rem = trajectory_remainder(traj, t)
     theta = phase_theta(traj, t)
-    lin = linear_group(u0, t, cfg.damping, cfg.dt)
+    lin = linear_group(u0, t, cfg)
     rebuilt = rem + np.exp(-1j * theta) * lin
     np.testing.assert_allclose(rebuilt.coeffs, traj.endpoint.coeffs, rtol=1e-12, atol=1e-14)
 

@@ -36,7 +36,6 @@ from schrodmix.linearized import (
     _midpoint,
     _midpoint_buffers,
     control_response_matrix,
-    gramian_matrix,
     h1_coords,
     haar_time_keys,
     mode_coord_indices,
@@ -73,14 +72,15 @@ def noisy_base(cfg, seed=3):
 
 
 def test_zero_base_reduces_to_linear_group():
-    # linear_group runs on the padded grid of the solver's p: at p = 5 a
-    # p = 3 grid samples the damping elsewhere and misses by about 2e-7
+    # linear_group takes the solver config, so it runs on the padded grid of
+    # its p: at p = 5 a p = 3 grid samples the damping elsewhere and misses
+    # by about 2e-7
     v0 = random_h1_field(GRID, 1.0, 2.5, 7, 0)
     for p in (3, 5):
         cfg = damped_cfg(p=p)
         base = zero_base(cfg)
         run = solve_linearized(base, v0)
-        want = linear_group(v0, 1.0, cfg.damping, cfg.dt, cfg.p)
+        want = linear_group(v0, 1.0, cfg)
         assert sobolev_norm(run.endpoint - want, 0.0) < 1e-10, p
         # so the compact part vanishes on a zero base
         assert sobolev_norm(compact_T_apply(base, v0), 0.0) < 1e-10, p
@@ -357,7 +357,8 @@ def test_gramian_zero_base_structure():
     """Free flow cannot move control mass across modes."""
     cfg = free_cfg()
     base = zero_base(cfg)
-    g = gramian_matrix(base, (0,), 1, 3)
+    a, _ = control_response_matrix(base, (0,), 1, 3)
+    g = a @ a.T
     n_x = 2 * (2 * 3 + 1)
     assert g.shape == (n_x, n_x)
     np.testing.assert_allclose(g, g.T, atol=1e-12)
@@ -381,8 +382,12 @@ def test_gramian_empty_modes():
 
 def test_gramian_monotone_in_modes():
     base = noisy_base(damped_cfg(), seed=12)
-    g_small = gramian_matrix(base, (0,), 1, 3)
-    g_big = gramian_matrix(base, (0, 1), 1, 3)
+
+    def gram(modes):
+        a, _ = control_response_matrix(base, modes, 1, 3)
+        return a @ a.T
+
+    g_small, g_big = gram((0,)), gram((0, 1))
     evals = np.linalg.eigvalsh(g_big - g_small)
     assert evals.min() >= -1e-10
 

@@ -323,9 +323,8 @@ def _six_sweep_shift(y, x, zeta, gamma, cfg, time_level, galerkin_cutoff):
     base = solve_nls(y, zeta, 1.0, replace(cfg, store_stride=1))
     cmap = build_control_basis_map(base, zeta.spec.modes, time_level, galerkin_cutoff)
     w, t = x - y, float(base.times[-1])
-    d = solve_linearized(base, w).endpoint - cmath.exp(-1j * phase_theta(base, t)) * linear_group(
-        w, t, cfg.damping, cfg.dt, cfg.p
-    )
+    phase = cmath.exp(-1j * phase_theta(base, t))
+    d = solve_linearized(base, w).endpoint - phase * linear_group(w, t, cfg)
     coeffs = pseudo_inverse_apply(cmap, gamma, d)
     return base, zeta.shifted(realize_shift_cells(cmap, coeffs, zeta.spec)), coeffs
 
