@@ -261,10 +261,16 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         raise ValidationError("initial must be one of %s" % (_INITIAL_KINDS,))
     if exp["initial_b"] and exp["initial_b"] not in _INITIAL_KINDS:
         raise ValidationError("initial_b must be one of %s or empty" % (_INITIAL_KINDS,))
-    if kind in ("gramian", "stabilize", "couple", "mix") or (
-        kind in ("simulate", "smooth") and exp["forced"]
-    ):
+    forced = kind in ("simulate", "smooth") and exp["forced"]
+    if kind in ("gramian", "stabilize", "couple", "mix") or forced:
         steps_per_cell(noise, solver)
+    # the horizon a run solves over, and the unit paths that force it
+    if kind in ("simulate", "decay", "smooth"):
+        solver.steps_for(exp["horizon"])
+    if forced:
+        _forced_units(exp["horizon"])
+    if kind == "mix" and not exp["initial_b"]:
+        raise ValidationError("mix needs a second initial datum (initial_b)")
     # the control layout, checked by the functions that build it: Haar cells
     # on the solver steps, the Galerkin bands, and shifts on the noise cells
     controlled = kind == "stabilize" or (kind == "couple" and exp["use_control"])
@@ -313,9 +319,7 @@ def build_initial(cfg: ExperimentConfig, which: str = "a") -> FourierField:
     if name == "zero":
         return zero_field(grid)
     if name == "constant":
-        c = np.zeros(grid.n_coeff, dtype=np.complex128)
-        c[grid.k_max] = amp * math.sqrt(2.0 * math.pi)
-        return FourierField(grid, c)
+        return plane_wave(grid, 0, amp)
     if name == "plane_wave":
         return plane_wave(grid, mode, amp)
     if name == "random_h1":
@@ -339,15 +343,20 @@ def random_h1_field(grid: Grid, amplitude: float, tail: float, seed: int, salt: 
 # experiment dispatch
 
 
+def _forced_units(horizon: float) -> int:
+    """The number of unit paths a forced run over horizon takes: the one
+    check that the horizon is an integer >= 1."""
+    n_units = int(round(horizon))
+    if abs(horizon - n_units) > 1e-9 or n_units < 1:
+        raise ValidationError("forced runs need an integer horizon >= 1")
+    return n_units
+
+
 def _forcing_paths(cfg: ExperimentConfig):
     """The unit paths that force a run over cfg's horizon, or None unforced."""
     if not cfg.params["forced"]:
         return None
-    horizon = cfg.params["horizon"]
-    n_units = int(round(horizon))
-    if abs(horizon - n_units) > 1e-9 or n_units < 1:
-        raise ValidationError("forced runs need an integer horizon >= 1")
-    return solo_paths(cfg.noise, cfg.master_seed, range(n_units))
+    return solo_paths(cfg.noise, cfg.master_seed, range(_forced_units(cfg.params["horizon"])))
 
 
 def _run_simulate(cfg: ExperimentConfig, out: str) -> tuple:
@@ -455,8 +464,6 @@ def _run_couple(cfg: ExperimentConfig, out: str) -> tuple:
 
 def _run_mix(cfg: ExperimentConfig, out: str) -> tuple:
     p = cfg.params
-    if not p["initial_b"]:
-        raise ValidationError("mix needs a second initial datum (initial_b)")
     report = mixing_experiment(
         build_initial(cfg, "a"),
         build_initial(cfg, "b"),

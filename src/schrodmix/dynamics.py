@@ -16,14 +16,14 @@ so it is applied where it is diagonal, on the padded grid the substep needs
 anyway: a step costs one padded inverse FFT and one padded FFT.
 
 One kernel, _split_steps, runs every flow that shares this splitting: it
-takes the middle substep N as a parameter.  Its substeps are the
-nonlinear/forcing step above (_evolve), the frozen-coefficient tangent
-midpoint rule (linearized._midpoint), the same rule with c1 negated run
-backward in time with conjugated phases, which is its exact adjoint (D_half
-is real and diagonal, so it is its own adjoint), and the identity, which
-makes linear_group the damped free group of the same splitting.  The frozen
-coefficients of the tangent rule belong to the base run they linearize:
-Trajectory.tangent_coefficients builds them once per base.
+takes the middle substep N as a parameter.  Its substeps are the forced
+step above and the frozen-coefficient tangent step, both the one explicit
+midpoint rule _midpoint with their own right-hand sides; that tangent step
+with c1 negated, run in reverse order on conjugated phases, its exact
+adjoint (D_half is real and diagonal, so its own adjoint); the unforced
+rotation; and the identity, which makes linear_group the damped free group.
+The frozen coefficients of the tangent step belong to the base run they
+linearize: Trajectory.tangent_coefficients builds them once per base.
 
 Everything that depends on p and its padded grid lives here, beside the
 nonlinearity: pad_points, the energy and lp_power_integral.  So does the
@@ -39,7 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -103,7 +103,8 @@ class SolverConfig:
             raise ValidationError("damping profile lives on a different grid")
 
     def steps_for(self, horizon: float) -> int:
-        n = int(round(horizon / self.dt))
+        n = horizon / self.dt
+        n = int(round(n)) if math.isfinite(n) else 0  # 1e308 / dt overflows
         if n < 1 or abs(n * self.dt - horizon) > _TIME_TOL * max(1.0, horizon):
             raise ValidationError(
                 "horizon %r is not an integer multiple of dt=%r" % (horizon, self.dt)
@@ -203,6 +204,25 @@ def _identity(n, v):
     return v
 
 
+def _midpoint(w, rhs, dt, buf):
+    """The one explicit midpoint step w + dt rhs(w + (dt/2) rhs(w)), written
+    over w; rhs(z, out) writes the right-hand side at z into out.  buf holds
+    the slope and the stage, two padded blocks allocated once per sweep: a
+    fresh complex temporary per operation on a 64-row block is 180 KB, past
+    glibc's initial 128 KB mmap threshold, and the page faults of such
+    temporaries made the control sweep 20% slower.
+    """
+    k, m = buf
+    np.add(w, np.multiply(0.5 * dt, rhs(w, k), out=k), out=m)
+    return np.add(w, np.multiply(dt, rhs(m, k), out=k), out=w)
+
+
+def _forced_rhs(z, out, f, p: int):
+    """-i(|z|^{p-1} z + f) into out: the forced substep's rhs for _midpoint."""
+    np.add(np.multiply(_amp_pow(z, p), z, out=out), f, out=out)
+    return np.multiply(-1j, out, out=out)
+
+
 def steps_per_cell(spec: NoiseSpec, cfg: SolverConfig) -> int:
     """Solver steps per noise cell: the one check that spec can force a run
     under cfg, every noise mode inside the grid band and dt dividing the cell
@@ -217,6 +237,11 @@ def steps_per_cell(spec: NoiseSpec, cfg: SolverConfig) -> int:
         if abs(k) > cfg.grid.k_max:
             raise ValidationError("noise mode %d outside the grid band" % k)
     return spu // spec.n_cells
+
+
+def _mode_waves(modes, tab) -> np.ndarray:
+    """exp(ikx) of each mode k on the padded grid of tab, (len(modes), n_pad)."""
+    return np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))
 
 
 def _noise_drive(rows, cfg: SolverConfig):
@@ -238,7 +263,7 @@ def _noise_drive(rows, cfg: SolverConfig):
     spu = per_cell * spec.n_cells
     amp = np.asarray(spec.amplitudes)[:, None]
     stack = np.array([[amp * p.cells for p in row] for row in rows])  # (B, units, modes, cells)
-    exps = np.exp(1j * np.multiply.outer(np.asarray(spec.modes, float), cfg._tab.x_pad))
+    exps = _mode_waves(spec.modes, cfg._tab)
 
     out = np.empty((len(rows), cfg._tab.n_pad), dtype=np.complex128)
     built = None
@@ -275,13 +300,13 @@ def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, drive, collect: bool
     tab = cfg._tab
     dt, p = cfg.dt, cfg.p
     thr2 = cfg.blowup_threshold**2
+    if drive is not None:
+        buf = tuple(np.empty(u.shape[:-1] + (tab.n_pad,), dtype=np.complex128) for _ in range(2))
 
     def substep(n, v):
         if drive is None:
             return v * np.exp(-1j * dt * _amp_pow(v, p))
-        f = drive(n)
-        vm = v + (0.5 * dt) * (-1j * (_amp_pow(v, p) * v + f))
-        return v + dt * (-1j) * (_amp_pow(vm, p) * vm + f)
+        return _midpoint(v, partial(_forced_rhs, f=drive(n), p=p), dt, buf)
 
     times = [0.0]
     stored = [u] if collect else []

@@ -9,11 +9,12 @@ with u frozen per substep (midpoint interpolation of the stored base), using
 the same splitting as the nonlinear stepper.  The frozen coefficients (c1, c2)
 belong to the base: Trajectory.tangent_coefficients builds them once, on a
 base stored at every step, and every tangent, adjoint and control solve on
-that base reads them there.  The substep is one midpoint rule for
-w' = -i(c1 w + c2 conj(w)).  Its real-L2 transpose is the same rule with c1
-negated, so the backward flow runs that rule in reverse step order with
-conjugated phases; the real pairing Re<v(t), phi(t)> is then conserved to
-round-off by construction, and the stored states solve
+that base reads them there.  The substep is dynamics._midpoint, the one
+midpoint rule, for w' = -i(c1 w + c2 conj(w)).  Its real-L2 transpose is the
+same rule with c1 negated, so the backward flow is the forward tangent step
+with c1 negated, on conjugated phase tables, in reverse step order; the real
+pairing Re<v(t), phi(t)> is then conserved to round-off by construction,
+and the stored states solve
 
     i phi_t + phi_xx - i a(x) phi = ((p+1)/2)|u|^{p-1} phi - ((p-1)/2)|u|^{p-3} u^2 conj(phi).
 
@@ -34,13 +35,23 @@ a Galerkin band |k| <= cutoff, where the coordinate map
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import _TIME_TOL, Trajectory, _split_steps
+from .dynamics import _TIME_TOL, Trajectory, _midpoint, _mode_waves, _split_steps
 from .noise import haar_basis, haar_time_keys
 from .spectral import FourierField, ROOT_2PI, ValidationError, mode_weights
+
+
+def _tangent_rhs(z, out, c1, c2, ig, b):
+    """-i(c1 z + c2 conj(z)) - ig into out, with ig None for no drive and b a
+    padded scratch block: the tangent substep's rhs for _midpoint."""
+    np.multiply(c1, z, out=out)
+    np.multiply(c2, np.conjugate(z, out=b), out=b)
+    np.multiply(-1j, np.add(out, b, out=out), out=out)
+    return out if ig is None else np.subtract(out, ig, out=out)
 
 
 def _forward_steps(v, tab, c1, c2, dt, steps, drive_ig=None):
@@ -48,41 +59,13 @@ def _forward_steps(v, tab, c1, c2, dt, steps, drive_ig=None):
 
     drive_ig(n) is i g of step n on the padded grid, or drive_ig is None.
     """
-    buf = _midpoint_buffers(v, tab)
+    *buf, b = (np.empty(v.shape[:-1] + (tab.n_pad,), dtype=np.complex128) for _ in range(3))
 
     def substep(n, w):
-        return _midpoint(w, c1[n], c2[n], dt, None if drive_ig is None else drive_ig(n), buf)
+        ig = None if drive_ig is None else drive_ig(n)
+        return _midpoint(w, partial(_tangent_rhs, c1=c1[n], c2=c2[n], ig=ig, b=b), dt, buf)
 
     return _split_steps(v, tab, steps, substep)
-
-
-def _midpoint_buffers(v, tab) -> tuple:
-    """The three padded scratch blocks _midpoint needs for a sweep of v."""
-    shape = v.shape[:-1] + (tab.n_pad,)
-    return tuple(np.empty(shape, dtype=np.complex128) for _ in range(3))
-
-
-def _midpoint(w, c1, c2, dt, ig, buf):
-    """One midpoint step of w' = -i(c1 w + c2 conj(w)) - ig, written over w.
-
-    The operations are those of the plain expression, in its order, so the
-    bits are too; they only write into buf, allocated once per sweep.  A
-    fresh temporary per operation on a 60-row control block is 170 KB, past
-    glibc's 128 KB mmap threshold, and the page faults of those temporaries
-    made the control sweep 20% slower.
-    """
-    a, b, m = buf
-
-    def rhs(z):
-        np.multiply(c1, z, out=a)
-        np.multiply(c2, np.conjugate(z, out=b), out=b)
-        np.multiply(-1j, np.add(a, b, out=a), out=a)
-        if ig is not None:
-            np.subtract(a, ig, out=a)
-        return a
-
-    np.add(w, np.multiply(0.5 * dt, rhs(w), out=a), out=m)
-    return np.add(w, np.multiply(dt, rhs(m), out=a), out=w)
 
 
 def solve_linearized(base: Trajectory, v0: FourierField) -> Trajectory:
@@ -101,8 +84,8 @@ def solve_linearized(base: Trajectory, v0: FourierField) -> Trajectory:
 def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> Trajectory:
     """Backward adjoint flow: phi at every base time, phi(T) = phi1.
 
-    Applies the exact real-L2 adjoint of each forward substep in reverse (the
-    tangent midpoint rule with c1 negated, and conjugated phases), so
+    Runs _forward_steps with c1 negated, on conjugated phase tables, in
+    reverse step order: the exact real-L2 adjoint of each forward step, so
     Re<v(t_n), phi(t_n)> is constant in n for any tangent solution v.
     """
     if phi1.grid != base.grid:
@@ -115,13 +98,7 @@ def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> Trajectory:
     )
     phi = phi1.coeffs.astype(np.complex128)
     stored = [phi]
-
-    buf = _midpoint_buffers(phi, tab)
-
-    def substep(n, w):
-        return _midpoint(w, -c1[n], c2[n], cfg.dt, None, buf)
-
-    for _, phi in _split_steps(phi, adj, range(c1.shape[0] - 1, -1, -1), substep):
+    for _, phi in _forward_steps(phi, adj, -c1, c2, cfg.dt, range(c1.shape[0] - 1, -1, -1)):
         stored.append(phi)
     stored.reverse()
     return Trajectory(base.grid, base.times.copy(), np.stack(stored), cfg)
@@ -138,9 +115,12 @@ def duality_pairing(v_run: Trajectory, phi_run: Trajectory, t: float) -> float:
 
 
 def check_bands(cutoff: int, k_max: int = None, target_cutoff: int = 0) -> None:
-    """The one check of the Galerkin band |k| <= cutoff: it lies inside the
-    stored band |k| <= k_max, when given, and holds the target band
-    |k| <= target_cutoff."""
+    """The one check of the Galerkin band |k| <= cutoff: both cutoffs are
+    nonnegative, the band lies inside the stored band |k| <= k_max, when
+    given, and holds the target band |k| <= target_cutoff."""
+    for name, c in (("cutoff", cutoff), ("target cutoff", target_cutoff)):
+        if c < 0:
+            raise ValidationError("%s must be >= 0, got %d" % (name, c))
     if k_max is not None and cutoff > k_max:
         raise ValidationError("cutoff exceeds the stored band")
     if target_cutoff > cutoff:
@@ -220,7 +200,7 @@ def control_response_matrix(
 
     tab = cfg._tab
     c1, c2 = base.tangent_coefficients
-    rows = np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))
+    rows = _mode_waves(modes, tab)
     # the separation, if any, is row 0 and the columns follow it
     if separation is None:
         v = np.zeros((0, base.grid.n_coeff), dtype=np.complex128)

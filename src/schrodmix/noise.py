@@ -83,7 +83,9 @@ def haar_cells(level: int, n_cells: int):
     and sign[j, c] (+1.0 or -1.0) is its value there.  Row 0 is the constant
     h_0.
     """
-    if level < 0 or n_cells < 1 or n_cells % 2 ** (level + 1) != 0:
+    if level < 0:
+        raise ValidationError("Haar level must be >= 0, got %d" % level)
+    if n_cells < 1 or n_cells % 2 ** (level + 1) != 0:
         raise ValidationError(
             "Haar level %d needs a cell count divisible by %d, got %d"
             % (level, 2 ** (level + 1), n_cells)

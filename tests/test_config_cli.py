@@ -126,10 +126,19 @@ def test_canonical_text_round_trip_keeps_the_digest(data):
     # must fit the noise cells and the grid band
     control = kind in ("gramian", "stabilize", "couple")
     k_max = draw(st.integers(8 if control else 5, n_points // 2 - 1))
+    dt = 2.0 ** -draw(st.integers(7, 10))
+    # a run's horizon is a multiple of dt, and a forced run's an integer
+    forced = draw(st.booleans())
+    if kind in ("simulate", "smooth") and forced:
+        horizon = float(draw(st.integers(1, 10**6)))
+    elif kind in ("simulate", "decay", "smooth"):
+        horizon = draw(st.integers(1, 2**40)) * dt
+    else:
+        horizon = draw(_FINITE)
     sections = {
         "grid": {"n_points": n_points, "k_max": k_max},
         "solver": {
-            "dt": 2.0 ** -draw(st.integers(7, 10)),
+            "dt": dt,
             "p": draw(st.sampled_from((3, 5, 7))),
             # smooth's resonant phase needs every step stored
             "store_stride": 1 if kind == "smooth" else draw(st.integers(1, 64)),
@@ -148,12 +157,14 @@ def test_canonical_text_round_trip_keeps_the_digest(data):
         },
         "experiment": {
             "kind": kind,
-            "forced": draw(st.booleans()),
+            "forced": forced,
             "n_steps": draw(st.integers(0, 10**6)),
             "n_chains": draw(st.integers(1, 10**6)),
             "initial": draw(st.sampled_from(("zero", "constant", "plane_wave", "random_h1"))),
-            "initial_b": draw(st.sampled_from(("", "zero", "random_h1"))),
-            "horizon": draw(_FINITE),
+            # mix compares the chains from two initial data
+            "initial_b": draw(st.sampled_from(("zero", "random_h1") if kind == "mix"
+                                              else ("", "zero", "random_h1"))),
+            "horizon": horizon,
             "gamma": draw(_FINITE),
             "probe_s": draw(_FINITE),
             "sat_modes": tuple(draw(st.lists(st.integers(-(2**40), 2**40), max_size=4))),
@@ -244,7 +255,8 @@ def test_smooth_needs_every_step_stored_at_load():
     config_from_sections(parse_config_text(make_text({"solver": {"store_stride": 4}})))
 
 
-# each was refused only after the warm-up, the base solve and the control sweep
+# each was refused only after the warm-up, the base solve and the control
+# sweep, or, for the negative keys, with a message that did not name them
 _BAD_CONTROL = {
     "stabilize_finer_than_noise": ({"kind": "stabilize", "time_level": 3}, "finer than the noise"),
     "controlled_couple_finer_than_noise": (
@@ -253,6 +265,12 @@ _BAD_CONTROL = {
     "target_above_cutoff": ({"kind": "gramian", "target_cutoff": 9}, "exceeds the Galerkin band"),
     # 128 solver steps per unit cannot carry the 256 cells of level 7
     "gramian_finer_than_steps": ({"kind": "gramian", "time_level": 7}, "divisible by 256, got 128"),
+    # the gramian used to end in an IndexError after the control sweep
+    "negative_target_cutoff": (
+        {"kind": "gramian", "target_cutoff": -3}, "target cutoff must be >= 0, got -3"),
+    "negative_galerkin_cutoff": (
+        {"kind": "stabilize", "galerkin_cutoff": -2}, "cutoff must be >= 0, got -2"),
+    "negative_time_level": ({"kind": "gramian", "time_level": -1}, "Haar level must be >= 0, got -1"),
 }
 
 
@@ -266,6 +284,31 @@ def test_bad_control_layout_is_refused_at_load(case, tmp_path, capsys):
     assert match in capsys.readouterr().err
     # run_experiment makes the output directory first, so the config was
     # refused at load
+    assert not out.exists()
+
+
+# each exited 2 only after run_experiment had made the output directory and
+# removed any manifest in it
+_BAD_RUN = {
+    "forced_simulate_half_unit": (
+        {"kind": "simulate", "forced": "true", "horizon": 1.5}, "integer horizon >= 1"),
+    "forced_smooth_half_unit": (
+        {"kind": "smooth", "forced": "true", "horizon": 1.5}, "integer horizon >= 1"),
+    "mix_without_second_datum": ({"kind": "mix"}, "second initial datum (initial_b)"),
+    "decay_off_the_steps": ({"kind": "decay", "horizon": 1.001}, "not an integer multiple of dt"),
+    "simulate_off_the_steps": ({"kind": "simulate", "horizon": 0.001}, "not an integer multiple"),
+    # horizon / dt overflows to inf: this one ended in an OverflowError
+    "decay_past_the_floats": ({"kind": "decay", "horizon": 1e308}, "not an integer multiple"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RUN))
+def test_bad_run_is_refused_before_the_output_directory(case, tmp_path, capsys):
+    experiment, match = _BAD_RUN[case]
+    path = write_cfg(tmp_path, {"experiment": experiment})
+    out = tmp_path / "o"
+    assert cli.main([experiment["kind"], "--config", str(path), "--out", str(out)]) == 2
+    assert match in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -737,9 +780,8 @@ def test_run_mix(tmp_path):
 
 
 def test_run_mix_requires_second_datum(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, {"experiment": {"kind": "mix"}}, name="m2.txt"))
     with pytest.raises(ValidationError, match="initial_b"):
-        run_experiment(cfg, out_dir=tmp_path / "m2")
+        load_config(write_cfg(tmp_path, {"experiment": {"kind": "mix"}}, name="m2.txt"))
 
 
 def test_run_saturate_interval(tmp_path):

@@ -31,10 +31,10 @@ from schrodmix import (
 )
 from schrodmix.config import random_h1_field
 from schrodmix.control import compact_T_apply
+from schrodmix.dynamics import _forced_rhs, _midpoint
 from schrodmix.linearized import (
     _forward_steps,
-    _midpoint,
-    _midpoint_buffers,
+    _tangent_rhs,
     control_response_matrix,
     h1_coords,
     haar_time_keys,
@@ -217,8 +217,9 @@ def test_response_matrix_matches_dense_march(p):
 
 
 def test_tangent_midpoint_keeps_the_plain_bits():
-    # the substep writes into scratch blocks, with the operations of the
-    # plain expression in its order: forced, unforced and adjoint (c1 < 0)
+    # the one midpoint rule writes into scratch blocks, with the operations
+    # of the plain expression in its order: the tangent substep forced,
+    # unforced and adjoint (c1 < 0), and the forced nonlinear substep
     tab = damped_cfg()._tab
     rng = np.random.default_rng(9)
     cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -235,10 +236,29 @@ def test_tangent_midpoint_keeps_the_plain_bits():
         wm = w + (0.5 * DT) * rhs(w)
         return w + DT * rhs(wm)
 
-    buf = _midpoint_buffers(np.zeros((5, GRID.n_coeff)), tab)
+    *buf, b = (np.empty((5, tab.n_pad), dtype=complex) for _ in range(3))
     for c, g in ((c1, ig), (c1, None), (-c1, None)):
-        got = _midpoint(w.copy(), c, c2, DT, g, buf)
+        got = _midpoint(w.copy(), functools.partial(_tangent_rhs, c1=c, c2=c2, ig=g, b=b), DT, buf)
         assert got.tobytes() == plain(c, g).tobytes()
+
+    # the forced substep against its plain two lines, on a block salted with
+    # exact zeros and zeros of either sign: in the state and the forcing
+    # together, in the forcing alone and in the state alone
+    def salt(a, lo):
+        for i, z in enumerate((0.0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0))):
+            a[:, lo + 40 * i : lo + 40 * (i + 1)] = z
+        a.real[:, lo + 160 : lo + 200] = -0.0
+        a.imag[:, lo + 200 : lo + 240] = -0.0
+
+    v, f = cplx(3, 2000), cplx(3, 2000)
+    salt(v, 0), salt(f, 0), salt(f, 240), salt(v, 480)
+    blocks = [np.empty_like(v) for _ in range(2)]
+    for p in (3, 5):
+        amp = lambda z: (z.real**2 + z.imag**2) ** ((p - 1) // 2)
+        vm = v + (0.5 * DT) * (-1j * (amp(v) * v + f))
+        want = v + DT * (-1j) * (amp(vm) * vm + f)
+        got = _midpoint(v.copy(), functools.partial(_forced_rhs, f=f, p=p), DT, blocks)
+        assert got.tobytes() == want.tobytes(), p
 
 
 @pytest.mark.parametrize("p", [3, 5])
