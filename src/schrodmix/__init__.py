@@ -4,9 +4,9 @@ Schrodinger equation on the one-dimensional torus.
 The pieces: band-limited fields and Sobolev bookkeeping (spectral), Haar-cell
 colored noise (noise), a Strang-split integrator, the energy and resonance
 calculus (dynamics), linearized/adjoint flows and controllability Gramians
-(linearized), pseudo-inverse control synthesis and contraction experiments
-(control), ensemble mixing diagnostics (mixing), and config/CLI/persistence
-plumbing (config, cli, store).
+(linearized), pseudo-inverse control synthesis (control), ensemble mixing
+diagnostics, the coupled step and its contraction test (mixing), and
+config/CLI/persistence plumbing (config, cli, store).
 """
 
 from .spectral import (
@@ -57,10 +57,8 @@ from .linearized import (
     solve_linearized,
 )
 from .control import (
-    StabilizationReport,
     build_control_basis_map,
     compact_T_apply,
-    contraction_test,
     equivalent_norm,
     pseudo_inverse_apply,
     regularized_pinv_solve,
@@ -75,8 +73,10 @@ from .mixing import (
     Functional,
     MixReport,
     ObservableDictionary,
+    StabilizationReport,
     attractor_proximity,
     chain_seed_record,
+    contraction_test,
     decay_experiment,
     default_dictionary,
     dual_lipschitz_estimate,

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import check_shift_level, contraction_test, saturation_span
+from .control import check_gamma, check_shift_level, saturation_base, saturation_span
 from .dynamics import SolverConfig, solve_nls, steps_per_cell, trajectory_remainder
 from .linearized import assemble_gramian, check_bands
 from .mixing import (
+    contraction_test,
     decay_experiment,
     mixing_experiment,
     solo_paths,
@@ -261,6 +262,9 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         raise ValidationError("initial must be one of %s" % (_INITIAL_KINDS,))
     if exp["initial_b"] and exp["initial_b"] not in _INITIAL_KINDS:
         raise ValidationError("initial_b must be one of %s or empty" % (_INITIAL_KINDS,))
+    if kind == "decay" and exp["forced"]:
+        # only simulate and smooth read the key; decay would ignore it
+        raise ValidationError("decay runs unforced, so it takes no forced = true")
     forced = kind in ("simulate", "smooth") and exp["forced"]
     if kind in ("gramian", "stabilize", "couple", "mix") or forced:
         steps_per_cell(noise, solver)
@@ -280,12 +284,15 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         check_bands(exp["galerkin_cutoff"], grid.k_max, target)
     if controlled:
         check_shift_level(exp["time_level"], noise)
+        check_gamma(exp["gamma"])
+    if kind == "saturate":
+        saturation_base(exp["sat_modes"], exp["iterations"])
     if kind == "smooth" and solver.store_stride != 1:
         # the resonant phase integrates over every step of the run
         raise ValidationError(
             "smooth needs a run stored at every step, got store_stride %d" % solver.store_stride
         )
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         grid=grid,
         solver=solver,
         noise=noise,
@@ -295,6 +302,13 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         output_dir=sections["run"]["output_dir"],
         sections=sections,
     )
+    # the initial data the kind reads: cheap to build, so a mode outside the
+    # band is refused here and not after the output directory exists
+    if kind != "saturate":
+        build_initial(cfg)
+    if exp["initial_b"] and kind in ("couple", "mix"):
+        build_initial(cfg, "b")
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

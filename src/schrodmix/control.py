@@ -1,5 +1,6 @@
-"""Saturating mode algebra, regularized pseudo-inverse control, and the
-one-step contraction experiment.
+"""Saturating mode algebra and the regularized pseudo-inverse control of a
+coupled step.  The coupled step itself, and the contraction test that is one
+controlled step of it, live in mixing (_coupled_steps).
 
 The stabilizing shift cancels, through the noise modes, the compact part
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,9 +35,8 @@ from .dynamics import (
     Trajectory,
     linear_group,
     markov_step,  # unused here; bound for the benchmark tracer, which wraps it
-    markov_step_batch,
     phase_theta,
-    solve_nls,
+    solve_nls,  # unused here; bound for the benchmark tracer, which wraps it
 )
 from .linearized import control_response_matrix, h1_coords, solve_linearized
 from .noise import NoisePath, NoiseSpec, haar_basis
@@ -52,18 +52,23 @@ def saturate_once(base: frozenset, previous: frozenset) -> frozenset:
     return frozenset(out)
 
 
+def saturation_base(base, iterations: int) -> frozenset:
+    """The one check of saturation_span's arguments; returns the base set."""
+    if iterations < 0:
+        raise ValidationError("iterations must be >= 0")
+    b = frozenset(int(k) for k in base)
+    if not b:
+        raise ValidationError("base set must be nonempty")
+    return b
+
+
 def saturation_span(base, iterations: int):
     """Iterate saturate_once from the base set.
 
     Returns (final_set, interval) with interval the largest contiguous run of
     integers inside the final set, as an inclusive (lo, hi) pair.
     """
-    if iterations < 0:
-        raise ValidationError("iterations must be >= 0")
-    b = frozenset(int(k) for k in base)
-    if not b:
-        raise ValidationError("base set must be nonempty")
-    current = b
+    current = b = saturation_base(base, iterations)
     for _ in range(iterations):
         current = saturate_once(b, current)
     interval = largest_interval(current)
@@ -87,10 +92,15 @@ def largest_interval(values) -> tuple:
     return best
 
 
-def regularized_pinv_solve(a: np.ndarray, gamma: float, target: np.ndarray) -> np.ndarray:
-    """c = A^T (A A^T + gamma I)^{-1} target, the gamma-regularized least-norm fit."""
+def check_gamma(gamma: float) -> None:
+    """The one check of the Tikhonov weight of regularized_pinv_solve."""
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
+
+
+def regularized_pinv_solve(a: np.ndarray, gamma: float, target: np.ndarray) -> np.ndarray:
+    """c = A^T (A A^T + gamma I)^{-1} target, the gamma-regularized least-norm fit."""
+    check_gamma(gamma)
     a = np.asarray(a, dtype=float)
     target = np.asarray(target, dtype=float)
     gram = a @ a.T + gamma * np.eye(a.shape[0])
@@ -254,60 +264,3 @@ def equivalent_norm(w: FourierField, cfg: SolverConfig, tau0: float = 1.0) -> fl
     the norm of w - v is that of v - w.
     """
     return sobolev_norm(linear_group(w, tau0, cfg), 1.0)
-
-
-@dataclass
-class StabilizationReport:
-    """Outcome of one controlled-coupling contraction test."""
-
-    gamma: float
-    q_ratio: float
-    uncontrolled_ratio: float
-    shift_norm: float
-    success: bool
-    norm_kind: str
-    separation: float
-    seeds: tuple = ()
-    degenerate: bool = False
-
-
-def contraction_test(
-    y: FourierField,
-    x: FourierField,
-    zeta: NoisePath,
-    gamma: float,
-    cfg: SolverConfig,
-    time_level: int = 2,
-    galerkin_cutoff: int = 8,
-    tau0: float = 1.0,
-    seeds: tuple = (),
-) -> StabilizationReport:
-    """Run S(y, zeta) against S(x, xi) with the stabilizing shift and compare
-    the coupled separation to the initial one, alongside the unshifted run.
-    Separations are measured in equivalent_norm with the given tau0."""
-    cfg = replace(cfg, store_stride=1)  # the base is linearized at every step
-    base_y = solve_nls(y, zeta, 1.0, cfg)
-    # the separation rides in the control sweep
-    cmap = build_control_basis_map(base_y, zeta.spec.modes, time_level, galerkin_cutoff, x=x)
-    shift = stabilizing_shift(base_y, x, gamma, cmap, tau0)
-
-    s_y = base_y.endpoint
-    shifted, plain = markov_step_batch(np.stack([x.coeffs, x.coeffs]), [shift.path, zeta], cfg)
-
-    norm = lambda c: equivalent_norm(s_y - FourierField(cfg.grid, c), cfg, tau0)
-    sep0 = shift.separation
-    # x = y leaves nothing to contract; 0/0 is reported as 0 by convention
-    degenerate = sep0 == 0.0
-    q = 0.0 if degenerate else norm(shifted) / sep0
-    q_plain = 0.0 if degenerate else norm(plain) / sep0
-    return StabilizationReport(
-        gamma=gamma,
-        q_ratio=q,
-        uncontrolled_ratio=q_plain,
-        shift_norm=shift.shift_norm,
-        success=bool(q < 1.0),
-        norm_kind="h1_after_group(tau0=%g)" % tau0,
-        separation=sep0,
-        seeds=tuple(seeds),
-        degenerate=degenerate,
-    )

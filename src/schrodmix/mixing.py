@@ -1,6 +1,11 @@
 """Markov chains, ensembles, certified observable dictionaries, and the
 experiments that probe decay, mixing, and coupled stabilization.
 
+The coupled step has one body, _coupled_steps: y under zeta, and x under a
+noise xi that is zeta itself or zeta shifted by the stabilizing control.
+synchronous_coupling_experiment runs it with and without control, and
+contraction_test is one controlled step of it beside x's plain step.
+
 Randomness discipline: every noise path is drawn from an integer record
 (master_seed, tag, chain, step) with the mode index appended inside the
 sampler.  Tags separate independent ensembles (0 = the solo stream of
@@ -28,7 +33,7 @@ from .dynamics import (
     solve_nls,
     solve_nls_batch,
 )
-from .noise import NoiseSpec, sample_noise_paths
+from .noise import NoisePath, NoiseSpec, sample_noise_paths
 from .spectral import FourierField, Grid, ValidationError, hs_norm_sq
 
 SOLO_TAG = 0
@@ -374,6 +379,72 @@ class CouplingReport:
     norm_kind: str
 
 
+@dataclass
+class StabilizationReport:
+    """Outcome of one controlled-coupling contraction test."""
+
+    gamma: float
+    q_ratio: float
+    uncontrolled_ratio: float
+    shift_norm: float
+    success: bool
+    norm_kind: str
+    separation: float
+    seeds: tuple = ()
+    degenerate: bool = False
+
+
+def _norm_kind(tau0: float) -> str:
+    """The name reports give equivalent_norm at tau0."""
+    return "h1_after_group(tau0=%g)" % tau0
+
+
+def _coupled_steps(y0: FourierField, x0: FourierField, zetas, cfg: SolverConfig,
+                   control, tau0: float) -> tuple:
+    """The coupled step, once per realization in zetas: y under zeta_n, and
+    x under xi_n, either zeta_n itself (control None) or zeta_n shifted by
+    the stabilizing control of control = (gamma, time_level, galerkin_cutoff).
+
+    Returns (y, x, separations, shift_norms): the final pair, the separation
+    before each step and after the last, in equivalent_norm with the given
+    tau0, and the norm of each step's control coefficients (0 unshifted).
+
+    y's unit run is stored at store_stride 1, whatever cfg's stride, because
+    the control linearizes it at every step.  A controlled step takes three
+    sweeps: the control sweep marches x - y with its columns (T's tangent
+    image), the shift measures the separation it acts on (with T's own free
+    image when tau0 is one time unit), and x's step under xi_n runs in one
+    stored block with the next base, y_{n+1} under zeta_{n+1}; the last x
+    step runs alone.  Every row steps on its own, so each output is what
+    separate solves give, bit for bit.
+    """
+    base_cfg = replace(cfg, store_stride=1)
+    y, x = y0, x0
+    seps = []
+    shift_norms = []
+    if zetas:
+        base_y = solve_nls(y, zetas[0], 1.0, base_cfg)
+    for n, zeta in enumerate(zetas):
+        if control is None:
+            xi, sep, shift_norm = zeta, equivalent_norm(x - y, cfg, tau0), 0.0
+        else:
+            gamma, time_level, galerkin_cutoff = control
+            cmap = build_control_basis_map(base_y, zeta.spec.modes, time_level, galerkin_cutoff, x=x)
+            shift = stabilizing_shift(base_y, x, gamma, cmap, tau0)
+            xi, sep, shift_norm = shift.path, shift.separation, shift.shift_norm
+        seps.append(sep)
+        shift_norms.append(shift_norm)
+        y = base_y.endpoint
+        if n + 1 < len(zetas):
+            pair = np.stack([x.coeffs, y.coeffs])
+            x_run, base_y = solve_nls_batch(pair, [xi, zetas[n + 1]], base_cfg)
+            x = x_run.endpoint
+        else:
+            x = FourierField(cfg.grid, markov_step_batch(x.coeffs[None, :], [xi], cfg)[0])
+    seps.append(equivalent_norm(x - y, cfg, tau0))
+    return y, x, seps, shift_norms
+
+
 def synchronous_coupling_experiment(
     y0: FourierField,
     x0: FourierField,
@@ -387,57 +458,18 @@ def synchronous_coupling_experiment(
     galerkin_cutoff: int = 8,
     tau0: float = 1.0,
 ) -> CouplingReport:
-    """Drive two chains with the same per-step noise realization; optionally
-    shift the second chain's realization with the stabilizing control.
+    """Drive two chains through _coupled_steps with the same per-step noise
+    realizations from the solo stream; optionally shift the second chain's
+    realization with the stabilizing control.
 
     Without control each chain's marginal law is exactly the solo run_chain
     law (identical seeds give identical states); with control the x chain
-    follows the shifted realization and the per-step separation ratios are
-    recorded.  Separations are measured in equivalent_norm with the given tau0.
-    With control, each step's y run is solved at store_stride 1, whatever
-    cfg's stride, because the control linearizes it at every step.
-
-    A controlled step takes three sweeps.  The control sweep marches x - y
-    with its columns (T's tangent image), the shift measures the separation
-    it acts on (with T's own free image when tau0 is one time unit), and
-    x's step under xi_n runs in one stored block with the next base,
-    y_{n+1} under zeta_{n+1}; the last x step runs alone.  Every row steps
-    on its own, so each output is what separate solves give, bit for bit.
+    follows the shifted realization.  The per-step separation ratios are
+    recorded either way.
     """
-    base_cfg = replace(cfg, store_stride=1)
-    kind = "h1_after_group(tau0=%g)" % tau0
     zetas = solo_paths(spec, master_seed, range(n_steps))
-    y, x = y0, x0
-    seps = []
-    shift_norms = []
-    if use_control and n_steps > 0:
-        base_y = solve_nls(y, zetas[0], 1.0, base_cfg)
-    for n in range(n_steps):
-        if use_control:
-            cmap = build_control_basis_map(base_y, spec.modes, time_level, galerkin_cutoff, x=x)
-            shift = stabilizing_shift(base_y, x, gamma, cmap, tau0)
-            seps.append(shift.separation)
-            y = base_y.endpoint
-            if n + 1 < n_steps:
-                x_run, base_y = solve_nls_batch(
-                    np.stack([x.coeffs, y.coeffs]), [shift.path, zetas[n + 1]], base_cfg
-                )
-                x = FourierField(cfg.grid, x_run.coeffs[-1].copy())  # not a view of the run
-            else:
-                x = FourierField(
-                    cfg.grid,
-                    markov_step_batch(x.coeffs[None, :], [shift.path], cfg)[0],
-                )
-            shift_norms.append(shift.shift_norm)
-        else:
-            seps.append(equivalent_norm(x - y, cfg, tau0))
-            stacked = markov_step_batch(
-                np.stack([y.coeffs, x.coeffs]), [zetas[n], zetas[n]], cfg
-            )
-            y = FourierField(cfg.grid, stacked[0])
-            x = FourierField(cfg.grid, stacked[1])
-            shift_norms.append(0.0)
-    seps.append(equivalent_norm(x - y, cfg, tau0))
+    control = (gamma, time_level, galerkin_cutoff) if use_control else None
+    _, _, seps, shift_norms = _coupled_steps(y0, x0, zetas, cfg, control, tau0)
     seps = np.asarray(seps)
     ratios = np.divide(seps[1:], seps[:-1], out=np.full(n_steps, np.nan), where=seps[:-1] > 0)
     return CouplingReport(
@@ -447,5 +479,39 @@ def synchronous_coupling_experiment(
         use_control=use_control,
         gamma=gamma,
         master_seed=master_seed,
-        norm_kind=kind,
+        norm_kind=_norm_kind(tau0),
+    )
+
+
+def contraction_test(
+    y: FourierField,
+    x: FourierField,
+    zeta: NoisePath,
+    gamma: float,
+    cfg: SolverConfig,
+    time_level: int = 2,
+    galerkin_cutoff: int = 8,
+    tau0: float = 1.0,
+    seeds: tuple = (),
+) -> StabilizationReport:
+    """One controlled coupled step from (y, x) under zeta, beside x's plain
+    step under zeta: each separation after the step over the one before.
+    Separations are measured in equivalent_norm with the given tau0."""
+    control = (gamma, time_level, galerkin_cutoff)
+    s_y, _, (sep0, sep1), (shift_norm,) = _coupled_steps(y, x, [zeta], cfg, control, tau0)
+    plain = FourierField(cfg.grid, markov_step_batch(x.coeffs[None, :], [zeta], cfg)[0])
+    # x = y leaves nothing to contract; 0/0 is reported as 0 by convention
+    degenerate = sep0 == 0.0
+    q = 0.0 if degenerate else sep1 / sep0
+    q_plain = 0.0 if degenerate else equivalent_norm(s_y - plain, cfg, tau0) / sep0
+    return StabilizationReport(
+        gamma=gamma,
+        q_ratio=q,
+        uncontrolled_ratio=q_plain,
+        shift_norm=shift_norm,
+        success=bool(q < 1.0),
+        norm_kind=_norm_kind(tau0),
+        separation=sep0,
+        seeds=tuple(seeds),
+        degenerate=degenerate,
     )

@@ -12,7 +12,7 @@ Nothing here depends on the power p: the energy lives in dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -171,67 +171,70 @@ def sobolev_norm(f: FourierField, s: float) -> float:
     return float(np.sqrt(hs_norm_sq(f.coeffs, s)))
 
 
+# damping kind -> number of closed-form parameters
+_DAMPING_ARITY = {"zero": 0, "constant": 1, "bump": 3}
+
+
 @dataclass(frozen=True)
 class DampingProfile:
-    """Smooth nonnegative damping coefficient sampled on a grid.
+    """Smooth nonnegative damping coefficient a(x), held as its closed form.
 
-    Values always come from one of the closed-form constructors below, so the
-    profile is C-infinity by construction; raw user samples are not accepted.
-    The closed form (kind, params) is kept, so the profile can be evaluated
-    on any other grid as well, and values must match it; profiles compare
-    and hash by (grid, kind, params).
+    A profile is one of the closed forms the constructors below build, so it
+    is C-infinity by construction and can be evaluated on any grid, such as
+    the solver's padded one; raw samples are not accepted.  A direct
+    construction is checked as the constructors check; profiles compare and
+    hash by (grid, kind, params).
     """
 
     grid: Grid
-    values: np.ndarray = field(repr=False, compare=False)
     kind: str = "zero"
     params: tuple = ()
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_points,):
-            raise ValidationError("damping samples must match grid.n_points")
-        if np.any(v < 0.0):
-            raise ValidationError("damping must be nonnegative")
-        if not np.array_equal(v, _damping_values(self.kind, self.params, self.grid.points)):
-            raise ValidationError("damping samples must be the %s closed form" % (self.kind,))
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        if not isinstance(self.kind, str) or self.kind not in _DAMPING_ARITY:
+            raise ValidationError("unknown damping kind %r" % (self.kind,))
+        params = tuple(float(v) for v in self.params)
+        if len(params) != _DAMPING_ARITY[self.kind]:
+            raise ValidationError(
+                "%s damping takes %d parameters, got %d"
+                % (self.kind, _DAMPING_ARITY[self.kind], len(params))
+            )
+        if self.kind == "constant" and params[0] < 0:
+            raise ValidationError("damping constant must be >= 0")
+        if self.kind == "bump":
+            amplitude, _, width = params
+            if amplitude < 0:
+                raise ValidationError("bump amplitude must be >= 0")
+            if not (0 < width < math.pi):
+                raise ValidationError("bump width must sit in (0, pi)")
+            spacing = TWO_PI / self.grid.n_points
+            if width < spacing:
+                # a narrower bump damps at most one grid point, or none
+                raise ValidationError(
+                    "bump width %r is below the grid spacing 2pi/n_points = %r" % (width, spacing)
+                )
+        object.__setattr__(self, "params", params)
 
     def at(self, x: np.ndarray) -> np.ndarray:
         """The closed-form a(x) at any points x, such as a finer grid's."""
-        return _damping_values(self.kind, self.params, x)
-
-
-def _damping_values(kind: str, params: tuple, x: np.ndarray) -> np.ndarray:
-    """The one evaluator of the closed-form damping profiles at points x."""
-    if kind == "zero":
-        return np.zeros_like(x)
-    if kind == "constant":
-        return np.full_like(x, params[0])
-    if kind == "bump":
-        amplitude, center, width = params
+        if self.kind == "zero":
+            return np.zeros_like(x)
+        if self.kind == "constant":
+            return np.full_like(x, self.params[0])
+        amplitude, center, width = self.params
         s = (np.mod(x - center + math.pi, TWO_PI) - math.pi) / width
         vals = np.zeros_like(x)
         inside = np.abs(s) < 1.0
         vals[inside] = amplitude * np.exp(-1.0 / (1.0 - s[inside] ** 2))
         return vals
-    raise ValidationError("unknown damping kind %r" % (kind,))
-
-
-def _closed_form_damping(grid: Grid, kind: str, params: tuple) -> DampingProfile:
-    return DampingProfile(grid, _damping_values(kind, params, grid.points), kind, params)
 
 
 def zero_damping(grid: Grid) -> DampingProfile:
-    return _closed_form_damping(grid, "zero", ())
+    return DampingProfile(grid, "zero")
 
 
 def constant_damping(grid: Grid, value: float) -> DampingProfile:
-    if value < 0:
-        raise ValidationError("damping constant must be >= 0")
-    return _closed_form_damping(grid, "constant", (float(value),))
+    return DampingProfile(grid, "constant", (value,))
 
 
 def bump_damping(grid: Grid, amplitude: float, center: float, width: float) -> DampingProfile:
@@ -239,14 +242,4 @@ def bump_damping(grid: Grid, amplitude: float, center: float, width: float) -> D
 
     The width must be at least the grid spacing 2pi/n_points and below pi.
     """
-    if amplitude < 0:
-        raise ValidationError("bump amplitude must be >= 0")
-    if not (0 < width < math.pi):
-        raise ValidationError("bump width must sit in (0, pi)")
-    spacing = TWO_PI / grid.n_points
-    if width < spacing:
-        # a narrower bump damps at most one grid point, or none
-        raise ValidationError(
-            "bump width %r is below the grid spacing 2pi/n_points = %r" % (width, spacing)
-        )
-    return _closed_form_damping(grid, "bump", (float(amplitude), float(center), float(width)))
+    return DampingProfile(grid, "bump", (amplitude, center, width))

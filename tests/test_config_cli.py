@@ -127,8 +127,9 @@ def test_canonical_text_round_trip_keeps_the_digest(data):
     control = kind in ("gramian", "stabilize", "couple")
     k_max = draw(st.integers(8 if control else 5, n_points // 2 - 1))
     dt = 2.0 ** -draw(st.integers(7, 10))
-    # a run's horizon is a multiple of dt, and a forced run's an integer
-    forced = draw(st.booleans())
+    # a run's horizon is a multiple of dt, and a forced run's an integer;
+    # decay runs unforced
+    forced = kind != "decay" and draw(st.booleans())
     if kind in ("simulate", "smooth") and forced:
         horizon = float(draw(st.integers(1, 10**6)))
     elif kind in ("simulate", "decay", "smooth"):
@@ -165,9 +166,14 @@ def test_canonical_text_round_trip_keeps_the_digest(data):
             "initial_b": draw(st.sampled_from(("zero", "random_h1") if kind == "mix"
                                               else ("", "zero", "random_h1"))),
             "horizon": horizon,
-            "gamma": draw(_FINITE),
+            # the control's Tikhonov weight is positive where it is used
+            "gamma": draw(st.floats(0.0, 1e300, exclude_min=True) if kind == "stabilize"
+                          else _FINITE),
             "probe_s": draw(_FINITE),
-            "sat_modes": tuple(draw(st.lists(st.integers(-(2**40), 2**40), max_size=4))),
+            # saturate iterates from a nonempty base set
+            "sat_modes": tuple(draw(st.lists(st.integers(-(2**40), 2**40),
+                                             min_size=1 if kind == "saturate" else 0,
+                                             max_size=4))),
         },
         "run": {"seed": draw(st.integers(0, 2**63)), "output_dir": draw(_LINE_TEXT)},
     }
@@ -229,10 +235,12 @@ def test_dt_must_divide_noise_cells():
 def test_every_noise_drawing_kind_checks_the_cross_constraint_at_load(kind, tmp_path):
     # 128 solver steps per unit against 256 noise cells: a kind that draws
     # noise is refused at load, before any solve; the others run through
+    # (decay, which takes no forcing, unforced)
+    forced = "false" if kind == "decay" else "true"
     text = make_text(
         {
             "noise": {"level_max": 7},
-            "experiment": {"kind": kind, "forced": "true", "initial_b": "constant",
+            "experiment": {"kind": kind, "forced": forced, "initial_b": "constant",
                            "n_steps": 1, "n_chains": 2},
         }
     )
@@ -310,6 +318,42 @@ def test_bad_run_is_refused_before_the_output_directory(case, tmp_path, capsys):
     assert cli.main([experiment["kind"], "--config", str(path), "--out", str(out)]) == 2
     assert match in capsys.readouterr().err
     assert not out.exists()
+
+
+# each exited 2 only after run_experiment had made the output directory and
+# removed the manifest of the run before; decay used to run forced = true
+# as if it were false
+_LATE_REFUSAL = {
+    "saturate_negative_iterations": ({"kind": "saturate", "iterations": -1}, "iterations must be >= 0"),
+    "saturate_without_modes": ({"kind": "saturate", "sat_modes": ""}, "base set must be nonempty"),
+    "stabilize_zero_gamma": ({"kind": "stabilize", "gamma": 0.0}, "gamma must be positive"),
+    "couple_control_negative_gamma": (
+        {"kind": "couple", "use_control": "true", "gamma": -1.0, "n_steps": 1},
+        "gamma must be positive"),
+    "initial_mode_outside_band": ({"kind": "simulate", "initial_mode": 21}, "mode 21 outside band"),
+    "initial_b_mode_outside_band": (
+        {"kind": "couple", "n_steps": 1, "initial_b": "plane_wave", "initial_b_mode": -30},
+        "mode -30 outside band"),
+    "forced_decay": ({"kind": "decay", "forced": "true"}, "decay runs unforced"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LATE_REFUSAL))
+def test_bad_config_keeps_the_earlier_manifest(case, tmp_path, capsys):
+    experiment, match = _LATE_REFUSAL[case]
+    path = write_cfg(tmp_path, {"experiment": experiment})
+    out = tmp_path / "o"
+    argv = [experiment["kind"], "--config", str(path), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+    out.mkdir()
+    manifest = out / "manifest.json"
+    manifest.write_text("the run before")
+    assert cli.main(argv) == 2
+    assert match in capsys.readouterr().err
+    assert manifest.read_text() == "the run before"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 def test_control_keys_are_checked_only_where_used():

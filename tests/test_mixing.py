@@ -299,6 +299,26 @@ def test_coupling_marginals_match_solo_chains():
     assert np.all(rep.shift_norms == 0.0)
 
 
+def test_uncontrolled_coupling_takes_the_controlled_steps(monkeypatch):
+    # with and without control a coupled step has one shape: y's stored
+    # unit run, and x's step beside the next base (the last one alone)
+    import schrodmix.mixing as mixing_mod
+
+    calls = {}
+    for name in ("solve_nls", "solve_nls_batch", "markov_step_batch"):
+        def counted(*a, _f=getattr(mixing_mod, name), _name=name, **k):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*a, **k)
+
+        monkeypatch.setattr(mixing_mod, name, counted)
+    cfg = damped_cfg()
+    y0 = random_h1_field(GRID, 0.5, 3.0, 10, 0)
+    x0 = random_h1_field(GRID, 0.4, 3.0, 10, 1)
+    synchronous_coupling_experiment(y0, x0, 3, small_spec(), cfg, master_seed=13)
+    monkeypatch.undo()
+    assert calls == {"solve_nls": 1, "solve_nls_batch": 2, "markov_step_batch": 1}
+
+
 @pytest.mark.parametrize("stride", [1, 4])
 def test_controlled_coupling_step_is_the_contraction_test(stride):
     # one controlled coupled step is the contraction experiment on the same

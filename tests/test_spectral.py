@@ -240,23 +240,22 @@ def test_mode_weights_cached_read_only():
 
 
 def test_damping_profiles():
-    z = zero_damping(GRID)
-    assert np.all(z.values == 0)
-    c = constant_damping(GRID, 0.25)
-    np.testing.assert_allclose(c.values, 0.25)
-    b = bump_damping(GRID, 1.5, math.pi, 1.5)
-    assert np.all(b.values >= 0)
-    assert b.values.max() <= 1.5 * math.exp(-1.0) + 1e-12
     x = GRID.points
+    z = zero_damping(GRID)
+    assert np.all(z.at(x) == 0)
+    c = constant_damping(GRID, 0.25)
+    np.testing.assert_allclose(c.at(x), 0.25)
+    b = bump_damping(GRID, 1.5, math.pi, 1.5)
+    assert np.all(b.at(x) >= 0)
+    assert b.at(x).max() <= 1.5 * math.exp(-1.0) + 1e-12
     outside = np.abs(x - math.pi) >= 1.5
-    assert np.all(b.values[outside] == 0)
-    assert b.values[np.argmin(np.abs(x - math.pi))] > 0
+    assert np.all(b.at(x)[outside] == 0)
+    assert b.at(x)[np.argmin(np.abs(x - math.pi))] > 0
     # at() is the closed form the constructors use, on any grid
     fine = Grid(4 * GRID.n_points, GRID.k_max)
     for prof, twin in ((z, zero_damping(fine)), (c, constant_damping(fine, 0.25)),
                        (b, bump_damping(fine, 1.5, math.pi, 1.5))):
-        np.testing.assert_array_equal(prof.at(GRID.points), prof.values)
-        np.testing.assert_array_equal(prof.at(fine.points), twin.values)
+        np.testing.assert_array_equal(prof.at(fine.points), twin.at(fine.points))
 
 
 @pytest.mark.parametrize("width", [1e-3, 5e-324])
@@ -266,7 +265,7 @@ def test_bump_narrower_than_grid_spacing_rejected(width):
     with pytest.raises(ValidationError, match="below the grid spacing") as err:
         bump_damping(GRID, 1.0, math.pi, width)
     assert repr(width) in str(err.value) and repr(spacing) in str(err.value)
-    assert bump_damping(GRID, 1.0, math.pi, spacing).values.max() > 0
+    assert bump_damping(GRID, 1.0, math.pi, spacing).at(GRID.points).max() > 0
 
 
 def test_damping_profiles_compare_by_closed_form():
@@ -288,8 +287,18 @@ def test_damping_validation():
         bump_damping(GRID, 1.0, math.pi, 0.0)
     with pytest.raises(ValidationError):
         bump_damping(GRID, 1.0, math.pi, 4.0)  # width must stay below pi
-    # raw samples would be lost on the solver's padded grid
-    with pytest.raises(ValidationError):
+    # a direct construction is refused exactly as the constructors refuse
+    for kind, params, match in (
+        ("ramp", (0.3,), "unknown damping kind"),
+        ("constant", (), "takes 1 parameters"),
+        ("constant", (-0.1,), "constant must be >= 0"),
+        ("bump", (-1.0, math.pi, 1.5), "amplitude must be >= 0"),
+        ("bump", (1.0, math.pi, 4.0), "sit in"),
+        ("bump", (1.0, math.pi, 1e-3), "below the grid spacing"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            DampingProfile(GRID, kind, params)
+    # nor can raw samples be passed for the closed form
+    with pytest.raises(ValidationError, match="unknown damping kind"):
         DampingProfile(GRID, np.full(GRID.n_points, 0.3))
-    with pytest.raises(ValidationError):
-        DampingProfile(GRID, np.full(GRID.n_points, 0.3), "ramp", (0.3,))
+    assert DampingProfile(GRID, "bump", (1, math.pi, 1.5)) == bump_damping(GRID, 1.0, math.pi, 1.5)

@@ -40,6 +40,13 @@ _CASES = {
     "stabilize_tau0_0.5": ("stabilize", {**_CONTROL, "tau0": 0.5}),
     "couple": ("couple", {"n_steps": 3}),
     "couple_control": ("couple", {**_CONTROL, "n_steps": 3, "use_control": "true"}),
+    # the coupled step's edge paths: no step, and a first step that is also
+    # the last; and a contraction test with nothing to contract
+    "couple_0": ("couple", {"n_steps": 0}),
+    "couple_1": ("couple", {"n_steps": 1}),
+    "couple_control_0": ("couple", {**_CONTROL, "n_steps": 0, "use_control": "true"}),
+    "couple_control_1": ("couple", {**_CONTROL, "n_steps": 1, "use_control": "true"}),
+    "stabilize_delta_0": ("stabilize", {**_CONTROL, "delta": 0.0}),
     "mix": ("mix", {"n_chains": 8, "n_steps": 3, "initial_b": "random_h1"}),
     "saturate": ("saturate", {"sat_modes": "0, 1", "iterations": 3}),
     "smooth": ("smooth", {"horizon": 1.0, "forced": "true"}),
