@@ -468,18 +468,21 @@ def linear_group(u0: FourierField, t: float, cfg: SolverConfig) -> FourierField:
     return FourierField(u0.grid, u)
 
 
+_SYNTH_BLOCK = 128  # rows per padded synthesis in _padded_power_mean
+
+
 def _padded_power_mean(coeffs: np.ndarray, q: int, p: int) -> np.ndarray:
     """Mean of |u|^(q-1) on the padded grid of p along the last axis, each
     row on its own: the one body behind the energy and lp_power_integral.
-    Rows are synthesized 2048 at a time, so long runs never hold the whole
-    padded block."""
+    Rows are synthesized _SYNTH_BLOCK at a time, so a long run never holds
+    more than one small padded block."""
     c = np.asarray(coeffs, dtype=np.complex128)
     rows = c.reshape(-1, c.shape[-1])
     m = pad_points((c.shape[-1] - 1) // 2, p)
     out = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], 2048):
-        v = synth(rows[lo : lo + 2048], m)
-        out[lo : lo + 2048] = np.mean(_amp_pow(v, q), axis=-1)
+    for lo in range(0, rows.shape[0], _SYNTH_BLOCK):
+        v = synth(rows[lo : lo + _SYNTH_BLOCK], m)
+        out[lo : lo + _SYNTH_BLOCK] = np.mean(_amp_pow(v, q), axis=-1)
     return out.reshape(c.shape[:-1])
 
 

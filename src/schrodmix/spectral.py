@@ -65,7 +65,9 @@ def synth(coeffs: np.ndarray, n_out: int) -> np.ndarray:
     work = np.zeros(coeffs.shape[:-1] + (n_out,), dtype=np.complex128)
     work[..., : k_max + 1] = coeffs[..., k_max:]
     work[..., n_out - k_max :] = coeffs[..., :k_max]
-    return np.fft.ifft(work) * (n_out / ROOT_2PI)
+    out = np.fft.ifft(work)
+    out *= n_out / ROOT_2PI
+    return out
 
 
 def analyze(values: np.ndarray, k_max: int) -> np.ndarray:

@@ -3,7 +3,12 @@ and the run manifest that makes results reproducible byte for byte.
 
 All text output uses '.' decimals, '\n' line endings, and %.17g floats, so a
 rerun from the same manifest produces identical bytes.  JSON is written with
-sorted keys for the same reason.  Every file goes through one atomic write.
+sorted keys for the same reason.  Every file goes through one atomic write:
+its bytes reach <name>.tmp a chunk at a time (a table a block of rows at a
+time, a binary container as its header and two array buffers), so no table
+or container is ever held whole in memory, and only a complete .tmp
+replaces <name> (os.replace).  A write that fails, mid-stream or at the replace, removes the
+.tmp and leaves the old file as it was.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import os
 import struct
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
-from importlib import metadata
 from typing import get_type_hints
 
 import numpy as np
@@ -27,9 +31,13 @@ from .spectral import Grid, ValidationError
 _MAGIC = b"SMIX"
 _BIN_VERSION = 1
 _HEADER = struct.Struct("<4sBBHIHH")  # magic, version, flags, n_coeff, n_stored, k_max, n_points
+_DIGEST_BLOCK = 1 << 16  # bytes per read of file_digest
 
 
 def package_version() -> str:
+    # imported here, once per manifest, not on every process start
+    from importlib import metadata
+
     try:
         return metadata.version("schrodmix")
     except metadata.PackageNotFoundError:
@@ -38,9 +46,11 @@ def package_version() -> str:
 
 def file_digest(path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
+    buf = bytearray(_DIGEST_BLOCK)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 
@@ -49,13 +59,19 @@ def file_digest(path) -> str:
 
 
 def _write_atomic(path, data) -> None:
-    """Write data (str or bytes) to a temporary file beside path, which then
-    replaces path: a reader never sees a torn file, and a failed write
-    leaves the old file and no temporary behind."""
+    """Write data to a temporary file beside path, which then replaces path:
+    a reader never sees a torn file, and a failed write leaves the old file
+    and no temporary behind.  data is a str, bytes, or an iterable of
+    bytes-like chunks (C-contiguous arrays included), each written to the
+    temporary file as it comes."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    chunks = (data,) if isinstance(data, (bytes, bytearray)) else data
     tmp = "%s.tmp" % path
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -63,21 +79,37 @@ def _write_atomic(path, data) -> None:
         raise
 
 
-_TABLE_CHUNK = 4096  # rows per % operation
+_TABLE_CHUNK = 4096  # rows per % operation and per chunk written
 _TRAJECTORY_HEADER = "t,mode,re,im"
 _NOISE_HEADER = "cell_index,t_left,mode_k,re,im"
 
 
 def _write_table(path, header: str, fmt: str, *columns) -> None:
-    """header, then one fmt line (one % conversion per column) per row of
-    the equal-length 1-D columns, formatted a chunk of rows at a time.  The
-    columns are stacked as float64, so a %d column holds integers < 2**53."""
-    table = np.column_stack(columns)
-    buf = bytearray(header.encode("ascii") + b"\n")
-    for lo in range(0, len(table), _TABLE_CHUNK):
-        chunk = table[lo : lo + _TABLE_CHUNK]
-        buf += (fmt * len(chunk) % tuple(chunk.ravel().tolist())).encode("ascii")
-    _write_atomic(path, buf)
+    """header, then one fmt line (one % conversion per column, comma
+    separated) per row of the equal-length 1-D columns."""
+    _write_atomic(path, _table_chunks(header, fmt, columns))
+
+
+def _table_chunks(header: str, fmt: str, columns):
+    """The bytes of _write_table, _TABLE_CHUNK rows at a time.  Each chunk
+    stacks its column slices as float64, so a %d column is checked to hold
+    integers below 2**53 in magnitude, which float64 carries exactly."""
+    yield header.encode("ascii") + b"\n"
+    names = header.split(",")
+    int_cols = [j for j, conv in enumerate(fmt.rstrip("\n").split(",")) if conv == "%d"]
+    n_rows = len(columns[0])
+    for lo in range(0, n_rows, _TABLE_CHUNK):
+        hi = min(lo + _TABLE_CHUNK, n_rows)
+        chunk = np.column_stack([col[lo:hi] for col in columns]).astype(float, copy=False)
+        for j in int_cols:
+            v = chunk[:, j]
+            bad = (v != np.trunc(v)) | ~(np.abs(v) < 2.0**53)
+            if bad.any():
+                raise ValidationError(
+                    "column %r holds %s, not an integer below 2**53 in magnitude"
+                    % (names[j], columns[j][lo + int(np.argmax(bad))])
+                )
+        yield (fmt * (hi - lo) % tuple(chunk.ravel().tolist())).encode("ascii")
 
 
 def _read_table(path, header: str, what: str, index_cols) -> np.ndarray:
@@ -111,14 +143,27 @@ def _read_table(path, header: str, what: str, index_cols) -> np.ndarray:
 def write_trajectory_csv(path, times: np.ndarray, coeffs: np.ndarray) -> None:
     """One row per (time, mode): t, mode, re, im."""
     times = np.asarray(times, dtype=float)
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.ndim != 2 or coeffs.shape[0] != len(times):
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    if times.ndim != 1 or coeffs.ndim != 2 or coeffs.shape[0] != len(times):
         raise ValidationError("coeffs must be (n_stored, n_coeff) matching times")
-    n_stored, n_coeff = coeffs.shape
-    modes = np.tile(np.arange(n_coeff) - (n_coeff - 1) // 2, n_stored)
-    flat = coeffs.ravel()
-    t = np.repeat(times, n_coeff)
-    _write_table(path, _TRAJECTORY_HEADER, "%.17g,%d,%.17g,%.17g\n", t, modes, flat.real, flat.imag)
+    _write_atomic(path, _trajectory_chunks(times, coeffs))
+
+
+def _trajectory_chunks(times: np.ndarray, coeffs: np.ndarray):
+    """The bytes of write_trajectory_csv, whole states of about _TABLE_CHUNK
+    rows at a time.  Each time is formatted once and each mode once: a
+    state's rows are t joined with the mode tails ",k,%.17g,%.17g\n", and
+    the % operation fills in the state's (re, im) pairs."""
+    yield (_TRAJECTORY_HEADER + "\n").encode("ascii")
+    n_coeff = coeffs.shape[1]
+    k_max = (n_coeff - 1) // 2
+    tails = [""] + [",%d,%%.17g,%%.17g\n" % (i - k_max) for i in range(n_coeff)]
+    t_text = ["%.17g" % t for t in times.tolist()]
+    per = max(1, _TABLE_CHUNK // max(n_coeff, 1))
+    for lo in range(0, len(t_text), per):
+        template = "".join(t.join(tails) for t in t_text[lo : lo + per])
+        values = coeffs[lo : lo + per].view(np.float64).ravel().tolist()
+        yield (template % tuple(values)).encode("ascii")
 
 
 def read_trajectory_csv(path):
@@ -148,8 +193,8 @@ def read_trajectory_csv(path):
 
 def write_trajectory_bin(path, times: np.ndarray, coeffs: np.ndarray, grid: Grid) -> None:
     """Compact little-endian container: 16-byte header, times, coefficients."""
-    times = np.asarray(times, dtype="<f8")
-    coeffs = np.asarray(coeffs, dtype="<c16")
+    times = np.ascontiguousarray(times, dtype="<f8")
+    coeffs = np.ascontiguousarray(coeffs, dtype="<c16")
     if coeffs.ndim != 2 or coeffs.shape[0] != len(times):
         raise ValidationError("coeffs must be (n_stored, n_coeff) matching times")
     if coeffs.shape[1] != grid.n_coeff:
@@ -157,37 +202,34 @@ def write_trajectory_bin(path, times: np.ndarray, coeffs: np.ndarray, grid: Grid
     header = _HEADER.pack(
         _MAGIC, _BIN_VERSION, 0, coeffs.shape[1], coeffs.shape[0], grid.k_max, grid.n_points
     )
-    _write_atomic(path, b"".join((header, times.tobytes(), coeffs.tobytes())))
+    _write_atomic(path, (header, times, coeffs))
 
 
 def read_trajectory_bin(path):
     """Returns (times, coeffs, grid)."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValidationError("truncated trajectory container")
-    magic, version, flags, n_coeff, n_stored, k_max, n_points = _HEADER.unpack_from(raw)
-    if magic != _MAGIC or version != _BIN_VERSION or flags != 0:
-        raise ValidationError("not a trajectory container (bad magic/version)")
-    if n_coeff != 2 * k_max + 1:
-        raise ValidationError("header band size inconsistent")
-    off = _HEADER.size
-    t_bytes = 8 * n_stored
-    c_bytes = 16 * n_stored * n_coeff
-    if len(raw) != off + t_bytes + c_bytes:
-        raise ValidationError("container length does not match its header")
-    times = np.frombuffer(raw, dtype="<f8", count=n_stored, offset=off).copy()
-    coeffs = (
-        np.frombuffer(raw, dtype="<c16", count=n_stored * n_coeff, offset=off + t_bytes)
-        .reshape(n_stored, n_coeff)
-        .copy()
-    )
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValidationError("truncated trajectory container")
+        magic, version, flags, n_coeff, n_stored, k_max, n_points = _HEADER.unpack(head)
+        if magic != _MAGIC or version != _BIN_VERSION or flags != 0:
+            raise ValidationError("not a trajectory container (bad magic/version)")
+        if n_coeff != 2 * k_max + 1:
+            raise ValidationError("header band size inconsistent")
+        if os.fstat(fh.fileno()).st_size != _HEADER.size + 8 * n_stored + 16 * n_stored * n_coeff:
+            raise ValidationError("container length does not match its header")
+        times = np.empty(n_stored, dtype="<f8")
+        coeffs = np.empty((n_stored, n_coeff), dtype="<c16")
+        if fh.readinto(times) != times.nbytes or fh.readinto(coeffs) != coeffs.nbytes:
+            raise ValidationError("container length does not match its header")
     return times, coeffs, Grid(n_points=n_points, k_max=k_max)
 
 
 def write_curve_csv(path, header, rows) -> None:
     """Experiment curve: a header line, then one line per row; a column whose
-    first value is an integer is written %d, any other at full precision."""
+    first value is an integer is written %d, and every later value in it
+    must be an integer below 2**53 in magnitude (ValidationError otherwise),
+    any other column at full precision."""
     columns = list(zip(*rows)) or [()]  # no rows: the header alone
     is_int = [bool(col) and isinstance(col[0], (int, np.integer)) for col in columns]
     fmt = ",".join("%d" if i else "%.17g" for i in is_int)

@@ -1,6 +1,8 @@
 """Config parsing, experiment dispatch, persistence, and the CLI surface."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from schrodmix.config import (
     run_experiment,
     save_config,
 )
+from schrodmix.dynamics import energy_series
 from schrodmix.noise import NoisePath, sample_noise_paths
 from schrodmix.spectral import Grid, synth
 
@@ -909,6 +912,109 @@ def test_output_write_is_atomic(tmp_path, monkeypatch, writer):
         _WRITERS[writer](path, 2)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_output_write_interrupted_mid_stream(tmp_path, monkeypatch, writer):
+    # the second chunk written fails (the only one, for a writer whose
+    # output is one chunk): the earlier file stays whole and no .tmp remains
+    path = tmp_path / "out"
+    writes = []
+    fail_at = [None]
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, chunk):
+            writes.append(chunk)
+            if len(writes) == fail_at[0]:
+                raise OSError("disk full")
+            return self.fh.write(chunk)
+
+    monkeypatch.setattr(store, "open", lambda *a, **k: FailingFile(open(*a, **k)), raising=False)
+    _WRITERS[writer](path, 1)
+    before = path.read_bytes()
+    assert len(writes) >= 2 or writer in ("json", "config")
+    fail_at[0] = min(2, len(writes))
+    writes.clear()
+    with pytest.raises(OSError, match="disk full"):
+        _WRITERS[writer](path, 2)
+    assert len(writes) == fail_at[0]
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        ([(0, 1.0), (1.5, 2.0)], "1.5"),
+        ([(0, 1.0), (2**60 + 1, 2.0)], "1152921504606846977"),
+        ([(0, 1.0), (-(2**53), 2.0)], "-9007199254740992"),
+        ([(0, 1.0), (float("nan"), 2.0)], "nan"),
+        ([(0, 1.0), (float("-inf"), 2.0)], "-inf"),
+        # in the second chunk of rows, after the first reached the .tmp
+        ([(i, 0.5) for i in range(store._TABLE_CHUNK)] + [(0.25, 0.5)], "0.25"),
+    ],
+)
+def test_curve_csv_refuses_inexact_integer_column(tmp_path, rows, bad):
+    path = tmp_path / "curve.csv"
+    store.write_curve_csv(path, ("step", "x"), [(0, 1.0), (2**53 - 1, -3)])
+    before = path.read_bytes()
+    assert before == b"step,x\n0,1\n9007199254740991,-3\n"
+    with pytest.raises(ValidationError, match=r"column 'step' holds %s," % re.escape(bad)):
+        store.write_curve_csv(path, ("step", "x"), rows)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv"]
+
+
+# trajectory_io's stored run: 641 states of Grid(128, 42)
+_IO_SHAPE = (641, 85)
+
+
+def _traced_peak_mib(fn, *args) -> float:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "what, bound_mib",
+    [
+        ("write_trajectory_csv", 1.5),
+        ("write_trajectory_bin", 0.2),
+        ("read_trajectory_bin", 1.0),
+        ("file_digest", 0.25),
+        ("energy_series", 1.6),
+    ],
+)
+def test_trajectory_io_memory_bounds(tmp_path, what, bound_mib):
+    # the store layer streams and energy_series synthesizes small blocks:
+    # no whole-run text, byte string or padded block is ever held
+    rng = np.random.default_rng(19)
+    times = np.arange(_IO_SHAPE[0]) * 2.0**-5
+    coeffs = 0.1 * (rng.standard_normal(_IO_SHAPE) + 1j * rng.standard_normal(_IO_SHAPE))
+    grid = Grid(128, 42)
+    csv, bin_ = tmp_path / "t.csv", tmp_path / "t.bin"
+    store.write_trajectory_csv(csv, times, coeffs)
+    store.write_trajectory_bin(bin_, times, coeffs, grid)
+    call = {
+        "write_trajectory_csv": (store.write_trajectory_csv, csv, times, coeffs),
+        "write_trajectory_bin": (store.write_trajectory_bin, bin_, times, coeffs, grid),
+        "read_trajectory_bin": (store.read_trajectory_bin, bin_),
+        "file_digest": (store.file_digest, csv),
+        "energy_series": (energy_series, coeffs, 3),
+    }[what]
+    assert _traced_peak_mib(*call) < bound_mib
 
 
 # ---------------------------------------------------------------------------

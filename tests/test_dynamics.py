@@ -1,5 +1,6 @@
 """Nonlinear solver, Markov step, phase, and resonance decomposition."""
 
+import itertools
 import math
 
 import numpy as np
@@ -595,14 +596,14 @@ def test_smoothing_remainder_zero_and_identity():
 
 def test_energy_series_matches_energy():
     # every row equals the energy of that state alone, bitwise, whatever
-    # the block size
+    # the block size; 300 rows span three synthesis blocks
     rng = np.random.default_rng(14)
-    for n_rows in (1, 4, 64, 65):
+    for p, n_rows in itertools.product((3, 5), (1, 4, 64, 65, 300)):
         shape = (n_rows, GRID.n_coeff)
         block = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        vals = energy_series(block)
-        singles = [energy(FourierField(GRID, row), 3) for row in block]
+        vals = energy_series(block, p)
+        singles = [energy(FourierField(GRID, row), p) for row in block]
         np.testing.assert_array_equal(vals, singles)
-        one = energy_series(block[0])
+        one = energy_series(block[0], p)
         assert np.ndim(one) == 0
         assert one == singles[0]

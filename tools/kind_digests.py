@@ -10,7 +10,8 @@ print the same text, so diffing the output of two checkouts is the
 byte-identity check of a change that must not move any digest.
 
 Every kind in config.KINDS runs once with its settings in _CASES, plus the
-variants there; a kind with no entry runs at the common settings alone.
+variants there (with [solver] overrides in _SOLVER); a kind with no entry
+runs at the common settings alone.
 """
 
 from __future__ import annotations
@@ -50,12 +51,17 @@ _CASES = {
     "mix": ("mix", {"n_chains": 8, "n_steps": 3, "initial_b": "random_h1"}),
     "saturate": ("saturate", {"sat_modes": "0, 1", "iterations": 3}),
     "smooth": ("smooth", {"horizon": 1.0, "forced": "true"}),
+    # 320 steps at stride 3: 108 stored states, the last one off the stride,
+    # so trajectory.csv spans more than one chunk of rows
+    "simulate_stride_3": ("simulate", {"horizon": 2.5}),
 }
+# case name -> [solver] keys over _COMMON's
+_SOLVER = {"simulate_stride_3": {"store_stride": 3}}
 
 
-def _config_text(p: int, kind: str, experiment: dict) -> str:
+def _config_text(p: int, kind: str, experiment: dict, solver: dict) -> str:
     sections = {name: dict(keys) for name, keys in _COMMON.items()}
-    sections["solver"]["p"] = p
+    sections["solver"].update(p=p, **solver)
     sections["experiment"].update(kind=kind, **experiment)
     return "".join(
         "[%s]\n" % name + "".join("%s = %s\n" % kv for kv in keys.items()) + "\n"
@@ -79,7 +85,7 @@ def kind_digests(config) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for p in (3, 5):
             for name, (kind, experiment) in cases.items():
-                text = _config_text(p, kind, experiment)
+                text = _config_text(p, kind, experiment, _SOLVER.get(name, {}))
                 cfg = config.config_from_sections(config.parse_config_text(text))
                 where = os.path.join(tmp, "p%d_%s" % (p, name))
                 config.run_experiment(cfg, out_dir=where)
