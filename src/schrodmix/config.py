@@ -95,7 +95,6 @@ _SCHEMA = {
         "use_control": ("bool", False),
         "warm_steps": ("int", 5),
         "delta": ("float", 1.0e-3),
-        "tau0": ("float", 1.0),
         "iterations": ("int", 3),
         "sat_modes": ("ints", (0, 1)),
         "probe_s": ("float", 1.25),
@@ -436,7 +435,6 @@ def _run_stabilize(cfg: ExperimentConfig, out: str) -> tuple:
         cfg.solver,
         time_level=p["time_level"],
         galerkin_cutoff=p["galerkin_cutoff"],
-        tau0=p["tau0"],
         seeds=(cfg.master_seed,),
     )
     return [], report
@@ -460,7 +458,6 @@ def _run_couple(cfg: ExperimentConfig, out: str) -> tuple:
         gamma=p["gamma"],
         time_level=p["time_level"],
         galerkin_cutoff=p["galerkin_cutoff"],
-        tau0=p["tau0"],
     )
     curve = os.path.join(out, "couple_curve.csv")
     store.write_curve_csv(

@@ -18,8 +18,6 @@ chunked.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,15 +58,6 @@ def solo_paths(spec: NoiseSpec, master_seed: int, steps) -> list:
 ENSEMBLE_BLOCK = 64
 
 
-def _worker_count() -> int:
-    """SCHRODMIX_WORKERS, 1 when unset or empty; anything but a positive
-    integer raises, so a typo does not quietly run serially."""
-    raw = os.environ.get("SCHRODMIX_WORKERS", "").strip()
-    if raw and not (raw.isdecimal() and int(raw) >= 1):
-        raise ValidationError("SCHRODMIX_WORKERS must be a positive integer, got %r" % (raw,))
-    return int(raw or 1)
-
-
 def run_chain(u0: FourierField, n_steps: int, spec: NoiseSpec, cfg: SolverConfig,
               master_seed: int) -> list:
     """Iterate the unit-time Markov step; returns states at steps 0..n_steps."""
@@ -105,29 +94,17 @@ class Ensemble:
 
 def evolve_ensemble(ens: Ensemble, spec: NoiseSpec, cfg: SolverConfig, n_steps: int = 1) -> Ensemble:
     """Advance every chain; chain i at step n draws its path from the record
-    (master_seed, tag, i, n).  Rows are processed in fixed blocks of
-    ENSEMBLE_BLOCK chains; SCHRODMIX_WORKERS only sets how many blocks run
-    concurrently, so the result is bitwise identical for any worker count."""
+    (master_seed, tag, i, n).  Rows are stepped in fixed blocks of
+    ENSEMBLE_BLOCK chains, one block after the other."""
     coeffs = ens.coeffs.copy()
-    m = ens.n_chains
-    blocks = [(lo, min(lo + ENSEMBLE_BLOCK, m)) for lo in range(0, m, ENSEMBLE_BLOCK)]
-
-    def advance(bounds):
-        lo, hi = bounds
+    for lo in range(0, ens.n_chains, ENSEMBLE_BLOCK):
+        hi = min(lo + ENSEMBLE_BLOCK, ens.n_chains)
         block = coeffs[lo:hi]
         for n in range(ens.step_index, ens.step_index + n_steps):
             records = [chain_seed_record(ens.master_seed, ens.tag, i, n) for i in range(lo, hi)]
             paths = sample_noise_paths(spec, records)
             block = markov_step_batch(block, paths, cfg)
         coeffs[lo:hi] = block
-
-    workers = _worker_count()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(advance, blocks))
-    else:
-        for bounds in blocks:
-            advance(bounds)
     return Ensemble(ens.grid, coeffs, ens.step_index + n_steps, ens.master_seed, ens.tag)
 
 
@@ -394,29 +371,29 @@ class StabilizationReport:
     degenerate: bool = False
 
 
-def _norm_kind(tau0: float) -> str:
-    """The name reports give equivalent_norm at tau0."""
-    return "h1_after_group(tau0=%g)" % tau0
+# The name reports give the norm separations are measured in: equivalent_norm,
+# the H1 norm after one time unit of the damped free group.
+_NORM_KIND = "h1_after_group(tau0=1)"
 
 
 def _coupled_steps(y0: FourierField, x0: FourierField, zetas, cfg: SolverConfig,
-                   control, tau0: float) -> tuple:
+                   control) -> tuple:
     """The coupled step, once per realization in zetas: y under zeta_n, and
     x under xi_n, either zeta_n itself (control None) or zeta_n shifted by
     the stabilizing control of control = (gamma, time_level, galerkin_cutoff).
 
     Returns (y, x, separations, shift_norms): the final pair, the separation
-    before each step and after the last, in equivalent_norm with the given
-    tau0, and the norm of each step's control coefficients (0 unshifted).
+    before each step and after the last, in equivalent_norm, and the norm of
+    each step's control coefficients (0 unshifted).
 
     y's unit run is stored at store_stride 1, whatever cfg's stride, because
     the control linearizes it at every step.  A controlled step takes three
     sweeps: the control sweep marches x - y with its columns (T's tangent
-    image), the shift measures the separation it acts on (with T's own free
-    image when tau0 is one time unit), and x's step under xi_n runs in one
-    stored block with the next base, y_{n+1} under zeta_{n+1}; the last x
-    step runs alone.  Every row steps on its own, so each output is what
-    separate solves give, bit for bit.
+    image), the shift measures the separation it acts on as the norm of T's
+    own free image, and x's step under xi_n runs in one stored block with
+    the next base, y_{n+1} under zeta_{n+1}; the last x step runs alone.
+    Every row steps on its own, so each output is what separate solves
+    give, bit for bit.
     """
     base_cfg = replace(cfg, store_stride=1)
     y, x = y0, x0
@@ -426,11 +403,11 @@ def _coupled_steps(y0: FourierField, x0: FourierField, zetas, cfg: SolverConfig,
         base_y = solve_nls(y, zetas[0], 1.0, base_cfg)
     for n, zeta in enumerate(zetas):
         if control is None:
-            xi, sep, shift_norm = zeta, equivalent_norm(x - y, cfg, tau0), 0.0
+            xi, sep, shift_norm = zeta, equivalent_norm(x - y, cfg), 0.0
         else:
             gamma, time_level, galerkin_cutoff = control
             cmap = build_control_basis_map(base_y, zeta.spec.modes, time_level, galerkin_cutoff, x=x)
-            shift = stabilizing_shift(base_y, x, gamma, cmap, tau0)
+            shift = stabilizing_shift(base_y, x, gamma, cmap)
             xi, sep, shift_norm = shift.path, shift.separation, shift.shift_norm
         seps.append(sep)
         shift_norms.append(shift_norm)
@@ -441,7 +418,7 @@ def _coupled_steps(y0: FourierField, x0: FourierField, zetas, cfg: SolverConfig,
             x = x_run.endpoint
         else:
             x = FourierField(cfg.grid, markov_step_batch(x.coeffs[None, :], [xi], cfg)[0])
-    seps.append(equivalent_norm(x - y, cfg, tau0))
+    seps.append(equivalent_norm(x - y, cfg))
     return y, x, seps, shift_norms
 
 
@@ -456,7 +433,6 @@ def synchronous_coupling_experiment(
     gamma: float = 1e-2,
     time_level: int = 2,
     galerkin_cutoff: int = 8,
-    tau0: float = 1.0,
 ) -> CouplingReport:
     """Drive two chains through _coupled_steps with the same per-step noise
     realizations from the solo stream; optionally shift the second chain's
@@ -469,7 +445,7 @@ def synchronous_coupling_experiment(
     """
     zetas = solo_paths(spec, master_seed, range(n_steps))
     control = (gamma, time_level, galerkin_cutoff) if use_control else None
-    _, _, seps, shift_norms = _coupled_steps(y0, x0, zetas, cfg, control, tau0)
+    _, _, seps, shift_norms = _coupled_steps(y0, x0, zetas, cfg, control)
     seps = np.asarray(seps)
     ratios = np.divide(seps[1:], seps[:-1], out=np.full(n_steps, np.nan), where=seps[:-1] > 0)
     return CouplingReport(
@@ -479,7 +455,7 @@ def synchronous_coupling_experiment(
         use_control=use_control,
         gamma=gamma,
         master_seed=master_seed,
-        norm_kind=_norm_kind(tau0),
+        norm_kind=_NORM_KIND,
     )
 
 
@@ -491,26 +467,25 @@ def contraction_test(
     cfg: SolverConfig,
     time_level: int = 2,
     galerkin_cutoff: int = 8,
-    tau0: float = 1.0,
     seeds: tuple = (),
 ) -> StabilizationReport:
     """One controlled coupled step from (y, x) under zeta, beside x's plain
     step under zeta: each separation after the step over the one before.
-    Separations are measured in equivalent_norm with the given tau0."""
+    Separations are measured in equivalent_norm."""
     control = (gamma, time_level, galerkin_cutoff)
-    s_y, _, (sep0, sep1), (shift_norm,) = _coupled_steps(y, x, [zeta], cfg, control, tau0)
+    s_y, _, (sep0, sep1), (shift_norm,) = _coupled_steps(y, x, [zeta], cfg, control)
     plain = FourierField(cfg.grid, markov_step_batch(x.coeffs[None, :], [zeta], cfg)[0])
     # x = y leaves nothing to contract; 0/0 is reported as 0 by convention
     degenerate = sep0 == 0.0
     q = 0.0 if degenerate else sep1 / sep0
-    q_plain = 0.0 if degenerate else equivalent_norm(s_y - plain, cfg, tau0) / sep0
+    q_plain = 0.0 if degenerate else equivalent_norm(s_y - plain, cfg) / sep0
     return StabilizationReport(
         gamma=gamma,
         q_ratio=q,
         uncontrolled_ratio=q_plain,
         shift_norm=shift_norm,
         success=bool(q < 1.0),
-        norm_kind=_norm_kind(tau0),
+        norm_kind=_NORM_KIND,
         separation=sep0,
         seeds=tuple(seeds),
         degenerate=degenerate,

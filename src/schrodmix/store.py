@@ -141,11 +141,14 @@ def _read_table(path, header: str, what: str, index_cols) -> np.ndarray:
 
 
 def write_trajectory_csv(path, times: np.ndarray, coeffs: np.ndarray) -> None:
-    """One row per (time, mode): t, mode, re, im."""
+    """One row per (time, mode): t, mode, re, im, for the modes -K..K of a
+    width 2K+1."""
     times = np.asarray(times, dtype=float)
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     if times.ndim != 1 or coeffs.ndim != 2 or coeffs.shape[0] != len(times):
         raise ValidationError("coeffs must be (n_stored, n_coeff) matching times")
+    if coeffs.shape[1] % 2 != 1:  # read_trajectory_csv wants the band -K..K
+        raise ValidationError("coeffs width %d is not 2K+1 for a symmetric band" % coeffs.shape[1])
     _write_atomic(path, _trajectory_chunks(times, coeffs))
 
 
@@ -168,26 +171,34 @@ def _trajectory_chunks(times: np.ndarray, coeffs: np.ndarray):
 
 def read_trajectory_csv(path):
     """Returns (times, coeffs): every block of rows lists each mode of one
-    symmetric band once, at one time."""
+    symmetric band once, at one time.  Beyond the parsed table, only coeffs
+    and small masks are allocated: each row's integer index takes the cells
+    its parsed mode held, and its (re, im) pair is read as one complex."""
     data = _read_table(path, _TRAJECTORY_HEADER, "trajectory", [1])
     if len(data) == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
-    band = np.unique(data[:, 1])
-    k_max = int(band[-1])
-    if len(band) != 2 * k_max + 1 or band[0] != -k_max:
+    mode = data[:, 1]
+    k_max = int(mode.max())
+    n_band = 2 * k_max + 1
+    col = mode.view(np.intp)
+    col[...] = mode + k_max
+    # every mode of -k_max..k_max occurs; a band wider than the table cannot
+    if col.min() != 0 or n_band > len(data) or not np.bincount(col).all():
         raise ValidationError("trajectory CSV does not cover a symmetric band")
-    if len(data) % len(band) != 0:
+    if len(data) % n_band != 0:
         raise ValidationError("row count is not a multiple of the band size")
-    t, mode, re, im = data.reshape(-1, len(band), 4).transpose(2, 0, 1)
-    col = mode.astype(np.intp) + k_max
-    if np.any(np.sort(col, axis=1) != np.arange(len(band))):
+    shape = (len(data) // n_band, n_band)
+    col = col.reshape(shape)
+    col += n_band * np.arange(shape[0])[:, None]  # the flat index into coeffs
+    hit = np.zeros(len(data), dtype=bool)
+    hit[col] = True
+    if not hit.all():
         raise ValidationError("a mode repeats inside one time block")
+    t = data[:, 0].reshape(shape)
     if np.any(t != t[:, :1]):
         raise ValidationError("mixed times inside one block")
-    row = np.arange(len(col))[:, None]
-    coeffs = np.empty(col.shape, dtype=np.complex128)
-    coeffs.real[row, col] = re
-    coeffs.imag[row, col] = im
+    coeffs = np.empty(shape, dtype=np.complex128)
+    coeffs.reshape(-1)[col] = data[:, 2:4].view(np.complex128).reshape(shape)
     return t[:, 0].copy(), coeffs
 
 

@@ -338,6 +338,12 @@ _LATE_REFUSAL = {
         {"kind": "couple", "n_steps": 1, "initial_b": "plane_wave", "initial_b_mode": -30},
         "mode -30 outside band"),
     "forced_decay": ({"kind": "decay", "forced": "true"}, "decay runs unforced"),
+    # the removed tau0 key: a negative one loaded and then failed after the
+    # warm-up with "group time must be nonnegative"
+    "stabilize_tau0": ({"kind": "stabilize", "tau0": -0.5}, "unknown key 'tau0'"),
+    "couple_control_tau0": (
+        {"kind": "couple", "use_control": "true", "tau0": -0.5, "n_steps": 1},
+        "unknown key 'tau0'"),
 }
 
 
@@ -537,6 +543,46 @@ def test_trajectory_csv_rejects_repeated_mode(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match="mode repeats"):
         store.read_trajectory_csv(path)
+
+
+def test_trajectory_csv_refuses_an_even_width(tmp_path):
+    # an even width has no band -K..K, so the reader would refuse the file
+    path = tmp_path / "traj.csv"
+    store.write_trajectory_csv(path, [0.0], np.ones((1, 3), dtype=complex))
+    before = path.read_bytes()
+    for width in (4, 0):
+        with pytest.raises(ValidationError, match=r"width %d is not 2K\+1" % width):
+            store.write_trajectory_csv(path, [0.0, 0.5], np.ones((2, width), dtype=complex))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
+
+
+def test_trajectory_csv_reader_checks_in_order(tmp_path):
+    times = np.array([0.0, 0.5])
+    coeffs = np.arange(6.0).reshape(2, 3) + 1j * np.arange(6.0, 12.0).reshape(2, 3)
+    path = tmp_path / "traj.csv"
+    store.write_trajectory_csv(path, times, coeffs)
+    header, *rows = path.read_text().splitlines()
+
+    def read(lines):
+        path.write_text("\n".join([header, *lines]) + "\n")
+        return store.read_trajectory_csv(path)
+
+    # a block may list its modes in any order
+    t, c = read([rows[2], rows[0], rows[1], rows[4], rows[5], rows[3]])
+    assert t.tobytes() == times.tobytes() and c.tobytes() == coeffs.tobytes()
+    with pytest.raises(ValidationError, match="does not cover a symmetric band"):
+        read([rows[0], rows[2], rows[3], rows[5]])  # mode 0 nowhere
+    with pytest.raises(ValidationError, match="does not cover a symmetric band"):
+        read([r.replace(",-1,", ",2,") for r in rows])  # modes 0..2
+    with pytest.raises(ValidationError, match="not a multiple of the band size"):
+        read(rows[:5])
+    mixed = rows[:4] + [rows[4].replace("0.5,", "0.25,", 1), rows[5]]
+    with pytest.raises(ValidationError, match="mixed times inside one block"):
+        read(mixed)
+    # a repeated mode is reported before a mixed time
+    with pytest.raises(ValidationError, match="a mode repeats"):
+        read(mixed[:5] + [rows[0]])
 
 
 TRAJECTORY_GOLDEN = (
@@ -992,6 +1038,7 @@ def _traced_peak_mib(fn, *args) -> float:
     [
         ("write_trajectory_csv", 1.5),
         ("write_trajectory_bin", 0.2),
+        ("read_trajectory_csv", 3.0),
         ("read_trajectory_bin", 1.0),
         ("file_digest", 0.25),
         ("energy_series", 1.6),
@@ -1010,6 +1057,7 @@ def test_trajectory_io_memory_bounds(tmp_path, what, bound_mib):
     call = {
         "write_trajectory_csv": (store.write_trajectory_csv, csv, times, coeffs),
         "write_trajectory_bin": (store.write_trajectory_bin, bin_, times, coeffs, grid),
+        "read_trajectory_csv": (store.read_trajectory_csv, csv),
         "read_trajectory_bin": (store.read_trajectory_bin, bin_),
         "file_digest": (store.file_digest, csv),
         "energy_series": (energy_series, coeffs, 3),
@@ -1080,11 +1128,8 @@ def test_cli_rejects_out_of_range_counts(tmp_path, capsys, overrides, extra):
         {"solver": {"damping_amplitude": "-inf"}},
         {"solver": {"damping_center": "nan"}},
         {"experiment": {"horizon": "inf"}},
-        {"experiment": {"kind": "decay", "tau0": "nan"}},
     ],
-    ids=[
-        "probe_s", "haar_c", "amplitudes", "damping_amplitude", "damping_center", "horizon", "tau0"
-    ],
+    ids=["probe_s", "haar_c", "amplitudes", "damping_amplitude", "damping_center", "horizon"],
 )
 def test_cli_rejects_non_finite_floats(tmp_path, capsys, overrides):
     path = write_cfg(tmp_path, overrides, name="finite.txt")

@@ -48,7 +48,6 @@ from schrodmix.config import random_h1_field
 from schrodmix.mixing import (
     ENSEMBLE_BLOCK,
     SOLO_TAG,
-    _worker_count,
     chain_seed_record,
     solo_paths,
     warm_start,
@@ -187,35 +186,6 @@ def test_ensemble_evolution_matches_chain_records():
         np.testing.assert_allclose(out.coeffs[i], state.coeffs, rtol=1e-12, atol=1e-14)
 
 
-def test_worker_count_does_not_change_results(monkeypatch):
-    """Bitwise equality across worker counts, with enough chains to span
-    several dispatch blocks so the threaded path really runs."""
-    cfg = damped_cfg()
-    spec = small_spec()
-    u0 = random_h1_field(GRID, 0.4, 3.0, 6, 0)
-    n_chains = ENSEMBLE_BLOCK + 6
-    ens = Ensemble.from_field(u0, n_chains, master_seed=3, tag=2)
-    monkeypatch.delenv("SCHRODMIX_WORKERS", raising=False)
-    one = evolve_ensemble(ens, spec, cfg)
-    monkeypatch.setenv("SCHRODMIX_WORKERS", "3")
-    three = evolve_ensemble(ens, spec, cfg)
-    np.testing.assert_array_equal(one.coeffs, three.coeffs)
-
-
-def test_worker_count_rejects_malformed_values(monkeypatch):
-    for raw in ("two", "0", "-3", "1.5"):
-        monkeypatch.setenv("SCHRODMIX_WORKERS", raw)
-        with pytest.raises(ValidationError, match="SCHRODMIX_WORKERS"):
-            _worker_count()
-    # unset or empty means one worker
-    monkeypatch.setenv("SCHRODMIX_WORKERS", "")
-    assert _worker_count() == 1
-    monkeypatch.delenv("SCHRODMIX_WORKERS")
-    assert _worker_count() == 1
-    monkeypatch.setenv("SCHRODMIX_WORKERS", "3")
-    assert _worker_count() == 3
-
-
 def test_loglinear_fit_recovers_line():
     x = np.arange(8.0)
     y = 3.0 * np.exp(-0.41 * x)
@@ -349,11 +319,9 @@ def _six_sweep_shift(y, x, zeta, gamma, cfg, time_level, galerkin_cutoff):
     return base, zeta.shifted(realize_shift_cells(cmap, coeffs, zeta.spec)), coeffs
 
 
-@pytest.mark.parametrize("tau0", [1.0, 0.5])
-def test_controlled_coupling_matches_six_sweep_composition(tau0, monkeypatch):
+def test_controlled_coupling_matches_six_sweep_composition(monkeypatch):
     # three sweeps per step (the separation in the control sweep, the
-    # measured free image shared with T at tau0 = 1, x's step beside the
-    # next base) give every reported number of six separate sweeps, bitwise
+    # measured free image shared with T, x's step beside the next base) give every reported number of six separate sweeps, bitwise
     import schrodmix.control as control_mod
     import schrodmix.mixing as mixing_mod
 
@@ -371,18 +339,18 @@ def test_controlled_coupling_matches_six_sweep_composition(tau0, monkeypatch):
     y0 = random_h1_field(GRID, 0.5, 3.0, 10, 0)
     x0 = y0 + random_h1_field(GRID, 1e-3, 2.0, 10, 1)
     kw = dict(time_level=2, galerkin_cutoff=6)
-    rep = synchronous_coupling_experiment(y0, x0, 3, spec, cfg, 13, use_control=True, tau0=tau0, **kw)
+    rep = synchronous_coupling_experiment(y0, x0, 3, spec, cfg, 13, use_control=True, **kw)
     monkeypatch.undo()
-    # one free-group sweep per measurement, plus T's own where tau0 is not
-    # the base's horizon; no tangent run; one stored sweep per step
+    # one free-group sweep per measurement, T's own included; no tangent
+    # run; one stored sweep per step
     assert calls == {
-        "linear_group": 4 + (0 if tau0 == 1.0 else 3),
+        "linear_group": 4,
         "solve_nls": 1,
         "solve_nls_batch": 2,
         "markov_step_batch": 1,
     }
 
-    norm = lambda f: equivalent_norm(f, cfg, tau0)
+    norm = lambda f: equivalent_norm(f, cfg)
     y, x = y0, x0
     seps, shift_norms = [norm(y - x)], []
     for n in range(3):
@@ -395,19 +363,18 @@ def test_controlled_coupling_matches_six_sweep_composition(tau0, monkeypatch):
     assert rep.separations.tobytes() == seps.tobytes()
     assert rep.ratios.tobytes() == (seps[1:] / seps[:-1]).tobytes()
     assert rep.shift_norms.tobytes() == np.asarray(shift_norms).tobytes()
-    assert rep.norm_kind == "h1_after_group(tau0=%g)" % tau0
+    assert rep.norm_kind == "h1_after_group(tau0=1)"
 
 
-@pytest.mark.parametrize("tau0", [1.0, 0.5])
-def test_contraction_test_matches_six_sweep_composition(tau0):
+def test_contraction_test_matches_six_sweep_composition():
     cfg = damped_cfg()
     (zeta,) = sample_noise_paths(small_spec(), [chain_seed_record(14, SOLO_TAG, 0, 0)])
     y = random_h1_field(GRID, 0.5, 3.0, 14, 0)
     x = y + random_h1_field(GRID, 1e-3, 2.0, 14, 1)
     kw = dict(time_level=2, galerkin_cutoff=6)
-    rep = contraction_test(y, x, zeta, 1e-2, cfg, tau0=tau0, **kw)
+    rep = contraction_test(y, x, zeta, 1e-2, cfg, **kw)
 
-    norm = lambda f: equivalent_norm(f, cfg, tau0)
+    norm = lambda f: equivalent_norm(f, cfg)
     base, xi, coeffs = _six_sweep_shift(y, x, zeta, 1e-2, cfg, **kw)
     sep0 = norm(y - x)
     assert rep.separation == sep0

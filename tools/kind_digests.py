@@ -38,7 +38,6 @@ _CASES = {
     "decay": ("decay", {"horizon": 2.0}),
     "gramian": ("gramian", {**_CONTROL, "target_cutoff": 2}),
     "stabilize": ("stabilize", _CONTROL),
-    "stabilize_tau0_0.5": ("stabilize", {**_CONTROL, "tau0": 0.5}),
     "couple": ("couple", {"n_steps": 3}),
     "couple_control": ("couple", {**_CONTROL, "n_steps": 3, "use_control": "true"}),
     # the coupled step's edge paths: no step, and a first step that is also
