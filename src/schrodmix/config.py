@@ -54,7 +54,6 @@ _SECTION_ORDER = ("grid", "solver", "noise", "experiment", "run")
 # key -> (type, default); types: int, float, str, bool, ints, floats
 _SCHEMA = {
     "grid": {
-        "n_points": ("int", 128),
         "k_max": ("int", 42),
     },
     "solver": {
@@ -230,7 +229,7 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
             value = sections[name][key]
             if kind in ("float", "floats") and not np.all(np.isfinite(value)):
                 raise ValidationError("[%s] %s must be finite, got %r" % (name, key, value))
-    grid = Grid(n_points=sections["grid"]["n_points"], k_max=sections["grid"]["k_max"])
+    grid = Grid(k_max=sections["grid"]["k_max"])
     sol = sections["solver"]
     damping = _build_damping(grid, sol)
     solver = SolverConfig(

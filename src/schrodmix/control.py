@@ -177,9 +177,13 @@ def compact_T_apply(
 
 def check_shift_level(time_level: int, spec: NoiseSpec) -> None:
     """The one check that controls of time_level can be realized as shifts
-    of spec's noise, which is constant on cells of level spec.level_max."""
+    of spec's noise, which is constant on cells of level spec.level_max and
+    divides each shift of mode k by its amplitude b_k."""
     if time_level > spec.level_max:
         raise ValidationError("control level %d finer than the noise cells" % time_level)
+    for k, b in zip(spec.modes, spec.amplitudes):
+        if b == 0:
+            raise ValidationError("mode %d has zero noise amplitude" % k)
 
 
 def realize_shift_cells(cmap: ControlBasisMap, coeffs: np.ndarray, spec: NoiseSpec) -> np.ndarray:
@@ -202,10 +206,7 @@ def realize_shift_cells(cmap: ControlBasisMap, coeffs: np.ndarray, spec: NoiseSp
         if k not in spec.modes:
             raise ValidationError("control mode %d is not a noise mode" % k)
         m = spec.modes.index(k)
-        b = spec.amplitudes[m]
-        if b == 0:
-            raise ValidationError("mode %d has zero noise amplitude" % k)
-        delta[m] += coeffs[c] * comp * basis[2**j - 1 + l] / (b * ROOT_2PI)
+        delta[m] += coeffs[c] * comp * basis[2**j - 1 + l] / (spec.amplitudes[m] * ROOT_2PI)
     return delta
 
 
@@ -253,14 +254,12 @@ def stabilizing_shift(
     )
 
 
-def equivalent_norm(w: FourierField, cfg: SolverConfig, tau0: float = 1.0) -> float:
-    """H1 norm after riding the damped free group for tau0 time units.  Every
-    report measures at the default, one unit; tau0 stays for test_08, which
-    passes it.
+def equivalent_norm(w: FourierField, cfg: SolverConfig) -> float:
+    """H1 norm after riding the damped free group for one time unit.
 
     A practical stand-in for the norm in which the damped group is a strict
     contraction; the plain H1 norm can grow transiently under S_a.  Every
     operation of S_a is sign-symmetric, so S_a(-w) = -S_a(w) bit for bit and
     the norm of w - v is that of v - w.
     """
-    return sobolev_norm(linear_group(w, tau0, cfg), 1.0)
+    return sobolev_norm(linear_group(w, 1.0, cfg), 1.0)

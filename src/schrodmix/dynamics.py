@@ -101,6 +101,15 @@ class SolverConfig:
             raise ValidationError("store_stride must be a positive integer")
         if self.damping.grid != self.grid:
             raise ValidationError("damping profile lives on a different grid")
+        if self.damping.kind == "bump":
+            # a narrower bump damps at most one point of the padded grid
+            # that _step_tables samples a(x) on, or none
+            width, n_pad = self.damping.params[2], pad_points(self.grid.k_max, self.p)
+            if width < TWO_PI / n_pad:
+                raise ValidationError(
+                    "bump width %r is below the grid spacing 2pi/%d = %r of the padded grid"
+                    % (width, n_pad, TWO_PI / n_pad)
+                )
 
     def steps_for(self, horizon: float) -> int:
         n = horizon / self.dt

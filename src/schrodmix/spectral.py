@@ -3,9 +3,11 @@ for 2pi-periodic complex fields.
 
 Fields are stored as coefficients in the orthonormal basis
 e_k(x) = exp(ikx)/sqrt(2pi), k = -k_max..k_max.  Coefficient arrays are
-ordered by increasing k, so index i holds mode k = i - k_max.  Physical
-samples live on the uniform grid x_j = 2pi j / n.  The transforms synth and
-analyze accept arbitrary leading batch axes; the mode axis is always last.
+ordered by increasing k, so index i holds mode k = i - k_max.  A Grid is
+the band alone: physical samples live on whatever uniform grid
+x_j = 2pi j / n a caller asks for, such as the solver's padded one.  The
+transforms synth and analyze accept arbitrary leading batch axes; the mode
+axis is always last.
 Nothing here depends on the power p: the energy lives in dynamics.
 """
 
@@ -27,21 +29,13 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid paired with a symmetric spectral band."""
+    """The symmetric spectral band |k| <= k_max of 2pi-periodic fields."""
 
-    n_points: int = 128
     k_max: int = 42
 
     def __post_init__(self):
-        if self.n_points < 2 or self.n_points % 2 != 0:
-            raise ValidationError("n_points must be even and >= 2, got %r" % (self.n_points,))
         if self.k_max < 1:
             raise ValidationError("k_max must be >= 1, got %r" % (self.k_max,))
-        if self.n_points < 2 * self.k_max + 2:
-            raise ValidationError(
-                "n_points=%d cannot resolve k_max=%d (need >= %d)"
-                % (self.n_points, self.k_max, 2 * self.k_max + 2)
-            )
 
     @property
     def n_coeff(self) -> int:
@@ -50,10 +44,6 @@ class Grid:
     @property
     def modes(self) -> np.ndarray:
         return np.arange(-self.k_max, self.k_max + 1)
-
-    @property
-    def points(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.n_points) / self.n_points
 
 
 def synth(coeffs: np.ndarray, n_out: int) -> np.ndarray:
@@ -209,12 +199,6 @@ class DampingProfile:
                 raise ValidationError("bump amplitude must be >= 0")
             if not (0 < width < math.pi):
                 raise ValidationError("bump width must sit in (0, pi)")
-            spacing = TWO_PI / self.grid.n_points
-            if width < spacing:
-                # a narrower bump damps at most one grid point, or none
-                raise ValidationError(
-                    "bump width %r is below the grid spacing 2pi/n_points = %r" % (width, spacing)
-                )
         object.__setattr__(self, "params", params)
 
     def at(self, x: np.ndarray) -> np.ndarray:
@@ -242,6 +226,7 @@ def constant_damping(grid: Grid, value: float) -> DampingProfile:
 def bump_damping(grid: Grid, amplitude: float, center: float, width: float) -> DampingProfile:
     """C-infinity bump A*exp(-1/(1-s^2)), s = wrapped(x-center)/width, |s| < 1.
 
-    The width must be at least the grid spacing 2pi/n_points and below pi.
+    The width must sit in (0, pi); SolverConfig also holds it to at least
+    the spacing of the padded grid that the solver samples a(x) on.
     """
     return DampingProfile(grid, "bump", (amplitude, center, width))

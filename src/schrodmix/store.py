@@ -30,7 +30,9 @@ from .spectral import Grid, ValidationError
 
 _MAGIC = b"SMIX"
 _BIN_VERSION = 1
-_HEADER = struct.Struct("<4sBBHIHH")  # magic, version, flags, n_coeff, n_stored, k_max, n_points
+# magic, version, flags, n_coeff, n_stored, k_max, reserved (written as 0,
+# never read: older files hold a point count there and read back the same)
+_HEADER = struct.Struct("<4sBBHIHH")
 _DIGEST_BLOCK = 1 << 16  # bytes per read of file_digest
 
 
@@ -149,6 +151,8 @@ def write_trajectory_csv(path, times: np.ndarray, coeffs: np.ndarray) -> None:
         raise ValidationError("coeffs must be (n_stored, n_coeff) matching times")
     if coeffs.shape[1] % 2 != 1:  # read_trajectory_csv wants the band -K..K
         raise ValidationError("coeffs width %d is not 2K+1 for a symmetric band" % coeffs.shape[1])
+    if len(times) == 0:  # a header alone would not say the band
+        raise ValidationError("a trajectory CSV needs at least one state")
     _write_atomic(path, _trajectory_chunks(times, coeffs))
 
 
@@ -210,9 +214,7 @@ def write_trajectory_bin(path, times: np.ndarray, coeffs: np.ndarray, grid: Grid
         raise ValidationError("coeffs must be (n_stored, n_coeff) matching times")
     if coeffs.shape[1] != grid.n_coeff:
         raise ValidationError("coefficient width does not match the grid band")
-    header = _HEADER.pack(
-        _MAGIC, _BIN_VERSION, 0, coeffs.shape[1], coeffs.shape[0], grid.k_max, grid.n_points
-    )
+    header = _HEADER.pack(_MAGIC, _BIN_VERSION, 0, coeffs.shape[1], coeffs.shape[0], grid.k_max, 0)
     _write_atomic(path, (header, times, coeffs))
 
 
@@ -222,7 +224,7 @@ def read_trajectory_bin(path):
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
             raise ValidationError("truncated trajectory container")
-        magic, version, flags, n_coeff, n_stored, k_max, n_points = _HEADER.unpack(head)
+        magic, version, flags, n_coeff, n_stored, k_max, _ = _HEADER.unpack(head)
         if magic != _MAGIC or version != _BIN_VERSION or flags != 0:
             raise ValidationError("not a trajectory container (bad magic/version)")
         if n_coeff != 2 * k_max + 1:
@@ -233,7 +235,7 @@ def read_trajectory_bin(path):
         coeffs = np.empty((n_stored, n_coeff), dtype="<c16")
         if fh.readinto(times) != times.nbytes or fh.readinto(coeffs) != coeffs.nbytes:
             raise ValidationError("container length does not match its header")
-    return times, coeffs, Grid(n_points=n_points, k_max=k_max)
+    return times, coeffs, Grid(k_max)
 
 
 def write_curve_csv(path, header, rows) -> None:

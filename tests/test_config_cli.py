@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -21,14 +22,14 @@ from schrodmix.config import (
     run_experiment,
     save_config,
 )
-from schrodmix.dynamics import energy_series
+from schrodmix.dynamics import energy_series, pad_points
 from schrodmix.noise import NoisePath, sample_noise_paths
 from schrodmix.spectral import Grid, synth
 
 
 def make_text(overrides=None):
     base = {
-        "grid": {"n_points": 64, "k_max": 20},
+        "grid": {"k_max": 20},
         "solver": {
             "dt": 2.0**-7,
             "damping": "bump",
@@ -69,7 +70,7 @@ def write_cfg(tmp_path, overrides=None, name="cfg.txt"):
 
 def test_empty_text_gives_defaults():
     sections = parse_config_text("")
-    assert sections["grid"]["n_points"] == 128
+    assert sections["grid"] == {"k_max": 42}
     assert sections["solver"]["p"] == 3
     assert sections["noise"]["modes"] == (0, 1)
     cfg = config_from_sections(sections)
@@ -80,9 +81,10 @@ def test_empty_text_gives_defaults():
 
 
 def test_comments_blank_lines_and_spacing():
-    text = "# leading comment\n\n[grid]\n  n_points =  64 \nk_max=20\n"
+    text = "# leading comment\n\n[grid]\n  k_max =  20 \n\n[solver]\np=5\n"
     sections = parse_config_text(text)
-    assert sections["grid"] == {"n_points": 64, "k_max": 20}
+    assert sections["grid"] == {"k_max": 20}
+    assert sections["solver"]["p"] == 5
 
 
 def test_save_load_round_trip(tmp_path):
@@ -105,8 +107,8 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_canonical_text_is_insensitive_to_input_order(tmp_path):
-    a = parse_config_text("[grid]\nn_points = 64\nk_max = 20\n")
-    b = parse_config_text("[grid]\nk_max = 20\nn_points = 64\n")
+    a = parse_config_text("[grid]\nk_max = 20\n[solver]\np = 5\ndt = 0.0078125\n")
+    b = parse_config_text("[solver]\ndt = 0.0078125\np = 5\n[grid]\nk_max = 20\n")
     assert config_from_sections(a).canonical_text() == config_from_sections(b).canonical_text()
 
 
@@ -122,13 +124,13 @@ def test_canonical_text_round_trip_keeps_the_digest(data):
     """Any valid config, its floats spelled in any exact form, rebuilds from
     its canonical text with the same digest."""
     draw = data.draw
-    n_points = draw(st.sampled_from((32, 64, 128)))
     modes = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3, unique=True))
     kind = draw(st.sampled_from(KINDS))
     # the control kinds' default layout (time_level 2, galerkin_cutoff 8)
     # must fit the noise cells and the grid band
     control = kind in ("gramian", "stabilize", "couple")
-    k_max = draw(st.integers(8 if control else 5, n_points // 2 - 1))
+    k_max = draw(st.integers(8 if control else 5, 63))
+    p = draw(st.sampled_from((3, 5, 7)))
     dt = 2.0 ** -draw(st.integers(7, 10))
     # a run's horizon is a multiple of dt, and a forced run's an integer;
     # decay runs unforced
@@ -140,17 +142,19 @@ def test_canonical_text_round_trip_keeps_the_digest(data):
     else:
         horizon = draw(_FINITE)
     sections = {
-        "grid": {"n_points": n_points, "k_max": k_max},
+        "grid": {"k_max": k_max},
         "solver": {
             "dt": dt,
-            "p": draw(st.sampled_from((3, 5, 7))),
+            "p": p,
             # smooth's resonant phase needs every step stored
             "store_stride": 1 if kind == "smooth" else draw(st.integers(1, 64)),
             "damping": draw(st.sampled_from(("zero", "constant", "bump"))),
             "damping_value": draw(_NONNEG),
             "damping_amplitude": draw(_NONNEG),
             "damping_center": draw(st.floats(-10.0, 10.0)),
-            "damping_width": draw(st.floats(2 * math.pi / n_points, math.pi, exclude_max=True)),
+            # at least the spacing of the padded grid the solver samples a(x) on
+            "damping_width": draw(st.floats(2 * math.pi / pad_points(k_max, p), math.pi,
+                                            exclude_max=True)),
         },
         "noise": {
             "modes": tuple(modes),
@@ -206,14 +210,14 @@ def test_parse_errors_carry_line_numbers():
         parse_config_text("[bogus]")
     with pytest.raises(ValidationError, match="line 2: unknown key 'widgets'"):
         parse_config_text("[grid]\nwidgets = 3")
-    with pytest.raises(ValidationError, match="line 3: duplicate key 'n_points'"):
-        parse_config_text("[grid]\nn_points = 64\nn_points = 64")
+    with pytest.raises(ValidationError, match="line 3: duplicate key 'k_max'"):
+        parse_config_text("[grid]\nk_max = 20\nk_max = 20")
     with pytest.raises(ValidationError, match="line 2: expected key = value"):
         parse_config_text("[grid]\nnonsense")
     with pytest.raises(ValidationError, match="line 1: key outside any"):
-        parse_config_text("n_points = 64")
+        parse_config_text("k_max = 20")
     with pytest.raises(ValidationError, match="cannot parse 'fish' as int"):
-        parse_config_text("[grid]\nn_points = fish")
+        parse_config_text("[grid]\nk_max = fish")
     with pytest.raises(ValidationError, match="as bool"):
         parse_config_text("[experiment]\nforced = maybe")
     with pytest.raises(ValidationError, match="as floats"):
@@ -325,7 +329,7 @@ def test_bad_run_is_refused_before_the_output_directory(case, tmp_path, capsys):
 
 # each exited 2 only after run_experiment had made the output directory and
 # removed the manifest of the run before; decay used to run forced = true
-# as if it were false
+# as if it were false.  case -> ([experiment] keys, message[, other sections])
 _LATE_REFUSAL = {
     "saturate_negative_iterations": ({"kind": "saturate", "iterations": -1}, "iterations must be >= 0"),
     "saturate_without_modes": ({"kind": "saturate", "sat_modes": ""}, "base set must be nonempty"),
@@ -344,13 +348,23 @@ _LATE_REFUSAL = {
     "couple_control_tau0": (
         {"kind": "couple", "use_control": "true", "tau0": -0.5, "n_steps": 1},
         "unknown key 'tau0'"),
+    # a control on a mode without noise cannot be realized as a noise shift;
+    # this was found only after the warm-up
+    "stabilize_zero_amplitude": (
+        {"kind": "stabilize"}, "mode 0 has zero noise amplitude", {"noise": {"amplitudes": "0.0, 0.1"}}),
+    "couple_control_zero_amplitude": (
+        {"kind": "couple", "use_control": "true", "n_steps": 1}, "mode 1 has zero noise amplitude",
+        {"noise": {"amplitudes": "0.1, 0.0"}}),
+    # the removed n_points key, which no computation read: such a run wrote
+    # the same outputs at any value
+    "grid_n_points": ({"kind": "simulate"}, "unknown key 'n_points'", {"grid": {"n_points": 64}}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_LATE_REFUSAL))
 def test_bad_config_keeps_the_earlier_manifest(case, tmp_path, capsys):
-    experiment, match = _LATE_REFUSAL[case]
-    path = write_cfg(tmp_path, {"experiment": experiment})
+    experiment, match, *other = _LATE_REFUSAL[case]  # other: overrides of other sections
+    path = write_cfg(tmp_path, dict(*other, experiment=experiment))
     out = tmp_path / "o"
     argv = [experiment["kind"], "--config", str(path), "--out", str(out)]
     assert cli.main(argv) == 2
@@ -408,14 +422,14 @@ def test_build_initial_variants(tmp_path):
         )
     )
     a = build_initial(cfg)
-    np.testing.assert_allclose(synth(a.coeffs, cfg.grid.n_points), 2.0, rtol=1e-12)
+    np.testing.assert_allclose(synth(a.coeffs, 64), 2.0, rtol=1e-12)
     b = build_initial(cfg, "b")
     assert abs(b.coeff(2)) > 0.0
     np.testing.assert_allclose(sobolev_norm(b, 0.0), 0.7 * math.sqrt(2.0 * math.pi), rtol=1e-12)
 
 
 def test_random_h1_field_normalization_and_determinism():
-    grid = Grid(64, 20)
+    grid = Grid(20)
     f = random_h1_field(grid, 0.8, 3.0, 11, 0)
     np.testing.assert_allclose(sobolev_norm(f, 1.0), 0.8, rtol=1e-12)
     g = random_h1_field(grid, 0.8, 3.0, 11, 0)
@@ -454,7 +468,7 @@ def test_trajectory_csv_errors(tmp_path):
 
 
 def test_trajectory_bin_round_trip_and_corruption(tmp_path):
-    grid = Grid(32, 4)
+    grid = Grid(4)
     rng = np.random.default_rng(1)
     times = np.array([0.0, 0.5, 1.0])
     coeffs = rng.standard_normal((3, grid.n_coeff)) + 1j * rng.standard_normal((3, grid.n_coeff))
@@ -463,7 +477,7 @@ def test_trajectory_bin_round_trip_and_corruption(tmp_path):
     t2, c2, g2 = store.read_trajectory_bin(path)
     np.testing.assert_array_equal(t2, times)
     np.testing.assert_array_equal(c2, coeffs)
-    assert g2.n_points == 32 and g2.k_max == 4
+    assert g2 == grid
 
     raw = path.read_bytes()
     short = tmp_path / "short.bin"
@@ -555,6 +569,34 @@ def test_trajectory_csv_refuses_an_even_width(tmp_path):
             store.write_trajectory_csv(path, [0.0, 0.5], np.ones((2, width), dtype=complex))
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
+
+
+def test_trajectory_csv_refuses_zero_states(tmp_path):
+    # a header alone reads back as shape (0, 0): the band would be lost
+    path = tmp_path / "traj.csv"
+    with pytest.raises(ValidationError, match="at least one state"):
+        store.write_trajectory_csv(path, np.zeros(0), np.zeros((0, 5), dtype=complex))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trajectory_bin_reads_a_container_with_a_point_count(tmp_path):
+    """The header's last slot is reserved: written as 0 and never read, so a
+    container that holds a point count there, as older writers left one,
+    reads back bit for bit."""
+    grid = Grid(4)
+    rng = np.random.default_rng(2)
+    times = np.array([0.0, 0.25])
+    coeffs = rng.standard_normal((2, 9)) + 1j * rng.standard_normal((2, 9))
+    path = tmp_path / "traj.bin"
+    store.write_trajectory_bin(path, times, coeffs, grid)
+    body = times.astype("<f8").tobytes() + coeffs.astype("<c16").tobytes()
+    head = struct.Struct("<4sBBHIHH")
+    assert path.read_bytes() == head.pack(b"SMIX", 1, 0, 9, 2, 4, 0) + body
+    old = tmp_path / "old.bin"
+    old.write_bytes(head.pack(b"SMIX", 1, 0, 9, 2, 4, 128) + body)
+    t2, c2, g2 = store.read_trajectory_bin(old)
+    assert t2.tobytes() == times.tobytes() and c2.tobytes() == coeffs.tobytes()
+    assert g2 == grid
 
 
 def test_trajectory_csv_reader_checks_in_order(tmp_path):
@@ -709,7 +751,7 @@ def test_trajectory_round_trips_are_bitwise(tmp_path_factory, data):
     coeffs.real = parts[:n].reshape(coeffs.shape)
     coeffs.imag = parts[n:].reshape(coeffs.shape)
     times[np.isnan(times)] = 0.0  # a NaN time can never equal its block's time
-    grid = Grid(4 * k_max, k_max)
+    grid = Grid(k_max)
     tmp = tmp_path_factory.mktemp("rt")
     store.write_trajectory_bin(tmp / "t.bin", times, coeffs, grid)
     t_bin, c_bin, _ = store.read_trajectory_bin(tmp / "t.bin")
@@ -771,7 +813,7 @@ def test_run_simulate_unforced(tmp_path):
     t_bin, c_bin, grid = store.read_trajectory_bin(out / "trajectory.bin")
     np.testing.assert_array_equal(t_csv, t_bin)
     np.testing.assert_array_equal(c_csv, c_bin)
-    assert grid.n_points == 64
+    assert grid == cfg.grid
     assert len(t_bin) == cfg.solver.steps_for(1.0) + 1
 
 
@@ -931,7 +973,7 @@ def test_failed_rerun_leaves_no_manifest(tmp_path):
 _WRITERS = {
     "trajectory_csv": lambda p, v: store.write_trajectory_csv(p, [0.0], np.full((1, 3), v + 0j)),
     "trajectory_bin": lambda p, v: store.write_trajectory_bin(
-        p, [0.0], np.full((1, 3), v + 0j), Grid(8, 1)
+        p, [0.0], np.full((1, 3), v + 0j), Grid(1)
     ),
     "curve_csv": lambda p, v: store.write_curve_csv(p, ("step", "x"), [(0, v)]),
     "noise_csv": lambda p, v: store.write_noise_path_csv(
@@ -1020,7 +1062,7 @@ def test_curve_csv_refuses_inexact_integer_column(tmp_path, rows, bad):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv"]
 
 
-# trajectory_io's stored run: 641 states of Grid(128, 42)
+# trajectory_io's stored run: 641 states at k_max 42
 _IO_SHAPE = (641, 85)
 
 
@@ -1050,7 +1092,7 @@ def test_trajectory_io_memory_bounds(tmp_path, what, bound_mib):
     rng = np.random.default_rng(19)
     times = np.arange(_IO_SHAPE[0]) * 2.0**-5
     coeffs = 0.1 * (rng.standard_normal(_IO_SHAPE) + 1j * rng.standard_normal(_IO_SHAPE))
-    grid = Grid(128, 42)
+    grid = Grid(42)
     csv, bin_ = tmp_path / "t.csv", tmp_path / "t.bin"
     store.write_trajectory_csv(csv, times, coeffs)
     store.write_trajectory_bin(bin_, times, coeffs, grid)
@@ -1142,14 +1184,39 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, overrides):
 
 
 def test_cli_rejects_bump_narrower_than_grid_spacing(tmp_path, capsys):
-    overrides = {"grid": {"n_points": 128}, "solver": {"damping": "bump", "damping_width": 1e-3}}
+    # k_max 20 at p = 3 steps on the 90-point padded grid
+    overrides = {"solver": {"damping": "bump", "damping_width": 1e-3}}
     path = write_cfg(tmp_path, overrides, name="narrow.txt")
     out = tmp_path / "o"
     ret = cli.main(["simulate", "--config", str(path), "--out", str(out)])
     assert ret == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert "below the grid spacing" in err and "0.001" in err and repr(2 * math.pi / 128) in err
-    assert not (out / "manifest.json").exists()
+    assert "below the grid spacing 2pi/90" in err and "0.001" in err
+    assert repr(2 * math.pi / 90) in err
+    assert not out.exists()
+
+
+def test_bump_width_floor_reads_the_padded_grid():
+    """At k_max 42 the floor is 2pi/180 at p = 3 and 2pi/256 at p = 5,
+    whatever point count a caller still passes in memory."""
+    def sections(width, p=3):
+        return parse_config_text(make_text({"grid": {"k_max": 42},
+                                            "solver": {"p": p, "damping_width": width}}))
+
+    # 0.02 damps one point of either padded grid; an extra n_points entry,
+    # which used to let it load, is not read
+    for p in (3, 5):
+        wide = sections(0.02, p)
+        wide["grid"]["n_points"] = 512
+        with pytest.raises(ValidationError, match="below the grid spacing"):
+            config_from_sections(wide)
+    # 0.04 damps three points of the 180-point grid, so it loads there
+    narrow = sections(0.04)
+    narrow["grid"]["n_points"] = 128
+    cfg = config_from_sections(narrow)
+    assert np.count_nonzero(cfg.solver._tab.decay < 1.0) == 3
+    assert "n_points" not in cfg.canonical_text()
+    assert cfg.digest() == config_from_sections(sections(0.04)).digest()
 
 
 @pytest.mark.parametrize("kind", ["simulate", "smooth"])

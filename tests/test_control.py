@@ -38,7 +38,7 @@ from schrodmix.linearized import h1_coords
 from schrodmix.noise import sample_noise_path
 from schrodmix.spectral import ROOT_2PI
 
-GRID = Grid(64, 20)
+GRID = Grid(20)
 DT = 2.0**-7
 
 

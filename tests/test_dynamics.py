@@ -46,7 +46,7 @@ from schrodmix.linearized import control_response_matrix
 from schrodmix.noise import sample_noise_path
 from schrodmix.spectral import ROOT_2PI, hs_norm_sq, synth
 
-GRID = Grid(64, 20)
+GRID = Grid(20)
 DT = 2.0**-7
 
 
@@ -69,7 +69,7 @@ def test_solver_config_validation():
         SolverConfig(grid=GRID, damping=zero_damping(GRID), dt=DT, p=1)
     with pytest.raises(ValidationError):
         SolverConfig(grid=GRID, damping=zero_damping(GRID), dt=DT, store_stride=0)
-    other = Grid(128, 42)
+    other = Grid(42)
     with pytest.raises(ValidationError):
         SolverConfig(grid=GRID, damping=zero_damping(other), dt=DT)
 
@@ -128,7 +128,7 @@ def test_linear_group_time_validation():
         linear_group(u, -0.1, free_cfg())
     np.testing.assert_allclose(linear_group(u, 0.0, free_cfg()).coeffs, u.coeffs, atol=0)
     with pytest.raises(ValidationError, match="different grids"):
-        linear_group(basis_field(Grid(128, 42), 1, 1.0), 0.5, free_cfg())
+        linear_group(basis_field(Grid(42), 1, 1.0), 0.5, free_cfg())
 
 
 def test_solve_zero_stays_zero():
@@ -575,7 +575,7 @@ def test_nmult_validation():
         nmult([u, u])
     with pytest.raises(ValidationError):
         nmult([u, u, u, u])
-    other = basis_field(Grid(128, 42), 0, 1.0)
+    other = basis_field(Grid(42), 0, 1.0)
     with pytest.raises(ValidationError):
         nmult([u, u, other])
 

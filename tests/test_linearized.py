@@ -43,7 +43,7 @@ from schrodmix.linearized import (
 from schrodmix.noise import haar_basis, haar_eval, sample_noise_path
 from schrodmix.spectral import ROOT_2PI
 
-GRID = Grid(64, 20)
+GRID = Grid(20)
 DT = 2.0**-7
 
 
@@ -276,7 +276,7 @@ def test_separation_row_rides_in_the_control_sweep(p):
         assert v1.coeffs.tobytes() == want.tobytes(), (modes, level)
         assert got.tobytes() == plain.tobytes() and keys_w == keys, (modes, level)
     with pytest.raises(ValidationError, match="grid"):
-        control_response_matrix(base, (0,), 1, 8, zero_field(Grid(32, 10)))
+        control_response_matrix(base, (0,), 1, 8, zero_field(Grid(10)))
 
 
 def test_tangent_coefficients_built_once_per_base(monkeypatch):

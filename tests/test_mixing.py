@@ -53,7 +53,7 @@ from schrodmix.mixing import (
     warm_start,
 )
 
-GRID = Grid(64, 20)
+GRID = Grid(20)
 DT = 2.0**-7
 
 

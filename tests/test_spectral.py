@@ -22,6 +22,7 @@ from schrodmix import (
 from schrodmix.dynamics import SolverConfig, energy_series, lp_power_integral, pad_points
 from schrodmix.spectral import (
     ROOT_2PI,
+    TWO_PI,
     DampingProfile,
     analyze,
     hs_norm_sq,
@@ -29,7 +30,9 @@ from schrodmix.spectral import (
     synth,
 )
 
-GRID = Grid(128, 42)
+GRID = Grid(42)
+N = 128  # physical samples the transform tests evaluate GRID's fields on
+X = TWO_PI * np.arange(N) / N
 
 
 def random_field(grid, seed, scale=1.0):
@@ -39,37 +42,34 @@ def random_field(grid, seed, scale=1.0):
 
 
 def test_grid_validation():
-    with pytest.raises(ValidationError):
-        Grid(127, 42)  # odd sample count
-    with pytest.raises(ValidationError):
-        Grid(64, 0)
-    with pytest.raises(ValidationError):
-        Grid(64, 32)  # needs n_points >= 2*k_max + 2
+    for k_max in (0, -1):
+        with pytest.raises(ValidationError, match="k_max must be >= 1"):
+            Grid(k_max)
 
 
-def test_grid_points():
-    g = Grid(64, 20)
+def test_grid_is_its_band():
+    g = Grid(20)
     assert g.n_coeff == 41
-    assert g.points[0] == 0.0
-    assert np.all(np.diff(g.points) > 0)
-    assert g.points[-1] < 2 * math.pi
-    np.testing.assert_allclose(g.points[1], 2 * math.pi / 64, rtol=1e-15)
+    np.testing.assert_array_equal(g.modes, np.arange(-20, 21))
+    assert g == Grid(k_max=20) and g != Grid(21)
+    # no physical sample count: the solver picks its padded grid from p
+    assert not hasattr(g, "n_points") and not hasattr(g, "points")
 
 
 def test_to_physical_single_mode():
     f = basis_field(GRID, 0, 1.0)
-    vals = synth(f.coeffs, GRID.n_points)
-    np.testing.assert_allclose(vals, np.full(GRID.n_points, 1.0 / ROOT_2PI), atol=1e-14)
+    vals = synth(f.coeffs, N)
+    np.testing.assert_allclose(vals, np.full(N, 1.0 / ROOT_2PI), atol=1e-14)
 
 
 def test_to_physical_zero():
-    vals = synth(zero_field(GRID).coeffs, GRID.n_points)
+    vals = synth(zero_field(GRID).coeffs, N)
     assert np.all(vals == 0)
 
 
 @pytest.mark.parametrize("n,k", [(32, 10), (64, 20), (128, 42)])
 def test_transform_round_trip(n, k):
-    g = Grid(n, k)
+    g = Grid(k)
     f = random_field(g, 7)
     back = analyze(synth(f.coeffs, n), k)
     np.testing.assert_allclose(back, f.coeffs, rtol=1e-12, atol=1e-12)
@@ -79,7 +79,7 @@ def test_transform_round_trip(n, k):
 
 
 def test_to_spectral_constant():
-    vals = np.full(GRID.n_points, 2.5 + 0j)
+    vals = np.full(N, 2.5 + 0j)
     f = FourierField(GRID, analyze(vals, GRID.k_max))
     np.testing.assert_allclose(f.coeff(0), 2.5 * ROOT_2PI, rtol=1e-13)
     rest = np.delete(f.coeffs, GRID.k_max)
@@ -87,7 +87,7 @@ def test_to_spectral_constant():
 
 
 def test_to_spectral_plane_wave():
-    vals = np.exp(1j * GRID.points)
+    vals = np.exp(1j * X)
     f = FourierField(GRID, analyze(vals, GRID.k_max))
     np.testing.assert_allclose(f.coeff(1), ROOT_2PI, rtol=1e-12)
     rest = np.delete(f.coeffs, GRID.k_max + 1)
@@ -119,7 +119,7 @@ def test_field_arithmetic_and_grid_mismatch():
     np.testing.assert_allclose(d.coeffs, f.coeffs)
     np.testing.assert_allclose((f * 0.5).coeffs, 0.5 * f.coeffs)
     np.testing.assert_allclose((-f).coeffs, -f.coeffs)
-    other = basis_field(Grid(64, 20), 1, 1.0)
+    other = basis_field(Grid(20), 1, 1.0)
     with pytest.raises(ValidationError):
         f + other
 
@@ -129,7 +129,7 @@ def test_plane_wave_is_scaled_basis():
     bf = basis_field(GRID, 3, 0.7)
     np.testing.assert_allclose(pw.coeffs, ROOT_2PI * bf.coeffs, rtol=1e-15)
     # physical amplitude of the plane wave is the requested one
-    np.testing.assert_allclose(np.abs(synth(pw.coeffs, GRID.n_points)), 0.7, rtol=1e-12)
+    np.testing.assert_allclose(np.abs(synth(pw.coeffs, N)), 0.7, rtol=1e-12)
 
 
 def test_sobolev_norm_values():
@@ -154,7 +154,7 @@ def test_sobolev_monotone_in_s():
 def test_parseval():
     f = random_field(GRID, 3)
     spectral = sobolev_norm(f, 0.0) ** 2
-    vals = synth(f.coeffs, GRID.n_points)
+    vals = synth(f.coeffs, N)
     physical = np.mean(np.abs(vals) ** 2) * 2 * math.pi
     np.testing.assert_allclose(physical, spectral, rtol=1e-10)
 
@@ -177,7 +177,7 @@ def test_energy_zero_field():
 
 
 def test_energy_constant_one():
-    f = FourierField(GRID, analyze(np.ones(GRID.n_points, dtype=complex), GRID.k_max))
+    f = FourierField(GRID, analyze(np.ones(N, dtype=complex), GRID.k_max))
     np.testing.assert_allclose(energy(f, 3), 1.5 * math.pi, rtol=1e-10)
     # p = 5: pi + (2 pi / 6) = pi + pi/3
     np.testing.assert_allclose(energy(f, 5), math.pi + math.pi / 3.0, rtol=1e-10)
@@ -221,7 +221,7 @@ def test_lp_power_integral_cubic_shortcut():
 def test_lp_power_integral_resolves_its_power():
     # the padded grid comes from p: |u|^4 at p = 5 matches a far finer grid
     f = random_field(GRID, 10, scale=0.5)
-    fine = np.mean(np.abs(synth(f.coeffs, 8 * GRID.n_points)) ** 4) * 2.0 * math.pi
+    fine = np.mean(np.abs(synth(f.coeffs, 8 * N)) ** 4) * 2.0 * math.pi
     np.testing.assert_allclose(lp_power_integral(f.coeffs, 5), fine, rtol=1e-12)
     with pytest.raises(ValidationError):
         lp_power_integral(f.coeffs, 4)
@@ -240,7 +240,7 @@ def test_mode_weights_cached_read_only():
 
 
 def test_damping_profiles():
-    x = GRID.points
+    x = X
     z = zero_damping(GRID)
     assert np.all(z.at(x) == 0)
     c = constant_damping(GRID, 0.25)
@@ -251,21 +251,37 @@ def test_damping_profiles():
     outside = np.abs(x - math.pi) >= 1.5
     assert np.all(b.at(x)[outside] == 0)
     assert b.at(x)[np.argmin(np.abs(x - math.pi))] > 0
-    # at() is the closed form the constructors use, on any grid
-    fine = Grid(4 * GRID.n_points, GRID.k_max)
-    for prof, twin in ((z, zero_damping(fine)), (c, constant_damping(fine, 0.25)),
-                       (b, bump_damping(fine, 1.5, math.pi, 1.5))):
-        np.testing.assert_array_equal(prof.at(fine.points), twin.at(fine.points))
+    # at() is the closed form the constructors use, on any points; the band
+    # a profile carries does not enter it
+    fine = TWO_PI * np.arange(4 * N) / (4 * N)
+    other = Grid(20)
+    for prof, twin in ((z, zero_damping(other)), (c, constant_damping(other, 0.25)),
+                       (b, bump_damping(other, 1.5, math.pi, 1.5))):
+        np.testing.assert_array_equal(prof.at(fine), twin.at(fine))
 
 
 @pytest.mark.parametrize("width", [1e-3, 5e-324])
 def test_bump_narrower_than_grid_spacing_rejected(width):
-    # such a bump damps one grid point (1e-3) or none at all (5e-324)
-    spacing = 2 * math.pi / GRID.n_points
-    with pytest.raises(ValidationError, match="below the grid spacing") as err:
-        bump_damping(GRID, 1.0, math.pi, width)
-    assert repr(width) in str(err.value) and repr(spacing) in str(err.value)
-    assert bump_damping(GRID, 1.0, math.pi, spacing).at(GRID.points).max() > 0
+    # such a bump damps one point of the padded grid (1e-3) or none (5e-324);
+    # the profile alone is fine, the solver that samples it refuses it
+    bump = bump_damping(GRID, 1.0, math.pi, width)
+    for p in (3, 5):
+        spacing = TWO_PI / pad_points(GRID.k_max, p)
+        with pytest.raises(ValidationError, match="below the grid spacing") as err:
+            SolverConfig(grid=GRID, damping=bump, p=p)
+        assert repr(width) in str(err.value) and repr(spacing) in str(err.value)
+
+
+@pytest.mark.parametrize("p, n_pad", [(3, 180), (5, 256)])
+def test_bump_width_floor_is_the_padded_spacing(p, n_pad):
+    """The floor is the spacing of the grid _step_tables samples a(x) on."""
+    spacing = TWO_PI / n_pad
+    assert pad_points(GRID.k_max, p) == n_pad
+    below = bump_damping(GRID, 1.0, math.pi, np.nextafter(spacing, 0.0))
+    with pytest.raises(ValidationError, match="below the grid spacing 2pi/%d" % n_pad):
+        SolverConfig(grid=GRID, damping=below, p=p)
+    cfg = SolverConfig(grid=GRID, damping=bump_damping(GRID, 1.0, math.pi, spacing), p=p)
+    assert cfg._tab.decay.min() < 1.0  # it damps a padded point
 
 
 def test_damping_profiles_compare_by_closed_form():
@@ -294,11 +310,10 @@ def test_damping_validation():
         ("constant", (-0.1,), "constant must be >= 0"),
         ("bump", (-1.0, math.pi, 1.5), "amplitude must be >= 0"),
         ("bump", (1.0, math.pi, 4.0), "sit in"),
-        ("bump", (1.0, math.pi, 1e-3), "below the grid spacing"),
     ):
         with pytest.raises(ValidationError, match=match):
             DampingProfile(GRID, kind, params)
     # nor can raw samples be passed for the closed form
     with pytest.raises(ValidationError, match="unknown damping kind"):
-        DampingProfile(GRID, np.full(GRID.n_points, 0.3))
+        DampingProfile(GRID, np.full(N, 0.3))
     assert DampingProfile(GRID, "bump", (1, math.pi, 1.5)) == bump_damping(GRID, 1.0, math.pi, 1.5)

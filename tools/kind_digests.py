@@ -3,7 +3,7 @@
     python3 tools/kind_digests.py <checkout>
 
 Imports schrodmix from <checkout>/src, runs each case below through
-run_experiment at Grid(64, 20), dt 2^-7, level_max 3 and seed 3, at p = 3
+run_experiment at k_max 20, dt 2^-7, level_max 3 and seed 3, at p = 3
 and p = 5, and prints {case: {file: sha256}} as JSON.  The manifest is left
 out: it carries timestamps.  Two checkouts whose outputs agree byte for byte
 print the same text, so diffing the output of two checkouts is the
@@ -23,7 +23,7 @@ import sys
 import tempfile
 
 _COMMON = {
-    "grid": {"n_points": 64, "k_max": 20},
+    "grid": {"k_max": 20},
     "solver": {"dt": 2.0**-7, "damping": "bump", "damping_amplitude": 1.0, "damping_width": 1.5},
     "noise": {"modes": "0, 1", "amplitudes": "0.1, 0.1", "level_max": 3},
     "experiment": {"initial": "plane_wave", "initial_amplitude": 0.5, "initial_mode": 1},
