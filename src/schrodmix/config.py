@@ -3,9 +3,10 @@
 
 The format is deliberately small: full-line # comments, five known sections,
 every key typed and defaulted, unknown sections or keys rejected with their
-line number.  A config canonicalizes to a fixed rendering of every field
-(defaults filled), and the digest is the sha256 of that rendering, so two
-configs with the same digest run the same experiment.
+line number.  A config is its canonical text, a fixed rendering of every
+field (defaults filled), plus the solver and noise built from it; the
+digest is the sha256 of that text.  So two configs are equal exactly when
+their digests are, and a built config never changes.
 """
 
 from __future__ import annotations
@@ -31,23 +32,22 @@ from .mixing import (
 )
 from .noise import NoiseSpec, haar_cells
 from .spectral import (
+    DampingProfile,
     FourierField,
     Grid,
     ValidationError,
-    bump_damping,
-    constant_damping,
     hs_norm_sq,
     mode_weights,
     plane_wave,
     sobolev_norm,
-    zero_damping,
     zero_field,
 )
 from . import store
 
-KINDS = ("simulate", "decay", "gramian", "stabilize", "couple", "mix", "saturate", "smooth")
 _INITIAL_KINDS = ("zero", "constant", "plane_wave", "random_h1")
-_DAMPING_KINDS = ("zero", "constant", "bump")
+# damping kind -> the [solver] keys of its DampingProfile params, in order
+_DAMPING_PARAMS = {"zero": (), "constant": ("damping_value",),
+                   "bump": ("damping_amplitude", "damping_center", "damping_width")}
 
 _SECTION_ORDER = ("grid", "solver", "noise", "experiment", "run")
 
@@ -177,53 +177,61 @@ def parse_config_text(text: str) -> dict:
     return sections
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentConfig:
-    """A fully validated experiment: built objects plus the typed field map."""
+def _render(sections: dict) -> str:
+    """The canonical text of sections' schema keys, in section order and sorted."""
+    lines = []
+    for name in _SECTION_ORDER:
+        lines.append("[%s]" % name)
+        for key in sorted(_SCHEMA[name]):
+            kind = _SCHEMA[name][key][0]
+            lines.append("%s = %s" % (key, _format_value(kind, sections[name][key])))
+        lines.append("")
+    return "\n".join(lines)
 
-    grid: Grid
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A fully validated experiment: its canonical text, and the solver and
+    noise built from it.  Every other setting is read from the text."""
+
     solver: SolverConfig
     noise: NoiseSpec
-    kind: str
-    params: dict = field(repr=False)
-    master_seed: int = 0
-    output_dir: str = "out"
-    sections: dict = field(default_factory=dict, repr=False)
+    text: str = field(repr=False)
+
+    @property
+    def sections(self) -> dict:
+        """{section: {key: value}}, parsed afresh from the text."""
+        return parse_config_text(self.text)
+
+    @property
+    def params(self) -> dict:
+        return self.sections["experiment"]
+
+    @property
+    def kind(self) -> str:
+        return self.params["kind"]
+
+    @property
+    def master_seed(self) -> int:
+        return self.sections["run"]["seed"]
+
+    @property
+    def grid(self) -> Grid:
+        return self.solver.grid
 
     def canonical_text(self) -> str:
-        lines = []
-        for name in _SECTION_ORDER:
-            lines.append("[%s]" % name)
-            for key in sorted(_SCHEMA[name]):
-                kind = _SCHEMA[name][key][0]
-                lines.append("%s = %s" % (key, _format_value(kind, self.sections[name][key])))
-            lines.append("")
-        return "\n".join(lines)
+        return self.text
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
-
-    def __eq__(self, other):
-        return isinstance(other, ExperimentConfig) and self.sections == other.sections
-
-    def __hash__(self):
-        return hash(self.digest())
-
-
-def _build_damping(grid: Grid, sol: dict):
-    name = sol["damping"]
-    if name == "zero":
-        return zero_damping(grid)
-    if name == "constant":
-        return constant_damping(grid, sol["damping_value"])
-    if name == "bump":
-        return bump_damping(
-            grid, sol["damping_amplitude"], sol["damping_center"], sol["damping_width"]
-        )
-    raise ValidationError("damping must be one of %s, got %r" % (_DAMPING_KINDS, name))
+        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
 def config_from_sections(sections: dict) -> ExperimentConfig:
+    """Validate and build the config of sections' schema keys.  It keeps its
+    own copy, parsed back from their rendering, and renders that copy again:
+    the parser strips string values, so only then is the text a fixed point."""
+    sections = parse_config_text(_render(sections))
+    text = _render(sections)
     for name, keys in _SCHEMA.items():
         for key, (kind, _) in keys.items():
             value = sections[name][key]
@@ -231,23 +239,13 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
                 raise ValidationError("[%s] %s must be finite, got %r" % (name, key, value))
     grid = Grid(k_max=sections["grid"]["k_max"])
     sol = sections["solver"]
-    damping = _build_damping(grid, sol)
-    solver = SolverConfig(
-        grid=grid,
-        damping=damping,
-        dt=sol["dt"],
-        p=sol["p"],
-        store_stride=sol["store_stride"],
-    )
-    noi = sections["noise"]
-    noise = NoiseSpec(
-        modes=noi["modes"],
-        amplitudes=noi["amplitudes"],
-        haar_c=noi["haar_c"],
-        haar_q=noi["haar_q"],
-        level_max=noi["level_max"],
-    )
-    exp = dict(sections["experiment"])
+    name = sol["damping"]
+    if name not in _DAMPING_PARAMS:
+        raise ValidationError("damping must be one of %s, got %r" % (tuple(_DAMPING_PARAMS), name))
+    damping = DampingProfile(grid, name, tuple(sol[key] for key in _DAMPING_PARAMS[name]))
+    solver = SolverConfig(grid, damping, dt=sol["dt"], p=sol["p"], store_stride=sol["store_stride"])
+    noise = NoiseSpec(**sections["noise"])  # the [noise] keys are its fields
+    exp = sections["experiment"]
     if sections["run"]["seed"] < 0:
         raise ValidationError("seed must be >= 0, got %d" % sections["run"]["seed"])
     for key, low in (("n_chains", 1), ("n_steps", 0), ("warm_steps", 0)):
@@ -290,16 +288,7 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
         raise ValidationError(
             "smooth needs a run stored at every step, got store_stride %d" % solver.store_stride
         )
-    cfg = ExperimentConfig(
-        grid=grid,
-        solver=solver,
-        noise=noise,
-        kind=kind,
-        params=exp,
-        master_seed=sections["run"]["seed"],
-        output_dir=sections["run"]["output_dir"],
-        sections=sections,
-    )
+    cfg = ExperimentConfig(solver=solver, noise=noise, text=text)
     # the initial data the kind reads: cheap to build, so a mode outside the
     # band is refused here and not after the output directory exists
     if kind != "saturate":
@@ -535,16 +524,19 @@ _RUNNERS = {
     "saturate": _run_saturate,
     "smooth": _run_smooth,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> store.RunManifest:
     """Execute cfg's experiment, write its outputs and manifest, return the
     manifest.  seed/out_dir override the [run] section without editing it."""
+    sections = cfg.sections
     if seed is not None:
-        sections = {name: dict(vals) for name, vals in cfg.sections.items()}
         sections["run"]["seed"] = int(seed)
         cfg = config_from_sections(sections)
-    out = str(out_dir) if out_dir is not None else cfg.output_dir
+    out = str(out_dir) if out_dir is not None else sections["run"]["output_dir"]
+    if not out:
+        raise ValidationError("the output directory is empty: set [run] output_dir or --out")
     os.makedirs(out, exist_ok=True)
     # a manifest left by an earlier run must not vouch for this run's outputs
     mpath = os.path.join(out, "manifest.json")

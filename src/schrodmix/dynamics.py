@@ -91,7 +91,6 @@ class SolverConfig:
     dt: float = DEFAULT_DT
     p: int = 3
     store_stride: int = 1
-    blowup_threshold: float = H1_BLOWUP
 
     def __post_init__(self):
         if not (0.0 < self.dt <= MAX_DT * (1 + 1e-12)):
@@ -308,7 +307,7 @@ def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, drive, collect: bool
     (times, stored, final)."""
     tab = cfg._tab
     dt, p = cfg.dt, cfg.p
-    thr2 = cfg.blowup_threshold**2
+    thr2 = H1_BLOWUP**2
     if drive is not None:
         buf = tuple(np.empty(u.shape[:-1] + (tab.n_pad,), dtype=np.complex128) for _ in range(2))
 

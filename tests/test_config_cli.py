@@ -112,6 +112,55 @@ def test_canonical_text_is_insensitive_to_input_order(tmp_path):
     assert config_from_sections(a).canonical_text() == config_from_sections(b).canonical_text()
 
 
+def _reloaded(cfg):
+    return config_from_sections(parse_config_text(cfg.canonical_text()))
+
+
+@pytest.mark.parametrize("extra", ["n_points", "list_modes", "spaced_string"])
+def test_config_equals_its_reload_from_canonical_text(extra):
+    """A config built from a dict equals the config its own canonical text
+    loads, whatever else the dict held or however it typed a value."""
+    sections = parse_config_text(make_text())
+    if extra == "n_points":
+        sections["grid"]["n_points"] = 128  # outside the schema: not kept
+    elif extra == "list_modes":
+        sections["noise"]["modes"] = [0, 1]
+    else:
+        sections["run"]["output_dir"] = "  out  "  # the parser strips it
+    cfg = config_from_sections(sections)
+    again = _reloaded(cfg)
+    assert again == cfg and len({cfg, again}) == 1
+    assert again.canonical_text() == cfg.canonical_text()
+    assert again.digest() == cfg.digest()
+    assert again.sections == cfg.sections
+    assert "n_points" not in cfg.sections["grid"]
+
+
+def test_config_shares_nothing_with_the_dict_it_was_built_from():
+    sections = parse_config_text(make_text())
+    cfg = config_from_sections(sections)
+    text, digest, solver = cfg.canonical_text(), cfg.digest(), cfg.solver
+    params = cfg.params
+    sections["solver"]["dt"] = 2.0**-8
+    sections["experiment"]["n_steps"] = 7
+    sections["run"]["seed"] = 11
+    assert cfg.canonical_text() == text and cfg.digest() == digest
+    assert cfg.solver == solver and cfg.solver.dt == 2.0**-7
+    assert cfg.params == params and cfg.params["n_steps"] == 60
+    assert cfg.master_seed == 3
+
+
+def test_config_hands_out_copies():
+    cfg = config_from_sections(parse_config_text(make_text()))
+    text = cfg.canonical_text()
+    cfg.params["n_steps"] = 7
+    cfg.sections["solver"]["dt"] = 2.0**-8
+    cfg.sections["run"]["output_dir"] = "elsewhere"
+    assert cfg.canonical_text() == text
+    assert cfg.params["n_steps"] == 60
+    assert cfg.sections == parse_config_text(text)
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _NONNEG = st.floats(0.0, 1e6)
 # splitlines() separators cannot sit inside a config line
@@ -1258,6 +1307,24 @@ def test_cli_io_failures(tmp_path, capsys):
     path = sat_config(tmp_path)
     ret = cli.main(["saturate", "--config", str(path), "--out", str(blob)])
     assert ret == cli.EXIT_IO
+
+
+def test_cli_empty_output_dir_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    """An empty [run] output_dir used to exit 4 with "No such file or
+    directory: ''"; --out may still name a directory for it."""
+    monkeypatch.chdir(tmp_path)
+    overrides = {"experiment": {"kind": "saturate", "sat_modes": "0, 1", "iterations": 3},
+                 "run": {"output_dir": ""}}
+    path = write_cfg(tmp_path, overrides, name="sat.txt")
+    (tmp_path / "manifest.json").write_text("the run before")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert cli.main(["saturate", "--config", str(path)]) == cli.EXIT_VALIDATION
+    assert "output directory is empty" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "manifest.json").read_text() == "the run before"
+    out = tmp_path / "o"
+    assert cli.main(["saturate", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    assert (out / "manifest.json").exists() and (out / "saturate.json").exists()
 
 
 def test_kinds_all_have_runners():

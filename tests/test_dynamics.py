@@ -204,8 +204,9 @@ def test_blowup_guard():
     assert err.row == 0
 
 
-def test_blowup_guard_names_the_row():
-    cfg = damped_cfg(blowup_threshold=1.0)
+def test_blowup_guard_names_the_row(monkeypatch):
+    monkeypatch.setattr("schrodmix.dynamics.H1_BLOWUP", 1.0)
+    cfg = damped_cfg()
     spec = NoiseSpec()
     paths = [sample_noise_path(spec, (32, 0, i, 0)) for i in range(6)]
     block = np.stack([random_h1_field(GRID, 0.2, 3.0, 50 + i, 0).coeffs for i in range(6)])

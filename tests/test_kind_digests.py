@@ -26,4 +26,7 @@ def test_kind_digests_covers_every_kind():
     assert {"p%d/%s" % (p, case) for p in (3, 5) for case in edges} <= set(digests)
     for case, files in digests.items():
         assert files and all(len(h) == 64 for h in files.values()), case
+        # the manifest enters as the config digest alone: it carries timestamps
+        assert "manifest.json:config_digest" in files, case
+        assert "manifest.json" not in files, case
     assert "noise_path_001.csv" in digests["p5/simulate_forced"]

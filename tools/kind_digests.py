@@ -4,10 +4,12 @@
 
 Imports schrodmix from <checkout>/src, runs each case below through
 run_experiment at k_max 20, dt 2^-7, level_max 3 and seed 3, at p = 3
-and p = 5, and prints {case: {file: sha256}} as JSON.  The manifest is left
-out: it carries timestamps.  Two checkouts whose outputs agree byte for byte
-print the same text, so diffing the output of two checkouts is the
-byte-identity check of a change that must not move any digest.
+and p = 5, and prints {case: {file: sha256}} as JSON.  The manifest carries
+timestamps, so it enters only as its config digest, under the entry
+"manifest.json:config_digest".  Two checkouts whose outputs and configs
+agree byte for byte print the same text, so diffing the output of two
+checkouts is the byte-identity check of a change that must not move any
+digest.
 
 Every kind in config.KINDS runs once with its settings in _CASES, plus the
 variants there (with [solver] overrides in _SOLVER); a kind with no entry
@@ -74,8 +76,9 @@ def _sha256(path: str) -> str:
 
 
 def kind_digests(config) -> dict:
-    """{case: {file: sha256}} for every case at p = 3 and p = 5; config is
-    the checkout's schrodmix.config module."""
+    """{case: {file: sha256}} for every case at p = 3 and p = 5, with the
+    manifest's config digest; config is the checkout's schrodmix.config
+    module."""
     cases = dict(_CASES)
     for kind in config.KINDS:
         if not any(k == kind for k, _ in cases.values()):
@@ -88,11 +91,14 @@ def kind_digests(config) -> dict:
                 cfg = config.config_from_sections(config.parse_config_text(text))
                 where = os.path.join(tmp, "p%d_%s" % (p, name))
                 config.run_experiment(cfg, out_dir=where)
-                out["p%d/%s" % (p, name)] = {
+                files = {
                     f: _sha256(os.path.join(where, f))
                     for f in sorted(os.listdir(where))
                     if f != "manifest.json"
                 }
+                with open(os.path.join(where, "manifest.json"), encoding="utf-8") as fh:
+                    files["manifest.json:config_digest"] = json.load(fh)["config_digest"]
+                out["p%d/%s" % (p, name)] = files
     return out
 
 
