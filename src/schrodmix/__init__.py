@@ -9,6 +9,9 @@ diagnostics, the coupled step and its contraction test (mixing), and
 config/CLI/persistence plumbing (config, cli, store).
 """
 
+# set before the submodules load: store stamps every run manifest with it
+__version__ = "0.1.0"
+
 from .spectral import (
     DampingProfile,
     FourierField,
@@ -112,5 +115,3 @@ from .store import (
     write_trajectory_bin,
     write_trajectory_csv,
 )
-
-__version__ = "0.1.0"

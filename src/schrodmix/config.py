@@ -49,9 +49,8 @@ _INITIAL_KINDS = ("zero", "constant", "plane_wave", "random_h1")
 _DAMPING_PARAMS = {"zero": (), "constant": ("damping_value",),
                    "bump": ("damping_amplitude", "damping_center", "damping_width")}
 
-_SECTION_ORDER = ("grid", "solver", "noise", "experiment", "run")
-
-# key -> (type, default); types: int, float, str, bool, ints, floats
+# section -> key -> (type, default), sections in canonical text order;
+# types: int, float, str, bool, ints, floats
 _SCHEMA = {
     "grid": {
         "k_max": ("int", 42),
@@ -145,7 +144,7 @@ def _format_value(kind: str, value) -> str:
 def parse_config_text(text: str) -> dict:
     """Raw parse: {section: {key: value}} with schema typing and strict
     rejection of unknown sections/keys, duplicates, and stray lines."""
-    sections = {name: {} for name in _SECTION_ORDER}
+    sections = {name: {} for name in _SCHEMA}
     seen = set()
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -171,20 +170,27 @@ def parse_config_text(text: str) -> dict:
         seen.add((current, key))
         kind = _SCHEMA[current][key][0]
         sections[current][key] = _parse_scalar(kind, raw, "line %d" % lineno)
-    for name, keys in _SCHEMA.items():
-        for key, (_, default) in keys.items():
-            sections[name].setdefault(key, default)
-    return sections
+    return _with_defaults(sections)
+
+
+def _with_defaults(sections: dict) -> dict:
+    """Every schema key, at its value in sections, or at its default where
+    sections lacks the key or its whole section: the one place a config's
+    defaults are filled in."""
+    return {
+        name: {key: sections.get(name, {}).get(key, default) for key, (_, default) in keys.items()}
+        for name, keys in _SCHEMA.items()
+    }
 
 
 def _render(sections: dict) -> str:
-    """The canonical text of sections' schema keys, in section order and sorted."""
+    """The canonical text of sections' schema keys, in section order and
+    sorted, each missing key or section at its default."""
     lines = []
-    for name in _SECTION_ORDER:
+    for name, keys in _with_defaults(sections).items():
         lines.append("[%s]" % name)
-        for key in sorted(_SCHEMA[name]):
-            kind = _SCHEMA[name][key][0]
-            lines.append("%s = %s" % (key, _format_value(kind, sections[name][key])))
+        for key in sorted(keys):
+            lines.append("%s = %s" % (key, _format_value(_SCHEMA[name][key][0], keys[key])))
         lines.append("")
     return "\n".join(lines)
 
@@ -227,9 +233,10 @@ class ExperimentConfig:
 
 
 def config_from_sections(sections: dict) -> ExperimentConfig:
-    """Validate and build the config of sections' schema keys.  It keeps its
-    own copy, parsed back from their rendering, and renders that copy again:
-    the parser strips string values, so only then is the text a fixed point."""
+    """Validate and build the config of sections' schema keys, each missing
+    key or section at its default.  It keeps its own copy, parsed back from
+    their rendering, and renders that copy again: the parser strips string
+    values, so only then is the text a fixed point."""
     sections = parse_config_text(_render(sections))
     text = _render(sections)
     for name, keys in _SCHEMA.items():

@@ -179,16 +179,16 @@ def _split_steps(u: np.ndarray, tab, steps, substep):
     with substep(n, v) acting on the padded physical grid.  Padding writes
     modes 0..K to the front of the padded spectrum and -K..-1 to its back,
     two slice products; unpadding reads the same slices back.  The padded
-    spectrum (its zero band written once), the physical grid and the
-    transformed spectrum are three buffers allocated once per sweep, which
-    the FFTs fill through out=; only the yielded u is fresh each step, so a
+    spectrum (its zero band written once) and the physical grid are two
+    buffers allocated once per sweep, which the FFTs fill through out=: the
+    inverse FFT writes the physical grid, the forward FFT writes over the
+    block the substep returned.  Only the yielded u is fresh each step, so a
     caller may keep it.
     """
     kk, n_pad = tab.k_max, tab.n_pad
     shape = u.shape[:-1] + (n_pad,)
     w = np.zeros(shape, dtype=np.complex128)
     phys = np.empty(shape, dtype=np.complex128)
-    spec = np.empty(shape, dtype=np.complex128)
     head, tail = w[..., : kk + 1], w[..., n_pad - kk :]
     in_pos, in_neg = tab.phase_in[kk:], tab.phase_in[:kk]
     out_pos, out_neg = tab.phase_out[kk:], tab.phase_out[:kk]
@@ -201,7 +201,7 @@ def _split_steps(u: np.ndarray, tab, steps, substep):
         v *= tab.decay
         v = substep(n, v)
         v *= tab.decay
-        np.fft.fft(v, out=spec)
+        spec = np.fft.fft(v, out=v)
         u = np.empty(u.shape, dtype=np.complex128)
         np.multiply(spec[..., : kk + 1], out_pos, out=u[..., kk:])
         np.multiply(spec[..., n_pad - kk :], out_neg, out=u[..., :kk])

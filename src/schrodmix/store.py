@@ -25,6 +25,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from . import __version__
 from .noise import NoisePath, NoiseSpec
 from .spectral import Grid, ValidationError
 
@@ -34,16 +35,6 @@ _BIN_VERSION = 1
 # never read: older files hold a point count there and read back the same)
 _HEADER = struct.Struct("<4sBBHIHH")
 _DIGEST_BLOCK = 1 << 16  # bytes per read of file_digest
-
-
-def package_version() -> str:
-    # imported here, once per manifest, not on every process start
-    from importlib import metadata
-
-    try:
-        return metadata.version("schrodmix")
-    except metadata.PackageNotFoundError:
-        return "0.0.0+local"
 
 
 def file_digest(path) -> str:
@@ -362,7 +353,7 @@ class RunManifest:
     kind: str
     config_digest: str
     master_seed: int
-    version: str = field(default_factory=package_version)
+    version: str = __version__
     started_at: str = ""
     finished_at: str = ""
     outputs: list = field(default_factory=list)

@@ -1,8 +1,12 @@
 """Config parsing, experiment dispatch, persistence, and the CLI surface."""
 
 import math
+import os
+import pathlib
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schrodmix import BlowUpError, NoiseSpec, ValidationError, sobolev_norm
-from schrodmix import cli, store
+import schrodmix
+from schrodmix import BlowUpError, NoiseSpec, SolverConfig, ValidationError, sobolev_norm
+from schrodmix import bump_damping, cli, markov_step_batch, solve_nls, store
 from schrodmix.config import (
     KINDS,
     build_initial,
@@ -23,9 +28,11 @@ from schrodmix.config import (
     save_config,
 )
 from schrodmix.dynamics import energy_series, pad_points
+from schrodmix.linearized import control_response_matrix
 from schrodmix.noise import NoisePath, sample_noise_paths
 from schrodmix.spectral import Grid, synth
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 def make_text(overrides=None):
     base = {
@@ -159,6 +166,25 @@ def test_config_hands_out_copies():
     assert cfg.canonical_text() == text
     assert cfg.params["n_steps"] == 60
     assert cfg.sections == parse_config_text(text)
+
+
+@pytest.mark.parametrize("section, key", [("solver", "p"), ("noise", None)])
+def test_missing_key_or_section_takes_its_default(section, key):
+    """A dict that lacks a schema key or a whole section builds the config of
+    a text that omits it: the key, or every key of the section, at its default."""
+    overrides = {"solver": {"p": 5}, "noise": {"level_max": 5}}
+    sections = parse_config_text(make_text(overrides))
+    want = parse_config_text(make_text(overrides))
+    defaults = parse_config_text("")
+    if key is None:
+        del sections[section]
+        want[section] = defaults[section]
+    else:
+        del sections[section][key]
+        want[section][key] = defaults[section][key]
+    cfg = config_from_sections(sections)
+    assert cfg.sections == want
+    assert cfg == _reloaded(cfg)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -827,7 +853,33 @@ def test_manifest_digests_and_round_trip(tmp_path):
     assert back.kind == "simulate"
     assert back.config_digest == m.config_digest
     assert back.outputs == m.outputs
-    assert back.version == store.package_version()
+    assert m.version == back.version == schrodmix.__version__
+
+
+def test_pyproject_declares_the_package_version():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    declared = re.search(r'^version\s*=\s*"([^"]*)"\s*$', project, re.M).group(1)
+    assert declared == schrodmix.__version__
+
+
+def test_a_run_imports_no_packaging_metadata(tmp_path):
+    # the manifest's version is __version__, so no run imports the packaging
+    # metadata stack or scans sys.path for installed distributions
+    cfg = write_cfg(tmp_path, {"experiment": {"kind": "saturate"}})
+    code = (
+        "import sys\n"
+        "from schrodmix.config import load_config, run_experiment\n"
+        "m = run_experiment(load_config(sys.argv[1]), out_dir=sys.argv[2])\n"
+        "print(m.version, *[n for n in ('importlib.metadata', 'email') if n in sys.modules])\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.stdout.split() == [schrodmix.__version__]
 
 
 def test_read_manifest_names_missing_fields(tmp_path):
@@ -1153,6 +1205,33 @@ def test_trajectory_io_memory_bounds(tmp_path, what, bound_mib):
         "file_digest": (store.file_digest, csv),
         "energy_series": (energy_series, coeffs, 3),
     }[what]
+    assert _traced_peak_mib(*call) < bound_mib
+
+
+@pytest.mark.parametrize(
+    "what, bound_mib",
+    [("markov_step_batch", 1.75), ("control_response_matrix", 1.42)],
+)
+def test_stepping_memory_bounds(what, bound_mib):
+    # a sweep holds two padded blocks, the padded spectrum and the physical
+    # grid, and the forward FFT writes over the block its substep returns:
+    # a 64-row ensemble block at k_max 42, and a 61-row control sweep (60
+    # columns at time level 3, cutoff 12, and a separation row)
+    grid = Grid(42)
+    spec = NoiseSpec(modes=(0, 1), amplitudes=(0.5, 0.5), level_max=6)
+    cfg = SolverConfig(grid, bump_damping(grid, 1.5, math.pi, 1.5), dt=2.0**-7)
+    if what == "markov_step_batch":
+        paths = sample_noise_paths(spec, [(5, 0, i, 0) for i in range(64)])
+        block = np.stack([random_h1_field(grid, 0.35, 2.2, 60 + i, 0).coeffs for i in range(64)])
+        call = (markov_step_batch, block, paths, cfg)
+    else:
+        u0 = random_h1_field(grid, 1.0, 3.0, 7, 0)
+        base = solve_nls(u0, sample_noise_paths(spec, [(7, 0, 0, 0)])[0], 1.0, cfg)
+        w = random_h1_field(grid, 1.0, 3.0, 8, 0) - base.state(0)
+        call = (control_response_matrix, base, (0, 1), 3, 12, w)
+    # the first call builds the cached step tables and the base's tangent
+    # coefficients; the bound is on the sweep alone
+    call[0](*call[1:])
     assert _traced_peak_mib(*call) < bound_mib
 
 
