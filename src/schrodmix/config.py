@@ -32,6 +32,7 @@ from .mixing import (
 )
 from .noise import NoiseSpec, haar_cells
 from .spectral import (
+    DAMPING_PARAMS,
     DampingProfile,
     FourierField,
     Grid,
@@ -45,9 +46,6 @@ from .spectral import (
 from . import store
 
 _INITIAL_KINDS = ("zero", "constant", "plane_wave", "random_h1")
-# damping kind -> the [solver] keys of its DampingProfile params, in order
-_DAMPING_PARAMS = {"zero": (), "constant": ("damping_value",),
-                   "bump": ("damping_amplitude", "damping_center", "damping_width")}
 
 # section -> key -> (type, default), sections in canonical text order;
 # types: int, float, str, bool, ints, floats
@@ -246,10 +244,9 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
                 raise ValidationError("[%s] %s must be finite, got %r" % (name, key, value))
     grid = Grid(k_max=sections["grid"]["k_max"])
     sol = sections["solver"]
-    name = sol["damping"]
-    if name not in _DAMPING_PARAMS:
-        raise ValidationError("damping must be one of %s, got %r" % (tuple(_DAMPING_PARAMS), name))
-    damping = DampingProfile(grid, name, tuple(sol[key] for key in _DAMPING_PARAMS[name]))
+    kind = sol["damping"]  # DampingProfile refuses a kind outside DAMPING_PARAMS
+    params = tuple(sol["damping_" + name] for name in DAMPING_PARAMS.get(kind, ()))
+    damping = DampingProfile(grid, kind, params)
     solver = SolverConfig(grid, damping, dt=sol["dt"], p=sol["p"], store_stride=sol["store_stride"])
     noise = NoiseSpec(**sections["noise"])  # the [noise] keys are its fields
     exp = sections["experiment"]

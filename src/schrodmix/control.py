@@ -117,7 +117,6 @@ class ControlBasisMap:
     matrix: np.ndarray = field(repr=False)
     column_keys: list = field(repr=False)
     base: weakref.ref = field(repr=False)
-    modes: tuple = ()
     time_level: int = 0
     galerkin_cutoff: int = 0
     x: FourierField = field(default=None, repr=False)
@@ -143,7 +142,6 @@ def build_control_basis_map(
         matrix=matrix,
         column_keys=keys,
         base=weakref.ref(base),
-        modes=tuple(int(k) for k in modes),
         time_level=time_level,
         galerkin_cutoff=galerkin_cutoff,
         x=x,

@@ -262,8 +262,11 @@ def _noise_drive(rows, cfg: SolverConfig):
     explicit sum over the few active modes, not vals @ exps: a matrix product
     picks its BLAS kernel by the number of rows, so a chain's forcing would
     depend on the block it is stepped in.  The sum gives every row the same
-    bits.  Every path must carry the first one's NoiseSpec, amplitudes too.
+    bits.  Every entry must be a NoisePath carrying the first one's
+    NoiseSpec, amplitudes too.
     """
+    if not all(isinstance(path, NoisePath) for row in rows for path in row):
+        raise ValidationError("every forcing entry must be a NoisePath")
     spec = rows[0][0].spec
     if any(path.spec != spec for row in rows for path in row):
         raise ValidationError("paths must share one noise spec")
@@ -388,9 +391,10 @@ def _as_path_list(forcing, horizon: float):
         if horizon > 1.0 + _TIME_TOL:
             raise ValidationError("a single noise path covers at most one time unit")
         return [forcing]
-    paths = list(forcing)
-    if not all(isinstance(p, NoisePath) for p in paths):
-        raise ValidationError("forcing must be None, a NoisePath, or a sequence of them")
+    try:
+        paths = list(forcing)
+    except TypeError:
+        raise ValidationError("forcing must be None, a NoisePath, or a sequence of them") from None
     if abs(horizon - len(paths)) > _TIME_TOL:
         raise ValidationError(
             "%d concatenated paths cover horizon %d, got %r" % (len(paths), len(paths), horizon)
@@ -416,13 +420,9 @@ def solve_nls(u0: FourierField, forcing, horizon: float, cfg: SolverConfig) -> T
 
 
 def markov_step(u0: FourierField, path: NoisePath, cfg: SolverConfig) -> FourierField:
-    """Time-one solution map driving the unit-interval Markov chain."""
-    if u0.grid != cfg.grid:
-        raise ValidationError("initial state lives on a different grid")
-    n_steps = cfg.steps_for(1.0)
-    drive = _row_drive([path], cfg) if path is not None else None
-    _, _, final = _evolve(u0.coeffs.astype(np.complex128), cfg, n_steps, drive, False)
-    return FourierField(cfg.grid, final)
+    """Time-one solution map driving the unit-interval Markov chain: the
+    endpoint of solve_nls over one time unit."""
+    return solve_nls(u0, path, 1.0, cfg).endpoint
 
 
 def _block_unit_run(coeffs: np.ndarray, paths, cfg: SolverConfig, collect: bool):

@@ -473,7 +473,7 @@ def contraction_test(
     Separations are measured in equivalent_norm."""
     control = (gamma, time_level, galerkin_cutoff)
     s_y, _, (sep0, sep1), (shift_norm,) = _coupled_steps(y, x, [zeta], cfg, control)
-    plain = FourierField(cfg.grid, markov_step_batch(x.coeffs[None, :], [zeta], cfg)[0])
+    plain = markov_step(x, zeta, cfg)
     # x = y leaves nothing to contract; 0/0 is reported as 0 by convention
     degenerate = sep0 == 0.0
     q = 0.0 if degenerate else sep1 / sep0

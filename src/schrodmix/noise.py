@@ -248,13 +248,11 @@ class NoisePath:
     """One sampled unit-interval realization: per-mode values on dyadic cells.
 
     cells[m, c] holds eta_k(t) (without the amplitude b_k) for the m-th active
-    mode on cell [c 2^-(J+1), (c+1) 2^-(J+1)).  seed_record, when present, is
-    the integer key the path was drawn from.
+    mode on cell [c 2^-(J+1), (c+1) 2^-(J+1)).
     """
 
     spec: NoiseSpec
     cells: np.ndarray = field(repr=False)
-    seed_record: tuple | None = None
 
     def __post_init__(self):
         c = np.asarray(self.cells, dtype=np.complex128)
@@ -274,7 +272,7 @@ class NoisePath:
         delta = np.asarray(delta_cells, dtype=np.complex128)
         if delta.shape != self.cells.shape:
             raise ValidationError("shift shape mismatch")
-        return NoisePath(self.spec, self.cells - delta, self.seed_record)
+        return NoisePath(self.spec, self.cells - delta)
 
 
 # the one sampling density of the Haar coefficients
@@ -314,4 +312,4 @@ def sample_noise_paths(spec: NoiseSpec, seed_records) -> list:
     for j, w in enumerate(spec.level_weights, start=1):
         first = 2**j - 1
         vals = vals + (w * z[..., first : first + 2**j])[..., idx[j]] * sign[j]
-    return [NoisePath(spec, vals[i], rec) for i, rec in enumerate(records)]
+    return [NoisePath(spec, row) for row in vals]

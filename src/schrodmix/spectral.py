@@ -163,8 +163,9 @@ def sobolev_norm(f: FourierField, s: float) -> float:
     return float(np.sqrt(hs_norm_sq(f.coeffs, s)))
 
 
-# damping kind -> number of closed-form parameters
-_DAMPING_ARITY = {"zero": 0, "constant": 1, "bump": 3}
+# damping kind -> the names of its closed-form parameters, in order; a
+# config file sets each one as the [solver] key damping_<name>
+DAMPING_PARAMS = {"zero": (), "constant": ("value",), "bump": ("amplitude", "center", "width")}
 
 
 @dataclass(frozen=True)
@@ -183,13 +184,15 @@ class DampingProfile:
     params: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _DAMPING_ARITY:
-            raise ValidationError("unknown damping kind %r" % (self.kind,))
-        params = tuple(float(v) for v in self.params)
-        if len(params) != _DAMPING_ARITY[self.kind]:
+        if not isinstance(self.kind, str) or self.kind not in DAMPING_PARAMS:
             raise ValidationError(
-                "%s damping takes %d parameters, got %d"
-                % (self.kind, _DAMPING_ARITY[self.kind], len(params))
+                "unknown damping kind %r, not one of %s" % (self.kind, tuple(DAMPING_PARAMS))
+            )
+        params = tuple(float(v) for v in self.params)
+        names = DAMPING_PARAMS[self.kind]
+        if len(params) != len(names):
+            raise ValidationError(
+                "%s damping takes %d parameters, got %d" % (self.kind, len(names), len(params))
             )
         if self.kind == "constant" and params[0] < 0:
             raise ValidationError("damping constant must be >= 0")

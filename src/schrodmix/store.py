@@ -282,7 +282,7 @@ def read_noise_path_csv(path, spec: NoiseSpec) -> NoisePath:
     cells = np.empty((len(spec.modes), spec.n_cells), dtype=np.complex128)
     cells.real[m, c] = data[:, 3]
     cells.imag[m, c] = data[:, 4]
-    return NoisePath(spec, cells, None)
+    return NoisePath(spec, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from schrodmix.config import (
 from schrodmix.dynamics import energy_series, pad_points
 from schrodmix.linearized import control_response_matrix
 from schrodmix.noise import NoisePath, sample_noise_paths
-from schrodmix.spectral import Grid, synth
+from schrodmix.spectral import DAMPING_PARAMS, DampingProfile, Grid, synth
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -1321,6 +1321,26 @@ def test_cli_rejects_bump_narrower_than_grid_spacing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "below the grid spacing 2pi/90" in err and "0.001" in err
     assert repr(2 * math.pi / 90) in err
+    assert not out.exists()
+
+
+def test_damping_keys_are_the_damping_table():
+    # each [solver] damping_<name> key is a parameter of a kind in the table,
+    # and each parameter has its key
+    solver = parse_config_text("")["solver"]
+    keys = {k for k in solver if k.startswith("damping_")}
+    assert keys == {"damping_" + n for names in DAMPING_PARAMS.values() for n in names}
+
+
+def test_cli_unknown_damping_kind_is_the_library_refusal(tmp_path, capsys):
+    path = write_cfg(tmp_path, {"solver": {"damping": "ramp"}}, name="ramp.txt")
+    out = tmp_path / "o"
+    ret = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+    assert ret == cli.EXIT_VALIDATION
+    with pytest.raises(ValidationError) as info:
+        DampingProfile(Grid(20), "ramp")
+    err = capsys.readouterr().err
+    assert str(info.value) in err and "('zero', 'constant', 'bump')" in err
     assert not out.exists()
 
 

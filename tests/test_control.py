@@ -143,7 +143,8 @@ def test_control_basis_map_columns():
     assert cmap.column_count == 2 * 3 * 2
     assert cmap.matrix.shape == (2 * (2 * 4 + 1), cmap.column_count)
     assert len(cmap.column_keys) == cmap.column_count
-    assert cmap.modes == (0, 1)
+    # the modes are the column keys' first entries, in the order given
+    assert [key[0] for key in cmap.column_keys] == [0] * 6 + [1] * 6
     assert cmap.time_level == 1
     assert cmap.galerkin_cutoff == 4
 

@@ -193,6 +193,30 @@ def test_forcing_shape_validation():
         solve_nls(u0, deep, 1.0, cfg)  # 128 steps cannot resolve 256 cells
 
 
+def test_forcing_that_is_not_a_path_is_refused():
+    cfg = damped_cfg()
+    u0 = random_h1_field(GRID, 0.5, 3.0, 8, 0)
+    with pytest.raises(ValidationError, match="sequence of them"):
+        solve_nls(u0, 3, 1.0, cfg)
+    block = u0.coeffs[None, :]
+    for entry in ("x", None):
+        with pytest.raises(ValidationError, match="must be a NoisePath"):
+            markov_step_batch(block, [entry], cfg)
+        with pytest.raises(ValidationError, match="must be a NoisePath"):
+            solve_nls_batch(block, [entry], cfg)
+        with pytest.raises(ValidationError, match="must be a NoisePath"):
+            solve_nls(u0, [entry], 1.0, cfg)
+
+
+def test_markov_step_takes_a_one_path_list():
+    cfg = damped_cfg()
+    z = sample_noise_path(NoiseSpec(), (1, 0, 0, 0))
+    u0 = random_h1_field(GRID, 0.5, 3.0, 8, 0)
+    one = markov_step(u0, z, cfg).coeffs
+    assert markov_step(u0, [z], cfg).coeffs.tobytes() == one.tobytes()
+    assert solve_nls(u0, z, 1.0, cfg).endpoint.coeffs.tobytes() == one.tobytes()
+
+
 def test_blowup_guard():
     cfg = free_cfg()
     u0 = plane_wave(GRID, 0, 2.0e6)

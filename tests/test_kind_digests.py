@@ -2,6 +2,7 @@
 move any output runs every experiment kind."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,16 @@ def test_kind_digests_covers_every_kind():
         assert "manifest.json:config_digest" in files, case
         assert "manifest.json" not in files, case
     assert "noise_path_001.csv" in digests["p5/simulate_forced"]
+
+
+def test_kind_digests_refuses_a_package_outside_the_checkout(tmp_path):
+    # tmp_path has no src/schrodmix, so the import falls through to the
+    # copy on PYTHONPATH
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "kind_digests.py"), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 2
+    assert "not from %s" % (tmp_path / "src") in run.stderr
+    assert run.stdout == ""

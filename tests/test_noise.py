@@ -277,7 +277,7 @@ def test_time_average_equals_level_zero_term():
 def test_path_cells_validation():
     spec = NoiseSpec()
     with pytest.raises(ValidationError):
-        NoisePath(spec, np.zeros((2, 64), dtype=complex), (0,))
+        NoisePath(spec, np.zeros((2, 64), dtype=complex))
 
 
 def test_shifted_subtracts():

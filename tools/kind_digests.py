@@ -2,9 +2,10 @@
 
     python3 tools/kind_digests.py <checkout>
 
-Imports schrodmix from <checkout>/src, runs each case below through
-run_experiment at k_max 20, dt 2^-7, level_max 3 and seed 3, at p = 3
-and p = 5, and prints {case: {file: sha256}} as JSON.  The manifest carries
+Imports schrodmix from <checkout>/src, and exits 2 if the import resolves
+to another copy.  Runs each case below through run_experiment at k_max 20,
+dt 2^-7, level_max 3 and seed 3, at p = 3 and p = 5, and prints
+{case: {file: sha256}} as JSON.  The manifest carries
 timestamps, so it enters only as its config digest, under the entry
 "manifest.json:config_digest".  Two checkouts whose outputs and configs
 agree byte for byte print the same text, so diffing the output of two
@@ -106,10 +107,17 @@ def main(argv) -> int:
     if len(argv) != 2:
         print("usage: kind_digests.py <checkout>", file=sys.stderr)
         return 2
-    sys.path.insert(0, os.path.join(os.path.abspath(argv[1]), "src"))
+    src = os.path.join(os.path.abspath(argv[1]), "src")
+    sys.path.insert(0, src)
     sys.dont_write_bytecode = True  # leave the checkout as it was
     from schrodmix import config
 
+    # an installed copy, or one on PYTHONPATH, must not stand in for the
+    # checkout's own package
+    if not os.path.abspath(config.__file__).startswith(src + os.sep):
+        print("schrodmix.config was imported from %s, not from %s" % (config.__file__, src),
+              file=sys.stderr)
+        return 2
     json.dump(kind_digests(config), sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
