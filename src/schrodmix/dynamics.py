@@ -16,14 +16,16 @@ so it is applied where it is diagonal, on the padded grid the substep needs
 anyway: a step costs one padded inverse FFT and one padded FFT.
 
 One kernel, _split_steps, runs every flow that shares this splitting: it
-takes the middle substep N as a parameter.  Its substeps are the forced
-step above and the frozen-coefficient tangent step, both the one explicit
-midpoint rule _midpoint with their own right-hand sides; that tangent step
-with c1 negated, run in reverse order on conjugated phases, its exact
-adjoint (D_half is real and diagonal, so its own adjoint); the unforced
-rotation; and the identity, which makes linear_group the damped free group.
-The frozen coefficients of the tangent step belong to the base run they
-linearize: Trajectory.tangent_coefficients builds them once per base.
+takes the middle substep as a parameter, and the substep owns the whole
+physical-space part of its step, the two decays D_half included.  The
+forced, unforced and identity substeps multiply by D_half on either side of
+N themselves.  The tangent substep of linearized folds its decays into its
+own map instead: the frozen-coefficient midpoint step between two decays is
+one real-linear map w -> a_n w + b_n conj(w) per step, and
+Trajectory.tangent_coefficients builds those maps once per base.  Run with
+conj(a_n), on conjugated phases, in reverse step order, the same map is the
+exact real-L2 adjoint (D_half is real and diagonal); with the identity
+between the decays the loop is linear_group, the damped free group.
 
 Everything that depends on p and its padded grid lives here, beside the
 nonlinearity: pad_points, the energy and lp_power_integral.  So does the
@@ -172,35 +174,33 @@ def _amp_pow(v: np.ndarray, p: int) -> np.ndarray:
     return a2 if p == 3 else a2 ** ((p - 1) // 2)
 
 
-def _split_steps(u: np.ndarray, tab, steps, substep):
+def _split_steps(u: np.ndarray, tab, steps, substep, blocks=None):
     """The one Strang step loop: yields (n, u) after each step n of steps.
 
-    Step n is P_half . unpad o [D_half . substep(n, .) . D_half] o pad . P_half,
-    with substep(n, v) acting on the padded physical grid.  Padding writes
-    modes 0..K to the front of the padded spectrum and -K..-1 to its back,
-    two slice products; unpadding reads the same slices back.  The padded
-    spectrum (its zero band written once) and the physical grid are two
-    buffers allocated once per sweep, which the FFTs fill through out=: the
-    inverse FFT writes the physical grid, the forward FFT writes over the
-    block the substep returned.  Only the yielded u is fresh each step, so a
-    caller may keep it.
+    Step n is P_half . unpad o substep(n, .) o pad . P_half, with substep(n, v)
+    the whole physical-space part of the step, decays included, acting on
+    the padded physical grid.  Padding writes modes 0..K to the front of the
+    padded spectrum and -K..-1 to its back, two slice products; unpadding
+    reads the same slices back.  The padded spectrum (its zero band written
+    once) and the physical grid are two buffers allocated once per sweep,
+    which the FFTs fill through out=: the inverse FFT writes the physical
+    grid, the forward FFT writes over the block the substep returned.
+    blocks, when given, is that pair for u's rows, the spectrum zero outside
+    the band, so a caller that sweeps many times allocates them once.  Only
+    the yielded u is fresh each step, so a caller may keep it.
     """
     kk, n_pad = tab.k_max, tab.n_pad
-    shape = u.shape[:-1] + (n_pad,)
-    w = np.zeros(shape, dtype=np.complex128)
-    phys = np.empty(shape, dtype=np.complex128)
+    if blocks is None:
+        shape = u.shape[:-1] + (n_pad,)
+        blocks = np.zeros(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
+    w, phys = blocks
     head, tail = w[..., : kk + 1], w[..., n_pad - kk :]
     in_pos, in_neg = tab.phase_in[kk:], tab.phase_in[:kk]
     out_pos, out_neg = tab.phase_out[kk:], tab.phase_out[:kk]
     for n in steps:
         np.multiply(u[..., kk:], in_pos, out=head)
         np.multiply(u[..., :kk], in_neg, out=tail)
-        # the decays are applied in place: a fresh block-sized temporary for
-        # each lets glibc trim and refault the heap top every step
-        v = np.fft.ifft(w, out=phys)
-        v *= tab.decay
-        v = substep(n, v)
-        v *= tab.decay
+        v = substep(n, np.fft.ifft(w, out=phys))
         spec = np.fft.fft(v, out=v)
         u = np.empty(u.shape, dtype=np.complex128)
         np.multiply(spec[..., : kk + 1], out_pos, out=u[..., kk:])
@@ -208,17 +208,21 @@ def _split_steps(u: np.ndarray, tab, steps, substep):
         yield n, u
 
 
-def _identity(n, v):
+def _decays(tab, n, v):
+    """The identity between the two half-step decays, in place: the
+    substep of the damped free group."""
+    v *= tab.decay
+    v *= tab.decay
     return v
 
 
 def _midpoint(w, rhs, dt, buf):
-    """The one explicit midpoint step w + dt rhs(w + (dt/2) rhs(w)), written
-    over w; rhs(z, out) writes the right-hand side at z into out.  buf holds
-    the slope and the stage, two padded blocks allocated once per sweep: a
-    fresh complex temporary per operation on a 64-row block is 180 KB, past
-    glibc's initial 128 KB mmap threshold, and the page faults of such
-    temporaries made the control sweep 20% slower.
+    """The explicit midpoint step w + dt rhs(w + (dt/2) rhs(w)) of the forced
+    substep, written over w; rhs(z, out) writes the right-hand side at z into
+    out.  buf holds the slope and the stage, two padded blocks allocated once
+    per sweep: a fresh complex temporary per operation on a 64-row block is
+    180 KB, past glibc's initial 128 KB mmap threshold, and the page faults
+    of such temporaries made a sweep 20% slower.
     """
     k, m = buf
     np.add(w, np.multiply(0.5 * dt, rhs(w, k), out=k), out=m)
@@ -314,10 +318,16 @@ def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, drive, collect: bool
     if drive is not None:
         buf = tuple(np.empty(u.shape[:-1] + (tab.n_pad,), dtype=np.complex128) for _ in range(2))
 
+    # the decays are applied in place: a fresh block-sized temporary for
+    # each lets glibc trim and refault the heap top every step
     def substep(n, v):
+        v *= tab.decay
         if drive is None:
-            return v * np.exp(-1j * dt * _amp_pow(v, p))
-        return _midpoint(v, partial(_forced_rhs, f=drive(n), p=p), dt, buf)
+            v = v * np.exp(-1j * dt * _amp_pow(v, p))
+        else:
+            v = _midpoint(v, partial(_forced_rhs, f=drive(n), p=p), dt, buf)
+        v *= tab.decay
+        return v
 
     times = [0.0]
     stored = [u] if collect else []
@@ -367,21 +377,41 @@ class Trajectory:
 
     @cached_property
     def tangent_coefficients(self) -> tuple:
-        """The frozen coefficients of the tangent flow along this run.
+        """The per-step maps (a, b) of the tangent flow along this run.
 
-        The derivative of |u|^{p-1} u at the midpoint state u of each step:
-        c1 = ((p+1)/2)|u|^{p-1} (real) and c2 = ((p-1)/2)|u|^{p-3} u^2, on
-        the padded grid, shape (n_steps, n_pad) each.  Built on first use
-        and kept as long as the run.
+        Step n freezes the derivative of |u|^{p-1} u at the midpoint state u
+        of the step: c1 = ((p+1)/2)|u|^{p-1} (real) and
+        c2 = ((p-1)/2)|u|^{p-3} u^2, on the padded grid.  The explicit
+        midpoint step of w' = -i(c1 w + c2 conj(w)) between the two
+        half-step decays D is exactly the real-linear map
+        w -> a_n w + b_n conj(w), with
+
+            a_n = D^2 (1 - i dt c1 + (dt^2/2)(|c2|^2 - c1^2)),   b_n = -i dt D^2 c2,
+
+        since the rhs applied twice is (|c2|^2 - c1^2) w; |c2| is
+        ((p-1)/(p+1)) c1, so |c2|^2 - c1^2 = -(4p/(p+1)^2) c1^2.  a and b
+        have shape (n_steps, n_pad) each; built on first use and kept as
+        long as the run.
         """
         cfg = self.config
         if cfg.store_stride != 1:
             raise ValidationError("linearization needs a base stored at every step")
-        p = cfg.p
-        u = synth(0.5 * (self.coeffs[:-1] + self.coeffs[1:]), cfg._tab.n_pad)
-        c1 = ((p + 1) / 2.0) * _amp_pow(u, p)
-        c2 = ((p - 1) / 2.0) * (u**2 if p == 3 else u**2 * _amp_pow(u, p - 2))
-        return c1, c2
+        tab, dt, p = cfg._tab, cfg.dt, cfg.p
+        u = synth(0.5 * (self.coeffs[:-1] + self.coeffs[1:]), tab.n_pad)
+        c1 = _amp_pow(u, p)
+        c1 *= (p + 1) / 2.0
+        # c2 and then b are formed over u, so the build holds u, c1 and a
+        c2 = np.square(u, out=u) if p == 3 else np.multiply(_amp_pow(u, p - 2), u * u, out=u)
+        c2 *= (p - 1) / 2.0
+        d2 = tab.decay**2
+        a = np.empty_like(u)
+        np.multiply(c1, -dt * d2, out=a.imag)
+        re = np.square(c1, out=a.real)
+        re *= -0.5 * dt * dt * 4.0 * p / (p + 1) ** 2
+        re += 1.0
+        re *= d2
+        b = np.multiply(c2, (-1j * dt) * d2, out=c2)
+        return a, b
 
 
 def _as_path_list(forcing, horizon: float):
@@ -402,6 +432,17 @@ def _as_path_list(forcing, horizon: float):
     return paths
 
 
+def _solve(u0: FourierField, forcing, horizon: float, cfg: SolverConfig, collect: bool):
+    """The one prologue of a single-chain run: checks, step count and drive,
+    then _evolve from u0."""
+    if u0.grid != cfg.grid:
+        raise ValidationError("initial state lives on a different grid")
+    n_steps = cfg.steps_for(horizon)
+    paths = _as_path_list(forcing, horizon)
+    drive = _row_drive(paths, cfg) if paths is not None else None
+    return _evolve(u0.coeffs.astype(np.complex128), cfg, n_steps, drive, collect)
+
+
 def solve_nls(u0: FourierField, forcing, horizon: float, cfg: SolverConfig) -> Trajectory:
     """Integrate from u0 over [0, horizon] and return the stored trajectory.
 
@@ -410,19 +451,15 @@ def solve_nls(u0: FourierField, forcing, horizon: float, cfg: SolverConfig) -> T
     validated to align with the dyadic noise cells so every step sees a
     constant drive.
     """
-    if u0.grid != cfg.grid:
-        raise ValidationError("initial state lives on a different grid")
-    n_steps = cfg.steps_for(horizon)
-    paths = _as_path_list(forcing, horizon)
-    drive = _row_drive(paths, cfg) if paths is not None else None
-    times, stored, _ = _evolve(u0.coeffs.astype(np.complex128), cfg, n_steps, drive, True)
+    times, stored, _ = _solve(u0, forcing, horizon, cfg, True)
     return Trajectory(cfg.grid, times, np.stack(stored), cfg, forcing)
 
 
 def markov_step(u0: FourierField, path: NoisePath, cfg: SolverConfig) -> FourierField:
     """Time-one solution map driving the unit-interval Markov chain: the
-    endpoint of solve_nls over one time unit."""
-    return solve_nls(u0, path, 1.0, cfg).endpoint
+    endpoint of solve_nls over one time unit, stepped without storing the
+    states between."""
+    return FourierField(cfg.grid, _solve(u0, path, 1.0, cfg, False)[2])
 
 
 def _block_unit_run(coeffs: np.ndarray, paths, cfg: SolverConfig, collect: bool):
@@ -471,7 +508,7 @@ def linear_group(u0: FourierField, t: float, cfg: SolverConfig) -> FourierField:
     if t > 0:
         n = max(1, int(round(t / cfg.dt)))
         tab = _step_tables(cfg.grid, cfg.damping, t / n, cfg.p)
-        for _, u in _split_steps(u, tab, range(n), _identity):
+        for _, u in _split_steps(u, tab, range(n), partial(_decays, tab)):
             pass
     return FourierField(u0.grid, u)
 

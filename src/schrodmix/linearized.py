@@ -6,15 +6,20 @@ The forward tangent flow solves
     i v_t + v_xx + i a(x) v = ((p+1)/2)|u|^{p-1} v + ((p-1)/2)|u|^{p-3} u^2 conj(v) + g
 
 with u frozen per substep (midpoint interpolation of the stored base), using
-the same splitting as the nonlinear stepper.  The frozen coefficients (c1, c2)
-belong to the base: Trajectory.tangent_coefficients builds them once, on a
-base stored at every step, and every tangent, adjoint and control solve on
-that base reads them there.  The substep is dynamics._midpoint, the one
-midpoint rule, for w' = -i(c1 w + c2 conj(w)).  Its real-L2 transpose is the
-same rule with c1 negated, so the backward flow is the forward tangent step
-with c1 negated, on conjugated phase tables, in reverse step order; the real
-pairing Re<v(t), phi(t)> is then conserved to round-off by construction,
-and the stored states solve
+the same splitting as the nonlinear stepper.  The frozen rhs
+-i(c1 w + c2 conj(w)) is real-linear, so its explicit midpoint step between
+the two half-step decays is one pointwise map per step,
+w -> a_n w + b_n conj(w).  The maps belong to the base:
+Trajectory.tangent_coefficients builds them once, on a base stored at every
+step, and every tangent, adjoint and control solve on that base reads them
+there.  The substep is _tangent_map, run by dynamics._split_steps like every
+other substep.  A drive g adds the midpoint's exact drive term
+D(-i dt g - (dt^2/2)(c1 g - c2 conj(g))), formed from a_n and b_n: the map
+runs on w + P, P = -i (dt/2) g / D, and adds (2 D^2 - Re(a_n)) P.
+The real-L2 transpose of the map is w -> conj(a_n) w + b_n conj(w), so the
+backward flow is the same substep with (conj(a_n), b_n), on conjugated
+phase tables, in reverse step order; the real pairing Re<v(t), phi(t)> is
+then conserved to round-off by construction, and the stored states solve
 
     i phi_t + phi_xx - i a(x) phi = ((p+1)/2)|u|^{p-1} phi - ((p-1)/2)|u|^{p-3} u^2 conj(phi).
 
@@ -35,37 +40,59 @@ a Galerkin band |k| <= cutoff, where the coordinate map
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import _TIME_TOL, Trajectory, _midpoint, _mode_waves, _split_steps
+from .dynamics import _TIME_TOL, Trajectory, _mode_waves, _split_steps
 from .noise import haar_basis, haar_time_keys
 from .spectral import FourierField, ROOT_2PI, ValidationError, mode_weights
 
 
-def _tangent_rhs(z, out, c1, c2, ig, b):
-    """-i(c1 z + c2 conj(z)) - ig into out, with ig None for no drive and b a
-    padded scratch block: the tangent substep's rhs for _midpoint."""
-    np.multiply(c1, z, out=out)
-    np.multiply(c2, np.conjugate(z, out=b), out=b)
-    np.multiply(-1j, np.add(out, b, out=out), out=out)
-    return out if ig is None else np.subtract(out, ig, out=out)
+def _padded_blocks(lead: tuple, tab, count: int) -> list:
+    """count zeroed complex blocks of shape lead + (n_pad,)."""
+    return [np.zeros(lead + (tab.n_pad,), dtype=np.complex128) for _ in range(count)]
 
 
-def _forward_steps(v, tab, c1, c2, dt, steps, drive_ig=None):
-    """Tangent steps of v (batch, C): yields (n, v) after each step n of steps.
+def _drive_block(g, tab, dt: float, out):
+    """P = -i (dt/2) g / D, the block through which a drive g enters the
+    tangent map (_tangent_map), written into out and returned; g may be out
+    itself."""
+    return np.multiply(g, (-0.5j * dt) / tab.decay, out=out)
 
-    drive_ig(n) is i g of step n on the padded grid, or drive_ig is None.
+
+def _tangent_map(w, a, b, t, drive=None):
+    """One tangent substep on the padded grid, written over w: the map
+    A(w) = a w + b conj(w), or A(w + P) + (2 D^2 - Re(a)) P for drive =
+    (P, 2 D^2); t is a scratch block of w's shape.
+
+    A(P) + (2 D^2 - Re(a)) P = Im(a) (-i P) + b conj(P) + 2 D^2 P is, with
+    Im(a) = -dt D^2 c1 and b = -i dt D^2 c2, the midpoint step's exact drive
+    term D(-i dt g - (dt^2/2)(c1 g - c2 conj(g))).  A row whose drive is
+    all zeros keeps every nonzero entry the unforced map gives it, so an
+    unforced row rides in a forced sweep.
     """
-    *buf, b = (np.empty(v.shape[:-1] + (tab.n_pad,), dtype=np.complex128) for _ in range(3))
+    if drive is not None:
+        w += drive[0]
+    np.conjugate(w, out=t)
+    t *= b
+    w *= a
+    w += t
+    if drive is not None:
+        w += np.multiply(drive[0], drive[1] - a.real, out=t)
+    return w
 
-    def substep(n, w):
-        ig = None if drive_ig is None else drive_ig(n)
-        return _midpoint(w, partial(_tangent_rhs, c1=c1[n], c2=c2[n], ig=ig, b=b), dt, buf)
 
-    return _split_steps(v, tab, steps, substep)
+def _tangent_steps(v, maps, tab, steps, drive=None, blocks=None):
+    """Tangent steps of v (..., C) under maps = (a, b): yields (n, v) after
+    each step n of steps.  drive, when given, is the _drive_block of v's
+    rows, fixed over steps; blocks, when given, are the padded spectrum
+    (zero), physical grid and scratch blocks of v's rows."""
+    a, b = maps
+    spec, phys, t = blocks if blocks is not None else _padded_blocks(v.shape[:-1], tab, 3)
+    forced = None if drive is None else (drive, 2.0 * tab.decay**2)
+    substep = lambda n, w: _tangent_map(w, a[n], b[n], t, forced)
+    return _split_steps(v, tab, steps, substep, (spec, phys))
 
 
 def solve_linearized(base: Trajectory, v0: FourierField) -> Trajectory:
@@ -73,10 +100,10 @@ def solve_linearized(base: Trajectory, v0: FourierField) -> Trajectory:
     if v0.grid != base.grid:
         raise ValidationError("direction lives on a different grid")
     cfg = base.config
-    c1, c2 = base.tangent_coefficients
+    maps = base.tangent_coefficients
     v = v0.coeffs.astype(np.complex128)
     stored = [v]
-    for _, v in _forward_steps(v, cfg._tab, c1, c2, cfg.dt, range(c1.shape[0])):
+    for _, v in _tangent_steps(v, maps, cfg._tab, range(len(maps[0]))):
         stored.append(v)
     return Trajectory(base.grid, base.times.copy(), np.stack(stored), cfg)
 
@@ -84,21 +111,21 @@ def solve_linearized(base: Trajectory, v0: FourierField) -> Trajectory:
 def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> Trajectory:
     """Backward adjoint flow: phi at every base time, phi(T) = phi1.
 
-    Runs _forward_steps with c1 negated, on conjugated phase tables, in
-    reverse step order: the exact real-L2 adjoint of each forward step, so
-    Re<v(t_n), phi(t_n)> is constant in n for any tangent solution v.
+    Runs the tangent substep with (conj(a_n), b_n), on conjugated phase
+    tables, in reverse step order: the exact real-L2 adjoint of each forward
+    step, so Re<v(t_n), phi(t_n)> is constant in n for any tangent solution v.
     """
     if phi1.grid != base.grid:
         raise ValidationError("terminal state lives on a different grid")
     cfg = base.config
-    c1, c2 = base.tangent_coefficients
+    a, b = base.tangent_coefficients
     tab = cfg._tab
     adj = SimpleNamespace(
         **{**vars(tab), "phase_in": np.conj(tab.phase_in), "phase_out": np.conj(tab.phase_out)}
     )
     phi = phi1.coeffs.astype(np.complex128)
     stored = [phi]
-    for _, phi in _forward_steps(phi, adj, -c1, c2, cfg.dt, range(c1.shape[0] - 1, -1, -1)):
+    for _, phi in _tangent_steps(phi, (np.conj(a), b), adj, range(len(a) - 1, -1, -1)):
         stored.append(phi)
     stored.reverse()
     return Trajectory(base.grid, base.times.copy(), np.stack(stored), cfg)
@@ -167,8 +194,8 @@ def control_response_matrix(
     nonzero of their haar_basis row), and only the active ones: a column
     joins the block as a zero row on the control cell where its support
     begins.  The drive is constant on a control cell, and the active
-    columns' drive is a prefix of the sorted amplitudes, so i g is built
-    once per cell.
+    columns' drive is a prefix of the sorted amplitudes, so g and its drive
+    block are built once per cell.
     """
     cfg = base.config
     n_steps = base.n_stored - 1
@@ -199,7 +226,7 @@ def control_response_matrix(
     vals, first = vals[:, order], first[order]
 
     tab = cfg._tab
-    c1, c2 = base.tangent_coefficients
+    maps = base.tangent_coefficients
     rows = _mode_waves(modes, tab)
     # the separation, if any, is row 0 and the columns follow it
     if separation is None:
@@ -209,15 +236,22 @@ def control_response_matrix(
             raise ValidationError("separation lives on a different grid")
         v = separation.coeffs.astype(np.complex128)[None, :]
     off = len(v)
+    # padded blocks for every row, allocated once per map; a cell steps its
+    # rows through the leading slices, and the separation's drive row stays 0
+    spec, phys, t, drive = _padded_blocks((off + n_cols,), tab, 4)
     for lo in range(0, n_steps, per_cell):
         m = int(np.searchsorted(first, lo, side="right"))
         if off + m > len(v):
             v = np.concatenate([v, np.zeros((off + m - len(v), v.shape[1]), dtype=np.complex128)])
         # exact whatever m is: each entry of vals is purely real or purely
         # imaginary, with one nonzero per row
-        ig = np.zeros((off + m, tab.n_pad), dtype=np.complex128)
-        ig[off:] = 1j * (vals[lo // per_cell, :m] @ rows)
-        for _, v in _forward_steps(v, tab, c1, c2, cfg.dt, range(lo, lo + per_cell), lambda n: ig):
+        g = np.matmul(vals[lo // per_cell, :m], rows, out=drive[off : off + m])
+        _drive_block(g, tab, cfg.dt, g)
+        r = off + m
+        cell = _tangent_steps(
+            v, maps, tab, range(lo, lo + per_cell), drive[:r], (spec[:r], phys[:r], t[:r])
+        )
+        for _, v in cell:
             pass
     final = np.empty_like(v[off:])
     final[order] = v[off:]

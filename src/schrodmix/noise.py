@@ -38,6 +38,7 @@ from .spectral import ValidationError
 _SERIES_E = 0.25
 _SERIES = tuple((-1) ** n * 6.0 / math.factorial(2 * n + 3) for n in range(9))
 _NEWTON_STEPS = 4
+_PPF_CHUNK = 4096  # draws per pass of ppf's Newton steps
 
 
 def haar_eval(j: int, l: int, t):
@@ -162,39 +163,49 @@ class RhoSpec:
         u = np.asarray(u, dtype=float)
         if not np.all((u >= 0.0) & (u <= 1.0)):
             raise ValidationError("ppf argument outside [0, 1]")
-        q = np.minimum(u, 1.0 - u).reshape(-1)  # 1 - u is exact for u >= 1/2
-        # G(e) <= pi^2 e^3 / 12, so this is a lower bound; it is <= 0.85 as q <= 1/2
-        e = np.cbrt(q * (12.0 / math.pi**2))
-        lo, hi = e.copy(), np.ones_like(e)
-        g, d = np.empty_like(e), np.empty_like(e)
-        for _ in range(_NEWTON_STEPS):
-            # G(e) = (y - sin y) / (2 pi) with y = pi e, so the rounding of y
-            # moves e by half an ulp rather than G by half an ulp of e/2
-            np.multiply(e, math.pi, out=g)
-            np.sin(g, out=d)
-            np.subtract(g, d, out=g)
-            g /= 2.0 * math.pi
-            small = e < _SERIES_E
-            es = e[small]
-            z = (math.pi * es) ** 2
-            s = np.full_like(z, _SERIES[-1])
-            for c in _SERIES[-2::-1]:
-                s = s * z + c
-            g[small] = (math.pi**2 / 12.0) * es**3 * s
-            # the closed bracket; where G(e) = q it closes on e, which stays
-            np.copyto(lo, e, where=g <= q)
-            np.copyto(hi, e, where=g >= q)
-            np.multiply(e, math.pi / 2.0, out=d)
-            np.sin(d, out=d)
-            np.square(d, out=d)  # G'(e) = sin^2(pi e / 2)
-            g -= q
-            with np.errstate(invalid="ignore"):  # 0/0 at e = q = 0
-                np.divide(g, d, out=g)
-            e -= g
-            np.fmax(e, lo, out=e)  # a NaN step lands on lo
-            np.fmin(e, hi, out=e)
-        np.subtract(1.0, e, out=e)
-        return np.copysign(e, u.reshape(-1) - 0.5, out=e).reshape(u.shape)[()]
+        flat = u.reshape(-1)
+        out = np.empty_like(flat)
+        # fixed chunks bound the Newton temporaries whatever the draw count
+        for lo in range(0, flat.size, _PPF_CHUNK):
+            _ppf_into(flat[lo : lo + _PPF_CHUNK], out[lo : lo + _PPF_CHUNK])
+        return out.reshape(u.shape)[()]
+
+
+def _ppf_into(u: np.ndarray, e: np.ndarray) -> None:
+    """RhoSpec.ppf of the 1-D draws u, written into e."""
+    q = np.minimum(u, 1.0 - u)  # 1 - u is exact for u >= 1/2
+    # G(e) <= pi^2 e^3 / 12, so this is a lower bound; it is <= 0.85 as q <= 1/2
+    np.cbrt(q * (12.0 / math.pi**2), out=e)
+    lo, hi = e.copy(), np.ones_like(e)
+    g, d = np.empty_like(e), np.empty_like(e)
+    for _ in range(_NEWTON_STEPS):
+        # G(e) = (y - sin y) / (2 pi) with y = pi e, so the rounding of y
+        # moves e by half an ulp rather than G by half an ulp of e/2
+        np.multiply(e, math.pi, out=g)
+        np.sin(g, out=d)
+        np.subtract(g, d, out=g)
+        g /= 2.0 * math.pi
+        small = e < _SERIES_E
+        es = e[small]
+        z = (math.pi * es) ** 2
+        s = np.full_like(z, _SERIES[-1])
+        for c in _SERIES[-2::-1]:
+            s = s * z + c
+        g[small] = (math.pi**2 / 12.0) * es**3 * s
+        # the closed bracket; where G(e) = q it closes on e, which stays
+        np.copyto(lo, e, where=g <= q)
+        np.copyto(hi, e, where=g >= q)
+        np.multiply(e, math.pi / 2.0, out=d)
+        np.sin(d, out=d)
+        np.square(d, out=d)  # G'(e) = sin^2(pi e / 2)
+        g -= q
+        with np.errstate(invalid="ignore"):  # 0/0 at e = q = 0
+            np.divide(g, d, out=g)
+        e -= g
+        np.fmax(e, lo, out=e)  # a NaN step lands on lo
+        np.fmin(e, hi, out=e)
+    np.subtract(1.0, e, out=e)
+    np.copysign(e, u - 0.5, out=e)
 
 
 @dataclass(frozen=True)
@@ -307,9 +318,16 @@ def sample_noise_paths(spec: NoiseSpec, seed_records) -> list:
     # z[..., p] is key p of haar_time_keys.  Gathers and elementwise sums only
     # (no matrix product over records), so a path is the same in any block.
     z = _RHO.ppf(stack).view(np.complex128)[..., 0]
+    del stack
     idx, sign = haar_cells(spec.level_max, spec.n_cells)
-    vals = z[..., idx[0]]
+    # the synthesis accumulates into one buffer, level by level
+    vals = np.take(z, idx[0], axis=-1)
+    level = np.empty_like(vals)
     for j, w in enumerate(spec.level_weights, start=1):
         first = 2**j - 1
-        vals = vals + (w * z[..., first : first + 2**j])[..., idx[j]] * sign[j]
+        # the indices lie in range by construction, and "clip" lets take
+        # write into level unbuffered
+        np.take(w * z[..., first : first + 2**j], idx[j], axis=-1, out=level, mode="clip")
+        level *= sign[j]
+        vals += level
     return [NoisePath(spec, row) for row in vals]

@@ -31,17 +31,18 @@ from schrodmix import (
 )
 from schrodmix.config import random_h1_field
 from schrodmix.control import compact_T_apply
-from schrodmix.dynamics import _forced_rhs, _midpoint
+from schrodmix.dynamics import _amp_pow, _forced_rhs, _midpoint
 from schrodmix.linearized import (
-    _forward_steps,
-    _tangent_rhs,
+    _drive_block,
+    _tangent_map,
+    _tangent_steps,
     control_response_matrix,
     h1_coords,
     haar_time_keys,
     mode_coord_indices,
 )
 from schrodmix.noise import haar_basis, haar_eval, sample_noise_path
-from schrodmix.spectral import ROOT_2PI
+from schrodmix.spectral import ROOT_2PI, synth
 
 GRID = Grid(20)
 DT = 2.0**-7
@@ -167,15 +168,17 @@ def test_duality_pairing_needs_both_times_stored():
 
 
 def test_duality_drift_on_noisy_base():
-    cfg = damped_cfg()
-    base = noisy_base(cfg, seed=23)
+    # the backward step is the exact real-L2 transpose of the forward map,
+    # so the discrete pairing holds at every stored time to round-off
     v0 = random_h1_field(GRID, 0.8, 2.5, 31, 0)
     phi1 = random_h1_field(GRID, 1.2, 2.5, 31, 1)
-    v = solve_linearized(base, v0)
-    phi = solve_adjoint_backward(base, phi1)
-    vals = np.array([duality_pairing(v, phi, t) for t in base.times])
-    drift = np.abs(vals - vals[0]).max()
-    assert drift <= 1e-6 * sobolev_norm(v0, 0.0) * sobolev_norm(phi1, 0.0)
+    for p in (3, 5):
+        base = noisy_base(damped_cfg(p=p), seed=23)
+        v = solve_linearized(base, v0)
+        phi = solve_adjoint_backward(base, phi1)
+        vals = np.array([duality_pairing(v, phi, t) for t in base.times])
+        drift = np.abs(vals - vals[0]).max()
+        assert drift <= 1e-12 * sobolev_norm(v0, 0.0) * sobolev_norm(phi1, 0.0), p
 
 
 def test_response_constant_mode_zero_closed_form():
@@ -199,7 +202,7 @@ def test_response_matrix_matches_dense_march(p):
     modes, cutoff = (0, 1), 12
     n_steps = base.n_stored - 1
     tab = cfg._tab
-    c1, c2 = base.tangent_coefficients
+    maps = base.tangent_coefficients
     rows = np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))
     for level in (0, 1, 3, 6):
         got, keys = control_response_matrix(base, modes, level, cutoff)
@@ -208,38 +211,52 @@ def test_response_matrix_matches_dense_march(p):
         for c, (k, j, l, comp) in enumerate(keys):
             vals[:, c, modes.index(k)] = comp * basis[2**j - 1 + l] / ROOT_2PI
         v = np.zeros((len(keys), GRID.n_coeff), dtype=np.complex128)
-        steps = _forward_steps(v, tab, c1, c2, cfg.dt, range(n_steps), lambda n: 1j * (vals[n] @ rows))
-        for _, v in steps:
-            pass
+        for n in range(n_steps):
+            drive = _drive_block(vals[n] @ rows, tab, cfg.dt, None)
+            for _, v in _tangent_steps(v, maps, tab, range(n, n + 1), drive):
+                pass
         want = h1_coords(v, GRID.k_max, cutoff).T
         # compared as bit patterns, so a zero of the other sign fails too
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=str(level))
 
 
 def test_tangent_midpoint_keeps_the_plain_bits():
-    # the one midpoint rule writes into scratch blocks, with the operations
-    # of the plain expression in its order: the tangent substep forced,
-    # unforced and adjoint (c1 < 0), and the forced nonlinear substep
-    tab = damped_cfg()._tab
+    # one tangent map step is the plain frozen-midpoint expression between
+    # the two half-step decays, forced, unforced and adjoint (c1 < 0), to
+    # round-off; and the forced nonlinear substep keeps the bits of its
+    # plain expression
+    cfg = damped_cfg()
+    tab, base = cfg._tab, noisy_base(cfg)
+    a, b = base.tangent_coefficients
     rng = np.random.default_rng(9)
     cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    w, ig, c2 = cplx(5, tab.n_pad), cplx(5, tab.n_pad), cplx(tab.n_pad)
-    c1 = rng.standard_normal(tab.n_pad) ** 2
+    w, g = cplx(5, tab.n_pad), cplx(5, tab.n_pad)
+    d = tab.decay
 
-    def plain(c1, ig):
+    def plain(c1, c2, g):
         def rhs(z):
             out = -1j * (c1 * z + c2 * np.conj(z))
-            if ig is not None:
-                out -= ig
+            if g is not None:
+                out -= 1j * g
             return out
 
-        wm = w + (0.5 * DT) * rhs(w)
-        return w + DT * rhs(wm)
+        z = d * w
+        zm = z + (0.5 * DT) * rhs(z)
+        return d * (z + DT * rhs(zm))
 
-    *buf, b = (np.empty((5, tab.n_pad), dtype=complex) for _ in range(3))
-    for c, g in ((c1, ig), (c1, None), (-c1, None)):
-        got = _midpoint(w.copy(), functools.partial(_tangent_rhs, c1=c, c2=c2, ig=g, b=b), DT, buf)
-        assert got.tobytes() == plain(c, g).tobytes()
+    t = np.empty_like(w)
+    for n in (0, 77):
+        # the frozen coefficients at the step's midpoint state, on the
+        # padded grid
+        un = synth(0.5 * (base.coeffs[n] + base.coeffs[n + 1]), tab.n_pad)
+        c1, c2 = 2.0 * _amp_pow(un, 3), un**2
+        drive = (_drive_block(g, tab, DT, None), 2.0 * d**2)
+        for got, want in (
+            (_tangent_map(w.copy(), a[n], b[n], t, drive), plain(c1, c2, g)),
+            (_tangent_map(w.copy(), a[n], b[n], t), plain(c1, c2, None)),
+            (_tangent_map(w.copy(), np.conj(a[n]), b[n], t), plain(-c1, c2, None)),
+        ):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n
 
     # the forced substep against its plain two lines, on a block salted with
     # exact zeros and zeros of either sign: in the state and the forcing

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from schrodmix import NoisePath, NoiseSpec, RhoSpec, ValidationError
 from schrodmix.noise import (
+    _PPF_CHUNK,
     haar_basis,
     haar_cells,
     haar_eval,
@@ -161,6 +162,17 @@ def test_rho_ppf_tail_accuracy():
     assert np.max(np.abs((x - x_hi) - x_lo)) <= 2.3e-16
     assert RhoSpec().ppf(0.5) == 0.0
     np.testing.assert_array_equal(RhoSpec().ppf(np.array([0.0, 1.0])), [-1.0, 1.0])
+
+
+def test_rho_ppf_is_the_same_across_chunks():
+    # the Newton steps run over fixed chunks of draws; each draw, in any
+    # chunk and at any offset in it, is the draw taken alone, bit for bit
+    u = np.random.default_rng(77).random((3, _PPF_CHUNK - 5))
+    u[0, :3] = (0.0, 0.5, 1.0)
+    x = RhoSpec().ppf(u)
+    assert u.size > 2 * _PPF_CHUNK and x.shape == u.shape
+    alone = np.array([RhoSpec().ppf(v) for v in u.reshape(-1)]).reshape(u.shape)
+    assert x.tobytes() == alone.tobytes()
 
 
 def test_rho_ppf_rejects_outside_unit_interval():

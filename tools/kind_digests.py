@@ -1,6 +1,9 @@
-"""Digest every output of every experiment kind, run from one checkout.
+"""Digest every output of every experiment kind, run from one checkout, or
+report its values and how far they moved between two checkouts.
 
     python3 tools/kind_digests.py <checkout>
+    python3 tools/kind_digests.py --values <checkout>
+    python3 tools/kind_digests.py --compare <old.json> <new.json>
 
 Imports schrodmix from <checkout>/src, and exits 2 if the import resolves
 to another copy.  Runs each case below through run_experiment at k_max 20,
@@ -12,6 +15,21 @@ agree byte for byte print the same text, so diffing the output of two
 checkouts is the byte-identity check of a change that must not move any
 digest.
 
+--values runs the same cases and prints {case: {field: value}} as JSON
+instead: every numeric field of each JSON report, as a number or a flat
+list, under "<file>:<key>"; and for each curve, noise path or trajectory
+file, each column's count, max-abs and root-mean-square under
+"<file>:<column>:<statistic>", with its first and last row under
+"<file>:first" and "<file>:last" (for a trajectory, its first and last
+stored state, as interleaved re, im).  trajectory.bin is read back into
+the columns of trajectory.csv.
+
+--compare takes two --values outputs and prints, for every case and field,
+the largest move of any entry relative to that field's largest |value| in
+either file, largest moves first: the report of how far a change that
+moves digests moved the values.  A field present on one side only moves
+by inf.
+
 Every kind in config.KINDS runs once with its settings in _CASES, plus the
 variants there (with [solver] overrides in _SOLVER); a kind with no entry
 runs at the common settings alone.
@@ -21,9 +39,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 _COMMON = {
     "grid": {"k_max": 20},
@@ -76,41 +97,176 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def kind_digests(config) -> dict:
-    """{case: {file: sha256}} for every case at p = 3 and p = 5, with the
-    manifest's config digest; config is the checkout's schrodmix.config
-    module."""
+def _run_cases(config, tmp: str):
+    """Runs every case at p = 3 and p = 5 under tmp; yields (case, output
+    directory).  config is the checkout's schrodmix.config module."""
     cases = dict(_CASES)
     for kind in config.KINDS:
         if not any(k == kind for k, _ in cases.values()):
             cases[kind] = (kind, {})
+    for p in (3, 5):
+        for name, (kind, experiment) in cases.items():
+            text = _config_text(p, kind, experiment, _SOLVER.get(name, {}))
+            cfg = config.config_from_sections(config.parse_config_text(text))
+            where = os.path.join(tmp, "p%d_%s" % (p, name))
+            config.run_experiment(cfg, out_dir=where)
+            yield "p%d/%s" % (p, name), where
+
+
+def kind_digests(config) -> dict:
+    """{case: {file: sha256}} for every case at p = 3 and p = 5, with the
+    manifest's config digest."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for p in (3, 5):
-            for name, (kind, experiment) in cases.items():
-                text = _config_text(p, kind, experiment, _SOLVER.get(name, {}))
-                cfg = config.config_from_sections(config.parse_config_text(text))
-                where = os.path.join(tmp, "p%d_%s" % (p, name))
-                config.run_experiment(cfg, out_dir=where)
-                files = {
-                    f: _sha256(os.path.join(where, f))
-                    for f in sorted(os.listdir(where))
-                    if f != "manifest.json"
-                }
-                with open(os.path.join(where, "manifest.json"), encoding="utf-8") as fh:
-                    files["manifest.json:config_digest"] = json.load(fh)["config_digest"]
-                out["p%d/%s" % (p, name)] = files
+        for case, where in _run_cases(config, tmp):
+            files = {
+                f: _sha256(os.path.join(where, f))
+                for f in sorted(os.listdir(where))
+                if f != "manifest.json"
+            }
+            with open(os.path.join(where, "manifest.json"), encoding="utf-8") as fh:
+                files["manifest.json:config_digest"] = json.load(fh)["config_digest"]
+            out[case] = files
     return out
 
 
+def _numbers(value):
+    """value as a float or a flat list of floats, or None when it holds
+    anything but numbers (bools count as 0 and 1)."""
+    if isinstance(value, (bool, int, float)):
+        return float(value)
+    if isinstance(value, list):
+        flat = []
+        for v in value:
+            v = _numbers(v)
+            if v is None:
+                return None
+            flat.extend(v if isinstance(v, list) else [v])
+        return flat
+    return None
+
+
+def _table_values(name: str, header: list, data: np.ndarray) -> dict:
+    """The column statistics and end rows of one table, under name; max-abs
+    and RMS skip NaN entries (a curve's undefined first ratio), and are NaN
+    for a column with no other entry."""
+    out = {}
+    for j, column in enumerate(header):
+        col = data[:, j]
+        col = np.abs(col[~np.isnan(col)])
+        key = "%s:%s:" % (name, column)
+        out[key + "count"] = float(len(data))
+        out[key + "max_abs"] = float(col.max()) if col.size else math.nan
+        out[key + "rms"] = float(np.sqrt(np.mean(col**2))) if col.size else math.nan
+    if len(data) == 0:
+        return out
+    if header[:2] == ["t", "mode"]:
+        # a trajectory's end rows are its first and last stored states
+        t = data[:, 0]
+        first, last = data[t == t[0], 2:], data[t == t[-1], 2:]
+    else:
+        first, last = data[0], data[-1]
+    out[name + ":first"] = first.reshape(-1).tolist()
+    out[name + ":last"] = last.reshape(-1).tolist()
+    return out
+
+
+def _file_values(store, where: str, name: str) -> dict:
+    path = os.path.join(where, name)
+    if name.endswith(".json"):
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+        return {
+            "%s:%s" % (name, key): v
+            for key, v in ((key, _numbers(v)) for key, v in sorted(report.items()))
+            if v is not None
+        }
+    if name.endswith(".csv"):
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+        data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2)
+        return _table_values(name, header, data.reshape(-1, len(header)))
+    times, coeffs, _ = store.read_trajectory_bin(path)
+    n_coeff = coeffs.shape[1]
+    columns = (
+        np.repeat(times, n_coeff),
+        np.tile(np.arange(n_coeff) - (n_coeff - 1) // 2, len(times)),
+        coeffs.real.reshape(-1),
+        coeffs.imag.reshape(-1),
+    )
+    return _table_values(name, ["t", "mode", "re", "im"], np.stack(columns, axis=1))
+
+
+def kind_values(config, store) -> dict:
+    """{case: {field: value}} for every case at p = 3 and p = 5; store is
+    the checkout's schrodmix.store module."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, where in _run_cases(config, tmp):
+            fields = {}
+            for name in sorted(os.listdir(where)):
+                if name != "manifest.json":
+                    fields.update(_file_values(store, where, name))
+            out[case] = fields
+    return out
+
+
+def _move(old, new) -> float:
+    """Largest |new - old| over the entries of one field, relative to the
+    field's largest |value| on either side; NaN matches NaN only."""
+    if old is None or new is None:
+        return math.inf
+    a, b = np.atleast_1d(np.asarray(old, float)), np.atleast_1d(np.asarray(new, float))
+    if a.shape != b.shape:
+        return math.inf
+    if np.any(np.isnan(a) != np.isnan(b)):
+        return math.inf
+    both = ~np.isnan(a)
+    diff = np.abs(a[both] - b[both])
+    if not diff.size or diff.max() == 0.0:
+        return 0.0
+    if not np.all(np.isfinite(diff)):
+        return math.inf
+    return float(diff.max() / max(np.abs(a[both]).max(), np.abs(b[both]).max()))
+
+
+def compare_values(old: dict, new: dict) -> list:
+    """[(relative move, case, field)] for every case and field of either
+    side, largest moves first."""
+    moves = []
+    for case in sorted(set(old) | set(new)):
+        a, b = old.get(case, {}), new.get(case, {})
+        for field in sorted(set(a) | set(b)):
+            moves.append((_move(a.get(field), b.get(field)), case, field))
+    moves.sort(key=lambda m: -m[0])
+    return moves
+
+
+def _compare_main(old_path: str, new_path: str) -> int:
+    with open(old_path, encoding="utf-8") as fh:
+        old = json.load(fh)
+    with open(new_path, encoding="utf-8") as fh:
+        new = json.load(fh)
+    for move, case, field in compare_values(old, new):
+        print("%.3e  %s  %s" % (move, case, field))
+    return 0
+
+
 def main(argv) -> int:
-    if len(argv) != 2:
-        print("usage: kind_digests.py <checkout>", file=sys.stderr)
+    args = argv[1:]
+    if len(args) == 3 and args[0] == "--compare":
+        return _compare_main(args[1], args[2])
+    values = args[:1] == ["--values"]
+    if values:
+        args = args[1:]
+    if len(args) != 1:
+        print("usage: kind_digests.py [--values] <checkout>\n"
+              "       kind_digests.py --compare <old.json> <new.json>", file=sys.stderr)
         return 2
-    src = os.path.join(os.path.abspath(argv[1]), "src")
+    src = os.path.join(os.path.abspath(args[0]), "src")
     sys.path.insert(0, src)
     sys.dont_write_bytecode = True  # leave the checkout as it was
-    from schrodmix import config
+    from schrodmix import config, store
 
     # an installed copy, or one on PYTHONPATH, must not stand in for the
     # checkout's own package
@@ -118,7 +274,8 @@ def main(argv) -> int:
         print("schrodmix.config was imported from %s, not from %s" % (config.__file__, src),
               file=sys.stderr)
         return 2
-    json.dump(kind_digests(config), sys.stdout, indent=1, sort_keys=True)
+    result = kind_values(config, store) if values else kind_digests(config)
+    json.dump(result, sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
 
