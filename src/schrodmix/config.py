@@ -4,9 +4,11 @@
 The format is deliberately small: full-line # comments, five known sections,
 every key typed and defaulted, unknown sections or keys rejected with their
 line number.  A config is its canonical text, a fixed rendering of every
-field (defaults filled), plus the solver and noise built from it; the
-digest is the sha256 of that text.  So two configs are equal exactly when
-their digests are, and a built config never changes.
+key its kind reads (defaults filled), plus the solver and noise built from
+it; the digest is the sha256 of that text.  So two configs are equal
+exactly when their digests are, and a built config never changes.  A key
+the kind does not read must sit at its default: _KINDS is the one table of
+what each kind reads.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -181,13 +184,16 @@ def _with_defaults(sections: dict) -> dict:
     }
 
 
-def _render(sections: dict) -> str:
-    """The canonical text of sections' schema keys, in section order and
-    sorted, each missing key or section at its default."""
+def _render(sections: dict, read: dict = _SCHEMA) -> str:
+    """The canonical text of sections' read keys (by default every schema
+    key), in section order and sorted, each missing key or section at its
+    default; a section with no read key is left out."""
     lines = []
     for name, keys in _with_defaults(sections).items():
+        if not read[name]:
+            continue
         lines.append("[%s]" % name)
-        for key in sorted(keys):
+        for key in sorted(read[name]):
             lines.append("%s = %s" % (key, _format_value(_SCHEMA[name][key][0], keys[key])))
         lines.append("")
     return "\n".join(lines)
@@ -230,63 +236,88 @@ class ExperimentConfig:
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
+def read_keys(kind: str, forced: bool, damping: str) -> dict:
+    """{section: the keys a config of this kind reads}: its own
+    [experiment] keys and kind, [noise] if the kind reads it (a "forced"
+    kind only when forced), the [solver] damping parameters of its damping
+    kind alone, and every other [grid], [solver] and [run] key."""
+    spec = _KINDS[kind]
+    noise = spec.noise == "always" or (spec.noise == "forced" and forced)
+    taken = {"damping_" + name for name in DAMPING_PARAMS.get(damping, ())}
+    return {
+        "grid": tuple(_SCHEMA["grid"]),
+        "solver": tuple(k for k in _SCHEMA["solver"] if k in taken or not k.startswith("damping_")),
+        "noise": tuple(_SCHEMA["noise"]) if noise else (),
+        "experiment": ("kind", *spec.keys),
+        "run": tuple(_SCHEMA["run"]),
+    }
+
+
 def config_from_sections(sections: dict) -> ExperimentConfig:
     """Validate and build the config of sections' schema keys, each missing
-    key or section at its default.  It keeps its own copy, parsed back from
-    their rendering, and renders that copy again: the parser strips string
-    values, so only then is the text a fixed point."""
+    key or section at its default.  A key its kind does not read must sit at
+    its default, and the canonical text holds only the keys it reads.  The
+    config keeps its own copy, parsed back from the rendering of every
+    schema key: the parser strips string values, so only then is the text a
+    fixed point."""
     sections = parse_config_text(_render(sections))
-    text = _render(sections)
     for name, keys in _SCHEMA.items():
         for key, (kind, _) in keys.items():
             value = sections[name][key]
             if kind in ("float", "floats") and not np.all(np.isfinite(value)):
                 raise ValidationError("[%s] %s must be finite, got %r" % (name, key, value))
+    exp, sol = sections["experiment"], sections["solver"]
+    kind = exp["kind"]
+    if kind not in _KINDS:
+        raise ValidationError("experiment kind must be one of %s, got %r" % (KINDS, kind))
     grid = Grid(k_max=sections["grid"]["k_max"])
-    sol = sections["solver"]
-    kind = sol["damping"]  # DampingProfile refuses a kind outside DAMPING_PARAMS
-    params = tuple(sol["damping_" + name] for name in DAMPING_PARAMS.get(kind, ()))
-    damping = DampingProfile(grid, kind, params)
+    params = tuple(sol["damping_" + name] for name in DAMPING_PARAMS.get(sol["damping"], ()))
+    # refuses a damping kind outside DAMPING_PARAMS
+    damping = DampingProfile(grid, sol["damping"], params)
+    read = read_keys(kind, exp["forced"], sol["damping"])
+    for name, keys in _SCHEMA.items():
+        for key, (type_, default) in keys.items():
+            if key not in read[name] and sections[name][key] != default:
+                reader = "%s damping" % sol["damping"] if key.startswith("damping_") else kind
+                raise ValidationError(
+                    "%s reads no [%s] %s: leave it out or at its default %s"
+                    % (reader, name, key, _format_value(type_, default))
+                )
+    text = _render(sections, read)
     solver = SolverConfig(grid, damping, dt=sol["dt"], p=sol["p"], store_stride=sol["store_stride"])
     noise = NoiseSpec(**sections["noise"])  # the [noise] keys are its fields
-    exp = sections["experiment"]
     if sections["run"]["seed"] < 0:
         raise ValidationError("seed must be >= 0, got %d" % sections["run"]["seed"])
+    # the checks below read unread keys too: those sit at their defaults,
+    # which pass
     for key, low in (("n_chains", 1), ("n_steps", 0), ("warm_steps", 0)):
         if exp[key] < low:
             raise ValidationError("%s must be >= %d, got %d" % (key, low, exp[key]))
-    kind = exp["kind"]
-    if kind not in KINDS:
-        raise ValidationError("experiment kind must be one of %s, got %r" % (KINDS, kind))
     if exp["initial"] not in _INITIAL_KINDS:
         raise ValidationError("initial must be one of %s" % (_INITIAL_KINDS,))
     if exp["initial_b"] and exp["initial_b"] not in _INITIAL_KINDS:
         raise ValidationError("initial_b must be one of %s or empty" % (_INITIAL_KINDS,))
-    if kind == "decay" and exp["forced"]:
-        # only simulate and smooth read the key; decay would ignore it
-        raise ValidationError("decay runs unforced, so it takes no forced = true")
-    forced = kind in ("simulate", "smooth") and exp["forced"]
-    if kind in ("gramian", "stabilize", "couple", "mix") or forced:
+    if read["noise"]:
         steps_per_cell(noise, solver)
+    reads = read["experiment"]
     # the horizon a run solves over, and the unit paths that force it
-    if kind in ("simulate", "decay", "smooth"):
+    if "horizon" in reads:
         solver.steps_for(exp["horizon"])
-    if forced:
+    if exp["forced"]:
         _forced_units(exp["horizon"])
     if kind == "mix" and not exp["initial_b"]:
         raise ValidationError("mix needs a second initial datum (initial_b)")
     # the control layout, checked by the functions that build it: Haar cells
     # on the solver steps, the Galerkin bands, and shifts on the noise cells
-    controlled = kind == "stabilize" or (kind == "couple" and exp["use_control"])
-    if kind == "gramian" or controlled:
+    controlled = kind == "stabilize" or exp["use_control"]
+    if controlled or "target_cutoff" in reads:
         haar_cells(exp["time_level"], solver.steps_for(1.0))
-        target = exp["target_cutoff"] if kind == "gramian" else 0
+        target = exp["target_cutoff"] if "target_cutoff" in reads else 0
         check_bands(exp["galerkin_cutoff"], grid.k_max, target)
     if controlled:
         check_shift_level(exp["time_level"], noise)
         check_gamma(exp["gamma"])
-    if kind == "saturate":
-        saturation_base(exp["sat_modes"], exp["iterations"])
+    saturation_base(exp["sat_modes"], exp["iterations"])
     if kind == "smooth" and solver.store_stride != 1:
         # the resonant phase integrates over every step of the run
         raise ValidationError(
@@ -295,9 +326,9 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(solver=solver, noise=noise, text=text)
     # the initial data the kind reads: cheap to build, so a mode outside the
     # band is refused here and not after the output directory exists
-    if kind != "saturate":
+    if "initial" in reads:
         build_initial(cfg)
-    if exp["initial_b"] and kind in ("couple", "mix"):
+    if exp["initial_b"]:
         build_initial(cfg, "b")
     return cfg
 
@@ -516,19 +547,42 @@ def _run_smooth(cfg: ExperimentConfig, out: str) -> tuple:
     return [], payload
 
 
-# Each runner writes its data files into the output directory and returns
-# (their paths, the report or None); run_experiment writes the report.
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "decay": _run_decay,
-    "gramian": _run_gramian,
-    "stabilize": _run_stabilize,
-    "couple": _run_couple,
-    "mix": _run_mix,
-    "saturate": _run_saturate,
-    "smooth": _run_smooth,
+class Kind(NamedTuple):
+    """One experiment kind: its runner, which writes its data files into the
+    output directory and returns (their paths, the report or None), the
+    [experiment] keys the runner reads besides kind, and whether it reads
+    [noise]: "always", "never", or "forced" (only when forced is true)."""
+
+    run: Callable
+    keys: tuple
+    noise: str
+
+
+# the keys of an initial datum, and of the second one
+_INITIAL = ("initial", "initial_amplitude", "initial_mode", "initial_tail")
+_INITIAL_B = ("initial_b", "initial_b_amplitude", "initial_b_mode", "initial_b_tail")
+_CONTROL = ("gamma", "time_level", "galerkin_cutoff")
+
+# the one table of experiment kinds; run_experiment writes the report
+_KINDS = {
+    "simulate": Kind(_run_simulate, ("horizon", "forced", *_INITIAL), "forced"),
+    "decay": Kind(_run_decay, ("horizon", *_INITIAL), "never"),
+    "gramian": Kind(
+        _run_gramian,
+        (*_INITIAL, "warm_steps", "time_level", "galerkin_cutoff", "target_cutoff"),
+        "always",
+    ),
+    "stabilize": Kind(_run_stabilize, (*_INITIAL, "warm_steps", "delta", *_CONTROL), "always"),
+    "couple": Kind(
+        _run_couple,
+        (*_INITIAL, *_INITIAL_B, "delta", "n_steps", "use_control", *_CONTROL),
+        "always",
+    ),
+    "mix": Kind(_run_mix, (*_INITIAL, *_INITIAL_B, "n_chains", "n_steps"), "always"),
+    "saturate": Kind(_run_saturate, ("sat_modes", "iterations"), "never"),
+    "smooth": Kind(_run_smooth, ("horizon", "forced", "probe_s", *_INITIAL), "forced"),
 }
-KINDS = tuple(_RUNNERS)
+KINDS = tuple(_KINDS)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> store.RunManifest:
@@ -552,7 +606,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> store.RunM
         master_seed=cfg.master_seed,
         started_at=store.utc_stamp(),
     )
-    written, report = _RUNNERS[cfg.kind](cfg, out)
+    written, report = _KINDS[cfg.kind].run(cfg, out)
     if report is not None:
         jpath = os.path.join(out, "%s.json" % cfg.kind)
         store.write_json_report(jpath, report)

@@ -225,6 +225,9 @@ class NoiseSpec:
             raise ValidationError("duplicate noise modes")
         if len(self.amplitudes) != len(self.modes):
             raise ValidationError("one amplitude per mode")
+        for name in ("amplitudes", "haar_c", "haar_q"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValidationError("%s must be finite, got %r" % (name, getattr(self, name)))
         if not all(b >= 0 for b in self.amplitudes):
             raise ValidationError("amplitudes must be >= 0")
         if not self.haar_q > 1.0:

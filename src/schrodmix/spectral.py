@@ -194,6 +194,10 @@ class DampingProfile:
             raise ValidationError(
                 "%s damping takes %d parameters, got %d" % (self.kind, len(names), len(params))
             )
+        if not all(math.isfinite(v) for v in params):
+            raise ValidationError(
+                "%s damping parameters must be finite, got %r" % (self.kind, params)
+            )
         if self.kind == "constant" and params[0] < 0:
             raise ValidationError("damping constant must be >= 0")
         if self.kind == "bump":

@@ -24,6 +24,7 @@ from schrodmix.config import (
     load_config,
     parse_config_text,
     random_h1_field,
+    read_keys,
     run_experiment,
     save_config,
 )
@@ -34,27 +35,41 @@ from schrodmix.spectral import DAMPING_PARAMS, DampingProfile, Grid, synth
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
+_BASE = {
+    "grid": {"k_max": 20},
+    "solver": {
+        "dt": 2.0**-7,
+        "damping": "bump",
+        "damping_amplitude": 1.0,
+        "damping_center": math.pi,
+        "damping_width": 1.5,
+    },
+    "noise": {"modes": "0, 1", "amplitudes": "0.1, 0.1", "level_max": 6},
+    "experiment": {
+        "kind": "simulate",
+        "horizon": 1.0,
+        "initial": "plane_wave",
+        "initial_amplitude": 0.5,
+        "initial_mode": 1,
+    },
+    "run": {"seed": 3, "output_dir": "out"},
+}
+
+
 def make_text(overrides=None):
+    """The text of overrides over _BASE.  A base key that the config does
+    not read (read_keys of its kind, forcing and damping) is left out, so an
+    unread key is set only where a test's overrides set it."""
+    overrides = overrides or {}
+    exp = {**_BASE["experiment"], **overrides.get("experiment", {})}
+    damping = overrides.get("solver", {}).get("damping", _BASE["solver"]["damping"])
+    forced = str(exp.get("forced", False)).lower() in ("true", "yes", "1")
+    read = read_keys(exp["kind"], forced, damping) if exp["kind"] in KINDS else None
     base = {
-        "grid": {"k_max": 20},
-        "solver": {
-            "dt": 2.0**-7,
-            "damping": "bump",
-            "damping_amplitude": 1.0,
-            "damping_center": math.pi,
-            "damping_width": 1.5,
-        },
-        "noise": {"modes": "0, 1", "amplitudes": "0.1, 0.1", "level_max": 6},
-        "experiment": {
-            "kind": "simulate",
-            "horizon": 1.0,
-            "initial": "plane_wave",
-            "initial_amplitude": 0.5,
-            "initial_mode": 1,
-        },
-        "run": {"seed": 3, "output_dir": "out"},
+        sec: {k: v for k, v in kv.items() if read is None or k in read[sec]}
+        for sec, kv in _BASE.items()
     }
-    for sec, kv in (overrides or {}).items():
+    for sec, kv in overrides.items():
         base.setdefault(sec, {}).update(kv)
     lines = []
     for sec, kv in base.items():
@@ -100,7 +115,8 @@ def test_save_load_round_trip(tmp_path):
         {
             "solver": {"damping": "constant", "damping_value": 0.3, "store_stride": 16},
             "noise": {"modes": "0, 1", "amplitudes": "0.1, 0.2", "level_max": 5},
-            "experiment": {"kind": "decay", "horizon": 2.0, "initial": "random_h1"},
+            "experiment": {"kind": "simulate", "forced": "true", "horizon": 2.0,
+                           "initial": "random_h1"},
             "run": {"seed": 7, "output_dir": "elsewhere"},
         },
     )
@@ -172,7 +188,7 @@ def test_config_hands_out_copies():
 def test_missing_key_or_section_takes_its_default(section, key):
     """A dict that lacks a schema key or a whole section builds the config of
     a text that omits it: the key, or every key of the section, at its default."""
-    overrides = {"solver": {"p": 5}, "noise": {"level_max": 5}}
+    overrides = {"solver": {"p": 5}, "noise": {"level_max": 5}, "experiment": {"forced": "true"}}
     sections = parse_config_text(make_text(overrides))
     want = parse_config_text(make_text(overrides))
     defaults = parse_config_text("")
@@ -195,9 +211,10 @@ _LINE_TEXT = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Zl"
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
-def test_canonical_text_round_trip_keeps_the_digest(data):
-    """Any valid config, its floats spelled in any exact form, rebuilds from
-    its canonical text with the same digest."""
+def test_canonical_text_round_trip_keeps_the_digest(tmp_path_factory, data):
+    """Any valid config of the keys its kind reads, its floats spelled in
+    any exact form, rebuilds from its canonical text with the same digest,
+    and loads back from the file save_config writes."""
     draw = data.draw
     modes = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3, unique=True))
     kind = draw(st.sampled_from(KINDS))
@@ -269,8 +286,10 @@ def test_canonical_text_round_trip_keeps_the_digest(data):
             return ", ".join(spell(v) for v in value)
         return str(value)
 
+    read = read_keys(kind, forced, sections["solver"]["damping"])
     text = "".join(
-        "[%s]\n" % name + "".join("%s = %s\n" % (k, spell(v)) for k, v in keys.items())
+        "[%s]\n" % name
+        + "".join("%s = %s\n" % (k, spell(v)) for k, v in keys.items() if k in read[name])
         for name, keys in sections.items()
     )
     cfg = config_from_sections(parse_config_text(text))
@@ -278,6 +297,9 @@ def test_canonical_text_round_trip_keeps_the_digest(data):
     assert again.canonical_text() == cfg.canonical_text()
     assert again.digest() == cfg.digest()
     assert again.sections == cfg.sections
+    path = tmp_path_factory.mktemp("saved") / "cfg.txt"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
 
 
 def test_parse_errors_carry_line_numbers():
@@ -300,7 +322,7 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_q_at_most_one_is_rejected():
-    text = make_text({"noise": {"haar_q": 1.0}})
+    text = make_text({"noise": {"haar_q": 1.0}, "experiment": {"forced": "true"}})
     with pytest.raises(ValidationError, match="q > 1"):
         config_from_sections(parse_config_text(text))
 
@@ -314,25 +336,22 @@ def test_dt_must_divide_noise_cells():
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_every_noise_drawing_kind_checks_the_cross_constraint_at_load(kind, tmp_path):
+def test_every_noise_drawing_kind_checks_the_cross_constraint_at_load(kind):
     # 128 solver steps per unit against 256 noise cells: a kind that draws
-    # noise is refused at load, before any solve; the others run through
-    # (decay, which takes no forcing, unforced)
-    forced = "false" if kind == "decay" else "true"
+    # noise (simulate and smooth forced) is refused at load, before any
+    # solve; a kind that reads no [noise] refuses the key itself
+    experiment = {"kind": kind, "forced": "true", "initial_b": "constant", "n_steps": 1,
+                  "n_chains": 2}
+    reads = read_keys(kind, True, "bump")["experiment"]
     text = make_text(
-        {
-            "noise": {"level_max": 7},
-            "experiment": {"kind": kind, "forced": forced, "initial_b": "constant",
-                           "n_steps": 1, "n_chains": 2},
-        }
+        {"noise": {"level_max": 7}, "experiment": {k: v for k, v in experiment.items() if k in reads}}
     )
-    try:
-        cfg = config_from_sections(parse_config_text(text))
-    except ValidationError as exc:
-        assert "SolverConfig/NoiseSpec cross constraint" in str(exc)
-        return
-    run_experiment(cfg, out_dir=tmp_path / "o")
-    assert (tmp_path / "o" / "manifest.json").exists()
+    with pytest.raises(ValidationError) as info:
+        config_from_sections(parse_config_text(text))
+    if kind in ("decay", "saturate"):
+        assert "%s reads no [noise] level_max" % kind in str(info.value)
+    else:
+        assert "SolverConfig/NoiseSpec cross constraint" in str(info.value)
 
 
 def test_smooth_needs_every_step_stored_at_load():
@@ -350,7 +369,8 @@ def test_smooth_needs_every_step_stored_at_load():
 _BAD_CONTROL = {
     "stabilize_finer_than_noise": ({"kind": "stabilize", "time_level": 3}, "finer than the noise"),
     "controlled_couple_finer_than_noise": (
-        {"kind": "couple", "use_control": "true", "time_level": 3}, "finer than the noise"),
+        {"kind": "couple", "use_control": "true", "time_level": 3, "n_steps": 1},
+        "finer than the noise"),
     "cutoff_above_band": ({"kind": "stabilize", "galerkin_cutoff": 21}, "exceeds the stored band"),
     "target_above_cutoff": ({"kind": "gramian", "target_cutoff": 9}, "exceeds the Galerkin band"),
     # 128 solver steps per unit cannot carry the 256 cells of level 7
@@ -367,7 +387,7 @@ _BAD_CONTROL = {
 @pytest.mark.parametrize("case", sorted(_BAD_CONTROL))
 def test_bad_control_layout_is_refused_at_load(case, tmp_path, capsys):
     experiment, match = _BAD_CONTROL[case]
-    overrides = {"noise": {"level_max": 2}, "experiment": {"n_steps": 1, **experiment}}
+    overrides = {"noise": {"level_max": 2}, "experiment": experiment}
     path = write_cfg(tmp_path, overrides)
     out = tmp_path / "o"
     assert cli.main([experiment["kind"], "--config", str(path), "--out", str(out)]) == 2
@@ -416,7 +436,7 @@ _LATE_REFUSAL = {
     "initial_b_mode_outside_band": (
         {"kind": "couple", "n_steps": 1, "initial_b": "plane_wave", "initial_b_mode": -30},
         "mode -30 outside band"),
-    "forced_decay": ({"kind": "decay", "forced": "true"}, "decay runs unforced"),
+    "forced_decay": ({"kind": "decay", "forced": "true"}, "decay reads no [experiment] forced"),
     # the removed tau0 key: a negative one loaded and then failed after the
     # warm-up with "group time must be nonnegative"
     "stabilize_tau0": ({"kind": "stabilize", "tau0": -0.5}, "unknown key 'tau0'"),
@@ -477,7 +497,7 @@ def test_unknown_kind_and_initial_rejected():
         config_from_sections(parse_config_text(make_text({"experiment": {"initial": "wavelet"}})))
     with pytest.raises(ValidationError, match="initial_b must be one of"):
         config_from_sections(
-            parse_config_text(make_text({"experiment": {"initial_b": "wavelet"}}))
+            parse_config_text(make_text({"experiment": {"kind": "couple", "initial_b": "wavelet"}}))
         )
 
 
@@ -487,6 +507,7 @@ def test_build_initial_variants(tmp_path):
             tmp_path,
             {
                 "experiment": {
+                    "kind": "couple",
                     "initial": "constant",
                     "initial_amplitude": 2.0,
                     "initial_b": "plane_wave",
@@ -1210,7 +1231,7 @@ def test_trajectory_io_memory_bounds(tmp_path, what, bound_mib):
 
 @pytest.mark.parametrize(
     "what, bound_mib",
-    [("markov_step_batch", 1.75), ("control_response_matrix", 1.42)],
+    [("markov_step_batch", 1.75), ("control_response_matrix", 1.10)],
 )
 def test_stepping_memory_bounds(what, bound_mib):
     # a sweep holds two padded blocks, the padded spectrum and the physical
@@ -1261,7 +1282,8 @@ def test_cli_kind_mismatch(tmp_path, capsys):
 
 
 def test_cli_invalid_config(tmp_path, capsys):
-    path = write_cfg(tmp_path, {"noise": {"haar_q": 0.5}}, name="badq.txt")
+    overrides = {"noise": {"haar_q": 0.5}, "experiment": {"forced": "true"}}
+    path = write_cfg(tmp_path, overrides, name="badq.txt")
     ret = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o3")])
     assert ret == cli.EXIT_VALIDATION
     assert "q > 1" in capsys.readouterr().err
@@ -1427,6 +1449,64 @@ def test_cli_empty_output_dir_is_a_validation_error(tmp_path, capsys, monkeypatc
 
 
 def test_kinds_all_have_runners():
-    from schrodmix.config import _RUNNERS
+    from schrodmix.config import _KINDS
 
-    assert set(_RUNNERS) == set(KINDS)
+    assert tuple(_KINDS) == KINDS
+    assert all(callable(spec.run) for spec in _KINDS.values())
+
+
+# each kind once at a tiny size, forced simulate and smooth besides the
+# unforced ones, and couple with and without initial_b
+_TABLE_RUNS = [
+    ("simulate", {}),
+    ("simulate", {"forced": "true"}),
+    ("decay", {}),
+    ("gramian", {"warm_steps": 1, "galerkin_cutoff": 4}),
+    ("stabilize", {"warm_steps": 1, "galerkin_cutoff": 4}),
+    ("couple", {"n_steps": 1}),
+    ("couple", {"n_steps": 1, "initial_b": "random_h1"}),
+    ("mix", {"n_chains": 2, "n_steps": 1, "initial_b": "zero"}),
+    ("saturate", {}),
+    ("smooth", {}),
+    ("smooth", {"forced": "true"}),
+]
+
+
+def test_kind_table_is_what_the_runners_read(tmp_path, monkeypatch):
+    """Every [experiment] key a runner reads through cfg.params is in its
+    kind's row, so none is unsettable; every key in a row is read by some
+    run; and a run touches cfg.noise exactly where read_keys says it reads
+    [noise]."""
+    from schrodmix.config import _KINDS, ExperimentConfig
+
+    configs = [
+        load_config(write_cfg(tmp_path, {"experiment": {"kind": kind, **experiment}},
+                              name="table_%d.txt" % i))
+        for i, (kind, experiment) in enumerate(_TABLE_RUNS)
+    ]
+    reads, noise = set(), []
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            reads.add(key)
+            return dict.__getitem__(self, key)
+
+    # the configs are built: a property now stands in for the noise field
+    monkeypatch.setattr(ExperimentConfig, "params",
+                        property(lambda cfg: Recording(cfg.sections["experiment"])))
+    monkeypatch.setattr(ExperimentConfig, "noise",
+                        property(lambda cfg: noise.append(1) or cfg.__dict__["noise"]),
+                        raising=False)
+    read_by_kind = {kind: set() for kind in KINDS}
+    for i, cfg in enumerate(configs):
+        reads.clear()
+        noise.clear()
+        run_experiment(cfg, out_dir=tmp_path / ("run_%d" % i))
+        kind = cfg.kind
+        row = set(_KINDS[kind].keys)
+        assert reads - {"kind"} <= row, (kind, reads - {"kind"} - row)
+        read_by_kind[kind] |= reads - {"kind"}
+        forced = cfg.sections["experiment"]["forced"]
+        assert bool(noise) == bool(read_keys(kind, forced, "bump")["noise"]), (kind, forced)
+    for kind, spec in _KINDS.items():
+        assert read_by_kind[kind] == set(spec.keys), (kind, set(spec.keys) - read_by_kind[kind])

@@ -61,6 +61,16 @@ def test_haar_eval_index_errors():
         haar_eval(2, -1, 0.5)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("amplitudes", (math.inf, 0.1)), ("haar_c", math.inf), ("haar_q", math.inf)],
+)
+def test_noise_spec_refuses_non_finite_parameters(name, value):
+    # an infinite amplitude or haar_c made sup_bound inf
+    with pytest.raises(ValidationError, match="%s must be finite" % name):
+        NoiseSpec(**{name: value})
+
+
 def test_haar_cells_match_haar_eval():
     """Each key's table row is haar_eval at the cell midpoints, on the
     coarsest cells the level allows and on 4x finer ones; the control basis

@@ -317,3 +317,20 @@ def test_damping_validation():
     with pytest.raises(ValidationError, match="unknown damping kind"):
         DampingProfile(GRID, np.full(N, 0.3))
     assert DampingProfile(GRID, "bump", (1, math.pi, 1.5)) == bump_damping(GRID, 1.0, math.pi, 1.5)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("constant", (math.nan,)),
+        ("bump", (math.nan, math.pi, 1.5)),
+        ("bump", (1.0, math.inf, 1.5)),
+        ("bump", (1.0, math.pi, math.nan)),
+    ],
+    ids=["value", "amplitude", "center", "width"],
+)
+def test_damping_refuses_non_finite_parameters(kind, params):
+    # as FourierField refuses non-finite coefficients: a NaN constant made
+    # a(x) NaN, and a bump at an infinite center damped nothing
+    with pytest.raises(ValidationError, match="%s damping parameters must be finite" % kind):
+        DampingProfile(GRID, kind, params)

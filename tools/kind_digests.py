@@ -32,7 +32,9 @@ by inf.
 
 Every kind in config.KINDS runs once with its settings in _CASES, plus the
 variants there (with [solver] overrides in _SOLVER); a kind with no entry
-runs at the common settings alone.
+runs at the common settings alone.  A case sets [noise] and initial-data
+keys only where its kind reads them, since a config refuses a key its kind
+does not read.
 """
 
 from __future__ import annotations
@@ -49,43 +51,46 @@ import numpy as np
 _COMMON = {
     "grid": {"k_max": 20},
     "solver": {"dt": 2.0**-7, "damping": "bump", "damping_amplitude": 1.0, "damping_width": 1.5},
-    "noise": {"modes": "0, 1", "amplitudes": "0.1, 0.1", "level_max": 3},
-    "experiment": {"initial": "plane_wave", "initial_amplitude": 0.5, "initial_mode": 1},
     "run": {"seed": 3},
 }
-_CONTROL = {"time_level": 2, "galerkin_cutoff": 8, "warm_steps": 2}
+# the keys each case sets where its kind reads them
+_NOISE = {"modes": "0, 1", "amplitudes": "0.1, 0.1", "level_max": 3}
+_INITIAL = {"initial": "plane_wave", "initial_amplitude": 0.5, "initial_mode": 1}
+_CONTROL = {**_INITIAL, "time_level": 2, "galerkin_cutoff": 8}
+_WARM = {**_CONTROL, "warm_steps": 2}
 
-# case name -> (kind, [experiment] keys)
+# case name -> (kind, [experiment] keys, [noise] keys)
 _CASES = {
-    "simulate": ("simulate", {"horizon": 2.0}),
-    "simulate_forced": ("simulate", {"horizon": 2.0, "forced": "true"}),
-    "decay": ("decay", {"horizon": 2.0}),
-    "gramian": ("gramian", {**_CONTROL, "target_cutoff": 2}),
-    "stabilize": ("stabilize", _CONTROL),
-    "couple": ("couple", {"n_steps": 3}),
-    "couple_control": ("couple", {**_CONTROL, "n_steps": 3, "use_control": "true"}),
+    "simulate": ("simulate", {**_INITIAL, "horizon": 2.0}, {}),
+    "simulate_forced": ("simulate", {**_INITIAL, "horizon": 2.0, "forced": "true"}, _NOISE),
+    "decay": ("decay", {**_INITIAL, "horizon": 2.0}, {}),
+    "gramian": ("gramian", {**_WARM, "target_cutoff": 2}, _NOISE),
+    "stabilize": ("stabilize", _WARM, _NOISE),
+    "couple": ("couple", {**_INITIAL, "n_steps": 3}, _NOISE),
+    "couple_control": ("couple", {**_CONTROL, "n_steps": 3, "use_control": "true"}, _NOISE),
     # the coupled step's edge paths: no step, and a first step that is also
     # the last; and a contraction test with nothing to contract
-    "couple_0": ("couple", {"n_steps": 0}),
-    "couple_1": ("couple", {"n_steps": 1}),
-    "couple_control_0": ("couple", {**_CONTROL, "n_steps": 0, "use_control": "true"}),
-    "couple_control_1": ("couple", {**_CONTROL, "n_steps": 1, "use_control": "true"}),
-    "stabilize_delta_0": ("stabilize", {**_CONTROL, "delta": 0.0}),
-    "mix": ("mix", {"n_chains": 8, "n_steps": 3, "initial_b": "random_h1"}),
-    "saturate": ("saturate", {"sat_modes": "0, 1", "iterations": 3}),
-    "smooth": ("smooth", {"horizon": 1.0, "forced": "true"}),
+    "couple_0": ("couple", {**_INITIAL, "n_steps": 0}, _NOISE),
+    "couple_1": ("couple", {**_INITIAL, "n_steps": 1}, _NOISE),
+    "couple_control_0": ("couple", {**_CONTROL, "n_steps": 0, "use_control": "true"}, _NOISE),
+    "couple_control_1": ("couple", {**_CONTROL, "n_steps": 1, "use_control": "true"}, _NOISE),
+    "stabilize_delta_0": ("stabilize", {**_WARM, "delta": 0.0}, _NOISE),
+    "mix": ("mix", {**_INITIAL, "n_chains": 8, "n_steps": 3, "initial_b": "random_h1"}, _NOISE),
+    "saturate": ("saturate", {"sat_modes": "0, 1", "iterations": 3}, {}),
+    "smooth": ("smooth", {**_INITIAL, "horizon": 1.0, "forced": "true"}, _NOISE),
     # 320 steps at stride 3: 108 stored states, the last one off the stride,
     # so trajectory.csv spans more than one chunk of rows
-    "simulate_stride_3": ("simulate", {"horizon": 2.5}),
+    "simulate_stride_3": ("simulate", {**_INITIAL, "horizon": 2.5}, {}),
 }
 # case name -> [solver] keys over _COMMON's
 _SOLVER = {"simulate_stride_3": {"store_stride": 3}}
 
 
-def _config_text(p: int, kind: str, experiment: dict, solver: dict) -> str:
+def _config_text(p: int, kind: str, experiment: dict, noise: dict, solver: dict) -> str:
     sections = {name: dict(keys) for name, keys in _COMMON.items()}
     sections["solver"].update(p=p, **solver)
-    sections["experiment"].update(kind=kind, **experiment)
+    sections["noise"] = noise
+    sections["experiment"] = dict(experiment, kind=kind)
     return "".join(
         "[%s]\n" % name + "".join("%s = %s\n" % kv for kv in keys.items()) + "\n"
         for name, keys in sections.items()
@@ -102,11 +107,11 @@ def _run_cases(config, tmp: str):
     directory).  config is the checkout's schrodmix.config module."""
     cases = dict(_CASES)
     for kind in config.KINDS:
-        if not any(k == kind for k, _ in cases.values()):
-            cases[kind] = (kind, {})
+        if not any(k == kind for k, _, _ in cases.values()):
+            cases[kind] = (kind, {}, {})
     for p in (3, 5):
-        for name, (kind, experiment) in cases.items():
-            text = _config_text(p, kind, experiment, _SOLVER.get(name, {}))
+        for name, (kind, experiment, noise) in cases.items():
+            text = _config_text(p, kind, experiment, noise, _SOLVER.get(name, {}))
             cfg = config.config_from_sections(config.parse_config_text(text))
             where = os.path.join(tmp, "p%d_%s" % (p, name))
             config.run_experiment(cfg, out_dir=where)
