@@ -7,8 +7,8 @@ line number.  A config is its canonical text, a fixed rendering of every
 key its kind reads (defaults filled), plus the solver and noise built from
 it; the digest is the sha256 of that text.  So two configs are equal
 exactly when their digests are, and a built config never changes.  A key
-the kind does not read must sit at its default: _KINDS is the one table of
-what each kind reads.
+the config does not read must sit at its default: _KINDS is the one table
+of what each kind reads, some keys only while a flag is set or unset.
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ from .spectral import (
 )
 from . import store
 
-_INITIAL_KINDS = ("zero", "constant", "plane_wave", "random_h1")
+# initial data kind -> its parameters, each the key initial_<name> (or initial_b_<name>)
+INITIAL_PARAMS = {"zero": (), "constant": ("amplitude",), "plane_wave": ("amplitude", "mode"),
+                  "random_h1": ("amplitude", "tail")}
 
 # section -> key -> (type, default), sections in canonical text order;
 # types: int, float, str, bool, ints, floats
@@ -103,6 +105,9 @@ _SCHEMA = {
         "output_dir": ("str", "out"),
     },
 }
+
+# a key naming a kind -> each kind's parameters; a config reads its value's alone
+_CHOICES = {"damping": DAMPING_PARAMS, "initial": INITIAL_PARAMS, "initial_b": INITIAL_PARAMS}
 
 
 def _parse_scalar(kind: str, raw: str, where: str):
@@ -229,35 +234,49 @@ class ExperimentConfig:
     def grid(self) -> Grid:
         return self.solver.grid
 
-    def canonical_text(self) -> str:
-        return self.text
-
     def digest(self) -> str:
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
-def read_keys(kind: str, forced: bool, damping: str) -> dict:
-    """{section: the keys a config of this kind reads}: its own
-    [experiment] keys and kind, [noise] if the kind reads it (a "forced"
-    kind only when forced), the [solver] damping parameters of its damping
-    kind alone, and every other [grid], [solver] and [run] key."""
-    spec = _KINDS[kind]
-    noise = spec.noise == "always" or (spec.noise == "forced" and forced)
-    taken = {"damping_" + name for name in DAMPING_PARAMS.get(damping, ())}
-    return {
-        "grid": tuple(_SCHEMA["grid"]),
-        "solver": tuple(k for k in _SCHEMA["solver"] if k in taken or not k.startswith("damping_")),
-        "noise": tuple(_SCHEMA["noise"]) if noise else (),
-        "experiment": ("kind", *spec.keys),
-        "run": tuple(_SCHEMA["run"]),
-    }
+def _unread(sections: dict) -> dict:
+    """{key: why it is not read} for each schema key a config of sections'
+    values does not read: its kind, a When's flag set or unset, or a choice."""
+    values = {key: v for keys in _with_defaults(sections).values() for key, v in keys.items()}
+    kind = values["kind"]
+    unread = dict.fromkeys(values, kind)
+    reads = ["kind", *_SCHEMA["run"]]
+    for entry in _KINDS[kind].reads:
+        if isinstance(entry, When):
+            on = bool(values[entry.flag])
+            reads += (entry.flag, *(entry.then if on else entry.otherwise))
+            why = "%s %s %s" % (kind, "with" if on else "without", entry.flag)
+            unread.update(dict.fromkeys(entry.otherwise if on else entry.then, why))
+        else:
+            reads.append(entry)
+    for key in reads:
+        del unread[key]
+    for choice, table in _CHOICES.items():
+        if choice not in unread:
+            value = values[choice]
+            why = "%s %s" % (choice, value) if value else "%s without %s" % (kind, choice)
+            for param in {name for names in table.values() for name in names}:
+                unread["%s_%s" % (choice, param)] = why
+            for param in table.get(value, ()):
+                del unread["%s_%s" % (choice, param)]
+    return unread
+
+
+def read_keys(sections: dict) -> dict:
+    """{section: the keys a config of sections' values reads}."""
+    unread = _unread(sections)
+    return {name: tuple(k for k in keys if k not in unread) for name, keys in _SCHEMA.items()}
 
 
 def config_from_sections(sections: dict) -> ExperimentConfig:
     """Validate and build the config of sections' schema keys, each missing
-    key or section at its default.  A key its kind does not read must sit at
-    its default, and the canonical text holds only the keys it reads.  The
-    config keeps its own copy, parsed back from the rendering of every
+    key or section at its default.  A key the config does not read must sit
+    at its default, and the canonical text holds only the keys it reads.
+    The config keeps its own copy, parsed back from the rendering of every
     schema key: the parser strips string values, so only then is the text a
     fixed point."""
     sections = parse_config_text(_render(sections))
@@ -270,19 +289,23 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
     kind = exp["kind"]
     if kind not in _KINDS:
         raise ValidationError("experiment kind must be one of %s, got %r" % (KINDS, kind))
+    if exp["initial"] not in INITIAL_PARAMS:
+        raise ValidationError("initial must be one of %s" % (tuple(INITIAL_PARAMS),))
+    if exp["initial_b"] and exp["initial_b"] not in INITIAL_PARAMS:
+        raise ValidationError("initial_b must be one of %s or empty" % (tuple(INITIAL_PARAMS),))
     grid = Grid(k_max=sections["grid"]["k_max"])
     params = tuple(sol["damping_" + name] for name in DAMPING_PARAMS.get(sol["damping"], ()))
     # refuses a damping kind outside DAMPING_PARAMS
     damping = DampingProfile(grid, sol["damping"], params)
-    read = read_keys(kind, exp["forced"], sol["damping"])
+    unread = _unread(sections)
     for name, keys in _SCHEMA.items():
         for key, (type_, default) in keys.items():
-            if key not in read[name] and sections[name][key] != default:
-                reader = "%s damping" % sol["damping"] if key.startswith("damping_") else kind
+            if key in unread and sections[name][key] != default:
                 raise ValidationError(
                     "%s reads no [%s] %s: leave it out or at its default %s"
-                    % (reader, name, key, _format_value(type_, default))
+                    % (unread[key], name, key, _format_value(type_, default))
                 )
+    read = read_keys(sections)
     text = _render(sections, read)
     solver = SolverConfig(grid, damping, dt=sol["dt"], p=sol["p"], store_stride=sol["store_stride"])
     noise = NoiseSpec(**sections["noise"])  # the [noise] keys are its fields
@@ -293,10 +316,6 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
     for key, low in (("n_chains", 1), ("n_steps", 0), ("warm_steps", 0)):
         if exp[key] < low:
             raise ValidationError("%s must be >= %d, got %d" % (key, low, exp[key]))
-    if exp["initial"] not in _INITIAL_KINDS:
-        raise ValidationError("initial must be one of %s" % (_INITIAL_KINDS,))
-    if exp["initial_b"] and exp["initial_b"] not in _INITIAL_KINDS:
-        raise ValidationError("initial_b must be one of %s or empty" % (_INITIAL_KINDS,))
     if read["noise"]:
         steps_per_cell(noise, solver)
     reads = read["experiment"]
@@ -308,21 +327,15 @@ def config_from_sections(sections: dict) -> ExperimentConfig:
     if kind == "mix" and not exp["initial_b"]:
         raise ValidationError("mix needs a second initial datum (initial_b)")
     # the control layout, checked by the functions that build it: Haar cells
-    # on the solver steps, the Galerkin bands, and shifts on the noise cells
-    controlled = kind == "stabilize" or exp["use_control"]
-    if controlled or "target_cutoff" in reads:
+    # and bands where a map is built, shifts where it is realized (gamma read)
+    if "galerkin_cutoff" in reads:
         haar_cells(exp["time_level"], solver.steps_for(1.0))
         target = exp["target_cutoff"] if "target_cutoff" in reads else 0
         check_bands(exp["galerkin_cutoff"], grid.k_max, target)
-    if controlled:
+    if "gamma" in reads:
         check_shift_level(exp["time_level"], noise)
         check_gamma(exp["gamma"])
     saturation_base(exp["sat_modes"], exp["iterations"])
-    if kind == "smooth" and solver.store_stride != 1:
-        # the resonant phase integrates over every step of the run
-        raise ValidationError(
-            "smooth needs a run stored at every step, got store_stride %d" % solver.store_stride
-        )
     cfg = ExperimentConfig(solver=solver, noise=noise, text=text)
     # the initial data the kind reads: cheap to build, so a mode outside the
     # band is refused here and not after the output directory exists
@@ -340,7 +353,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    store._write_atomic(path, cfg.canonical_text())
+    store._write_atomic(path, cfg.text)
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +363,14 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 def build_initial(cfg: ExperimentConfig, which: str = "a") -> FourierField:
     key, salt = ("initial", 0) if which == "a" else ("initial_b", 1)
     p = cfg.params
-    name, amp, mode, tail = (p[key + suffix] for suffix in ("", "_amplitude", "_mode", "_tail"))
-    grid = cfg.grid
+    name = p[key]
+    q = {param: p["%s_%s" % (key, param)] for param in INITIAL_PARAMS[name]}
     if name == "zero":
-        return zero_field(grid)
-    if name == "constant":
-        return plane_wave(grid, 0, amp)
-    if name == "plane_wave":
-        return plane_wave(grid, mode, amp)
+        return zero_field(cfg.grid)
     if name == "random_h1":
-        return random_h1_field(grid, amp, tail, cfg.master_seed, salt)
-    raise ValidationError("unknown initial data kind %r" % (name,))
+        return random_h1_field(cfg.grid, q["amplitude"], q["tail"], cfg.master_seed, salt)
+    # a constant is the plane wave of mode 0
+    return plane_wave(cfg.grid, q.get("mode", 0), q["amplitude"])
 
 
 def random_h1_field(grid: Grid, amplitude: float, tail: float, seed: int, salt: int) -> FourierField:
@@ -470,6 +480,7 @@ def _run_couple(cfg: ExperimentConfig, out: str) -> tuple:
         x0 = build_initial(cfg, "b")
     else:
         x0 = y0 + random_h1_field(cfg.grid, p["delta"], 2.0, cfg.master_seed, 2)
+    control = {key: p[key] for key in _CONTROL} if p["use_control"] else {}
     report = synchronous_coupling_experiment(
         y0,
         x0,
@@ -478,9 +489,7 @@ def _run_couple(cfg: ExperimentConfig, out: str) -> tuple:
         cfg.solver,
         cfg.master_seed,
         use_control=p["use_control"],
-        gamma=p["gamma"],
-        time_level=p["time_level"],
-        galerkin_cutoff=p["galerkin_cutoff"],
+        **control,
     )
     curve = os.path.join(out, "couple_curve.csv")
     store.write_curve_csv(
@@ -533,7 +542,8 @@ def _run_smooth(cfg: ExperimentConfig, out: str) -> tuple:
     p = cfg.params
     u0 = build_initial(cfg)
     horizon = p["horizon"]
-    traj = solve_nls(u0, _forcing_paths(cfg), horizon, cfg.solver)
+    # the resonant phase integrates over every step of the run
+    traj = solve_nls(u0, _forcing_paths(cfg), horizon, replace(cfg.solver, store_stride=1))
     rem = trajectory_remainder(traj, horizon)
     s = p["probe_s"]
     payload = {
@@ -547,40 +557,41 @@ def _run_smooth(cfg: ExperimentConfig, out: str) -> tuple:
     return [], payload
 
 
+class When(NamedTuple):
+    """In a kind's row: the keys read while an [experiment] flag is set, and
+    while it is not; the flag is read either way."""
+
+    flag: str
+    then: tuple
+    otherwise: tuple = ()
+
+
 class Kind(NamedTuple):
     """One experiment kind: its runner, which writes its data files into the
-    output directory and returns (their paths, the report or None), the
-    [experiment] keys the runner reads besides kind, and whether it reads
-    [noise]: "always", "never", or "forced" (only when forced is true)."""
+    output directory and returns (their paths, the report or None), and the
+    schema keys and When groups it reads besides [experiment] kind and [run]."""
 
     run: Callable
-    keys: tuple
-    noise: str
+    reads: tuple
 
 
-# the keys of an initial datum, and of the second one
-_INITIAL = ("initial", "initial_amplitude", "initial_mode", "initial_tail")
-_INITIAL_B = ("initial_b", "initial_b_amplitude", "initial_b_mode", "initial_b_tail")
+# the keys of a solve from an initial datum, of the noise and of the control
+_SOLVE = ("k_max", "dt", "p", "damping", "initial")
+_NOISE = tuple(_SCHEMA["noise"])
 _CONTROL = ("gamma", "time_level", "galerkin_cutoff")
 
 # the one table of experiment kinds; run_experiment writes the report
 _KINDS = {
-    "simulate": Kind(_run_simulate, ("horizon", "forced", *_INITIAL), "forced"),
-    "decay": Kind(_run_decay, ("horizon", *_INITIAL), "never"),
-    "gramian": Kind(
-        _run_gramian,
-        (*_INITIAL, "warm_steps", "time_level", "galerkin_cutoff", "target_cutoff"),
-        "always",
-    ),
-    "stabilize": Kind(_run_stabilize, (*_INITIAL, "warm_steps", "delta", *_CONTROL), "always"),
-    "couple": Kind(
-        _run_couple,
-        (*_INITIAL, *_INITIAL_B, "delta", "n_steps", "use_control", *_CONTROL),
-        "always",
-    ),
-    "mix": Kind(_run_mix, (*_INITIAL, *_INITIAL_B, "n_chains", "n_steps"), "always"),
-    "saturate": Kind(_run_saturate, ("sat_modes", "iterations"), "never"),
-    "smooth": Kind(_run_smooth, ("horizon", "forced", "probe_s", *_INITIAL), "forced"),
+    "simulate": Kind(_run_simulate, (*_SOLVE, "store_stride", "horizon", When("forced", _NOISE))),
+    "decay": Kind(_run_decay, (*_SOLVE, "store_stride", "horizon")),
+    "gramian": Kind(_run_gramian, (*_SOLVE, *_NOISE, "warm_steps", "time_level", "galerkin_cutoff",
+                                   "target_cutoff")),
+    "stabilize": Kind(_run_stabilize, (*_SOLVE, *_NOISE, "warm_steps", "delta", *_CONTROL)),
+    "couple": Kind(_run_couple, (*_SOLVE, *_NOISE, "n_steps", When("use_control", _CONTROL),
+                                 When("initial_b", (), ("delta",)))),
+    "mix": Kind(_run_mix, (*_SOLVE, *_NOISE, "initial_b", "n_chains", "n_steps")),
+    "saturate": Kind(_run_saturate, ("sat_modes", "iterations")),
+    "smooth": Kind(_run_smooth, (*_SOLVE, "horizon", "probe_s", When("forced", _NOISE))),
 }
 KINDS = tuple(_KINDS)
 

@@ -130,6 +130,10 @@ class Functional:
     beta: float = 0.0
     anchor: np.ndarray = None
 
+    def __post_init__(self):
+        if self.kind not in ("cos_coeff", "cos_mod", "exp_anchor"):
+            raise ValidationError("unknown functional kind %r" % (self.kind,))
+
     @property
     def sup_const(self) -> float:
         return self.scale
@@ -147,10 +151,8 @@ class Functional:
         if self.kind == "cos_mod":
             mod = np.abs(coeffs[:, self.k + k_max])
             return self.scale * np.cos(self.alpha * mod + self.beta)
-        if self.kind == "exp_anchor":
-            d = coeffs - self.anchor[None, :]
-            return self.scale * np.exp(-np.sqrt(hs_norm_sq(d, 1.0)))
-        raise ValidationError("unknown functional kind %r" % (self.kind,))
+        d = coeffs - self.anchor[None, :]
+        return self.scale * np.exp(-np.sqrt(hs_norm_sq(d, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -169,6 +171,8 @@ class ObservableDictionary:
                 )
             if f.kind in ("cos_coeff", "cos_mod") and abs(f.k) > self.grid.k_max:
                 raise ValidationError("functional probes a mode outside the band")
+            if f.kind == "exp_anchor" and np.shape(f.anchor) != (self.grid.n_coeff,):
+                raise ValidationError("exp_anchor needs %d anchor coefficients" % self.grid.n_coeff)
 
     def __len__(self) -> int:
         return len(self.functionals)

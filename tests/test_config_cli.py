@@ -56,28 +56,32 @@ _BASE = {
 }
 
 
+def _text(sections):
+    return "".join(
+        "[%s]\n" % sec + "".join("%s = %s\n" % kv for kv in keys.items()) + "\n"
+        for sec, keys in sections.items()
+    )
+
+
 def make_text(overrides=None):
     """The text of overrides over _BASE.  A base key that the config does
-    not read (read_keys of its kind, forcing and damping) is left out, so an
-    unread key is set only where a test's overrides set it."""
+    not read (read_keys of its values) is left out, so an unread key is set
+    only where a test's overrides set it."""
     overrides = overrides or {}
-    exp = {**_BASE["experiment"], **overrides.get("experiment", {})}
-    damping = overrides.get("solver", {}).get("damping", _BASE["solver"]["damping"])
-    forced = str(exp.get("forced", False)).lower() in ("true", "yes", "1")
-    read = read_keys(exp["kind"], forced, damping) if exp["kind"] in KINDS else None
-    base = {
-        sec: {k: v for k, v in kv.items() if read is None or k in read[sec]}
-        for sec, kv in _BASE.items()
-    }
+    merged = {sec: dict(kv) for sec, kv in _BASE.items()}
     for sec, kv in overrides.items():
-        base.setdefault(sec, {}).update(kv)
-    lines = []
-    for sec, kv in base.items():
-        lines.append("[%s]" % sec)
-        for key, val in kv.items():
-            lines.append("%s = %s" % (key, val))
-        lines.append("")
-    return "\n".join(lines)
+        merged.setdefault(sec, {}).update(kv)
+    try:
+        sections = parse_config_text(_text(merged))
+    except ValidationError:  # an unknown key or value: the test's own subject
+        return _text(merged)
+    if sections["experiment"]["kind"] not in KINDS:
+        return _text(merged)
+    read = read_keys(sections)
+    return _text({
+        sec: {k: v for k, v in kv.items() if k in read[sec] or k in overrides.get(sec, {})}
+        for sec, kv in merged.items()
+    })
 
 
 def write_cfg(tmp_path, overrides=None, name="cfg.txt"):
@@ -132,11 +136,11 @@ def test_save_load_round_trip(tmp_path):
 def test_canonical_text_is_insensitive_to_input_order(tmp_path):
     a = parse_config_text("[grid]\nk_max = 20\n[solver]\np = 5\ndt = 0.0078125\n")
     b = parse_config_text("[solver]\ndt = 0.0078125\np = 5\n[grid]\nk_max = 20\n")
-    assert config_from_sections(a).canonical_text() == config_from_sections(b).canonical_text()
+    assert config_from_sections(a).text == config_from_sections(b).text
 
 
 def _reloaded(cfg):
-    return config_from_sections(parse_config_text(cfg.canonical_text()))
+    return config_from_sections(parse_config_text(cfg.text))
 
 
 @pytest.mark.parametrize("extra", ["n_points", "list_modes", "spaced_string"])
@@ -153,7 +157,7 @@ def test_config_equals_its_reload_from_canonical_text(extra):
     cfg = config_from_sections(sections)
     again = _reloaded(cfg)
     assert again == cfg and len({cfg, again}) == 1
-    assert again.canonical_text() == cfg.canonical_text()
+    assert again.text == cfg.text
     assert again.digest() == cfg.digest()
     assert again.sections == cfg.sections
     assert "n_points" not in cfg.sections["grid"]
@@ -162,12 +166,12 @@ def test_config_equals_its_reload_from_canonical_text(extra):
 def test_config_shares_nothing_with_the_dict_it_was_built_from():
     sections = parse_config_text(make_text())
     cfg = config_from_sections(sections)
-    text, digest, solver = cfg.canonical_text(), cfg.digest(), cfg.solver
+    text, digest, solver = cfg.text, cfg.digest(), cfg.solver
     params = cfg.params
     sections["solver"]["dt"] = 2.0**-8
     sections["experiment"]["n_steps"] = 7
     sections["run"]["seed"] = 11
-    assert cfg.canonical_text() == text and cfg.digest() == digest
+    assert cfg.text == text and cfg.digest() == digest
     assert cfg.solver == solver and cfg.solver.dt == 2.0**-7
     assert cfg.params == params and cfg.params["n_steps"] == 60
     assert cfg.master_seed == 3
@@ -175,11 +179,11 @@ def test_config_shares_nothing_with_the_dict_it_was_built_from():
 
 def test_config_hands_out_copies():
     cfg = config_from_sections(parse_config_text(make_text()))
-    text = cfg.canonical_text()
+    text = cfg.text
     cfg.params["n_steps"] = 7
     cfg.sections["solver"]["dt"] = 2.0**-8
     cfg.sections["run"]["output_dir"] = "elsewhere"
-    assert cfg.canonical_text() == text
+    assert cfg.text == text
     assert cfg.params["n_steps"] == 60
     assert cfg.sections == parse_config_text(text)
 
@@ -227,6 +231,10 @@ def test_canonical_text_round_trip_keeps_the_digest(tmp_path_factory, data):
     # a run's horizon is a multiple of dt, and a forced run's an integer;
     # decay runs unforced
     forced = kind != "decay" and draw(st.booleans())
+    # couple reads the control keys only with use_control; a realized
+    # control divides by each noise amplitude and needs a positive gamma
+    use_control = kind == "couple" and draw(st.booleans())
+    shifted = kind == "stabilize" or use_control
     if kind in ("simulate", "smooth") and forced:
         horizon = float(draw(st.integers(1, 10**6)))
     elif kind in ("simulate", "decay", "smooth"):
@@ -238,8 +246,7 @@ def test_canonical_text_round_trip_keeps_the_digest(tmp_path_factory, data):
         "solver": {
             "dt": dt,
             "p": p,
-            # smooth's resonant phase needs every step stored
-            "store_stride": 1 if kind == "smooth" else draw(st.integers(1, 64)),
+            "store_stride": draw(st.integers(1, 64)),
             "damping": draw(st.sampled_from(("zero", "constant", "bump"))),
             "damping_value": draw(_NONNEG),
             "damping_amplitude": draw(_NONNEG),
@@ -250,7 +257,7 @@ def test_canonical_text_round_trip_keeps_the_digest(tmp_path_factory, data):
         },
         "noise": {
             "modes": tuple(modes),
-            "amplitudes": tuple(draw(_NONNEG) for _ in modes),
+            "amplitudes": tuple(draw(st.floats(0.0, 1e6, exclude_min=shifted)) for _ in modes),
             "haar_c": draw(_NONNEG),
             "haar_q": draw(st.floats(1.0, 1e6, exclude_min=True)),
             "level_max": draw(st.integers(2 if control else 1, 6)),
@@ -260,14 +267,21 @@ def test_canonical_text_round_trip_keeps_the_digest(tmp_path_factory, data):
             "forced": forced,
             "n_steps": draw(st.integers(0, 10**6)),
             "n_chains": draw(st.integers(1, 10**6)),
+            "use_control": use_control,
             "initial": draw(st.sampled_from(("zero", "constant", "plane_wave", "random_h1"))),
             # mix compares the chains from two initial data
-            "initial_b": draw(st.sampled_from(("zero", "random_h1") if kind == "mix"
-                                              else ("", "zero", "random_h1"))),
+            "initial_b": draw(st.sampled_from(("zero", "constant", "plane_wave", "random_h1")
+                                              if kind == "mix" else
+                                              ("", "zero", "constant", "plane_wave", "random_h1"))),
+            # each datum's parameters, read by its kind; built at load, so
+            # inside the band and of a size that does not overflow
+            **{key + "_amplitude": draw(st.floats(-1e3, 1e3)) for key in ("initial", "initial_b")},
+            **{key + "_mode": draw(st.integers(-k_max, k_max)) for key in ("initial", "initial_b")},
+            **{key + "_tail": draw(st.floats(0.0, 10.0)) for key in ("initial", "initial_b")},
+            "delta": draw(_FINITE),
             "horizon": horizon,
             # the control's Tikhonov weight is positive where it is used
-            "gamma": draw(st.floats(0.0, 1e300, exclude_min=True) if kind == "stabilize"
-                          else _FINITE),
+            "gamma": draw(st.floats(0.0, 1e300, exclude_min=True) if shifted else _FINITE),
             "probe_s": draw(_FINITE),
             # saturate iterates from a nonempty base set
             "sat_modes": tuple(draw(st.lists(st.integers(-(2**40), 2**40),
@@ -286,15 +300,15 @@ def test_canonical_text_round_trip_keeps_the_digest(tmp_path_factory, data):
             return ", ".join(spell(v) for v in value)
         return str(value)
 
-    read = read_keys(kind, forced, sections["solver"]["damping"])
+    read = read_keys(sections)
     text = "".join(
         "[%s]\n" % name
         + "".join("%s = %s\n" % (k, spell(v)) for k, v in keys.items() if k in read[name])
         for name, keys in sections.items()
     )
     cfg = config_from_sections(parse_config_text(text))
-    again = config_from_sections(parse_config_text(cfg.canonical_text()))
-    assert again.canonical_text() == cfg.canonical_text()
+    again = config_from_sections(parse_config_text(cfg.text))
+    assert again.text == cfg.text
     assert again.digest() == cfg.digest()
     assert again.sections == cfg.sections
     path = tmp_path_factory.mktemp("saved") / "cfg.txt"
@@ -342,7 +356,7 @@ def test_every_noise_drawing_kind_checks_the_cross_constraint_at_load(kind):
     # solve; a kind that reads no [noise] refuses the key itself
     experiment = {"kind": kind, "forced": "true", "initial_b": "constant", "n_steps": 1,
                   "n_chains": 2}
-    reads = read_keys(kind, True, "bump")["experiment"]
+    reads = read_keys(parse_config_text(make_text({"experiment": experiment})))["experiment"]
     text = make_text(
         {"noise": {"level_max": 7}, "experiment": {k: v for k, v in experiment.items() if k in reads}}
     )
@@ -355,10 +369,11 @@ def test_every_noise_drawing_kind_checks_the_cross_constraint_at_load(kind):
 
 
 def test_smooth_needs_every_step_stored_at_load():
-    # the resonant phase integrates over every step, so smooth at a coarser
-    # stride is refused before it solves anything
+    # the resonant phase integrates over every step, so smooth stores every
+    # step itself, reads no store_stride and refuses a coarser one before it
+    # solves anything
     text = make_text({"experiment": {"kind": "smooth", "horizon": 2.0}, "solver": {"store_stride": 4}})
-    with pytest.raises(ValidationError, match="stored at every step"):
+    with pytest.raises(ValidationError, match=r"smooth reads no \[solver\] store_stride"):
         config_from_sections(parse_config_text(text))
     config_from_sections(parse_config_text(make_text({"experiment": {"kind": "smooth"}})))
     config_from_sections(parse_config_text(make_text({"solver": {"store_stride": 4}})))
@@ -422,6 +437,56 @@ def test_bad_run_is_refused_before_the_output_directory(case, tmp_path, capsys):
     assert not out.exists()
 
 
+# settings that moved the config digest and no output value: case ->
+# (overrides, the section and key, the condition the refusal names)
+_DO_NOTHING = {
+    "uncontrolled_couple_gamma": (
+        {"experiment": {"kind": "couple", "gamma": 5.0}}, ("experiment", "gamma"),
+        "couple without use_control"),
+    "couple_with_initial_b_delta": (
+        {"experiment": {"kind": "couple", "initial_b": "random_h1", "delta": 0.5}},
+        ("experiment", "delta"), "couple with initial_b"),
+    "plane_wave_tail": (
+        {"experiment": {"kind": "simulate", "initial_tail": 1.0}}, ("experiment", "initial_tail"),
+        "initial plane_wave"),
+    "couple_without_initial_b_tail": (
+        {"experiment": {"kind": "couple", "initial_b_tail": 1.0}}, ("experiment", "initial_b_tail"),
+        "couple without initial_b"),
+    **{
+        "%s_store_stride" % kind: (
+            {"experiment": {"kind": kind, **extra}, "solver": {"store_stride": 4}},
+            ("solver", "store_stride"), kind)
+        for kind, extra in (("couple", {}), ("gramian", {}), ("stabilize", {}),
+                            ("mix", {"initial_b": "zero"}))
+    },
+    "saturate_k_max": (
+        {"experiment": {"kind": "saturate"}, "grid": {"k_max": 30}}, ("grid", "k_max"), "saturate"),
+    "saturate_dt": (
+        {"experiment": {"kind": "saturate"}, "solver": {"dt": 2.0**-8}}, ("solver", "dt"), "saturate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DO_NOTHING))
+def test_do_nothing_setting_is_refused_at_load(case, tmp_path, capsys):
+    """A key the config does not read exits 2 at load naming the key and
+    the condition; at its default it loads to the digest of the config
+    without it."""
+    overrides, (section, key), why = _DO_NOTHING[case]
+    path = write_cfg(tmp_path, overrides)
+    out = tmp_path / "o"
+    kind = overrides["experiment"]["kind"]
+    assert cli.main([kind, "--config", str(path), "--out", str(out)]) == 2
+    assert "%s reads no [%s] %s" % (why, section, key) in capsys.readouterr().err
+    assert not out.exists()
+    at_default = {sec: dict(kv) for sec, kv in overrides.items()}
+    at_default[section][key] = repr(parse_config_text("")[section][key])
+    without = {sec: dict(kv) for sec, kv in overrides.items()}
+    del without[section][key]
+    digests = [config_from_sections(parse_config_text(make_text(o))).digest()
+               for o in (at_default, without)]
+    assert digests[0] == digests[1]
+
+
 # each exited 2 only after run_experiment had made the output directory and
 # removed the manifest of the run before; decay used to run forced = true
 # as if it were false.  case -> ([experiment] keys, message[, other sections])
@@ -475,10 +540,15 @@ def test_bad_config_keeps_the_earlier_manifest(case, tmp_path, capsys):
 
 
 def test_control_keys_are_checked_only_where_used():
-    # gramian realizes no shift, and couple without control builds no map
-    for experiment in ({"kind": "gramian", "time_level": 3},
-                       {"kind": "couple", "time_level": 7, "galerkin_cutoff": 99}):
-        text = make_text({"noise": {"level_max": 2}, "experiment": experiment})
+    # gramian realizes no shift, so its Haar level may pass level_max
+    text = make_text({"noise": {"level_max": 2}, "experiment": {"kind": "gramian", "time_level": 3}})
+    config_from_sections(parse_config_text(text))
+    # couple without control builds no map and reads no control key, so a
+    # layout that would not fit is refused as unread, not as a bad layout
+    experiment = {"kind": "couple", "time_level": 7, "galerkin_cutoff": 99}
+    text = make_text({"noise": {"level_max": 2}, "experiment": experiment})
+    with pytest.raises(ValidationError,
+                       match=r"^couple without use_control reads no \[experiment\] time_level"):
         config_from_sections(parse_config_text(text))
 
 
@@ -1385,7 +1455,7 @@ def test_bump_width_floor_reads_the_padded_grid():
     narrow["grid"]["n_points"] = 128
     cfg = config_from_sections(narrow)
     assert np.count_nonzero(cfg.solver._tab.decay < 1.0) == 3
-    assert "n_points" not in cfg.canonical_text()
+    assert "n_points" not in cfg.text
     assert cfg.digest() == config_from_sections(sections(0.04)).digest()
 
 
@@ -1406,7 +1476,7 @@ def test_cli_smooth_needs_every_step_stored(tmp_path, capsys):
     out = tmp_path / "o"
     ret = cli.main(["smooth", "--config", str(path), "--out", str(out)])
     assert ret == cli.EXIT_VALIDATION
-    assert "stored at every step" in capsys.readouterr().err
+    assert "smooth reads no [solver] store_stride" in capsys.readouterr().err
     assert not (out / "manifest.json").exists() and not (out / "smooth.json").exists()
 
 
@@ -1455,15 +1525,16 @@ def test_kinds_all_have_runners():
     assert all(callable(spec.run) for spec in _KINDS.values())
 
 
-# each kind once at a tiny size, forced simulate and smooth besides the
-# unforced ones, and couple with and without initial_b
+# each kind once at a tiny size, with both values of each flag its row
+# reads (forced, use_control, initial_b), and every kind of initial datum
 _TABLE_RUNS = [
     ("simulate", {}),
-    ("simulate", {"forced": "true"}),
-    ("decay", {}),
-    ("gramian", {"warm_steps": 1, "galerkin_cutoff": 4}),
+    ("simulate", {"forced": "true", "initial": "zero"}),
+    ("decay", {"initial": "constant"}),
+    ("gramian", {"warm_steps": 1, "galerkin_cutoff": 4, "initial": "random_h1"}),
     ("stabilize", {"warm_steps": 1, "galerkin_cutoff": 4}),
     ("couple", {"n_steps": 1}),
+    ("couple", {"n_steps": 1, "use_control": "true", "galerkin_cutoff": 4}),
     ("couple", {"n_steps": 1, "initial_b": "random_h1"}),
     ("mix", {"n_chains": 2, "n_steps": 1, "initial_b": "zero"}),
     ("saturate", {}),
@@ -1473,11 +1544,11 @@ _TABLE_RUNS = [
 
 
 def test_kind_table_is_what_the_runners_read(tmp_path, monkeypatch):
-    """Every [experiment] key a runner reads through cfg.params is in its
-    kind's row, so none is unsettable; every key in a row is read by some
-    run; and a run touches cfg.noise exactly where read_keys says it reads
-    [noise]."""
-    from schrodmix.config import _KINDS, ExperimentConfig
+    """Each run reads through cfg.params exactly the [experiment] keys that
+    read_keys gives for its config, and touches cfg.noise exactly where
+    read_keys says it reads [noise]; the runs take every kind of initial
+    datum and both values of every flag in the table."""
+    from schrodmix.config import _KINDS, INITIAL_PARAMS, ExperimentConfig, When
 
     configs = [
         load_config(write_cfg(tmp_path, {"experiment": {"kind": kind, **experiment}},
@@ -1497,16 +1568,19 @@ def test_kind_table_is_what_the_runners_read(tmp_path, monkeypatch):
     monkeypatch.setattr(ExperimentConfig, "noise",
                         property(lambda cfg: noise.append(1) or cfg.__dict__["noise"]),
                         raising=False)
-    read_by_kind = {kind: set() for kind in KINDS}
+    flags, initials = set(), set()
     for i, cfg in enumerate(configs):
         reads.clear()
         noise.clear()
         run_experiment(cfg, out_dir=tmp_path / ("run_%d" % i))
-        kind = cfg.kind
-        row = set(_KINDS[kind].keys)
-        assert reads - {"kind"} <= row, (kind, reads - {"kind"} - row)
-        read_by_kind[kind] |= reads - {"kind"}
-        forced = cfg.sections["experiment"]["forced"]
-        assert bool(noise) == bool(read_keys(kind, forced, "bump")["noise"]), (kind, forced)
-    for kind, spec in _KINDS.items():
-        assert read_by_kind[kind] == set(spec.keys), (kind, set(spec.keys) - read_by_kind[kind])
+        read = read_keys(cfg.sections)
+        assert reads == set(read["experiment"]), (cfg.kind, reads ^ set(read["experiment"]))
+        assert bool(noise) == bool(read["noise"]), cfg.kind
+        exp = dict.copy(cfg.params)
+        flags |= {(cfg.kind, w.flag, bool(exp[w.flag]))
+                  for w in _KINDS[cfg.kind].reads if isinstance(w, When)}
+        initials |= {exp[key] for key in ("initial", "initial_b") if key in reads}
+    assert {cfg.kind for cfg in configs} == set(KINDS)
+    assert flags == {(kind, w.flag, on) for kind, spec in _KINDS.items()
+                     for w in spec.reads if isinstance(w, When) for on in (False, True)}
+    assert initials - {""} == set(INITIAL_PARAMS)

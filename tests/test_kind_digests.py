@@ -38,7 +38,8 @@ def test_kind_digests_covers_every_kind(digests):
     for p in (3, 5):
         for kind in KINDS:
             assert "p%d/%s" % (p, kind) in digests
-    assert {"p3/simulate_forced", "p3/couple_control"} <= set(digests)
+    assert {"p3/simulate_forced", "p3/couple_control", "p3/couple_b", "p3/decay_constant"} <= set(
+        digests)
     edges = ("couple_0", "couple_1", "couple_control_0", "couple_control_1", "stabilize_delta_0",
              "simulate_stride_3")
     assert {"p%d/%s" % (p, case) for p in (3, 5) for case in edges} <= set(digests)

@@ -110,6 +110,18 @@ def test_dictionary_certification():
     assert len(anchored) == 13
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: Functional("bogus", 0.4), "unknown functional kind 'bogus'"),
+    (lambda: Functional("exp_anchor", 0.4), "needs 9 anchor coefficients"),
+    (lambda: Functional("exp_anchor", 0.4, anchor=np.zeros(7, complex)),
+     "needs 9 anchor coefficients"),
+], ids=["unknown_kind", "no_anchor", "anchor_off_the_band"])
+def test_dictionary_refuses_a_bad_functional_at_construction(make, match):
+    # each built and failed only in means, the first two with a TypeError
+    with pytest.raises(ValidationError, match=match):
+        ObservableDictionary(Grid(4), (make(),))
+
+
 def test_dual_lipschitz_point_masses():
     d = default_dictionary(GRID)
     base = np.zeros((1, GRID.n_coeff), dtype=complex)
