@@ -110,9 +110,11 @@ def regularized_pinv_solve(a: np.ndarray, gamma: float, target: np.ndarray) -> n
 @dataclass
 class ControlBasisMap:
     """Matrix of final-time responses of the control basis, plus its layout,
-    a weak reference to the base it was built on (a map kept past its step
-    does not keep the base's tangent coefficients alive), and the x whose
-    separation x - y(0) was marched with it, with its tangent endpoint."""
+    a weak reference to the base it was built on, and the x whose
+    separation x - y(0) was marched with it, with its tangent endpoint.
+    stabilizing_shift refuses the map for any other base by identity, which
+    the weak reference decides alone: unlike an id(), a dead reference
+    cannot match a new base allocated where the old one lay."""
 
     matrix: np.ndarray = field(repr=False)
     column_keys: list = field(repr=False)

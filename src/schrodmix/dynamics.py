@@ -21,8 +21,8 @@ physical-space part of its step, the two decays D_half included.  The
 forced, unforced and identity substeps multiply by D_half on either side of
 N themselves.  The tangent substep of linearized folds its decays into its
 own map instead: the frozen-coefficient midpoint step between two decays is
-one real-linear map w -> a_n w + b_n conj(w) per step, and
-Trajectory.tangent_coefficients builds those maps once per base.  Run with
+one real-linear map w -> a_n w + b_n conj(w) per step, which linearized
+forms from the stored base for the steps it is about to take.  Run with
 conj(a_n), on conjugated phases, in reverse step order, the same map is the
 exact real-L2 adjoint (D_half is real and diagonal); with the identity
 between the decays the loop is linear_group, the damped free group.
@@ -374,44 +374,6 @@ class Trajectory:
 
     def norms(self, s: float = 1.0) -> np.ndarray:
         return np.sqrt(hs_norm_sq(self.coeffs, s))
-
-    @cached_property
-    def tangent_coefficients(self) -> tuple:
-        """The per-step maps (a, b) of the tangent flow along this run.
-
-        Step n freezes the derivative of |u|^{p-1} u at the midpoint state u
-        of the step: c1 = ((p+1)/2)|u|^{p-1} (real) and
-        c2 = ((p-1)/2)|u|^{p-3} u^2, on the padded grid.  The explicit
-        midpoint step of w' = -i(c1 w + c2 conj(w)) between the two
-        half-step decays D is exactly the real-linear map
-        w -> a_n w + b_n conj(w), with
-
-            a_n = D^2 (1 - i dt c1 + (dt^2/2)(|c2|^2 - c1^2)),   b_n = -i dt D^2 c2,
-
-        since the rhs applied twice is (|c2|^2 - c1^2) w; |c2| is
-        ((p-1)/(p+1)) c1, so |c2|^2 - c1^2 = -(4p/(p+1)^2) c1^2.  a and b
-        have shape (n_steps, n_pad) each; built on first use and kept as
-        long as the run.
-        """
-        cfg = self.config
-        if cfg.store_stride != 1:
-            raise ValidationError("linearization needs a base stored at every step")
-        tab, dt, p = cfg._tab, cfg.dt, cfg.p
-        u = synth(0.5 * (self.coeffs[:-1] + self.coeffs[1:]), tab.n_pad)
-        c1 = _amp_pow(u, p)
-        c1 *= (p + 1) / 2.0
-        # c2 and then b are formed over u, so the build holds u, c1 and a
-        c2 = np.square(u, out=u) if p == 3 else np.multiply(_amp_pow(u, p - 2), u * u, out=u)
-        c2 *= (p - 1) / 2.0
-        d2 = tab.decay**2
-        a = np.empty_like(u)
-        np.multiply(c1, -dt * d2, out=a.imag)
-        re = np.square(c1, out=a.real)
-        re *= -0.5 * dt * dt * 4.0 * p / (p + 1) ** 2
-        re += 1.0
-        re *= d2
-        b = np.multiply(c2, (-1j * dt) * d2, out=c2)
-        return a, b
 
 
 def _as_path_list(forcing, horizon: float):

@@ -9,11 +9,13 @@ with u frozen per substep (midpoint interpolation of the stored base), using
 the same splitting as the nonlinear stepper.  The frozen rhs
 -i(c1 w + c2 conj(w)) is real-linear, so its explicit midpoint step between
 the two half-step decays is one pointwise map per step,
-w -> a_n w + b_n conj(w).  The maps belong to the base:
-Trajectory.tangent_coefficients builds them once, on a base stored at every
-step, and every tangent, adjoint and control solve on that base reads them
-there.  The substep is _tangent_map, run by dynamics._split_steps like every
-other substep.  A drive g adds the midpoint's exact drive term
+w -> a_n w + b_n conj(w).  _tangent_coefficients forms the maps of any
+range of steps from a base stored at every step; step n's map reads the
+base's states n and n+1 alone.  The tangent and adjoint solves form every
+step's maps at once, and the control sweep forms each control cell's just
+before it marches that cell, so no base holds its maps after a solve.  The
+substep is _tangent_map, run by dynamics._split_steps like every other
+substep.  A drive g adds the midpoint's exact drive term
 D(-i dt g - (dt^2/2)(c1 g - c2 conj(g))), formed from a_n and b_n: the map
 runs on w + P, P = -i (dt/2) g / D, and adds (2 D^2 - Re(a_n)) P.
 The real-L2 transpose of the map is w -> conj(a_n) w + b_n conj(w), so the
@@ -44,14 +46,54 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import _TIME_TOL, Trajectory, _mode_waves, _split_steps
+from .dynamics import _TIME_TOL, Trajectory, _amp_pow, _mode_waves, _split_steps
 from .noise import haar_basis, haar_time_keys
-from .spectral import FourierField, ROOT_2PI, ValidationError, mode_weights
+from .spectral import FourierField, ROOT_2PI, ValidationError, mode_weights, synth
 
 
 def _padded_blocks(lead: tuple, tab, count: int) -> list:
     """count zeroed complex blocks of shape lead + (n_pad,)."""
     return [np.zeros(lead + (tab.n_pad,), dtype=np.complex128) for _ in range(count)]
+
+
+def _tangent_coefficients(base: Trajectory, lo: int, hi: int) -> tuple:
+    """The maps (a, b) of the tangent flow along base for steps lo..hi-1,
+    row i the map of step lo + i.
+
+    Step n freezes the derivative of |u|^{p-1} u at the midpoint state u
+    of the step: c1 = ((p+1)/2)|u|^{p-1} (real) and
+    c2 = ((p-1)/2)|u|^{p-3} u^2, on the padded grid.  The explicit
+    midpoint step of w' = -i(c1 w + c2 conj(w)) between the two
+    half-step decays D is exactly the real-linear map
+    w -> a_n w + b_n conj(w), with
+
+        a_n = D^2 (1 - i dt c1 + (dt^2/2)(|c2|^2 - c1^2)),   b_n = -i dt D^2 c2,
+
+    since the rhs applied twice is (|c2|^2 - c1^2) w; |c2| is
+    ((p-1)/(p+1)) c1, so |c2|^2 - c1^2 = -(4p/(p+1)^2) c1^2.  a and b
+    have shape (hi - lo, n_pad) each.  Every operation acts on one row
+    alone, so the maps of any range are bitwise those rows of the maps
+    over all steps.
+    """
+    cfg = base.config
+    if cfg.store_stride != 1:
+        raise ValidationError("linearization needs a base stored at every step")
+    tab, dt, p = cfg._tab, cfg.dt, cfg.p
+    u = synth(0.5 * (base.coeffs[lo:hi] + base.coeffs[lo + 1 : hi + 1]), tab.n_pad)
+    c1 = _amp_pow(u, p)
+    c1 *= (p + 1) / 2.0
+    # c2 and then b are formed over u, so the build holds u, c1 and a
+    c2 = np.square(u, out=u) if p == 3 else np.multiply(_amp_pow(u, p - 2), u * u, out=u)
+    c2 *= (p - 1) / 2.0
+    d2 = tab.decay**2
+    a = np.empty_like(u)
+    np.multiply(c1, -dt * d2, out=a.imag)
+    re = np.square(c1, out=a.real)
+    re *= -0.5 * dt * dt * 4.0 * p / (p + 1) ** 2
+    re += 1.0
+    re *= d2
+    b = np.multiply(c2, (-1j * dt) * d2, out=c2)
+    return a, b
 
 
 def _drive_block(g, tab, dt: float, out):
@@ -85,9 +127,10 @@ def _tangent_map(w, a, b, t, drive=None):
 
 def _tangent_steps(v, maps, tab, steps, drive=None, blocks=None):
     """Tangent steps of v (..., C) under maps = (a, b): yields (n, v) after
-    each step n of steps.  drive, when given, is the _drive_block of v's
-    rows, fixed over steps; blocks, when given, are the padded spectrum
-    (zero), physical grid and scratch blocks of v's rows."""
+    each step n of steps, which index the rows of a and b.  drive, when
+    given, is the _drive_block of v's rows, fixed over steps; blocks, when
+    given, are the padded spectrum (zero), physical grid and scratch blocks
+    of v's rows."""
     a, b = maps
     spec, phys, t = blocks if blocks is not None else _padded_blocks(v.shape[:-1], tab, 3)
     forced = None if drive is None else (drive, 2.0 * tab.decay**2)
@@ -100,10 +143,11 @@ def solve_linearized(base: Trajectory, v0: FourierField) -> Trajectory:
     if v0.grid != base.grid:
         raise ValidationError("direction lives on a different grid")
     cfg = base.config
-    maps = base.tangent_coefficients
+    n_steps = base.n_stored - 1
+    maps = _tangent_coefficients(base, 0, n_steps)
     v = v0.coeffs.astype(np.complex128)
     stored = [v]
-    for _, v in _tangent_steps(v, maps, cfg._tab, range(len(maps[0]))):
+    for _, v in _tangent_steps(v, maps, cfg._tab, range(n_steps)):
         stored.append(v)
     return Trajectory(base.grid, base.times.copy(), np.stack(stored), cfg)
 
@@ -118,7 +162,7 @@ def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> Trajectory:
     if phi1.grid != base.grid:
         raise ValidationError("terminal state lives on a different grid")
     cfg = base.config
-    a, b = base.tangent_coefficients
+    a, b = _tangent_coefficients(base, 0, base.n_stored - 1)
     tab = cfg._tab
     adj = SimpleNamespace(
         **{**vars(tab), "phase_in": np.conj(tab.phase_in), "phase_out": np.conj(tab.phase_out)}
@@ -195,7 +239,8 @@ def control_response_matrix(
     joins the block as a zero row on the control cell where its support
     begins.  The drive is constant on a control cell, and the active
     columns' drive is a prefix of the sorted amplitudes, so g and its drive
-    block are built once per cell.
+    block are built once per cell.  So are the cell's tangent maps, just
+    before its steps: the sweep holds a cell's maps, never the whole base's.
     """
     cfg = base.config
     n_steps = base.n_stored - 1
@@ -226,7 +271,6 @@ def control_response_matrix(
     vals, first = vals[:, order], first[order]
 
     tab = cfg._tab
-    maps = base.tangent_coefficients
     rows = _mode_waves(modes, tab)
     # the separation, if any, is row 0 and the columns follow it
     if separation is None:
@@ -248,8 +292,9 @@ def control_response_matrix(
         g = np.matmul(vals[lo // per_cell, :m], rows, out=drive[off : off + m])
         _drive_block(g, tab, cfg.dt, g)
         r = off + m
+        maps = _tangent_coefficients(base, lo, lo + per_cell)
         cell = _tangent_steps(
-            v, maps, tab, range(lo, lo + per_cell), drive[:r], (spec[:r], phys[:r], t[:r])
+            v, maps, tab, range(per_cell), drive[:r], (spec[:r], phys[:r], t[:r])
         )
         for _, v in cell:
             pass

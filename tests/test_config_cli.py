@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ import schrodmix
 from schrodmix import BlowUpError, NoiseSpec, SolverConfig, ValidationError, sobolev_norm
 from schrodmix import bump_damping, cli, markov_step_batch, solve_nls, store
 from schrodmix.config import (
+    _KINDS,
+    INITIAL_PARAMS,
     KINDS,
+    When,
     build_initial,
     config_from_sections,
     load_config,
@@ -213,28 +217,37 @@ _NONNEG = st.floats(0.0, 1e6)
 _LINE_TEXT = st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Zl", "Zp")))
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(data=st.data())
-def test_canonical_text_round_trip_keeps_the_digest(tmp_path_factory, data):
+def test_canonical_text_round_trip_keeps_the_digest(tmp_path_factory):
     """Any valid config of the keys its kind reads, its floats spelled in
     any exact form, rebuilds from its canonical text with the same digest,
-    and loads back from the file save_config writes."""
+    and loads back from the file save_config writes: every kind under every
+    setting of the flags that change what it reads, the other values drawn."""
+    for kind, row in _KINDS.items():
+        flags = [entry.flag for entry in row.reads if isinstance(entry, When)]
+        for on in product((False, True), repeat=len(flags)):
+            _round_trip(tmp_path_factory, kind, dict(zip(flags, on)))
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def _round_trip(tmp_path_factory, kind, flags, data):
     draw = data.draw
     modes = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3, unique=True))
-    kind = draw(st.sampled_from(KINDS))
     # the control kinds' default layout (time_level 2, galerkin_cutoff 8)
     # must fit the noise cells and the grid band
     control = kind in ("gramian", "stabilize", "couple")
     k_max = draw(st.integers(8 if control else 5, 63))
     p = draw(st.sampled_from((3, 5, 7)))
     dt = 2.0 ** -draw(st.integers(7, 10))
-    # a run's horizon is a multiple of dt, and a forced run's an integer;
-    # decay runs unforced
-    forced = kind != "decay" and draw(st.booleans())
-    # couple reads the control keys only with use_control; a realized
-    # control divides by each noise amplitude and needs a positive gamma
-    use_control = kind == "couple" and draw(st.booleans())
+    # a run's horizon is a multiple of dt, and a forced run's an integer
+    forced = flags.get("forced", False)
+    # a realized control divides by each noise amplitude and needs a
+    # positive gamma
+    use_control = flags.get("use_control", False)
     shifted = kind == "stabilize" or use_control
+    # mix compares the chains from two initial data; couple reads a second
+    # datum where initial_b is set
+    second = kind == "mix" or flags.get("initial_b", False)
     if kind in ("simulate", "smooth") and forced:
         horizon = float(draw(st.integers(1, 10**6)))
     elif kind in ("simulate", "decay", "smooth"):
@@ -268,11 +281,8 @@ def test_canonical_text_round_trip_keeps_the_digest(tmp_path_factory, data):
             "n_steps": draw(st.integers(0, 10**6)),
             "n_chains": draw(st.integers(1, 10**6)),
             "use_control": use_control,
-            "initial": draw(st.sampled_from(("zero", "constant", "plane_wave", "random_h1"))),
-            # mix compares the chains from two initial data
-            "initial_b": draw(st.sampled_from(("zero", "constant", "plane_wave", "random_h1")
-                                              if kind == "mix" else
-                                              ("", "zero", "constant", "plane_wave", "random_h1"))),
+            "initial": draw(st.sampled_from(tuple(INITIAL_PARAMS))),
+            "initial_b": draw(st.sampled_from(tuple(INITIAL_PARAMS))) if second else "",
             # each datum's parameters, read by its kind; built at load, so
             # inside the band and of a size that does not overflow
             **{key + "_amplitude": draw(st.floats(-1e3, 1e3)) for key in ("initial", "initial_b")},
@@ -1301,13 +1311,16 @@ def test_trajectory_io_memory_bounds(tmp_path, what, bound_mib):
 
 @pytest.mark.parametrize(
     "what, bound_mib",
-    [("markov_step_batch", 1.75), ("control_response_matrix", 1.10)],
+    [("markov_step_batch", 1.75), ("control_response_matrix", 1.10),
+     ("control_response_matrix_fresh_base", 1.10)],
 )
 def test_stepping_memory_bounds(what, bound_mib):
     # a sweep holds two padded blocks, the padded spectrum and the physical
     # grid, and the forward FFT writes over the block its substep returns:
     # a 64-row ensemble block at k_max 42, and a 61-row control sweep (60
-    # columns at time level 3, cutoff 12, and a separation row)
+    # columns at time level 3, cutoff 12, and a separation row), which
+    # forms each control cell's tangent maps just before its steps, so a
+    # map on a fresh base, the program's own case, holds no more
     grid = Grid(42)
     spec = NoiseSpec(modes=(0, 1), amplitudes=(0.5, 0.5), level_max=6)
     cfg = SolverConfig(grid, bump_damping(grid, 1.5, math.pi, 1.5), dt=2.0**-7)
@@ -1320,9 +1333,10 @@ def test_stepping_memory_bounds(what, bound_mib):
         base = solve_nls(u0, sample_noise_paths(spec, [(7, 0, 0, 0)])[0], 1.0, cfg)
         w = random_h1_field(grid, 1.0, 3.0, 8, 0) - base.state(0)
         call = (control_response_matrix, base, (0, 1), 3, 12, w)
-    # the first call builds the cached step tables and the base's tangent
-    # coefficients; the bound is on the sweep alone
-    call[0](*call[1:])
+    if not what.endswith("fresh_base"):
+        # a first call builds the cached step tables; the bound is then on
+        # the sweep alone
+        call[0](*call[1:])
     assert _traced_peak_mib(*call) < bound_mib
 
 
@@ -1519,8 +1533,6 @@ def test_cli_empty_output_dir_is_a_validation_error(tmp_path, capsys, monkeypatc
 
 
 def test_kinds_all_have_runners():
-    from schrodmix.config import _KINDS
-
     assert tuple(_KINDS) == KINDS
     assert all(callable(spec.run) for spec in _KINDS.values())
 
@@ -1548,7 +1560,7 @@ def test_kind_table_is_what_the_runners_read(tmp_path, monkeypatch):
     read_keys gives for its config, and touches cfg.noise exactly where
     read_keys says it reads [noise]; the runs take every kind of initial
     datum and both values of every flag in the table."""
-    from schrodmix.config import _KINDS, INITIAL_PARAMS, ExperimentConfig, When
+    from schrodmix.config import ExperimentConfig
 
     configs = [
         load_config(write_cfg(tmp_path, {"experiment": {"kind": kind, **experiment}},

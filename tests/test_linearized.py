@@ -12,7 +12,6 @@ from schrodmix import (
     Grid,
     NoiseSpec,
     SolverConfig,
-    Trajectory,
     ValidationError,
     assemble_gramian,
     basis_field,
@@ -34,6 +33,7 @@ from schrodmix.control import compact_T_apply
 from schrodmix.dynamics import _amp_pow, _forced_rhs, _midpoint
 from schrodmix.linearized import (
     _drive_block,
+    _tangent_coefficients,
     _tangent_map,
     _tangent_steps,
     control_response_matrix,
@@ -41,6 +41,7 @@ from schrodmix.linearized import (
     haar_time_keys,
     mode_coord_indices,
 )
+from schrodmix.mixing import synchronous_coupling_experiment
 from schrodmix.noise import haar_basis, haar_eval, sample_noise_path
 from schrodmix.spectral import ROOT_2PI, synth
 
@@ -202,7 +203,7 @@ def test_response_matrix_matches_dense_march(p):
     modes, cutoff = (0, 1), 12
     n_steps = base.n_stored - 1
     tab = cfg._tab
-    maps = base.tangent_coefficients
+    maps = _tangent_coefficients(base, 0, n_steps)
     rows = np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))
     for level in (0, 1, 3, 6):
         got, keys = control_response_matrix(base, modes, level, cutoff)
@@ -227,7 +228,7 @@ def test_tangent_midpoint_keeps_the_plain_bits():
     # plain expression
     cfg = damped_cfg()
     tab, base = cfg._tab, noisy_base(cfg)
-    a, b = base.tangent_coefficients
+    a, b = _tangent_coefficients(base, 0, base.n_stored - 1)
     rng = np.random.default_rng(9)
     cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     w, g = cplx(5, tab.n_pad), cplx(5, tab.n_pad)
@@ -296,23 +297,45 @@ def test_separation_row_rides_in_the_control_sweep(p):
         control_response_matrix(base, (0,), 1, 8, zero_field(Grid(10)))
 
 
-def test_tangent_coefficients_built_once_per_base(monkeypatch):
-    # the control map, T and the adjoint on one base share its coefficients
-    builds = []
-    build = Trajectory.__dict__["tangent_coefficients"].func
+@pytest.mark.parametrize("p", [3, 5])
+def test_tangent_coefficients_of_a_range_are_rows_of_every_step(p):
+    # each control cell forms its own maps: over [lo, hi) they are rows
+    # lo..hi-1 of the maps over all steps, bit for bit, at the cell
+    # boundaries of time levels 0, 3 and 6 and on a single step
+    base = noisy_base(damped_cfg(p=p))
+    n_steps = base.n_stored - 1
+    every = _tangent_coefficients(base, 0, n_steps)
+    for lo, hi in ((0, 64), (64, 128), (0, 8), (56, 64), (120, 128), (2, 4), (77, 78)):
+        got = _tangent_coefficients(base, lo, hi)
+        for part, whole in zip(got, every):
+            assert part.shape == (hi - lo, base.config._tab.n_pad), (lo, hi)
+            assert part.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
 
-    def counted(base):
-        builds.append(base)
-        return build(base)
 
-    prop = functools.cached_property(counted)
-    prop.__set_name__(Trajectory, "tangent_coefficients")
-    monkeypatch.setattr(Trajectory, "tangent_coefficients", prop)
-    base = noisy_base(damped_cfg())
-    control_response_matrix(base, (0, 1), 2, 8)
-    compact_T_apply(base, random_h1_field(GRID, 1e-3, 2.0, 5, 0))
-    solve_adjoint_backward(base, random_h1_field(GRID, 1.0, 2.0, 5, 1))
-    assert builds == [base]
+def test_controlled_couple_forms_each_step_map_once(monkeypatch):
+    # a controlled step linearizes its base in the control sweep alone:
+    # over a 3-step run, each of the three bases has its 128 step maps
+    # formed exactly once, cell by cell
+    import schrodmix.linearized as linearized_mod
+
+    formed = []  # (base, step), holding each base so no id is reused
+    former = linearized_mod._tangent_coefficients
+
+    def counted(base, lo, hi):
+        formed.extend((base, n) for n in range(lo, hi))
+        return former(base, lo, hi)
+
+    monkeypatch.setattr(linearized_mod, "_tangent_coefficients", counted)
+    y0 = random_h1_field(GRID, 0.5, 3.0, 10, 0)
+    x0 = y0 + random_h1_field(GRID, 1e-3, 2.0, 10, 1)
+    synchronous_coupling_experiment(
+        y0, x0, 3, NoiseSpec(), damped_cfg(), 13, use_control=True, time_level=2,
+        galerkin_cutoff=8)
+    monkeypatch.undo()
+    bases = {id(base): base for base, _ in formed}
+    assert len(bases) == 3
+    for key in bases:
+        assert sorted(n for base, n in formed if id(base) == key) == list(range(128))
 
 
 def test_response_adjoint_identity():

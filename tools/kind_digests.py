@@ -36,8 +36,8 @@ runs at the common settings alone.  A case sets only the keys its config
 reads, since a config refuses any other key set away from its default:
 [noise] where its kind reads it, the parameters of its initial data kind,
 the control keys only where the control is built, and no [grid] or
-[solver] key for the kinds in _UNSOLVED, whose p = 5 pass is then the same
-config as its p = 3 one.
+[solver] key where config.read_keys gives the case none of either, so that
+a kind's p = 5 pass is then the same config as its p = 3 one.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ _COMMON = {
     "solver": {"dt": 2.0**-7, "damping": "bump", "damping_amplitude": 1.0, "damping_width": 1.5},
     "run": {"seed": 3},
 }
-# the kinds that read no [grid] or [solver] key
-_UNSOLVED = ("saturate",)
 # the keys each case sets where its kind reads them
 _NOISE = {"modes": "0, 1", "amplitudes": "0.1, 0.1", "level_max": 3}
 _INITIAL = {"initial": "plane_wave", "initial_amplitude": 0.5, "initial_mode": 1}
@@ -96,13 +94,19 @@ _CASES = {
 _SOLVER = {"simulate_stride_3": {"store_stride": 3}}
 
 
-def _config_text(p: int, kind: str, experiment: dict, noise: dict, solver: dict) -> str:
+def _config_text(config, p: int, kind: str, experiment: dict, noise: dict, solver: dict) -> str:
+    """The text of one case; config is the checkout's schrodmix.config module."""
     sections = {name: dict(keys) for name, keys in _COMMON.items()}
     sections["solver"].update(p=p, **solver)
-    if kind in _UNSOLVED:
-        del sections["grid"], sections["solver"]
     sections["noise"] = noise
     sections["experiment"] = dict(experiment, kind=kind)
+    read = config.read_keys(config.parse_config_text(_render(sections)))
+    if not read["grid"] and not read["solver"]:
+        del sections["grid"], sections["solver"]
+    return _render(sections)
+
+
+def _render(sections: dict) -> str:
     return "".join(
         "[%s]\n" % name + "".join("%s = %s\n" % kv for kv in keys.items()) + "\n"
         for name, keys in sections.items()
@@ -123,7 +127,7 @@ def _run_cases(config, tmp: str):
             cases[kind] = (kind, {}, {})
     for p in (3, 5):
         for name, (kind, experiment, noise) in cases.items():
-            text = _config_text(p, kind, experiment, noise, _SOLVER.get(name, {}))
+            text = _config_text(config, p, kind, experiment, noise, _SOLVER.get(name, {}))
             cfg = config.config_from_sections(config.parse_config_text(text))
             where = os.path.join(tmp, "p%d_%s" % (p, name))
             config.run_experiment(cfg, out_dir=where)
