@@ -12,20 +12,19 @@ c = A^T (A A^T + gamma I)^{-1} d over the Haar-in-time control basis, and the
 realized control is subtracted from the driving noise path, so the shifted
 realization stays inside the span the noise itself lives on.
 
-A controlled step needs two images of the separation w = x - y(0) besides
-the map: the tangent endpoint v(1) and the free image S_a(1) w.  The tangent
-endpoint can ride in the control sweep, which then marches w as one more,
-unforced row (build_control_basis_map with x).  The free image is formed in
-stabilizing_shift, which also returns the norm of the separation it acts on,
-measured on that same free image: equivalent_norm(w).  A map records the
-base it was built on, and the x its separation row was marched for, and
-stabilizing_shift refuses it for another base or another x.
+A control map serves one shift: build_control_basis_map(base, time_level,
+galerkin_cutoff, x) reads the noise modes off the path that drove base,
+checks that its controls can be realized as shifts of that noise, and
+marches the separation w = x - y(0) as one more, unforced row of the
+control sweep, so the map also holds T's tangent image v(1).
+stabilizing_shift(cmap, gamma) reads base, x and the noise from the map,
+forms T's free image S_a(1) w, and returns the norm of the separation it
+acts on, measured on that same free image: equivalent_norm(w).
 """
 
 from __future__ import annotations
 
 import cmath
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,20 +108,18 @@ def regularized_pinv_solve(a: np.ndarray, gamma: float, target: np.ndarray) -> n
 
 @dataclass
 class ControlBasisMap:
-    """Matrix of final-time responses of the control basis, plus its layout,
-    a weak reference to the base it was built on, and the x whose
-    separation x - y(0) was marched with it, with its tangent endpoint.
-    stabilizing_shift refuses the map for any other base by identity, which
-    the weak reference decides alone: unlike an id(), a dead reference
-    cannot match a new base allocated where the old one lay."""
+    """The control map of one shift: the final-time responses of the
+    control basis along base, in H1 Galerkin coordinates, with their
+    layout, and the x whose separation x - y(0) was marched with them, with
+    its tangent endpoint."""
 
     matrix: np.ndarray = field(repr=False)
     column_keys: list = field(repr=False)
-    base: weakref.ref = field(repr=False)
-    time_level: int = 0
-    galerkin_cutoff: int = 0
-    x: FourierField = field(default=None, repr=False)
-    tangent: FourierField = field(default=None, repr=False)
+    base: Trajectory = field(repr=False)
+    x: FourierField = field(repr=False)
+    tangent: FourierField = field(repr=False)
+    time_level: int
+    galerkin_cutoff: int
 
     @property
     def column_count(self) -> int:
@@ -130,25 +127,19 @@ class ControlBasisMap:
 
 
 def build_control_basis_map(
-    base: Trajectory, modes, time_level: int, galerkin_cutoff: int, x: FourierField = None
+    base: Trajectory, time_level: int, galerkin_cutoff: int, x: FourierField
 ) -> ControlBasisMap:
-    """The control map on base.  With x, the sweep also marches x - y(0), and
-    the map serves stabilizing_shift for that x alone; without, for any x."""
-    tangent = None
-    if x is None:
-        matrix, keys = control_response_matrix(base, modes, time_level, galerkin_cutoff)
-    else:
-        w = x - base.state(0)
-        matrix, keys, tangent = control_response_matrix(base, modes, time_level, galerkin_cutoff, w)
-    return ControlBasisMap(
-        matrix=matrix,
-        column_keys=keys,
-        base=weakref.ref(base),
-        time_level=time_level,
-        galerkin_cutoff=galerkin_cutoff,
-        x=x,
-        tangent=tangent,
+    """The control map on base for the shift of x: its columns control the
+    modes of the noise path that drove base, and its sweep also marches
+    x - y(0)."""
+    zeta = base.forcing
+    if not isinstance(zeta, NoisePath):
+        raise ValidationError("base trajectory must record its driving noise path")
+    check_shift_level(time_level, zeta.spec)
+    matrix, keys, tangent = control_response_matrix(
+        base, zeta.spec.modes, time_level, galerkin_cutoff, x - base.state(0)
     )
+    return ControlBasisMap(matrix, keys, base, x, tangent, time_level, galerkin_cutoff)
 
 
 def pseudo_inverse_apply(cmap: ControlBasisMap, gamma: float, target: FourierField) -> np.ndarray:
@@ -186,25 +177,23 @@ def check_shift_level(time_level: int, spec: NoiseSpec) -> None:
             raise ValidationError("mode %d has zero noise amplitude" % k)
 
 
-def realize_shift_cells(cmap: ControlBasisMap, coeffs: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    """Convert control coefficients into per-mode Haar cell increments.
+def realize_shift_cells(cmap: ControlBasisMap, coeffs: np.ndarray) -> np.ndarray:
+    """Convert control coefficients into per-mode Haar cell increments of
+    the noise that drove the map's base.
 
     The control field sum_i c_i htilde_i(t) comp_i e_{k_i} enters the equation
     the same way the noise does, so as a shift of eta_k it is divided by
     b_k sqrt(2pi).  htilde_i = 2^(j/2) h_{jl} is read on the noise cells from
     the same haar_basis table the response matrix reads on the solver steps,
-    and the columns are added in map order.  Controls on a mode with zero
-    amplitude, or finer than the noise cells, cannot be realized.
+    and the columns are added in map order.
     """
+    spec = cmap.base.forcing.spec
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (cmap.column_count,):
         raise ValidationError("coefficient vector does not match the map")
-    check_shift_level(cmap.time_level, spec)
     basis = haar_basis(cmap.time_level, spec.n_cells)
     delta = np.zeros((len(spec.modes), spec.n_cells), dtype=np.complex128)
     for c, (k, j, l, comp) in enumerate(cmap.column_keys):
-        if k not in spec.modes:
-            raise ValidationError("control mode %d is not a noise mode" % k)
         m = spec.modes.index(k)
         delta[m] += coeffs[c] * comp * basis[2**j - 1 + l] / (spec.amplitudes[m] * ROOT_2PI)
     return delta
@@ -218,36 +207,21 @@ class ShiftResult:
     separation: float
 
 
-def stabilizing_shift(
-    base_y: Trajectory,
-    x: FourierField,
-    gamma: float,
-    cmap: ControlBasisMap,
-) -> ShiftResult:
-    """Shifted noise xi = zeta - R^gamma T(y, zeta)(x - y) for the coupled step.
-
-    base_y must be the stored unit-interval run from y under the realization
-    zeta (its forcing record), with the control map built on it; T's tangent
-    image is the map's separation row when it has one, which must have been
-    marched for this x.  Otherwise ValidationError is raised.  The result's
-    separation is the H1 norm of the free image T uses, S_a(h)(x - y) at
-    base_y's horizon h: equivalent_norm(x - y) for a unit-interval base.
+def stabilizing_shift(cmap: ControlBasisMap, gamma: float) -> ShiftResult:
+    """Shifted noise xi = zeta - R^gamma T(y, zeta)(x - y) for the coupled
+    step, with y the map's base, the stored unit-interval run from y under
+    the realization zeta (its forcing record), and x the map's x.  T's
+    tangent image is the map's separation row.  The result's separation is
+    the H1 norm of the free image T uses, S_a(h)(x - y) at the base's
+    horizon h: equivalent_norm(x - y) for a unit-interval base.
     """
-    zeta = base_y.forcing
-    if not isinstance(zeta, NoisePath):
-        raise ValidationError("base trajectory must record its driving noise path")
-    if cmap.base() is not base_y:
-        raise ValidationError("the control map was built on another base")
-    if cmap.x is not None and not np.array_equal(cmap.x.coeffs, x.coeffs):
-        raise ValidationError("the map's separation row was marched for another x")
-    w = x - base_y.state(0)
-    horizon = float(base_y.times[-1])
-    free = linear_group(w, horizon, base_y.config)
-    d = compact_T_apply(base_y, w, cmap.tangent, free)
+    base = cmap.base
+    w = cmap.x - base.state(0)
+    free = linear_group(w, float(base.times[-1]), base.config)
+    d = compact_T_apply(base, w, cmap.tangent, free)
     coeffs = pseudo_inverse_apply(cmap, gamma, d)
-    delta = realize_shift_cells(cmap, coeffs, zeta.spec)
     return ShiftResult(
-        path=zeta.shifted(delta),
+        path=base.forcing.shifted(realize_shift_cells(cmap, coeffs)),
         coefficients=coeffs,
         shift_norm=float(np.linalg.norm(coeffs)),
         separation=sobolev_norm(free, 1.0),

@@ -55,6 +55,7 @@ from .spectral import (
     Grid,
     ValidationError,
     analyze,
+    check_integer,
     hs_norm_sq,
     synth,
 )
@@ -127,6 +128,7 @@ class SolverConfig:
 
 
 def _check_power(p: int) -> None:
+    check_integer("p", p)
     if p < 3 or p % 2 == 0:
         raise ValidationError("p must be odd and >= 3, got %r" % (p,))
 
@@ -464,8 +466,8 @@ def linear_group(u0: FourierField, t: float, cfg: SolverConfig) -> FourierField:
     """
     if u0.grid != cfg.grid:
         raise ValidationError("state and solver config live on different grids")
-    if t < 0:
-        raise ValidationError("group time must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError("group time must be finite and nonnegative, got %r" % (t,))
     u = u0.coeffs.astype(np.complex128)
     if t > 0:
         n = max(1, int(round(t / cfg.dt)))

@@ -226,12 +226,13 @@ def control_response_matrix(
 
     Columns run over (mode k in modes) x (Haar time key) x (component 1, i);
     the time functions are L2-normalized over the base's one time unit, so
-    the basis is orthonormal in L2(0,1) x L2(torus).  Returns (matrix, column_keys).
+    the basis is orthonormal in L2(0,1) x L2(torus).  Returns (matrix,
+    column_keys, tangent), tangent None without a separation.
 
     With a separation w, the sweep also marches w as one more row, unforced
     and from step 0: its drive row is exactly zero and every row steps on
-    its own, so the row is solve_linearized(base, w) bit for bit and the
-    columns are unchanged.  Returns (matrix, column_keys, v(1)) then.
+    its own, so the row is solve_linearized(base, w) bit for bit, the
+    columns are unchanged, and tangent is its endpoint v(1).
 
     A column is exactly zero until its Haar function's support begins, so
     the columns are marched in order of their first forced step (the first
@@ -301,9 +302,8 @@ def control_response_matrix(
     final = np.empty_like(v[off:])
     final[order] = v[off:]
     matrix = h1_coords(final, base.grid.k_max, cutoff).T.copy()  # (n_x, n_cols)
-    if separation is None:
-        return matrix, col_keys
-    return matrix, col_keys, FourierField(base.grid, v[0].copy())
+    tangent = None if separation is None else FourierField(base.grid, v[0])
+    return matrix, col_keys, tangent
 
 
 @dataclass
@@ -324,7 +324,7 @@ def assemble_gramian(
     base: Trajectory, modes, time_level: int, cutoff: int, target_cutoff: int = 2
 ) -> GramianReport:
     """Gramian of the control response map over the Haar-in-time control basis."""
-    a, cols = control_response_matrix(base, modes, time_level, cutoff)
+    a, cols, _ = control_response_matrix(base, modes, time_level, cutoff)
     g = a @ a.T
     g = 0.5 * (g + g.T)  # symmetrized against round-off
     eigs = np.linalg.eigvalsh(g)[::-1].copy()

@@ -409,8 +409,10 @@ def _coupled_steps(y0: FourierField, x0: FourierField, zetas, cfg: SolverConfig,
             xi, sep, shift_norm = zeta, equivalent_norm(x - y, cfg), 0.0
         else:
             gamma, time_level, galerkin_cutoff = control
-            cmap = build_control_basis_map(base_y, zeta.spec.modes, time_level, galerkin_cutoff, x=x)
-            shift = stabilizing_shift(base_y, x, gamma, cmap)
+            # the map lives for its one shift alone
+            shift = stabilizing_shift(
+                build_control_basis_map(base_y, time_level, galerkin_cutoff, x), gamma
+            )
             xi, sep, shift_norm = shift.path, shift.separation, shift.shift_norm
         seps.append(sep)
         shift_norms.append(shift_norm)
@@ -419,6 +421,7 @@ def _coupled_steps(y0: FourierField, x0: FourierField, zetas, cfg: SolverConfig,
             pair = np.stack([x.coeffs, y.coeffs])
             x_run, base_y = solve_nls_batch(pair, [xi, zetas[n + 1]], base_cfg)
             x = x_run.endpoint
+            del x_run
         else:
             x = FourierField(cfg.grid, markov_step_batch(x.coeffs[None, :], [xi], cfg)[0])
     seps.append(equivalent_norm(x - y, cfg))

@@ -27,6 +27,13 @@ class ValidationError(ValueError):
     """Raised when a constructor or operation receives inconsistent input."""
 
 
+def check_integer(name: str, value) -> None:
+    """The one check that a count such as k_max or the power p is an
+    integer: a float, even a whole one, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError("%s must be an integer, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class Grid:
     """The symmetric spectral band |k| <= k_max of 2pi-periodic fields."""
@@ -34,6 +41,7 @@ class Grid:
     k_max: int = 42
 
     def __post_init__(self):
+        check_integer("k_max", self.k_max)
         if self.k_max < 1:
             raise ValidationError("k_max must be >= 1, got %r" % (self.k_max,))
 

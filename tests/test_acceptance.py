@@ -259,13 +259,13 @@ def test_06_gramian_saturation():
     rep0 = assemble_gramian(base, (0,), 2, 8, target_cutoff=2)
     ratio = rep01.target_subspace_min_eig / rep0.target_subspace_min_eig
 
-    m01, _ = control_response_matrix(base, (0, 1), 2, 8)
-    m0, _ = control_response_matrix(base, (0,), 2, 8)
+    m01, _, _ = control_response_matrix(base, (0, 1), 2, 8)
+    m0, _, _ = control_response_matrix(base, (0,), 2, 8)
     mono = float(np.linalg.eigvalsh(m01 @ m01.T - m0 @ m0.T).min())
 
     cfg0 = SolverConfig(grid=GRID, damping=zero_damping(GRID), dt=DT)
     zbase = solve_nls(zero_field(GRID), None, 1.0, cfg0)
-    mz, _ = control_response_matrix(zbase, (0,), 2, 8)
+    mz, _, _ = control_response_matrix(zbase, (0,), 2, 8)
     gz = mz @ mz.T
     mask = np.zeros(gz.shape[0], bool)
     mask[mode_coord_indices(0, 8)] = True
@@ -327,12 +327,11 @@ def test_08_stabilization_contracts():
     def one_draw(n, gamma):
         y, zeta = states[n], paths[n]
         base = solve_nls(y, zeta, 1.0, cfg)
-        cmap = build_control_basis_map(base, spec.modes, 3, 12)
         v0 = random_h1_field(GRID, 1e-3, 3.0, seed, 1000 + n)
         x = y + v0
         sy = base.endpoint
         qu = eq(markov_step(x, zeta, cfg) - sy) / eq(v0)
-        shift = stabilizing_shift(base, x, gamma, cmap)
+        shift = stabilizing_shift(build_control_basis_map(base, 3, 12, x), gamma)
         qc = eq(markov_step(x, shift.path, cfg) - sy) / eq(v0)
         return qu, qc
 
@@ -348,10 +347,9 @@ def test_08_stabilization_contracts():
 
     y, zeta = states[7], paths[7]
     base = solve_nls(y, zeta, 1.0, cfg)
-    cmap = build_control_basis_map(base, spec.modes, 3, 12)
     v0 = random_h1_field(GRID, 1e-3, 3.0, seed, 1007)
-    s_full = stabilizing_shift(base, y + v0, g_star, cmap).shift_norm
-    s_half = stabilizing_shift(base, y + 0.5 * v0, g_star, cmap).shift_norm
+    s_full = stabilizing_shift(build_control_basis_map(base, 3, 12, y + v0), g_star).shift_norm
+    s_half = stabilizing_shift(build_control_basis_map(base, 3, 12, y + 0.5 * v0), g_star).shift_norm
     lin = abs(s_half - 0.5 * s_full) / s_full
 
     ok = (

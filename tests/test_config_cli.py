@@ -34,6 +34,7 @@ from schrodmix.config import (
 )
 from schrodmix.dynamics import energy_series, pad_points
 from schrodmix.linearized import control_response_matrix
+from schrodmix.mixing import synchronous_coupling_experiment
 from schrodmix.noise import NoisePath, sample_noise_paths
 from schrodmix.spectral import DAMPING_PARAMS, DampingProfile, Grid, synth
 
@@ -1312,7 +1313,7 @@ def test_trajectory_io_memory_bounds(tmp_path, what, bound_mib):
 @pytest.mark.parametrize(
     "what, bound_mib",
     [("markov_step_batch", 1.75), ("control_response_matrix", 1.10),
-     ("control_response_matrix_fresh_base", 1.10)],
+     ("control_response_matrix_fresh_base", 1.10), ("controlled_couple", 1.35)],
 )
 def test_stepping_memory_bounds(what, bound_mib):
     # a sweep holds two padded blocks, the padded spectrum and the physical
@@ -1320,7 +1321,9 @@ def test_stepping_memory_bounds(what, bound_mib):
     # a 64-row ensemble block at k_max 42, and a 61-row control sweep (60
     # columns at time level 3, cutoff 12, and a separation row), which
     # forms each control cell's tangent maps just before its steps, so a
-    # map on a fresh base, the program's own case, holds no more
+    # map on a fresh base, the program's own case, holds no more.  A
+    # controlled coupled run keeps no step's control map or x run into the
+    # next step, so three steps peak barely above one (1.23 MiB)
     grid = Grid(42)
     spec = NoiseSpec(modes=(0, 1), amplitudes=(0.5, 0.5), level_max=6)
     cfg = SolverConfig(grid, bump_damping(grid, 1.5, math.pi, 1.5), dt=2.0**-7)
@@ -1328,6 +1331,11 @@ def test_stepping_memory_bounds(what, bound_mib):
         paths = sample_noise_paths(spec, [(5, 0, i, 0) for i in range(64)])
         block = np.stack([random_h1_field(grid, 0.35, 2.2, 60 + i, 0).coeffs for i in range(64)])
         call = (markov_step_batch, block, paths, cfg)
+    elif what == "controlled_couple":
+        y0 = random_h1_field(grid, 1.0, 3.0, 7, 0)
+        x0 = y0 + random_h1_field(grid, 1e-3, 3.0, 7, 1)
+        control = dict(use_control=True, gamma=1e-2, time_level=3, galerkin_cutoff=12)
+        call = (lambda: synchronous_coupling_experiment(y0, x0, 3, spec, cfg, 7, **control),)
     else:
         u0 = random_h1_field(grid, 1.0, 3.0, 7, 0)
         base = solve_nls(u0, sample_noise_paths(spec, [(7, 0, 0, 0)])[0], 1.0, cfg)

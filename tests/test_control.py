@@ -139,20 +139,23 @@ def test_pinv_gamma_monotonicity():
 
 def test_control_basis_map_columns():
     base, z, u0, cfg = noisy_base(seed=5)
-    cmap = build_control_basis_map(base, (0, 1), 1, 4)
+    x = u0 + random_h1_field(GRID, 1e-2, 2.0, 12, 0)
+    cmap = build_control_basis_map(base, 1, 4, x)
     assert cmap.column_count == 2 * 3 * 2
     assert cmap.matrix.shape == (2 * (2 * 4 + 1), cmap.column_count)
     assert len(cmap.column_keys) == cmap.column_count
-    # the modes are the column keys' first entries, in the order given
+    # the modes are the column keys' first entries, in the noise's order
+    assert z.spec.modes == (0, 1)
     assert [key[0] for key in cmap.column_keys] == [0] * 6 + [1] * 6
     assert cmap.time_level == 1
     assert cmap.galerkin_cutoff == 4
+    assert cmap.base is base and cmap.x is x
 
 
 def test_pseudo_inverse_apply_fits_the_field_coordinates():
     # a target field is fitted in the map's H1 Galerkin coordinates
     base, z, u0, cfg = noisy_base(seed=5)
-    cmap = build_control_basis_map(base, (0, 1), 1, 4)
+    cmap = build_control_basis_map(base, 1, 4, u0)
     target = random_h1_field(GRID, 0.1, 2.0, 50, 0)
     c_field = pseudo_inverse_apply(cmap, 1e-2, target)
     vec = h1_coords(target.coeffs, GRID.k_max, 4)
@@ -180,10 +183,10 @@ def test_compact_map_real_linearity():
 def test_realize_shift_constant_column():
     base, z, u0, cfg = noisy_base(seed=5)
     spec = z.spec
-    cmap = build_control_basis_map(base, spec.modes, 0, 3)
+    cmap = build_control_basis_map(base, 0, 3, u0)
     coeffs = np.zeros(cmap.column_count)
     coeffs[0] = 1.0  # column (k=0, h0, real component)
-    delta = realize_shift_cells(cmap, coeffs, spec)
+    delta = realize_shift_cells(cmap, coeffs)
     assert delta.shape == (2, spec.n_cells)
     want = 1.0 / (spec.amplitudes[0] * ROOT_2PI)
     np.testing.assert_allclose(delta[0], want, rtol=1e-14)
@@ -192,13 +195,18 @@ def test_realize_shift_constant_column():
 
 def test_realize_shift_validation():
     base, z, u0, cfg = noisy_base(seed=5)
-    cmap = build_control_basis_map(base, (0, 2), 0, 3)
-    with pytest.raises(ValidationError):
-        realize_shift_cells(cmap, np.zeros(cmap.column_count), z.spec)
-    shallow = NoiseSpec(level_max=1)
-    deep_map = build_control_basis_map(base, (0, 1), 2, 3)
-    with pytest.raises(ValidationError):
-        realize_shift_cells(deep_map, np.zeros(deep_map.column_count), shallow)
+    cmap = build_control_basis_map(base, 0, 3, u0)
+    with pytest.raises(ValidationError, match="does not match the map"):
+        realize_shift_cells(cmap, np.zeros(cmap.column_count + 1))
+    # a map is built only where its controls are shifts of the base's noise
+    shallow = solve_nls(u0, sample_noise_path(NoiseSpec(level_max=1), (5, 0, 0, 0)), 1.0, cfg)
+    build_control_basis_map(shallow, 1, 3, u0)
+    with pytest.raises(ValidationError, match="control level 2 finer than the noise cells"):
+        build_control_basis_map(shallow, 2, 3, u0)
+    silent = NoiseSpec(modes=(0, 1), amplitudes=(0.5, 0.0))
+    base = solve_nls(u0, sample_noise_path(silent, (5, 0, 0, 0)), 1.0, cfg)
+    with pytest.raises(ValidationError, match="mode 1 has zero noise amplitude"):
+        build_control_basis_map(base, 0, 3, u0)
 
 
 def test_realized_shift_matches_response_to_first_order():
@@ -212,9 +220,9 @@ def test_realized_shift_matches_response_to_first_order():
     z = sample_noise_path(spec, (17, 0, 0, 0))
     x = random_h1_field(GRID, 0.1, 3.0, 17, 0)
     base = solve_nls(x, z, 1.0, cfg)
-    cmap = build_control_basis_map(base, spec.modes, 2, GRID.k_max)
+    cmap = build_control_basis_map(base, 2, GRID.k_max, x)
     c = np.random.default_rng(18).standard_normal(cmap.column_count)
-    delta = realize_shift_cells(cmap, c, spec)
+    delta = realize_shift_cells(cmap, c)
     eps = 1e-5
     moved = markov_step(x, z.shifted(eps * delta), cfg) - base.endpoint
     got = h1_coords(moved.coeffs, GRID.k_max, GRID.k_max) / eps
@@ -224,8 +232,7 @@ def test_realized_shift_matches_response_to_first_order():
 
 def test_stabilizing_shift_identical_states():
     base, z, u0, cfg = noisy_base(seed=11)
-    cmap = build_control_basis_map(base, z.spec.modes, 1, 4)
-    shift = stabilizing_shift(base, u0, 1e-2, cmap)
+    shift = stabilizing_shift(build_control_basis_map(base, 1, 4, u0), 1e-2)
     np.testing.assert_array_equal(shift.path.cells, z.cells)
     assert shift.shift_norm == 0.0
     np.testing.assert_allclose(shift.coefficients, 0, atol=1e-12)
@@ -233,10 +240,9 @@ def test_stabilizing_shift_identical_states():
 
 def test_stabilizing_shift_scales_linearly():
     base, z, u0, cfg = noisy_base(seed=11)
-    cmap = build_control_basis_map(base, z.spec.modes, 1, 4)
     bump = random_h1_field(GRID, 1e-2, 2.0, 12, 0)
-    full = stabilizing_shift(base, u0 + bump, 1e-2, cmap)
-    half = stabilizing_shift(base, u0 + 0.5 * bump, 1e-2, cmap)
+    full = stabilizing_shift(build_control_basis_map(base, 1, 4, u0 + bump), 1e-2)
+    half = stabilizing_shift(build_control_basis_map(base, 1, 4, u0 + 0.5 * bump), 1e-2)
     np.testing.assert_allclose(half.coefficients, 0.5 * full.coefficients, rtol=1e-8)
     delta_full = z.cells - full.path.cells
     delta_half = z.cells - half.path.cells
@@ -244,49 +250,26 @@ def test_stabilizing_shift_scales_linearly():
 
 
 def test_precomputed_images_give_the_general_shift():
-    # the separation row of a map built with x is the tangent image T would
-    # form itself; the shift measures the separation it acts on
+    # the separation row of the map is the tangent image T would form
+    # itself; the shift measures the separation it acts on
     base, z, u0, cfg = noisy_base(seed=11)
-    bump = random_h1_field(GRID, 1e-2, 2.0, 12, 0)
-    x = u0 + bump
-    plain = build_control_basis_map(base, z.spec.modes, 1, 4)
-    riding = build_control_basis_map(base, z.spec.modes, 1, 4, x=x)
-    assert riding.matrix.tobytes() == plain.matrix.tobytes()
-    assert plain.x is None and plain.tangent is None and riding.x is x
-    assert plain.base() is base and riding.base() is base
-    want = stabilizing_shift(base, x, 1e-2, plain)
-    got = stabilizing_shift(base, x, 1e-2, riding)
-    assert got.coefficients.tobytes() == want.coefficients.tobytes()
-    assert got.path.cells.tobytes() == want.path.cells.tobytes()
-    assert got.separation == want.separation == equivalent_norm(x - u0, cfg)
-    # a map without a separation row serves any x
-    for scale in (0.5, 2.0):
-        xs = u0 + scale * bump
-        own = build_control_basis_map(base, z.spec.modes, 1, 4, x=xs)
-        got = stabilizing_shift(base, xs, 1e-2, plain)
-        assert got.coefficients.tobytes() == stabilizing_shift(base, xs, 1e-2, own).coefficients.tobytes()
+    for scale in (1.0, 0.5):
+        x = u0 + scale * random_h1_field(GRID, 1e-2, 2.0, 12, 0)
+        cmap = build_control_basis_map(base, 1, 4, x)
+        got = stabilizing_shift(cmap, 1e-2)
+        w = x - u0
+        coeffs = pseudo_inverse_apply(cmap, 1e-2, compact_T_apply(base, w))
+        assert got.coefficients.tobytes() == coeffs.tobytes()
+        want = z.shifted(realize_shift_cells(cmap, coeffs))
+        assert got.path.cells.tobytes() == want.cells.tobytes()
+        assert got.separation == equivalent_norm(w, cfg)
 
 
-def test_precomputed_images_for_another_base_or_x_are_refused():
-    base, z, u0, cfg = noisy_base(seed=11)
-    bump = random_h1_field(GRID, 1e-2, 2.0, 12, 0)
-    x = u0 + bump
-    plain = build_control_basis_map(base, z.spec.modes, 1, 4)
-    riding = build_control_basis_map(base, z.spec.modes, 1, 4, x=x)
-    other = solve_nls(u0, sample_noise_path(z.spec, (12, 0, 0, 0)), 1.0, cfg)
-    for cmap in (plain, riding):
-        with pytest.raises(ValidationError, match="another base"):
-            stabilizing_shift(other, x, 1e-2, cmap)
-    with pytest.raises(ValidationError, match="another x"):
-        stabilizing_shift(base, u0 + 0.5 * bump, 1e-2, riding)
-
-
-def test_stabilizing_shift_requires_noise_base():
+def test_control_map_requires_noise_base():
     cfg = damped_cfg()
     base = solve_nls(random_h1_field(GRID, 0.5, 3.0, 1, 0), None, 1.0, cfg)
-    cmap = build_control_basis_map(base, (0, 1), 1, 4)
-    with pytest.raises(ValidationError):
-        stabilizing_shift(base, zero_field(GRID), 1e-2, cmap)
+    with pytest.raises(ValidationError, match="must record its driving noise path"):
+        build_control_basis_map(base, 1, 4, zero_field(GRID))
 
 
 def test_equivalent_norm_without_damping_is_h1():

@@ -70,6 +70,11 @@ def test_solver_config_validation():
         SolverConfig(grid=GRID, damping=zero_damping(GRID), dt=DT, p=1)
     with pytest.raises(ValidationError):
         SolverConfig(grid=GRID, damping=zero_damping(GRID), dt=DT, store_stride=0)
+    # a float power, even a whole one, would fail only later, inside numpy
+    for p in (3.5, 5.0):
+        with pytest.raises(ValidationError, match="p must be an integer"):
+            SolverConfig(grid=GRID, damping=zero_damping(GRID), dt=DT, p=p)
+    assert SolverConfig(grid=GRID, damping=zero_damping(GRID), dt=DT, p=np.int64(5)).p == 5
     other = Grid(42)
     with pytest.raises(ValidationError):
         SolverConfig(grid=GRID, damping=zero_damping(other), dt=DT)
@@ -125,8 +130,10 @@ def test_linear_group_is_sign_symmetric_bitwise(p):
 
 def test_linear_group_time_validation():
     u = basis_field(GRID, 1, 1.0)
-    with pytest.raises(ValidationError, match="nonnegative"):
-        linear_group(u, -0.1, free_cfg())
+    # nan passes a sign test and would skip every step, and inf has no step count
+    for t in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            linear_group(u, t, free_cfg())
     np.testing.assert_allclose(linear_group(u, 0.0, free_cfg()).coeffs, u.coeffs, atol=0)
     with pytest.raises(ValidationError, match="different grids"):
         linear_group(basis_field(Grid(42), 1, 1.0), 0.5, free_cfg())

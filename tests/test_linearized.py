@@ -186,7 +186,7 @@ def test_response_constant_mode_zero_closed_form():
     """On a free zero base iv_t = g with g = comp e_0 gives v(1) = -i comp e_0."""
     cutoff = 5
     base = zero_base(free_cfg())
-    mat, keys = control_response_matrix(base, (0,), 0, cutoff)
+    mat, keys, _ = control_response_matrix(base, (0,), 0, cutoff)
     assert keys == [(0, 0, 0, 1.0), (0, 0, 0, 1.0j)]
     for col, comp in zip(mat.T, (1.0, 1.0j)):
         want = h1_coords(-1j * comp * np.eye(GRID.n_coeff)[GRID.k_max], GRID.k_max, cutoff)
@@ -206,7 +206,7 @@ def test_response_matrix_matches_dense_march(p):
     maps = _tangent_coefficients(base, 0, n_steps)
     rows = np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))
     for level in (0, 1, 3, 6):
-        got, keys = control_response_matrix(base, modes, level, cutoff)
+        got, keys, _ = control_response_matrix(base, modes, level, cutoff)
         basis = haar_basis(level, n_steps)
         vals = np.zeros((n_steps, len(keys), len(modes)), dtype=np.complex128)
         for c, (k, j, l, comp) in enumerate(keys):
@@ -289,8 +289,9 @@ def test_separation_row_rides_in_the_control_sweep(p):
     w = random_h1_field(GRID, 1e-3, 2.0, 71, 0)
     want = solve_linearized(base, w).endpoint.coeffs
     for modes, level in (((0, 1), 0), ((0, 1), 3), ((), 2)):
-        plain, keys = control_response_matrix(base, modes, level, 8)
+        plain, keys, none = control_response_matrix(base, modes, level, 8)
         got, keys_w, v1 = control_response_matrix(base, modes, level, 8, w)
+        assert none is None
         assert v1.coeffs.tobytes() == want.tobytes(), (modes, level)
         assert got.tobytes() == plain.tobytes() and keys_w == keys, (modes, level)
     with pytest.raises(ValidationError, match="grid"):
@@ -347,7 +348,7 @@ def test_response_adjoint_identity():
     u0 = random_h1_field(GRID, 0.5, 3.0, 1, 0)
     base = solve_nls(u0, z, 1.0, cfg)
     phi1 = random_h1_field(GRID, 1.0, 2.0, 4, 2)
-    mat, keys = control_response_matrix(base, (0, 1), 2, GRID.k_max)
+    mat, keys, _ = control_response_matrix(base, (0, 1), 2, GRID.k_max)
     assert len(keys) == 28
     phi = solve_adjoint_backward(base, phi1)
     phi_mid = 0.5 * (phi.coeffs[:-1] + phi.coeffs[1:])
@@ -400,7 +401,7 @@ def test_haar_time_keys():
 def test_response_matrix_shape_and_validation():
     cfg = free_cfg()
     base = zero_base(cfg)
-    mat, keys = control_response_matrix(base, (0, 1), 2, 5)
+    mat, keys, _ = control_response_matrix(base, (0, 1), 2, 5)
     assert mat.shape == (2 * (2 * 5 + 1), 2 * 7 * 2)
     assert len(keys) == 28
     assert keys[0] == (0, 0, 0, 1.0)
@@ -417,7 +418,7 @@ def test_gramian_zero_base_structure():
     """Free flow cannot move control mass across modes."""
     cfg = free_cfg()
     base = zero_base(cfg)
-    a, _ = control_response_matrix(base, (0,), 1, 3)
+    a, _, _ = control_response_matrix(base, (0,), 1, 3)
     g = a @ a.T
     n_x = 2 * (2 * 3 + 1)
     assert g.shape == (n_x, n_x)
@@ -444,7 +445,7 @@ def test_gramian_monotone_in_modes():
     base = noisy_base(damped_cfg(), seed=12)
 
     def gram(modes):
-        a, _ = control_response_matrix(base, modes, 1, 3)
+        a, _, _ = control_response_matrix(base, modes, 1, 3)
         return a @ a.T
 
     g_small, g_big = gram((0,)), gram((0, 1))

@@ -324,12 +324,12 @@ def _six_sweep_shift(y, x, zeta, gamma, cfg, time_level, galerkin_cutoff):
     """A controlled step's base and shift as separate sweeps: the stored
     base, the control sweep, the tangent run and the free group of T."""
     base = solve_nls(y, zeta, 1.0, replace(cfg, store_stride=1))
-    cmap = build_control_basis_map(base, zeta.spec.modes, time_level, galerkin_cutoff)
+    cmap = build_control_basis_map(base, time_level, galerkin_cutoff, x)
     w, t = x - y, float(base.times[-1])
     phase = cmath.exp(-1j * phase_theta(base, t))
     d = solve_linearized(base, w).endpoint - phase * linear_group(w, t, cfg)
     coeffs = pseudo_inverse_apply(cmap, gamma, d)
-    return base, zeta.shifted(realize_shift_cells(cmap, coeffs, zeta.spec)), coeffs
+    return base, zeta.shifted(realize_shift_cells(cmap, coeffs)), coeffs
 
 
 def test_controlled_coupling_matches_six_sweep_composition(monkeypatch):

@@ -45,6 +45,11 @@ def test_grid_validation():
     for k_max in (0, -1):
         with pytest.raises(ValidationError, match="k_max must be >= 1"):
             Grid(k_max)
+    # a float band, even a whole one, would fail only later, inside numpy
+    for k_max in (2.5, 20.0, True):
+        with pytest.raises(ValidationError, match="k_max must be an integer"):
+            Grid(k_max)
+    assert Grid(np.int64(20)) == Grid(20)
 
 
 def test_grid_is_its_band():

@@ -1,8 +1,12 @@
-"""The names benchmark/tracer.py wraps exist in the package: a renamed or
-moved traced function fails here, not only in the benchmark's self-test."""
+"""The benchmark's contract with the package.  The names benchmark/tracer.py
+wraps exist in the package, and every workload of benchmark/workloads.py
+runs its set-up and one operation at its tiny size: a renamed or moved
+traced function, or a change to an API the workloads read, fails here, not
+only in the benchmark's self-test."""
 
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -11,14 +15,24 @@ import schrodmix
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    # loaded by path, under a name that no benchmark module imports
+def _load_benchmark_module(name: str):
+    # loaded by path, under a name that no benchmark module imports; it is
+    # registered, since a dataclass resolves its module by name
     spec = importlib.util.spec_from_file_location(
-        "schrodmix_benchmark_tracer", ROOT / "benchmark" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
+        "schrodmix_benchmark_" + name, ROOT / "benchmark" / (name + ".py"))
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return _load_benchmark_module("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load_benchmark_module("workloads")
 
 
 def _span_name(func) -> str:
@@ -36,3 +50,12 @@ def test_every_span_the_metrics_read_is_wrapped(tracer):
     spans = {_span_name(getattr(getattr(schrodmix, m), a)) for m, a in tracer.WRAPPED}
     for name in list(tracer._COUNTS) + list(tracer.STEPPING):
         assert name in spans, name
+
+
+@pytest.mark.parametrize("workload", ["controlled_coupling", "ensemble_mix", "trajectory_io"])
+def test_every_workload_runs_at_its_tiny_size(workloads, workload, tmp_path):
+    assert sorted(workloads.WORKLOADS) == ["controlled_coupling", "ensemble_mix", "trajectory_io"]
+    prep = workloads.prepare(schrodmix, workload, 3, str(tmp_path), "tiny")
+    # run_operation raises CheckFailed on an output that fails its checks
+    digests, _ = workloads.run_operation(schrodmix, prep, str(tmp_path / "out"))
+    assert sorted(digests) == sorted(prep.workload.outputs)
