@@ -33,7 +33,8 @@ noise forcing: steps_per_cell is the one check that a NoiseSpec can force a
 SolverConfig, and _noise_drive the one builder of sum_k b_k eta_k e^{ikx}.
 
 All state arrays carry the mode axis last and arbitrary batch axes in
-front, which is what keeps ensemble runs affordable.
+front, which is what keeps ensemble runs affordable.  A stored run is one
+block, allocated before its first step and filled as its steps finish.
 """
 
 from __future__ import annotations
@@ -171,9 +172,16 @@ def _step_tables(grid: Grid, damping: DampingProfile, dt: float, p: int) -> Simp
     )
 
 
-def _amp_pow(v: np.ndarray, p: int) -> np.ndarray:
-    a2 = v.real**2 + v.imag**2
-    return a2 if p == 3 else a2 ** ((p - 1) // 2)
+def _amp_pow(v: np.ndarray, p: int, out=None) -> np.ndarray:
+    """|v|^(p-1), formed in out[0] with out[1] for |Im v|^2: out is a pair
+    of real blocks of v's shape, a fresh pair when None.  The operations and
+    operand order are those of (v.real**2 + v.imag**2) ** ((p - 1) // 2), so
+    the bits are the same."""
+    a2, b2 = out if out is not None else (np.empty(v.shape), np.empty(v.shape))
+    np.add(np.square(v.real, out=a2), np.square(v.imag, out=b2), out=a2)
+    if p != 3:
+        a2 **= (p - 1) // 2
+    return a2
 
 
 def _split_steps(u: np.ndarray, tab, steps, substep, blocks=None):
@@ -188,8 +196,10 @@ def _split_steps(u: np.ndarray, tab, steps, substep, blocks=None):
     which the FFTs fill through out=: the inverse FFT writes the physical
     grid, the forward FFT writes over the block the substep returned.
     blocks, when given, is that pair for u's rows, the spectrum zero outside
-    the band, so a caller that sweeps many times allocates them once.  Only
-    the yielded u is fresh each step, so a caller may keep it.
+    the band, so a caller that sweeps many times allocates them once.  The
+    yielded u is fresh each step and small, a band of coefficients per row:
+    a caller that stores a run copies the states it keeps into the rows of
+    one block allocated before the first step.
     """
     kk, n_pad = tab.k_max, tab.n_pad
     if blocks is None:
@@ -231,9 +241,10 @@ def _midpoint(w, rhs, dt, buf):
     return np.add(w, np.multiply(dt, rhs(m, k), out=k), out=w)
 
 
-def _forced_rhs(z, out, f, p: int):
-    """-i(|z|^{p-1} z + f) into out: the forced substep's rhs for _midpoint."""
-    np.add(np.multiply(_amp_pow(z, p), z, out=out), f, out=out)
+def _forced_rhs(z, out, f, p: int, amp=None):
+    """-i(|z|^{p-1} z + f) into out: the forced substep's rhs for _midpoint;
+    |z|^{p-1} is formed in amp, _amp_pow's pair of real blocks, if given."""
+    np.add(np.multiply(_amp_pow(z, p, amp), z, out=out), f, out=out)
     return np.multiply(-1j, out, out=out)
 
 
@@ -268,8 +279,10 @@ def _noise_drive(rows, cfg: SolverConfig):
     explicit sum over the few active modes, not vals @ exps: a matrix product
     picks its BLAS kernel by the number of rows, so a chain's forcing would
     depend on the block it is stepped in.  The sum gives every row the same
-    bits.  Every entry must be a NoisePath carrying the first one's
-    NoiseSpec, amplitudes too.
+    bits.  drive(step, scratch) forms each further mode's term in scratch, a
+    free complex block of the drive's shape, rather than in a fresh one.
+    Every entry must be a NoisePath carrying the first one's NoiseSpec,
+    amplitudes too.
     """
     if not all(isinstance(path, NoisePath) for row in rows for path in row):
         raise ValidationError("every forcing entry must be a NoisePath")
@@ -285,7 +298,7 @@ def _noise_drive(rows, cfg: SolverConfig):
     out = np.empty((len(rows), cfg._tab.n_pad), dtype=np.complex128)
     built = None
 
-    def drive(step: int):
+    def drive(step: int, scratch=None):
         nonlocal built
         unit, within = divmod(step, spu)
         cell = (unit, within // per_cell)
@@ -293,7 +306,7 @@ def _noise_drive(rows, cfg: SolverConfig):
             vals = stack[:, unit, :, cell[1]]
             np.multiply(vals[:, 0, None], exps[0], out=out)
             for j in range(1, len(exps)):
-                np.add(out, vals[:, j, None] * exps[j], out=out)
+                np.add(out, np.multiply(vals[:, j, None], exps[j], out=scratch), out=out)
             built = cell
         return out
 
@@ -307,41 +320,65 @@ def _row_drive(paths, cfg: SolverConfig):
     more per step.
     """
     block = _noise_drive([paths], cfg)
-    return lambda step: block(step)[0]
+    return lambda step, scratch: block(step, scratch[None])[0]
 
 
 def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, drive, collect: bool):
-    """Nonlinear flow over n_steps.  u has shape (..., n_coeff); drive(n) is
-    the padded physical forcing of step n, or drive is None.  Returns
-    (times, stored, final)."""
+    """Nonlinear flow over n_steps.  u has shape (..., n_coeff); drive(n,
+    scratch) is the padded physical forcing of step n, or drive is None.
+    Returns (times, stored, final).
+
+    With collect, the run is stored at cfg's stride, the final step always
+    included, in one block of shape (..., n_stored, n_coeff) allocated
+    before the first step: the states are copied into its rows as their
+    steps finish, so stored[..., j, :] is the j-th stored state of each
+    chain and stored[i] the whole run of row i of a (B, n_coeff) block.
+    Without collect, times and stored are None.  Every block the substep
+    writes is allocated once per sweep: |v|^{p-1} goes into a pair of real
+    blocks, the unforced rotation factor into a complex one, and the forced
+    midpoint's stages into two complex ones.
+    """
     tab = cfg._tab
-    dt, p = cfg.dt, cfg.p
+    dt, p, stride = cfg.dt, cfg.p, cfg.store_stride
     thr2 = H1_BLOWUP**2
-    if drive is not None:
-        buf = tuple(np.empty(u.shape[:-1] + (tab.n_pad,), dtype=np.complex128) for _ in range(2))
+    pad = u.shape[:-1] + (tab.n_pad,)
+    amp = np.empty(pad), np.empty(pad)
+    if drive is None:
+        rot = np.empty(pad, dtype=np.complex128)
+    else:
+        buf = np.empty(pad, dtype=np.complex128), np.empty(pad, dtype=np.complex128)
 
     # the decays are applied in place: a fresh block-sized temporary for
     # each lets glibc trim and refault the heap top every step
     def substep(n, v):
         v *= tab.decay
         if drive is None:
-            v = v * np.exp(-1j * dt * _amp_pow(v, p))
+            np.multiply(_amp_pow(v, p, amp), -1j * dt, out=rot)
+            v *= np.exp(rot, out=rot)
         else:
-            v = _midpoint(v, partial(_forced_rhs, f=drive(n), p=p), dt, buf)
+            # the midpoint's slope block is free until _midpoint starts
+            f = drive(n, buf[0])
+            v = _midpoint(v, partial(_forced_rhs, f=f, p=p, amp=amp), dt, buf)
         v *= tab.decay
         return v
 
-    times = [0.0]
-    stored = [u] if collect else []
+    times = stored = None
+    if collect:
+        n_stored = 1 - (-n_steps // stride)  # step 0, then ceil(n_steps / stride) steps
+        times = np.zeros(n_stored)
+        stored = np.empty(u.shape[:-1] + (n_stored, u.shape[-1]), dtype=np.complex128)
+        stored[..., 0, :] = u
+        j = 1
     for n, u in _split_steps(u, tab, range(n_steps), substep):
         h1 = hs_norm_sq(u, 1.0)
         if not (h1.max() <= thr2):  # NaN compares false, so it trips too
             row = int(np.argmax(h1))
             raise BlowUpError(n + 1, (n + 1) * dt, float(np.sqrt(h1.flat[row])), row)
-        if collect and ((n + 1) % cfg.store_stride == 0 or n + 1 == n_steps):
-            times.append((n + 1) * dt)
-            stored.append(u)
-    return np.asarray(times), stored, u
+        if collect and ((n + 1) % stride == 0 or n + 1 == n_steps):
+            times[j] = (n + 1) * dt
+            stored[..., j, :] = u
+            j += 1
+    return times, stored, u
 
 
 @dataclass
@@ -416,7 +453,7 @@ def solve_nls(u0: FourierField, forcing, horizon: float, cfg: SolverConfig) -> T
     constant drive.
     """
     times, stored, _ = _solve(u0, forcing, horizon, cfg, True)
-    return Trajectory(cfg.grid, times, np.stack(stored), cfg, forcing)
+    return Trajectory(cfg.grid, times, stored, cfg, forcing)
 
 
 def markov_step(u0: FourierField, path: NoisePath, cfg: SolverConfig) -> FourierField:
@@ -434,7 +471,7 @@ def _block_unit_run(coeffs: np.ndarray, paths, cfg: SolverConfig, collect: bool)
         raise ValidationError("need one row of %d coefficients per path, got shape %r"
                               % (cfg.grid.n_coeff, coeffs.shape))
     if not paths:
-        return np.zeros(1), [coeffs], coeffs
+        return np.zeros(1), coeffs[:, None], coeffs
     drive = _noise_drive([[p] for p in paths], cfg)
     return _evolve(coeffs, cfg, cfg.steps_for(1.0), drive, collect)
 
@@ -447,10 +484,12 @@ def markov_step_batch(coeffs: np.ndarray, paths, cfg: SolverConfig) -> np.ndarra
 def solve_nls_batch(coeffs: np.ndarray, paths, cfg: SolverConfig) -> list:
     """Stored unit runs of a block, one Trajectory per row: row i of coeffs
     under paths[i], stored at cfg's stride.  Rows step independently, so
-    run i is solve_nls(row i, paths[i], 1.0, cfg) bit for bit."""
+    run i is solve_nls(row i, paths[i], 1.0, cfg) bit for bit.  Run i's
+    coeffs is a copy of its row of the one block _evolve fills, not a view,
+    so a caller that drops a run frees its states."""
     times, stored, _ = _block_unit_run(coeffs, paths, cfg, True)
     return [
-        Trajectory(cfg.grid, times.copy(), np.stack([u[i] for u in stored]), cfg, path)
+        Trajectory(cfg.grid, times.copy(), stored[i].copy(), cfg, path)
         for i, path in enumerate(paths)
     ]
 

@@ -26,7 +26,8 @@ then conserved to round-off by construction, and the stored states solve
     i phi_t + phi_xx - i a(x) phi = ((p+1)/2)|u|^{p-1} phi - ((p-1)/2)|u|^{p-3} u^2 conj(phi).
 
 Tangent and adjoint runs are Trajectory objects on the base's grid, times and
-solver config.
+solver config, each stored in one block allocated before its first step:
+the tangent fills its rows forward, the adjoint backward, from phi(T).
 
 The control response matrix is the one forced tangent solve.  Its columns
 are driven by the Haar-in-time control basis, and a column is exactly zero
@@ -139,17 +140,18 @@ def _tangent_steps(v, maps, tab, steps, drive=None, blocks=None):
 
 
 def solve_linearized(base: Trajectory, v0: FourierField) -> Trajectory:
-    """Unforced tangent flow along base from v0."""
+    """Unforced tangent flow along base from v0, each state copied into its
+    row of one block as its step finishes."""
     if v0.grid != base.grid:
         raise ValidationError("direction lives on a different grid")
     cfg = base.config
     n_steps = base.n_stored - 1
     maps = _tangent_coefficients(base, 0, n_steps)
-    v = v0.coeffs.astype(np.complex128)
-    stored = [v]
-    for _, v in _tangent_steps(v, maps, cfg._tab, range(n_steps)):
-        stored.append(v)
-    return Trajectory(base.grid, base.times.copy(), np.stack(stored), cfg)
+    stored = np.empty(base.coeffs.shape, dtype=np.complex128)
+    stored[0] = v0.coeffs
+    for n, v in _tangent_steps(stored[0], maps, cfg._tab, range(n_steps)):
+        stored[n + 1] = v
+    return Trajectory(base.grid, base.times.copy(), stored, cfg)
 
 
 def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> Trajectory:
@@ -158,6 +160,7 @@ def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> Trajectory:
     Runs the tangent substep with (conj(a_n), b_n), on conjugated phase
     tables, in reverse step order: the exact real-L2 adjoint of each forward
     step, so Re<v(t_n), phi(t_n)> is constant in n for any tangent solution v.
+    The block is filled from its last row back: step n writes phi(t_n).
     """
     if phi1.grid != base.grid:
         raise ValidationError("terminal state lives on a different grid")
@@ -167,12 +170,11 @@ def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> Trajectory:
     adj = SimpleNamespace(
         **{**vars(tab), "phase_in": np.conj(tab.phase_in), "phase_out": np.conj(tab.phase_out)}
     )
-    phi = phi1.coeffs.astype(np.complex128)
-    stored = [phi]
-    for _, phi in _tangent_steps(phi, (np.conj(a), b), adj, range(len(a) - 1, -1, -1)):
-        stored.append(phi)
-    stored.reverse()
-    return Trajectory(base.grid, base.times.copy(), np.stack(stored), cfg)
+    stored = np.empty(base.coeffs.shape, dtype=np.complex128)
+    stored[-1] = phi1.coeffs
+    for n, phi in _tangent_steps(stored[-1], (np.conj(a), b), adj, range(len(a) - 1, -1, -1)):
+        stored[n] = phi
+    return Trajectory(base.grid, base.times.copy(), stored, cfg)
 
 
 def duality_pairing(v_run: Trajectory, phi_run: Trajectory, t: float) -> float:

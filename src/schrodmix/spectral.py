@@ -161,10 +161,15 @@ def mode_weights(k_max: int, s: float) -> np.ndarray:
 
 
 def hs_norm_sq(coeffs: np.ndarray, s: float) -> np.ndarray:
-    """Squared H^s norm along the last axis, each row reduced on its own."""
+    """Squared H^s norm along the last axis, each row reduced on its own.
+    The weighted |c|^2 is formed in one real block, in place, in the
+    operations of w * (c.real**2 + c.imag**2), so the bits are the same."""
     c = np.asarray(coeffs)
     w = mode_weights((c.shape[-1] - 1) // 2, s)
-    return np.add.reduce(w * (c.real**2 + c.imag**2), axis=-1)
+    a2 = c.real**2
+    a2 += c.imag**2
+    a2 *= w
+    return np.add.reduce(a2, axis=-1)
 
 
 def sobolev_norm(f: FourierField, s: float) -> float:

@@ -9,6 +9,12 @@ time, a binary container as its header and two array buffers), so no table
 or container is ever held whole in memory, and only a complete .tmp
 replaces <name> (os.replace).  A write that fails, mid-stream or at the replace, removes the
 .tmp and leaves the old file as it was.
+
+A trajectory CSV is read back the same way: a chunk of whole states at a
+time, parsed straight into its coefficient block, which is allocated once
+from a line count of the file, so no table of the whole file is held
+beside the block (only a file it refuses is parsed again whole, to name
+its first fault).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import hashlib
 import json
 import os
 import struct
+import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from typing import get_type_hints
@@ -34,7 +41,8 @@ _BIN_VERSION = 1
 # magic, version, flags, n_coeff, n_stored, k_max, reserved (written as 0,
 # never read: older files hold a point count there and read back the same)
 _HEADER = struct.Struct("<4sBBHIHH")
-_DIGEST_BLOCK = 1 << 16  # bytes per read of file_digest
+_DIGEST_BLOCK = 1 << 16  # bytes per read of file_digest and _count_lines
+_NEWLINE = ord("\n")
 
 
 def file_digest(path) -> str:
@@ -105,21 +113,36 @@ def _table_chunks(header: str, fmt: str, columns):
         yield (fmt * (hi - lo) % tuple(chunk.ravel().tolist())).encode("ascii")
 
 
-def _read_table(path, header: str, what: str, index_cols) -> np.ndarray:
-    """The rows under header as an (n_rows, n_cols) float array, with the
-    columns index_cols checked to hold integers."""
+@contextlib.contextmanager
+def _table_rows(path, header: str, what: str):
+    """Opens the table at path and checks its header; yields the handle at
+    its first row, or None when every line after the header is blank (which
+    np.loadtxt would warn holds no data)."""
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != header:
             raise ValidationError("unexpected %s CSV header: %r" % (what, first.split(",")))
-        empty = all(line.isspace() for line in fh)
-    n_cols = header.count(",") + 1
-    if empty:  # np.loadtxt would warn that the input holds no data
-        return np.zeros((0, n_cols))
+        start = fh.tell()
+        empty = all(line.isspace() for line in iter(fh.readline, ""))
+        fh.seek(start)
+        yield None if empty else fh
+
+
+def _load_rows(src, what: str, n_cols: int, index_cols, max_rows=None, skiprows=0) -> np.ndarray:
+    """The next max_rows rows of src (all of them when None), a path or an
+    open handle, past its first skiprows lines, as an (n, n_cols) float
+    array, with the columns index_cols checked to hold integers.  Blank
+    lines are skipped and not counted."""
     try:
-        data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a blank line, or no row left at all: neither is a fault
+            warnings.filterwarnings("ignore", r"(Input line \d+|loadtxt: input) contained no data")
+            data = np.loadtxt(src, delimiter=",", comments=None, skiprows=skiprows, ndmin=2,
+                              max_rows=max_rows)
     except ValueError as exc:
         raise ValidationError("malformed %s CSV row: %s" % (what, exc)) from None
+    if len(data) == 0:
+        return np.zeros((0, n_cols))
     if data.shape[1] != n_cols:
         raise ValidationError("%s CSV rows need %d columns, got %d" % (what, n_cols, data.shape[1]))
     idx = data[:, index_cols]
@@ -127,6 +150,33 @@ def _read_table(path, header: str, what: str, index_cols) -> np.ndarray:
     if bad.any():
         raise ValidationError("%s CSV holds a non-integer index %s" % (what, idx[bad][0]))
     return data
+
+
+def _read_table(path, header: str, what: str, index_cols) -> np.ndarray:
+    """The rows under header as one (n_rows, n_cols) float array, with the
+    columns index_cols checked to hold integers.  numpy reads a path in
+    bulk, where it iterates an open handle line by line."""
+    with _table_rows(path, header, what) as fh:
+        empty = fh is None
+    n_cols = header.count(",") + 1
+    if empty:
+        return np.zeros((0, n_cols))
+    return _load_rows(path, what, n_cols, index_cols, skiprows=1)
+
+
+def _count_lines(path) -> int:
+    """The '\n'-ended lines of the file at path, plus a last line without
+    one: an upper bound on the rows of a table with '\n' or '\r\n' line
+    ends.  The file is read in binary blocks, and numpy counts each block's
+    newlines."""
+    buf = bytearray(_DIGEST_BLOCK)
+    view = np.frombuffer(buf, dtype=np.uint8)
+    n, last = 0, _NEWLINE
+    with open(path, "rb", buffering=0) as fh:
+        while m := fh.readinto(buf):
+            n += int(np.count_nonzero(view[:m] == _NEWLINE))
+            last = view[m - 1]
+    return n + (last != _NEWLINE)
 
 
 # ---------------------------------------------------------------------------
@@ -166,25 +216,83 @@ def _trajectory_chunks(times: np.ndarray, coeffs: np.ndarray):
 
 def read_trajectory_csv(path):
     """Returns (times, coeffs): every block of rows lists each mode of one
-    symmetric band once, at one time.  Beyond the parsed table, only coeffs
-    and small masks are allocated: each row's integer index takes the cells
-    its parsed mode held, and its (re, im) pair is read as one complex."""
+    symmetric band once, at one time.
+
+    The rows are parsed a chunk of whole states at a time, straight into
+    the (n_states, 2K+1) coefficient block, which is allocated once from a
+    line count of the file: each row's integer index takes the cells its
+    parsed mode held, and its (re, im) pair is read as one complex.  K is
+    read off the first chunk, which runs on until it holds a row of a
+    second time, or the whole file, so that it holds the first band whole.
+    A file a chunk refuses is read again as one table and checked whole,
+    so a refusal is the first fault of the whole table, whichever chunk
+    holds it: the same message, in the same order of checks.
+    """
+    try:
+        return _read_trajectory_chunks(path)
+    except ValidationError as exc:
+        chunk_error = exc
     data = _read_table(path, _TRAJECTORY_HEADER, "trajectory", [1])
-    if len(data) == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
-    mode = data[:, 1]
-    k_max = int(mode.max())
+    if len(data):
+        _band_blocks(data, int(np.abs(data[:, 1]).max()))
+    raise chunk_error
+
+
+def _read_trajectory_chunks(path):
+    """read_trajectory_csv's chunked read: a refusal names the first fault
+    of the first chunk that shows one."""
+    with _table_rows(path, _TRAJECTORY_HEADER, "trajectory") as fh:
+        if fh is None:
+            return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
+        load = functools.partial(_load_rows, fh, "trajectory", 4, [1])
+        data = load(_TABLE_CHUNK)
+        more = len(data) == _TABLE_CHUNK  # the last load was full: rows may follow
+        while more and (data[:, 0] == data[0, 0]).all():
+            chunk = load(_TABLE_CHUNK)
+            data, more = np.concatenate([data, chunk]), len(chunk) == _TABLE_CHUNK
+        k_max = int(np.abs(data[:, 1]).max())
+        n_band = 2 * k_max + 1
+        if more and len(data) % n_band:  # the first chunk ends on a whole state
+            want = -len(data) % n_band
+            chunk = load(want)
+            data, more = np.concatenate([data, chunk]), len(chunk) == want
+        per = max(1, _TABLE_CHUNK // n_band) * n_band  # rows per later chunk
+        times = np.empty((_count_lines(path) - 1) // n_band)  # less the header's line
+        coeffs = np.empty((len(times), n_band), dtype=np.complex128)
+        done = 0  # states filled
+        while len(data):
+            t, col = _band_blocks(data, k_max)
+            stop = done + len(t)
+            if stop > len(times):  # lines ended by a lone '\r' escape the count
+                times, coeffs = np.resize(times, 2 * stop), np.resize(coeffs, (2 * stop, n_band))
+            times[done:stop] = t[:, 0]
+            coeffs[done:stop].reshape(-1)[col] = data[:, 2:4].view(np.complex128).reshape(t.shape)
+            done = stop
+            data = load(per) if more else data[:0]
+            more = len(data) == per
+    if done < len(times):  # blank lines were counted
+        return times[:done].copy(), coeffs[:done].copy()
+    return times, coeffs
+
+
+def _band_blocks(data: np.ndarray, k_max: int):
+    """Checks parsed rows, whole states, against the band -k_max..k_max;
+    returns the times as (n_states, 2K+1) and each row's flat index into
+    the rows' states.  Beyond data, only small masks are allocated: each
+    row's integer index takes the cells its parsed mode held."""
     n_band = 2 * k_max + 1
+    mode = data[:, 1]
     col = mode.view(np.intp)
     col[...] = mode + k_max
-    # every mode of -k_max..k_max occurs; a band wider than the table cannot
-    if col.min() != 0 or n_band > len(data) or not np.bincount(col).all():
+    # every mode of -k_max..k_max occurs; a band wider than the rows cannot
+    if (col.min() < 0 or col.max() >= n_band or n_band > len(data)
+            or not np.bincount(col, minlength=n_band).all()):
         raise ValidationError("trajectory CSV does not cover a symmetric band")
     if len(data) % n_band != 0:
         raise ValidationError("row count is not a multiple of the band size")
     shape = (len(data) // n_band, n_band)
     col = col.reshape(shape)
-    col += n_band * np.arange(shape[0])[:, None]  # the flat index into coeffs
+    col += n_band * np.arange(shape[0])[:, None]  # the flat index into the states
     hit = np.zeros(len(data), dtype=bool)
     hit[col] = True
     if not hit.all():
@@ -192,9 +300,7 @@ def read_trajectory_csv(path):
     t = data[:, 0].reshape(shape)
     if np.any(t != t[:, :1]):
         raise ValidationError("mixed times inside one block")
-    coeffs = np.empty(shape, dtype=np.complex128)
-    coeffs.reshape(-1)[col] = data[:, 2:4].view(np.complex128).reshape(shape)
-    return t[:, 0].copy(), coeffs
+    return t, col
 
 
 def write_trajectory_bin(path, times: np.ndarray, coeffs: np.ndarray, grid: Grid) -> None:

@@ -36,7 +36,7 @@ from schrodmix.dynamics import energy_series, pad_points
 from schrodmix.linearized import control_response_matrix
 from schrodmix.mixing import synchronous_coupling_experiment
 from schrodmix.noise import NoisePath, sample_noise_paths
-from schrodmix.spectral import DAMPING_PARAMS, DampingProfile, Grid, synth
+from schrodmix.spectral import DAMPING_PARAMS, DampingProfile, Grid, synth, zero_damping
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -804,6 +804,97 @@ def test_trajectory_csv_reader_checks_in_order(tmp_path):
         read(mixed[:5] + [rows[0]])
 
 
+def _chunked_file(tmp_path, k_max, n_states, seed):
+    """A trajectory CSV of n_states states of the band -k_max..k_max, with
+    the modes of each block in a random order; returns (path, times,
+    coeffs, header, rows)."""
+    rng = np.random.default_rng(seed)
+    n = 2 * k_max + 1
+    coeffs = rng.standard_normal((n_states, n)) + 1j * rng.standard_normal((n_states, n))
+    times = np.arange(n_states) * 2.0**-7
+    path = tmp_path / "traj.csv"
+    store.write_trajectory_csv(path, times, coeffs)
+    header, *rows = path.read_text().splitlines()
+    for lo in range(0, len(rows), n):
+        rows[lo : lo + n] = [rows[lo + i] for i in rng.permutation(n)]
+    return path, times, coeffs, header, rows
+
+
+def _write_rows(path, header, rows, end="\n"):
+    path.write_bytes((end.join([header, *rows]) + end).encode())
+
+
+def test_trajectory_csv_round_trips_across_chunks(tmp_path):
+    # 300 states of 41 modes are 12,300 rows, more than three chunks of
+    # whole states, each block listing its modes in its own order
+    path, times, coeffs, header, rows = _chunked_file(tmp_path, 20, 300, 30)
+    assert len(rows) > 3 * store._TABLE_CHUNK
+    _write_rows(path, header, rows)
+    t, c = store.read_trajectory_csv(path)
+    assert t.tobytes() == times.tobytes() and c.tobytes() == coeffs.tobytes()
+    # blank lines are skipped wherever they fall, also at a chunk's end and
+    # at the end of the file; '\r\n' and lone '\r' line ends read the same
+    blanks = list(rows)
+    for i in (len(rows), 8200, 4100, 4059, 1):
+        blanks[i:i] = [""] * 3
+    for lines, end in ((blanks, "\n"), (rows, "\r\n"), (rows, "\r")):
+        _write_rows(path, header, lines, end)
+        t, c = store.read_trajectory_csv(path)
+        assert t.tobytes() == times.tobytes() and c.tobytes() == coeffs.tobytes(), repr(end)
+
+
+def test_trajectory_csv_band_wider_than_a_chunk(tmp_path):
+    # 4201 modes: the first chunk runs on until it holds a row of the
+    # second time, so K is read off a whole band, also when each block
+    # lists its modes by |k| and the first 4096 rows hold |k| <= 2048 only
+    path, times, coeffs, header, rows = _chunked_file(tmp_path, 2100, 2, 31)
+    assert 2 * 2100 + 1 > store._TABLE_CHUNK
+    by_size = [r for lo in (0, 4201)
+               for r in sorted(rows[lo : lo + 4201], key=lambda r: abs(int(r.split(",")[1])))]
+    for lines in (rows, by_size):
+        _write_rows(path, header, lines)
+        t, c = store.read_trajectory_csv(path)
+        assert t.tobytes() == times.tobytes() and c.tobytes() == coeffs.tobytes()
+
+
+def _set_field(row, j, value):
+    fields = row.split(",")
+    fields[j] = value(fields[j])
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("short_row", r"malformed trajectory CSV row: the number of columns changed from 4 to 3"
+                      r" at row 12291;"),
+        ("non_numeric", r"malformed trajectory CSV row: could not convert string 'x' to float64"
+                        r" at row 12290, column 3\."),
+        ("fractional_mode", r"trajectory CSV holds a non-integer index -?\d+\.5$"),
+        ("repeated_mode", r"a mode repeats inside one time block$"),
+        ("mixed_times", r"mixed times inside one block$"),
+        ("mode_outside", r"trajectory CSV does not cover a symmetric band$"),
+    ],
+)
+def test_trajectory_csv_refuses_a_fault_in_the_last_chunk(tmp_path, fault, message):
+    # a fault in the last of four chunks is refused with the message the
+    # whole table gives, row numbers counted over the whole file
+    path, _, _, header, rows = _chunked_file(tmp_path, 20, 300, 32)
+    i = len(rows) - 10  # data row 12290, counted from 0, in the last state
+    damage = {
+        "short_row": lambda r: r[i].rsplit(",", 1)[0],
+        "non_numeric": lambda r: _set_field(r[i], 2, lambda v: "x"),
+        "fractional_mode": lambda r: _set_field(r[i], 1, lambda v: v + ".5"),
+        "repeated_mode": lambda r: r[i - 1],
+        "mixed_times": lambda r: _set_field(r[i], 0, lambda v: "0.5"),
+        "mode_outside": lambda r: _set_field(r[i], 1, lambda v: "21"),
+    }[fault]
+    rows[i] = damage(rows)
+    _write_rows(path, header, rows)
+    with pytest.raises(ValidationError, match=message):
+        store.read_trajectory_csv(path)
+
+
 TRAJECTORY_GOLDEN = (
     "t,mode,re,im\n"
     "0,-1,nan,-0\n"
@@ -1278,20 +1369,29 @@ def _traced_peak_mib(fn, *args) -> float:
         tracemalloc.stop()
 
 
+def _io_run_config(store_stride: int) -> SolverConfig:
+    """trajectory_io's solver: k_max 42, dt 2^-7, no damping."""
+    grid = Grid(42)
+    return SolverConfig(grid, zero_damping(grid), dt=2.0**-7, store_stride=store_stride)
+
+
 @pytest.mark.parametrize(
     "what, bound_mib",
     [
         ("write_trajectory_csv", 1.5),
         ("write_trajectory_bin", 0.2),
-        ("read_trajectory_csv", 3.0),
+        ("read_trajectory_csv", 1.5),
         ("read_trajectory_bin", 1.0),
         ("file_digest", 0.25),
         ("energy_series", 1.6),
+        ("solve_nls", 1.1),
     ],
 )
 def test_trajectory_io_memory_bounds(tmp_path, what, bound_mib):
     # the store layer streams and energy_series synthesizes small blocks:
-    # no whole-run text, byte string or padded block is ever held
+    # no whole-run text, byte string or padded block is ever held; the CSV
+    # reader parses a chunk of whole states at a time into the coefficient
+    # block, and the solver stores its 641 states (0.83 MiB) in one block
     rng = np.random.default_rng(19)
     times = np.arange(_IO_SHAPE[0]) * 2.0**-5
     coeffs = 0.1 * (rng.standard_normal(_IO_SHAPE) + 1j * rng.standard_normal(_IO_SHAPE))
@@ -1299,6 +1399,8 @@ def test_trajectory_io_memory_bounds(tmp_path, what, bound_mib):
     csv, bin_ = tmp_path / "t.csv", tmp_path / "t.bin"
     store.write_trajectory_csv(csv, times, coeffs)
     store.write_trajectory_bin(bin_, times, coeffs, grid)
+    cfg = _io_run_config(4)
+    u0 = random_h1_field(grid, 0.8, 3.0, 3, 0)
     call = {
         "write_trajectory_csv": (store.write_trajectory_csv, csv, times, coeffs),
         "write_trajectory_bin": (store.write_trajectory_bin, bin_, times, coeffs, grid),
@@ -1306,8 +1408,32 @@ def test_trajectory_io_memory_bounds(tmp_path, what, bound_mib):
         "read_trajectory_bin": (store.read_trajectory_bin, bin_),
         "file_digest": (store.file_digest, csv),
         "energy_series": (energy_series, coeffs, 3),
+        "solve_nls": (solve_nls, u0, None, 20.0, cfg),
     }[what]
+    if what == "solve_nls":
+        assert cfg.steps_for(20.0) // 4 + 1 == _IO_SHAPE[0]
     assert _traced_peak_mib(*call) < bound_mib
+
+
+@pytest.mark.parametrize("what, ratio", [("solve_nls", 1.15), ("read_trajectory_csv", 1.25)])
+def test_stored_run_is_held_once(tmp_path, what, ratio):
+    # a run of 5121 states, stored at every step, is held once: solving it
+    # and reading its CSV back each peak barely above the states' own bytes
+    # (6.64 MiB), with no list of steps, stacked copy or whole-file table
+    shape = (5121, 85)
+    states_mib = shape[0] * shape[1] * 16 / 2**20
+    if what == "solve_nls":
+        cfg = _io_run_config(1)
+        u0 = random_h1_field(cfg.grid, 0.8, 3.0, 3, 0)
+        assert cfg.steps_for(40.0) + 1 == shape[0]
+        call = (solve_nls, u0, None, 40.0, cfg)
+    else:
+        rng = np.random.default_rng(20)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        path = tmp_path / "t.csv"
+        store.write_trajectory_csv(path, np.arange(shape[0]) * 2.0**-7, coeffs)
+        call = (store.read_trajectory_csv, path)
+    assert _traced_peak_mib(*call) / states_mib <= ratio
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,9 @@ from schrodmix import (
 )
 from schrodmix.config import random_h1_field
 from schrodmix.dynamics import (
+    _amp_pow,
     _noise_drive,
+    _split_steps,
     energy_series,
     steps_per_cell,
     trajectory_remainder,
@@ -342,9 +344,49 @@ def test_stored_block_rows_match_single_runs(stride):
         assert run.forcing is path and run.config is cfg
     step = markov_step_batch(x.coeffs[None, :], [xi], cfg)[0]
     assert x_run.endpoint.coeffs.tobytes() == step.tobytes()
+    # each run owns its states: dropping one frees them
+    assert not np.shares_memory(x_run.coeffs, y_run.coeffs)
+    assert x_run.coeffs.flags.c_contiguous and y_run.coeffs.flags.c_contiguous
     assert solve_nls_batch(np.zeros((0, GRID.n_coeff)), [], cfg) == []
     with pytest.raises(ValidationError):
         solve_nls_batch(y.coeffs, [zeta], cfg)
+
+
+def test_amp_pow_into_buffers_keeps_the_plain_bits():
+    # |v|^{p-1} formed in a given pair of real blocks, or in a fresh one, is
+    # the plain expression bit for bit, also on zeros of either sign,
+    # infinities and NaN
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal((3, 50)) + 1j * rng.standard_normal((3, 50))
+    v[0, :6] = [0.0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(np.inf, 1.0),
+                complex(1.0, -np.inf), complex(np.nan, 0.0)]
+    for p in (3, 5, 7):
+        want = ((v.real**2 + v.imag**2) ** ((p - 1) // 2)).tobytes()
+        pair = np.empty(v.shape), np.empty(v.shape)
+        got = _amp_pow(v, p, pair)
+        assert got is pair[0]
+        assert got.tobytes() == want, p
+        assert _amp_pow(v, p).tobytes() == want, p
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_unforced_step_keeps_the_plain_rotation_bits(p):
+    # the unforced substep forms |v|^{p-1} and the rotation factor in blocks
+    # allocated once per sweep; every stored state is that of the plain
+    # expression v * exp(-1j dt |v|^{p-1}) with fresh temporaries
+    cfg = damped_cfg(p=p, store_stride=3)
+    u0 = random_h1_field(GRID, 1.0, 3.0, 12, 0)
+
+    def plain(n, v):
+        v *= cfg._tab.decay
+        v = v * np.exp(-1j * cfg.dt * ((v.real**2 + v.imag**2) ** ((p - 1) // 2)))
+        v *= cfg._tab.decay
+        return v
+
+    traj = solve_nls(u0, None, 16 * cfg.dt, cfg)
+    want = [u0.coeffs] + [u.copy() for _, u in _split_steps(u0.coeffs, cfg._tab, range(16), plain)]
+    assert traj.coeffs.tobytes() == np.stack([want[n] for n in (0, 3, 6, 9, 12, 15, 16)]).tobytes()
+    assert traj.times.tobytes() == (np.array([0, 3, 6, 9, 12, 15, 16]) * cfg.dt).tobytes()
 
 
 @settings(max_examples=8, deadline=None, database=None, derandomize=True)

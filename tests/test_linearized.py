@@ -275,8 +275,11 @@ def test_tangent_midpoint_keeps_the_plain_bits():
         amp = lambda z: (z.real**2 + z.imag**2) ** ((p - 1) // 2)
         vm = v + (0.5 * DT) * (-1j * (amp(v) * v + f))
         want = v + DT * (-1j) * (amp(vm) * vm + f)
-        got = _midpoint(v.copy(), functools.partial(_forced_rhs, f=f, p=p), DT, blocks)
-        assert got.tobytes() == want.tobytes(), p
+        # |v|^{p-1} in a fresh pair of real blocks, and in the sweep's pair
+        for pair in (None, (np.empty(v.shape), np.empty(v.shape))):
+            rhs = functools.partial(_forced_rhs, f=f, p=p, amp=pair)
+            got = _midpoint(v.copy(), rhs, DT, blocks)
+            assert got.tobytes() == want.tobytes(), (p, pair is None)
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -217,6 +217,19 @@ def test_hs_norm_sq_batched():
     np.testing.assert_allclose(batch, singles, rtol=1e-13)
 
 
+def test_hs_norm_sq_keeps_the_plain_bits():
+    # one real block formed in place is w * (c.real**2 + c.imag**2) reduced
+    # bit for bit, on a block, a single row and a real row
+    rng = np.random.default_rng(6)
+    block = rng.standard_normal((5, GRID.n_coeff)) + 1j * rng.standard_normal((5, GRID.n_coeff))
+    block[0, :3] = [complex(-0.0, 0.0), complex(np.inf, 1.0), complex(1e-170, -1e150)]
+    for c in (block, block[1], block[2].real):
+        for s in (0.0, 1.0, 2.5, -1.5):
+            w = mode_weights(GRID.k_max, s)
+            want = np.add.reduce(w * (c.real**2 + c.imag**2), axis=-1)
+            assert hs_norm_sq(c, s).tobytes() == want.tobytes(), (c.shape, s)
+
+
 def test_lp_power_integral_cubic_shortcut():
     f = random_field(GRID, 9, scale=0.5)
     val = lp_power_integral(f.coeffs, 3)
