@@ -229,23 +229,23 @@ def _decays(tab, n, v):
 
 
 def _midpoint(w, rhs, dt, buf):
-    """The explicit midpoint step w + dt rhs(w + (dt/2) rhs(w)) of the forced
-    substep, written over w; rhs(z, out) writes the right-hand side at z into
-    out.  buf holds the slope and the stage, two padded blocks allocated once
+    """The explicit midpoint step w - i dt rhs(w - i (dt/2) rhs(w)) of the
+    forced substep, written over w; rhs(z, out) writes i times the
+    right-hand side at z into out, and the -i rides in the step factors.  buf holds the slope and the stage, two padded blocks allocated once
     per sweep: a fresh complex temporary per operation on a 64-row block is
     180 KB, past glibc's initial 128 KB mmap threshold, and the page faults
     of such temporaries made a sweep 20% slower.
     """
     k, m = buf
-    np.add(w, np.multiply(0.5 * dt, rhs(w, k), out=k), out=m)
-    return np.add(w, np.multiply(dt, rhs(m, k), out=k), out=w)
+    np.add(w, np.multiply(-0.5j * dt, rhs(w, k), out=k), out=m)
+    return np.add(w, np.multiply(-1j * dt, rhs(m, k), out=k), out=w)
 
 
 def _forced_rhs(z, out, f, p: int, amp=None):
-    """-i(|z|^{p-1} z + f) into out: the forced substep's rhs for _midpoint;
-    |z|^{p-1} is formed in amp, _amp_pow's pair of real blocks, if given."""
-    np.add(np.multiply(_amp_pow(z, p, amp), z, out=out), f, out=out)
-    return np.multiply(-1j, out, out=out)
+    """|z|^{p-1} z + f into out: the forced substep's rhs for _midpoint,
+    which applies its -i; |z|^{p-1} is formed in amp, _amp_pow's pair of
+    real blocks, if given."""
+    return np.add(np.multiply(_amp_pow(z, p, amp), z, out=out), f, out=out)
 
 
 def steps_per_cell(spec: NoiseSpec, cfg: SolverConfig) -> int:
