@@ -2,18 +2,24 @@
 
     i u_t + u_xx + i a(x) u = |u|^{p-1} u + f(t, x),   x on the 2pi torus,
 
-with p >= 3 odd.  One step of size dt is the symmetric composition
+with p >= 3 odd.  One step S of size dt is the symmetric composition
 
     P_half . unpad o [D_half . N . D_half] o pad . P_half
 
 of the exact free phase P_half = exp(-i k^2 dt/2), applied in spectral
 space, and, on a zero-padded physical grid, the exact pointwise decay
-D_half = exp(-a(x) dt/2) around the nonlinear/forcing substep N.  The padded
-grid keeps products of band-limited factors alias-free.  Without forcing N is
-the exact modulus-preserving rotation u -> u exp(-i |u|^{p-1} dt), with
-forcing a two-stage explicit midpoint rule.  The damping a(x) is localized,
-so it is applied where it is diagonal, on the padded grid the substep needs
-anyway: a step costs one padded inverse FFT and one padded FFT.
+D_half = exp(-a(x) dt/2) around the nonlinear substep N.  The padded grid
+keeps products of band-limited factors alias-free.  The damping a(x) is
+localized, so it is applied where it is diagonal, on the padded grid the
+substep needs anyway: a step costs one padded inverse FFT and one padded FFT.
+
+The noise forcing f = sum_k b_k eta_k e^{ikx} lives on a few modes and is
+constant on a step, so it is split out of the step: a forced step is
+F(dt/2) o S o F(dt/2), with the exact half kick F(dt/2) u = u - i (dt/2) f_hat
+on the noise modes' coefficients alone, f_hat_k = sqrt(2pi) b_k eta_k.
+Unforced, N is the exact modulus-preserving rotation
+u -> u exp(-i |u|^{p-1} dt); forced, it is the two-stage explicit midpoint
+rule for -i |u|^{p-1} u.
 
 One kernel, _split_steps, runs every flow that shares this splitting: it
 takes the middle substep as a parameter, and the substep owns the whole
@@ -25,12 +31,14 @@ one real-linear map w -> a_n w + b_n conj(w) per step, which linearized
 forms from the stored base for the steps it is about to take.  Run with
 conj(a_n), on conjugated phases, in reverse step order, the same map is the
 exact real-L2 adjoint (D_half is real and diagonal); with the identity
-between the decays the loop is linear_group, the damped free group.
+between the decays the loop is linear_group, the damped free group.  The
+kernel also applies the half kicks: the noise's to every chain of a forced
+run, and a control column's to its row of linearized's tangent sweep.
 
 Everything that depends on p and its padded grid lives here, beside the
 nonlinearity: pad_points, the energy and lp_power_integral.  So does the
 noise forcing: steps_per_cell is the one check that a NoiseSpec can force a
-SolverConfig, and _noise_drive the one builder of sum_k b_k eta_k e^{ikx}.
+SolverConfig, and _noise_drive the one builder of its half kicks.
 
 All state arrays carry the mode axis last and arbitrary batch axes in
 front, which is what keeps ensemble runs affordable.  A stored run is one
@@ -168,7 +176,6 @@ def _step_tables(grid: Grid, damping: DampingProfile, dt: float, p: int) -> Simp
         phase_in=phase_half * (n_pad / ROOT_2PI),
         phase_out=phase_half * (ROOT_2PI / n_pad),
         decay=np.exp(-damping.at(x_pad) * (dt / 2.0)),
-        x_pad=x_pad,
     )
 
 
@@ -184,7 +191,16 @@ def _amp_pow(v: np.ndarray, p: int, out=None) -> np.ndarray:
     return a2
 
 
-def _split_steps(u: np.ndarray, tab, steps, substep, blocks=None):
+def _index(cols: list):
+    """cols as a slice when they run consecutively upward, else as the
+    list (empty too): a slice reads a view, a list copies through fancy
+    indexing."""
+    if cols and all(b == a + 1 for a, b in zip(cols, cols[1:])):
+        return slice(cols[0], cols[-1] + 1)
+    return cols
+
+
+def _split_steps(u: np.ndarray, tab, steps, substep, blocks=None, kick=None):
     """The one Strang step loop: yields (n, u) after each step n of steps.
 
     Step n is P_half . unpad o substep(n, .) o pad . P_half, with substep(n, v)
@@ -200,6 +216,13 @@ def _split_steps(u: np.ndarray, tab, steps, substep, blocks=None):
     yielded u is fresh each step and small, a band of coefficients per row:
     a caller that stores a run copies the states it keeps into the rows of
     one block allocated before the first step.
+
+    kick, when given, is (rows, modes, half): half(n) is step n's half kick
+    h, a block of shape u[rows].shape[:-1] + (len(modes),), and step n runs
+    between two kicks u[rows] -> u[rows] + h on the coefficients of modes.
+    The leading kick enters the padded spectrum after the pad products, as
+    phase_in h; the trailing kick is added after the unpad, so the yielded
+    state is the kicked one.
     """
     kk, n_pad = tab.k_max, tab.n_pad
     if blocks is None:
@@ -209,14 +232,24 @@ def _split_steps(u: np.ndarray, tab, steps, substep, blocks=None):
     head, tail = w[..., : kk + 1], w[..., n_pad - kk :]
     in_pos, in_neg = tab.phase_in[kk:], tab.phase_in[:kk]
     out_pos, out_neg = tab.phase_out[kk:], tab.phase_out[:kk]
+    if kick is not None:
+        rows, modes, half = kick
+        cols = [kk + k for k in modes]
+        at, at_pad = (rows, _index(cols)), (rows, _index([k % n_pad for k in modes]))
+        phase = tab.phase_in[cols]
     for n in steps:
         np.multiply(u[..., kk:], in_pos, out=head)
         np.multiply(u[..., :kk], in_neg, out=tail)
+        if kick is not None:
+            h = half(n)
+            w[at_pad] += phase * h
         v = substep(n, np.fft.ifft(w, out=phys))
         spec = np.fft.fft(v, out=v)
         u = np.empty(u.shape, dtype=np.complex128)
         np.multiply(spec[..., : kk + 1], out_pos, out=u[..., kk:])
         np.multiply(spec[..., n_pad - kk :], out_neg, out=u[..., :kk])
+        if kick is not None:
+            u[at] += h
         yield n, u
 
 
@@ -229,9 +262,8 @@ def _decays(tab, n, v):
 
 
 def _midpoint(w, rhs, dt, buf):
-    """The explicit midpoint step w - i dt rhs(w - i (dt/2) rhs(w)) of the
-    forced substep, written over w; rhs(z, out) writes i times the
-    right-hand side at z into out, and the -i rides in the step factors.  buf holds the slope and the stage, two padded blocks allocated once
+    """The explicit midpoint step w - i dt r(w - i (dt/2) r(w)) of the forced
+    substep, written over w; rhs(z, out) writes r(z), i times the slope.  buf holds the slope and the stage, two padded blocks allocated once
     per sweep: a fresh complex temporary per operation on a 64-row block is
     180 KB, past glibc's initial 128 KB mmap threshold, and the page faults
     of such temporaries made a sweep 20% slower.
@@ -241,17 +273,17 @@ def _midpoint(w, rhs, dt, buf):
     return np.add(w, np.multiply(-1j * dt, rhs(m, k), out=k), out=w)
 
 
-def _forced_rhs(z, out, f, p: int, amp=None):
-    """|z|^{p-1} z + f into out: the forced substep's rhs for _midpoint,
-    which applies its -i; |z|^{p-1} is formed in amp, _amp_pow's pair of
-    real blocks, if given."""
-    return np.add(np.multiply(_amp_pow(z, p, amp), z, out=out), f, out=out)
+def _forced_rhs(z, out, p: int, amp=None):
+    """|z|^{p-1} z into out: the forced substep's rhs for _midpoint, which
+    applies its -i; |z|^{p-1} is formed in amp, _amp_pow's pair of real
+    blocks, if given."""
+    return np.multiply(_amp_pow(z, p, amp), z, out=out)
 
 
 def steps_per_cell(spec: NoiseSpec, cfg: SolverConfig) -> int:
     """Solver steps per noise cell: the one check that spec can force a run
     under cfg, every noise mode inside the grid band and dt dividing the cell
-    width, so that every step sees a constant drive."""
+    width, so that every step sees a constant kick."""
     spu = cfg.steps_for(1.0)
     if spu % spec.n_cells != 0:
         raise ValidationError(
@@ -264,25 +296,16 @@ def steps_per_cell(spec: NoiseSpec, cfg: SolverConfig) -> int:
     return spu // spec.n_cells
 
 
-def _mode_waves(modes, tab) -> np.ndarray:
-    """exp(ikx) of each mode k on the padded grid of tab, (len(modes), n_pad)."""
-    return np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))
-
-
 def _noise_drive(rows, cfg: SolverConfig):
-    """Physical-space noise forcing of a block of chains.
+    """The noise forcing of a block of chains, as the kick of _split_steps.
 
     rows[i] lists the unit-interval paths chain i runs through, one per time
-    unit; drive(step) has shape (len(rows), n_pad).  The forcing is constant
-    on each noise cell, so it is built once per cell into one buffer, which
-    drive returns until the next cell overwrites it.  The forcing is an
-    explicit sum over the few active modes, not vals @ exps: a matrix product
-    picks its BLAS kernel by the number of rows, so a chain's forcing would
-    depend on the block it is stepped in.  The sum gives every row the same
-    bits.  drive(step, scratch) forms each further mode's term in scratch, a
-    free complex block of the drive's shape, rather than in a fresh one.
-    Every entry must be a NoisePath carrying the first one's NoiseSpec,
-    amplitudes too.
+    unit.  Returns (Ellipsis, modes, half): half(step) is the half kick
+    h = -i (dt/2) sqrt(2pi) b_k eta_k of each row on each noise mode k, a
+    (len(rows), len(modes)) block, formed elementwise (so a row has the bits
+    it has alone) once per noise cell into one buffer, which half returns
+    until the next cell overwrites it.  Every entry must be a NoisePath
+    carrying the first one's NoiseSpec, amplitudes too.
     """
     if not all(isinstance(path, NoisePath) for row in rows for path in row):
         raise ValidationError("every forcing entry must be a NoisePath")
@@ -293,40 +316,36 @@ def _noise_drive(rows, cfg: SolverConfig):
     spu = per_cell * spec.n_cells
     amp = np.asarray(spec.amplitudes)[:, None]
     stack = np.array([[amp * p.cells for p in row] for row in rows])  # (B, units, modes, cells)
-    exps = _mode_waves(spec.modes, cfg._tab)
-
-    out = np.empty((len(rows), cfg._tab.n_pad), dtype=np.complex128)
+    scale = -0.5j * cfg.dt * ROOT_2PI
+    out = np.empty((len(rows), len(spec.modes)), dtype=np.complex128)
     built = None
 
-    def drive(step: int, scratch=None):
+    def half(step: int):
         nonlocal built
         unit, within = divmod(step, spu)
         cell = (unit, within // per_cell)
         if cell != built:
-            vals = stack[:, unit, :, cell[1]]
-            np.multiply(vals[:, 0, None], exps[0], out=out)
-            for j in range(1, len(exps)):
-                np.add(out, np.multiply(vals[:, j, None], exps[j], out=scratch), out=out)
+            np.multiply(stack[:, unit, :, cell[1]], scale, out=out)
             built = cell
         return out
 
-    return drive
+    return Ellipsis, spec.modes, half
 
 
 def _row_drive(paths, cfg: SolverConfig):
-    """Forcing of one chain through paths, as row 0 of the block builder.
+    """The kick of one chain through paths, as row 0 of the block builder.
 
     Single-chain runs step a 1-D state: a (1, n_coeff) block costs about 10%
     more per step.
     """
-    block = _noise_drive([paths], cfg)
-    return lambda step, scratch: block(step, scratch[None])[0]
+    rows, modes, block = _noise_drive([paths], cfg)
+    return rows, modes, lambda step: block(step)[0]
 
 
-def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, drive, collect: bool):
-    """Nonlinear flow over n_steps.  u has shape (..., n_coeff); drive(n,
-    scratch) is the padded physical forcing of step n, or drive is None.
-    Returns (times, stored, final).
+def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, kick, collect: bool):
+    """Nonlinear flow over n_steps.  u has shape (..., n_coeff); kick is the
+    noise forcing as _split_steps' kick, or None.  Returns (times, stored,
+    final).
 
     With collect, the run is stored at cfg's stride, the final step always
     included, in one block of shape (..., n_stored, n_coeff) allocated
@@ -343,22 +362,21 @@ def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, drive, collect: bool
     thr2 = H1_BLOWUP**2
     pad = u.shape[:-1] + (tab.n_pad,)
     amp = np.empty(pad), np.empty(pad)
-    if drive is None:
+    if kick is None:
         rot = np.empty(pad, dtype=np.complex128)
     else:
         buf = np.empty(pad, dtype=np.complex128), np.empty(pad, dtype=np.complex128)
+        rhs = partial(_forced_rhs, p=p, amp=amp)
 
     # the decays are applied in place: a fresh block-sized temporary for
     # each lets glibc trim and refault the heap top every step
     def substep(n, v):
         v *= tab.decay
-        if drive is None:
+        if kick is None:
             np.multiply(_amp_pow(v, p, amp), -1j * dt, out=rot)
             v *= np.exp(rot, out=rot)
         else:
-            # the midpoint's slope block is free until _midpoint starts
-            f = drive(n, buf[0])
-            v = _midpoint(v, partial(_forced_rhs, f=f, p=p, amp=amp), dt, buf)
+            v = _midpoint(v, rhs, dt, buf)
         v *= tab.decay
         return v
 
@@ -369,7 +387,7 @@ def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, drive, collect: bool
         stored = np.empty(u.shape[:-1] + (n_stored, u.shape[-1]), dtype=np.complex128)
         stored[..., 0, :] = u
         j = 1
-    for n, u in _split_steps(u, tab, range(n_steps), substep):
+    for n, u in _split_steps(u, tab, range(n_steps), substep, kick=kick):
         h1 = hs_norm_sq(u, 1.0)
         if not (h1.max() <= thr2):  # NaN compares false, so it trips too
             row = int(np.argmax(h1))
@@ -434,14 +452,14 @@ def _as_path_list(forcing, horizon: float):
 
 
 def _solve(u0: FourierField, forcing, horizon: float, cfg: SolverConfig, collect: bool):
-    """The one prologue of a single-chain run: checks, step count and drive,
+    """The one prologue of a single-chain run: checks, step count and kick,
     then _evolve from u0."""
     if u0.grid != cfg.grid:
         raise ValidationError("initial state lives on a different grid")
     n_steps = cfg.steps_for(horizon)
     paths = _as_path_list(forcing, horizon)
-    drive = _row_drive(paths, cfg) if paths is not None else None
-    return _evolve(u0.coeffs.astype(np.complex128), cfg, n_steps, drive, collect)
+    kick = _row_drive(paths, cfg) if paths is not None else None
+    return _evolve(u0.coeffs.astype(np.complex128), cfg, n_steps, kick, collect)
 
 
 def solve_nls(u0: FourierField, forcing, horizon: float, cfg: SolverConfig) -> Trajectory:
@@ -450,7 +468,7 @@ def solve_nls(u0: FourierField, forcing, horizon: float, cfg: SolverConfig) -> T
     forcing: None for the unforced flow, a NoisePath for one unit interval,
     or a sequence of NoisePath objects for an integer horizon.  Steps are
     validated to align with the dyadic noise cells so every step sees a
-    constant drive.
+    constant kick.
     """
     times, stored, _ = _solve(u0, forcing, horizon, cfg, True)
     return Trajectory(cfg.grid, times, stored, cfg, forcing)
@@ -472,8 +490,8 @@ def _block_unit_run(coeffs: np.ndarray, paths, cfg: SolverConfig, collect: bool)
                               % (cfg.grid.n_coeff, coeffs.shape))
     if not paths:
         return np.zeros(1), coeffs[:, None], coeffs
-    drive = _noise_drive([[p] for p in paths], cfg)
-    return _evolve(coeffs, cfg, cfg.steps_for(1.0), drive, collect)
+    kick = _noise_drive([[p] for p in paths], cfg)
+    return _evolve(coeffs, cfg, cfg.steps_for(1.0), kick, collect)
 
 
 def markov_step_batch(coeffs: np.ndarray, paths, cfg: SolverConfig) -> np.ndarray:

@@ -15,13 +15,13 @@ base's states n and n+1 alone.  The tangent and adjoint solves form every
 step's maps at once, and the control sweep forms each control cell's just
 before it marches that cell, so no base holds its maps after a solve.  The
 substep is _tangent_map, run by dynamics._split_steps like every other
-substep.  A drive g adds the midpoint's exact drive term
-D(-i dt g - (dt^2/2)(c1 g - c2 conj(g))), formed from a_n and b_n: the map
-runs on w + P, P = -i (dt/2) g / D, and adds (2 D^2 - Re(a_n)) P.
-The real-L2 transpose of the map is w -> conj(a_n) w + b_n conj(w), so the
-backward flow is the same substep with (conj(a_n), b_n), on conjugated
-phase tables, in reverse step order; the real pairing Re<v(t), phi(t)> is
-then conserved to round-off by construction, and the stored states solve
+substep.  A forcing g enters as in the nonlinear step, as the two half
+kicks -i (dt/2) g_hat around it: a kick is affine with identity derivative,
+so the map stays the unforced one.  The real-L2 transpose of the map is
+w -> conj(a_n) w + b_n conj(w), so the backward flow is the same substep
+with (conj(a_n), b_n), on conjugated phase tables, in reverse step order;
+the real pairing Re<v(t), phi(t)> is then conserved to round-off by
+construction, and the stored states solve
 
     i phi_t + phi_xx - i a(x) phi = ((p+1)/2)|u|^{p-1} phi - ((p-1)/2)|u|^{p-3} u^2 conj(phi).
 
@@ -30,10 +30,11 @@ solver config, each stored in one block allocated before its first step:
 the tangent fills its rows forward, the adjoint backward, from phi(T).
 
 The control response matrix is the one forced tangent solve.  Its columns
-are driven by the Haar-in-time control basis, and a column is exactly zero
-before its Haar function's support begins, so each column is marched only
-from there: at time level 3 that is 63% of the dense column steps, at level
-6 53%, with every bit of the result unchanged.
+are forced by the Haar-in-time control basis, each as a kick on its one
+mode's coefficient, and a column is exactly zero before its Haar function's
+support begins, so each column is marched only from there: at time level 3
+that is 63% of the dense column steps, at level 6 53%, with every bit of the
+result unchanged.
 
 Gramian coordinates use the real H1 inner product Re<.,.>_{H1} restricted to
 a Galerkin band |k| <= cutoff, where the coordinate map
@@ -47,9 +48,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import _TIME_TOL, Trajectory, _amp_pow, _mode_waves, _split_steps
+from .dynamics import _TIME_TOL, Trajectory, _amp_pow, _split_steps
 from .noise import haar_basis, haar_time_keys
-from .spectral import FourierField, ROOT_2PI, ValidationError, mode_weights, synth
+from .spectral import FourierField, ValidationError, mode_weights, synth
 
 
 def _padded_blocks(lead: tuple, tab, count: int) -> list:
@@ -97,46 +98,26 @@ def _tangent_coefficients(base: Trajectory, lo: int, hi: int) -> tuple:
     return a, b
 
 
-def _drive_block(g, tab, dt: float, out):
-    """P = -i (dt/2) g / D, the block through which a drive g enters the
-    tangent map (_tangent_map), written into out and returned; g may be out
-    itself."""
-    return np.multiply(g, (-0.5j * dt) / tab.decay, out=out)
-
-
-def _tangent_map(w, a, b, t, drive=None):
+def _tangent_map(w, a, b, t):
     """One tangent substep on the padded grid, written over w: the map
-    A(w) = a w + b conj(w), or A(w + P) + (2 D^2 - Re(a)) P for drive =
-    (P, 2 D^2); t is a scratch block of w's shape.
-
-    A(P) + (2 D^2 - Re(a)) P = Im(a) (-i P) + b conj(P) + 2 D^2 P is, with
-    Im(a) = -dt D^2 c1 and b = -i dt D^2 c2, the midpoint step's exact drive
-    term D(-i dt g - (dt^2/2)(c1 g - c2 conj(g))).  A row whose drive is
-    all zeros keeps every nonzero entry the unforced map gives it, so an
-    unforced row rides in a forced sweep.
-    """
-    if drive is not None:
-        w += drive[0]
+    A(w) = a w + b conj(w); t is a scratch block of w's shape."""
     np.conjugate(w, out=t)
     t *= b
     w *= a
     w += t
-    if drive is not None:
-        w += np.multiply(drive[0], drive[1] - a.real, out=t)
     return w
 
 
-def _tangent_steps(v, maps, tab, steps, drive=None, blocks=None):
+def _tangent_steps(v, maps, tab, steps, kick=None, blocks=None):
     """Tangent steps of v (..., C) under maps = (a, b): yields (n, v) after
-    each step n of steps, which index the rows of a and b.  drive, when
-    given, is the _drive_block of v's rows, fixed over steps; blocks, when
-    given, are the padded spectrum (zero), physical grid and scratch blocks
-    of v's rows."""
+    each step n of steps, which index the rows of a and b.  kick, when
+    given, is _split_steps' kick of the forcing; blocks, when given, are
+    the padded spectrum (zero), physical grid and scratch blocks of v's
+    rows."""
     a, b = maps
     spec, phys, t = blocks if blocks is not None else _padded_blocks(v.shape[:-1], tab, 3)
-    forced = None if drive is None else (drive, 2.0 * tab.decay**2)
-    substep = lambda n, w: _tangent_map(w, a[n], b[n], t, forced)
-    return _split_steps(v, tab, steps, substep, (spec, phys))
+    substep = lambda n, w: _tangent_map(w, a[n], b[n], t)
+    return _split_steps(v, tab, steps, substep, (spec, phys), kick)
 
 
 def solve_linearized(base: Trajectory, v0: FourierField) -> Trajectory:
@@ -232,18 +213,18 @@ def control_response_matrix(
     column_keys, tangent), tangent None without a separation.
 
     With a separation w, the sweep also marches w as one more row, unforced
-    and from step 0: its drive row is exactly zero and every row steps on
-    its own, so the row is solve_linearized(base, w) bit for bit, the
-    columns are unchanged, and tangent is its endpoint v(1).
+    and from step 0: the kicks reach the column rows alone and every row
+    steps on its own, so the row is solve_linearized(base, w) bit for bit,
+    the columns are unchanged, and tangent is its endpoint v(1).
 
     A column is exactly zero until its Haar function's support begins, so
     the columns are marched in order of their first forced step (the first
     nonzero of their haar_basis row), and only the active ones: a column
     joins the block as a zero row on the control cell where its support
-    begins.  The drive is constant on a control cell, and the active
-    columns' drive is a prefix of the sorted amplitudes, so g and its drive
-    block are built once per cell.  So are the cell's tangent maps, just
-    before its steps: the sweep holds a cell's maps, never the whole base's.
+    begins.  The forcing is constant on a control cell, and the active
+    columns' kicks are a prefix of the sorted ones, read once per cell.
+    The cell's tangent maps are formed just before its steps: the sweep
+    holds a cell's maps, never the whole base's.
     """
     cfg = base.config
     n_steps = base.n_stored - 1
@@ -262,19 +243,19 @@ def control_response_matrix(
                 col_keys.append((k, key[0], key[1], comp))
     n_cols = len(col_keys)
 
-    # per-cell drive amplitudes of exp(ikx) per column: comp * 2^(j/2) h_jl / sqrt(2pi)
+    # per-cell half kicks of each column on the coefficient of e_k:
+    # -i (dt/2) comp 2^(j/2) h_jl, for the forcing comp 2^(j/2) h_jl e_k
     per_cell = n_steps >> (time_level + 1)
-    vals = np.zeros((n_steps // per_cell, n_cols, len(modes)), dtype=np.complex128)
+    kicks = np.zeros((n_steps // per_cell, n_cols, len(modes)), dtype=np.complex128)
     for c, (k, j, l, comp) in enumerate(col_keys):
-        vals[:, c, modes.index(k)] = comp * basis[2**j - 1 + l, ::per_cell] / ROOT_2PI
+        kicks[:, c, modes.index(k)] = (-0.5j * cfg.dt * comp) * basis[2**j - 1 + l, ::per_cell]
 
     # each column's first forced step, read off its basis row
     first = np.argmax(basis != 0, axis=1)[[2**j - 1 + l for _, j, l, _ in col_keys]]
     order = np.argsort(first, kind="stable")
-    vals, first = vals[:, order], first[order]
+    kicks, first = kicks[:, order], first[order]
 
     tab = cfg._tab
-    rows = _mode_waves(modes, tab)
     # the separation, if any, is row 0 and the columns follow it
     if separation is None:
         v = np.zeros((0, base.grid.n_coeff), dtype=np.complex128)
@@ -284,20 +265,18 @@ def control_response_matrix(
         v = separation.coeffs.astype(np.complex128)[None, :]
     off = len(v)
     # padded blocks for every row, allocated once per map; a cell steps its
-    # rows through the leading slices, and the separation's drive row stays 0
-    spec, phys, t, drive = _padded_blocks((off + n_cols,), tab, 4)
+    # rows through the leading slices, and kicks only the column rows
+    spec, phys, t = _padded_blocks((off + n_cols,), tab, 3)
     for lo in range(0, n_steps, per_cell):
         m = int(np.searchsorted(first, lo, side="right"))
         if off + m > len(v):
             v = np.concatenate([v, np.zeros((off + m - len(v), v.shape[1]), dtype=np.complex128)])
-        # exact whatever m is: each entry of vals is purely real or purely
-        # imaginary, with one nonzero per row
-        g = np.matmul(vals[lo // per_cell, :m], rows, out=drive[off : off + m])
-        _drive_block(g, tab, cfg.dt, g)
+        h = kicks[lo // per_cell, :m]
         r = off + m
         maps = _tangent_coefficients(base, lo, lo + per_cell)
         cell = _tangent_steps(
-            v, maps, tab, range(per_cell), drive[:r], (spec[:r], phys[:r], t[:r])
+            v, maps, tab, range(per_cell), (slice(off, r), modes, lambda n: h),
+            (spec[:r], phys[:r], t[:r]),
         )
         for _, v in cell:
             pass

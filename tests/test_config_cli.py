@@ -1438,18 +1438,20 @@ def test_stored_run_is_held_once(tmp_path, what, ratio):
 
 @pytest.mark.parametrize(
     "what, bound_mib",
-    [("markov_step_batch", 1.75), ("control_response_matrix", 1.10),
-     ("control_response_matrix_fresh_base", 1.10), ("controlled_couple", 1.35)],
+    [("markov_step_batch", 1.55), ("control_response_matrix", 0.95),
+     ("control_response_matrix_fresh_base", 0.95), ("controlled_couple", 1.15)],
 )
 def test_stepping_memory_bounds(what, bound_mib):
     # a sweep holds two padded blocks, the padded spectrum and the physical
-    # grid, and the forward FFT writes over the block its substep returns:
-    # a 64-row ensemble block at k_max 42, and a 61-row control sweep (60
-    # columns at time level 3, cutoff 12, and a separation row), which
-    # forms each control cell's tangent maps just before its steps, so a
-    # map on a fresh base, the program's own case, holds no more.  A
-    # controlled coupled run keeps no step's control map or x run into the
-    # next step, so three steps peak barely above one (1.23 MiB)
+    # grid, and the forward FFT writes over the block its substep returns;
+    # the noise and the control columns enter as kicks on their modes'
+    # coefficients, with no padded drive block: a 64-row ensemble block at
+    # k_max 42, and a 61-row control sweep (60 columns at time level 3,
+    # cutoff 12, and a separation row), which forms each control cell's
+    # tangent maps just before its steps, so a map on a fresh base, the
+    # program's own case, holds no more.  A controlled coupled run keeps no
+    # step's control map or x run into the next step, so three steps peak
+    # barely above one (1.06 MiB)
     grid = Grid(42)
     spec = NoiseSpec(modes=(0, 1), amplitudes=(0.5, 0.5), level_max=6)
     cfg = SolverConfig(grid, bump_damping(grid, 1.5, math.pi, 1.5), dt=2.0**-7)

@@ -189,6 +189,38 @@ def test_markov_composition_matches_two_unit_horizon():
     assert err <= 1e-9 * max(1.0, sobolev_norm(two, 0.0))
 
 
+# Relative L2 and H1 errors of forced markov_step at dt 2^-7, 2^-8 and 2^-9
+# against dt 2^-12, on the damped grid, at amplitudes 0.05 and 0.5: measured
+# with the forcing inside the midpoint substep, the scheme the half kicks
+# replaced
+_MIDPOINT_FORCED_ERRORS = {
+    ("random_h1", 0.05): ((6.8673e-06, 7.4132e-07, 1.8230e-07), (1.1261e-04, 5.1091e-06, 1.2367e-06)),
+    ("random_h1", 0.5): ((6.3360e-06, 1.2125e-06, 2.9876e-07), (6.3605e-05, 5.8942e-06, 1.4354e-06)),
+    ("constant", 0.05): ((1.1392e-05, 2.8351e-06, 7.0005e-07), (2.1762e-05, 5.0282e-06, 1.2223e-06)),
+    ("constant", 0.5): ((3.5699e-05, 8.9175e-06, 2.2055e-06), (4.2633e-05, 1.0486e-05, 2.5857e-06)),
+}
+# The half kicks are a trapezoid rule for the damped forcing over a step,
+# where the midpoint substep was a midpoint rule with half its error: at
+# amplitude 0.5 the random datum's L2 error grows by 22%, the constant
+# datum's falls by 47%.  A kick of the wrong size or place is first order.
+_KICK_ERROR_RATIO = 1.25
+
+
+@pytest.mark.parametrize("datum", ["random_h1", "constant"])
+@pytest.mark.parametrize("amp", [0.05, 0.5])
+def test_forced_error_keeps_the_midpoint_forcing_accuracy(datum, amp):
+    u0 = {"random_h1": random_h1_field(GRID, 1.0, 3.0, 5, 0), "constant": basis_field(GRID, 0, 2.2)}
+    u0 = u0[datum]
+    path = sample_noise_path(NoiseSpec(amplitudes=(amp, amp), level_max=6), (11, 0, 0, 0))
+    damping = bump_damping(GRID, 1.0, math.pi, 1.5)
+    ends = [markov_step(u0, path, SolverConfig(GRID, damping, dt=2.0**-e)) for e in (7, 8, 9, 12)]
+    for s, before in zip((0.0, 1.0), _MIDPOINT_FORCED_ERRORS[datum, amp]):
+        errs = [sobolev_norm(u - ends[-1], s) / sobolev_norm(ends[-1], s) for u in ends[:-1]]
+        for err, old in zip(errs, before):
+            assert err <= _KICK_ERROR_RATIO * old, (s, errs)
+        assert 3.6 <= errs[1] / errs[2] <= 4.4, (s, errs)
+
+
 def test_forcing_shape_validation():
     cfg = damped_cfg()
     spec = NoiseSpec()
@@ -449,35 +481,53 @@ def test_two_ffts_per_step(monkeypatch):
 @pytest.mark.parametrize("n_rows", [1, 64, 65])
 @pytest.mark.parametrize("modes", [(0, 1), (1, -1, 3)])
 def test_noise_drive_rows_independent_of_block(n_rows, modes):
-    # a chain's forcing must not depend on how many chains share its block
+    # a chain's half kick must not depend on how many chains share its block
     cfg = damped_cfg()
     spec = NoiseSpec(modes=modes, amplitudes=(0.15,) * len(modes))
     paths = [sample_noise_path(spec, (31, 0, i, 0)) for i in range(n_rows)]
-    batch = _noise_drive([[p] for p in paths], cfg)
-    singles = [_noise_drive([[p]], cfg) for p in paths]
+    rows, kick_modes, batch = _noise_drive([[p] for p in paths], cfg)
+    assert rows is Ellipsis and kick_modes == modes
+    singles = [_noise_drive([[p]], cfg)[2] for p in paths]
     for step in range(cfg.steps_for(1.0)):
         out = batch(step)
-        assert out.shape == (n_rows, cfg._tab.n_pad)
+        assert out.shape == (n_rows, len(modes))
         for i in range(n_rows):
-            np.testing.assert_array_equal(out[i], singles[i](step)[0])
+            assert out[i].tobytes() == singles[i](step)[0].tobytes()
 
 
 def test_noise_drive_is_the_forcing_field_of_its_path():
-    # on each noise cell the padded forcing is sum_k b_k eta_k e^{ikx}, the
-    # field with coefficient b_k eta_k sqrt(2pi) on the normalized e_k
-    cfg = damped_cfg()
+    # on each noise cell the forcing sum_k b_k eta_k e^{ikx} has coefficient
+    # sqrt(2pi) b_k eta_k on the normalized e_k, and a step's half kick
+    # -i (dt/2) sqrt(2pi) b_k eta_k lands on mode k's coefficient and on no
+    # other: in the padded spectrum (through phase_in) before the substep,
+    # and in the state after the unpad
+    cfg = SolverConfig(grid=GRID, damping=bump_damping(GRID, 1.0, math.pi, 1.5), dt=DT / 2)
     spec = NoiseSpec(modes=(0, 1), amplitudes=(0.3, 0.7))
     path = sample_noise_path(spec, (9, 0, 0, 0))
-    drive = _noise_drive([[path]], cfg)
+    kick = _noise_drive([[path]], cfg)
     per_cell = steps_per_cell(spec, cfg)
-    assert per_cell * spec.n_cells == cfg.steps_for(1.0)
+    assert per_cell == 2 and per_cell * spec.n_cells == cfg.steps_for(1.0)
+    tab, kk = cfg._tab, GRID.k_max
+    blocks = np.zeros((1, tab.n_pad), dtype=np.complex128), np.empty((1, tab.n_pad), dtype=np.complex128)
+    seen = []
+
+    def substep(n, v):
+        seen.append(blocks[0][0].copy())
+        v.fill(0.0)
+        return v
+
     for cell in (0, 17, spec.n_cells - 1):
-        coeffs = np.zeros(GRID.n_coeff, dtype=np.complex128)
+        h = np.zeros(GRID.n_coeff, dtype=np.complex128)
+        w = np.zeros(tab.n_pad, dtype=np.complex128)
         for m, k in enumerate(spec.modes):
-            coeffs[k + GRID.k_max] = spec.amplitudes[m] * path.cells[m, cell] * ROOT_2PI
-        expected = synth(coeffs, cfg._tab.n_pad)
+            h[kk + k] = -0.5j * cfg.dt * ROOT_2PI * spec.amplitudes[m] * path.cells[m, cell]
+            w[k % tab.n_pad] = tab.phase_in[kk + k] * h[kk + k]
         for step in (cell * per_cell, (cell + 1) * per_cell - 1):
-            np.testing.assert_allclose(drive(step)[0], expected, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(kick[2](step)[0], h[kk:kk + 2], rtol=1e-15, atol=0)
+            zero = np.zeros((1, GRID.n_coeff), dtype=np.complex128)
+            ((_, got),) = _split_steps(zero, tab, [step], substep, blocks, kick)
+            np.testing.assert_allclose(got[0], h, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(seen.pop(), w, rtol=1e-15, atol=0)
 
 
 def test_steps_per_cell_is_the_one_compatibility_check():

@@ -32,7 +32,6 @@ from schrodmix.config import random_h1_field
 from schrodmix.control import compact_T_apply
 from schrodmix.dynamics import _amp_pow, _forced_rhs, _midpoint
 from schrodmix.linearized import (
-    _drive_block,
     _tangent_coefficients,
     _tangent_map,
     _tangent_steps,
@@ -43,7 +42,7 @@ from schrodmix.linearized import (
 )
 from schrodmix.mixing import synchronous_coupling_experiment
 from schrodmix.noise import haar_basis, haar_eval, sample_noise_path
-from schrodmix.spectral import ROOT_2PI, synth
+from schrodmix.spectral import synth
 
 GRID = Grid(20)
 DT = 2.0**-7
@@ -204,18 +203,16 @@ def test_response_matrix_matches_dense_march(p):
     n_steps = base.n_stored - 1
     tab = cfg._tab
     maps = _tangent_coefficients(base, 0, n_steps)
-    rows = np.exp(1j * np.multiply.outer(np.asarray(modes, float), tab.x_pad))
     for level in (0, 1, 3, 6):
         got, keys, _ = control_response_matrix(base, modes, level, cutoff)
         basis = haar_basis(level, n_steps)
-        vals = np.zeros((n_steps, len(keys), len(modes)), dtype=np.complex128)
+        # each column's half kick -i (dt/2) comp 2^(j/2) h_jl on its mode
+        kicks = np.zeros((n_steps, len(keys), len(modes)), dtype=np.complex128)
         for c, (k, j, l, comp) in enumerate(keys):
-            vals[:, c, modes.index(k)] = comp * basis[2**j - 1 + l] / ROOT_2PI
+            kicks[:, c, modes.index(k)] = (-0.5j * cfg.dt * comp) * basis[2**j - 1 + l]
         v = np.zeros((len(keys), GRID.n_coeff), dtype=np.complex128)
-        for n in range(n_steps):
-            drive = _drive_block(vals[n] @ rows, tab, cfg.dt, None)
-            for _, v in _tangent_steps(v, maps, tab, range(n, n + 1), drive):
-                pass
+        for _, v in _tangent_steps(v, maps, tab, range(n_steps), (Ellipsis, modes, kicks.__getitem__)):
+            pass
         want = h1_coords(v, GRID.k_max, cutoff).T
         # compared as bit patterns, so a zero of the other sign fails too
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=str(level))
@@ -223,23 +220,20 @@ def test_response_matrix_matches_dense_march(p):
 
 def test_tangent_midpoint_keeps_the_plain_bits():
     # one tangent map step is the plain frozen-midpoint expression between
-    # the two half-step decays, forced, unforced and adjoint (c1 < 0), to
-    # round-off; and the forced nonlinear substep keeps the bits of its
-    # plain expression
+    # the two half-step decays, forward and adjoint (c1 < 0), to round-off;
+    # and the forced nonlinear substep keeps the bits of its plain
+    # expression
     cfg = damped_cfg()
     tab, base = cfg._tab, noisy_base(cfg)
     a, b = _tangent_coefficients(base, 0, base.n_stored - 1)
     rng = np.random.default_rng(9)
     cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    w, g = cplx(5, tab.n_pad), cplx(5, tab.n_pad)
+    w = cplx(5, tab.n_pad)
     d = tab.decay
 
-    def plain(c1, c2, g):
+    def plain(c1, c2):
         def rhs(z):
-            out = -1j * (c1 * z + c2 * np.conj(z))
-            if g is not None:
-                out -= 1j * g
-            return out
+            return -1j * (c1 * z + c2 * np.conj(z))
 
         z = d * w
         zm = z + (0.5 * DT) * rhs(z)
@@ -251,33 +245,27 @@ def test_tangent_midpoint_keeps_the_plain_bits():
         # padded grid
         un = synth(0.5 * (base.coeffs[n] + base.coeffs[n + 1]), tab.n_pad)
         c1, c2 = 2.0 * _amp_pow(un, 3), un**2
-        drive = (_drive_block(g, tab, DT, None), 2.0 * d**2)
         for got, want in (
-            (_tangent_map(w.copy(), a[n], b[n], t, drive), plain(c1, c2, g)),
-            (_tangent_map(w.copy(), a[n], b[n], t), plain(c1, c2, None)),
-            (_tangent_map(w.copy(), np.conj(a[n]), b[n], t), plain(-c1, c2, None)),
+            (_tangent_map(w.copy(), a[n], b[n], t), plain(c1, c2)),
+            (_tangent_map(w.copy(), np.conj(a[n]), b[n], t), plain(-c1, c2)),
         ):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n
 
     # the forced substep against its plain two lines, on a block salted with
-    # exact zeros and zeros of either sign: in the state and the forcing
-    # together, in the forcing alone and in the state alone
-    def salt(a, lo):
-        for i, z in enumerate((0.0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0))):
-            a[:, lo + 40 * i : lo + 40 * (i + 1)] = z
-        a.real[:, lo + 160 : lo + 200] = -0.0
-        a.imag[:, lo + 200 : lo + 240] = -0.0
-
-    v, f = cplx(3, 2000), cplx(3, 2000)
-    salt(v, 0), salt(f, 0), salt(f, 240), salt(v, 480)
+    # exact zeros and zeros of either sign
+    v = cplx(3, 2000)
+    for i, z in enumerate((0.0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0))):
+        v[:, 40 * i : 40 * (i + 1)] = z
+    v.real[:, 160:200] = -0.0
+    v.imag[:, 200:240] = -0.0
     blocks = [np.empty_like(v) for _ in range(2)]
     for p in (3, 5):
         amp = lambda z: (z.real**2 + z.imag**2) ** ((p - 1) // 2)
-        vm = v + (0.5 * DT) * (-1j * (amp(v) * v + f))
-        want = v + DT * (-1j) * (amp(vm) * vm + f)
+        vm = v + (0.5 * DT) * (-1j * (amp(v) * v))
+        want = v + DT * (-1j) * (amp(vm) * vm)
         # |v|^{p-1} in a fresh pair of real blocks, and in the sweep's pair
         for pair in (None, (np.empty(v.shape), np.empty(v.shape))):
-            rhs = functools.partial(_forced_rhs, f=f, p=p, amp=pair)
+            rhs = functools.partial(_forced_rhs, p=p, amp=pair)
             got = _midpoint(v.copy(), rhs, DT, blocks)
             assert got.tobytes() == want.tobytes(), (p, pair is None)
 
