@@ -53,9 +53,9 @@ from .noise import haar_basis, haar_time_keys
 from .spectral import FourierField, ValidationError, mode_weights, synth
 
 
-def _padded_blocks(lead: tuple, tab, count: int) -> list:
-    """count zeroed complex blocks of shape lead + (n_pad,)."""
-    return [np.zeros(lead + (tab.n_pad,), dtype=np.complex128) for _ in range(count)]
+def _padded_blocks(lead: tuple, tab) -> list:
+    """A sweep's three zeroed complex blocks of shape lead + (n_pad,)."""
+    return [np.zeros(lead + (tab.n_pad,), dtype=np.complex128) for _ in range(3)]
 
 
 def _tangent_coefficients(base: Trajectory, lo: int, hi: int) -> tuple:
@@ -115,7 +115,7 @@ def _tangent_steps(v, maps, tab, steps, kick=None, blocks=None):
     the padded spectrum (zero), physical grid and scratch blocks of v's
     rows."""
     a, b = maps
-    spec, phys, t = blocks if blocks is not None else _padded_blocks(v.shape[:-1], tab, 3)
+    spec, phys, t = blocks if blocks is not None else _padded_blocks(v.shape[:-1], tab)
     substep = lambda n, w: _tangent_map(w, a[n], b[n], t)
     return _split_steps(v, tab, steps, substep, (spec, phys), kick)
 
@@ -266,7 +266,7 @@ def control_response_matrix(
     off = len(v)
     # padded blocks for every row, allocated once per map; a cell steps its
     # rows through the leading slices, and kicks only the column rows
-    spec, phys, t = _padded_blocks((off + n_cols,), tab, 3)
+    spec, phys, t = _padded_blocks((off + n_cols,), tab)
     for lo in range(0, n_steps, per_cell):
         m = int(np.searchsorted(first, lo, side="right"))
         if off + m > len(v):
