@@ -14,10 +14,15 @@ localized, so it is applied where it is diagonal, on the padded grid the
 substep needs anyway: a step costs one padded inverse FFT and one padded FFT.
 
 The noise forcing f = sum_k b_k eta_k e^{ikx} lives on a few modes and is
-constant on a step, so it is split out of the step: a forced step is
-F(dt/2) o S o F(dt/2), with the exact half kick F(dt/2) u = u - i (dt/2) f_hat
-on the noise modes' coefficients alone, f_hat_k = sqrt(2pi) b_k eta_k.
-Unforced, N is the exact modulus-preserving rotation
+constant on a step, so it is split out of the substep: a forced step is
+
+    P_half . F . unpad o [D_half . N . D_half] o pad . F . P_half
+
+with the exact half kick F u = u - i (dt/2) f_hat on the noise modes'
+coefficients alone, f_hat_k = sqrt(2pi) b_k eta_k.  The kicks sit inside
+the free half phases, so the free flow carries the forcing by the midpoint
+rule, as it did when f sat inside N; the decays carry it as D_half^2 h + h
+for 2 D_half h, a change of O((a dt)^2) in the kick.  Unforced, N is the exact modulus-preserving rotation
 u -> u exp(-i |u|^{p-1} dt); forced, it is the two-stage explicit midpoint
 rule for -i |u|^{p-1} u.
 
@@ -191,15 +196,6 @@ def _amp_pow(v: np.ndarray, p: int, out=None) -> np.ndarray:
     return a2
 
 
-def _index(cols: list):
-    """cols as a slice when they run consecutively upward, else as the
-    list (empty too): a slice reads a view, a list copies through fancy
-    indexing."""
-    if cols and all(b == a + 1 for a, b in zip(cols, cols[1:])):
-        return slice(cols[0], cols[-1] + 1)
-    return cols
-
-
 def _split_steps(u: np.ndarray, tab, steps, substep, blocks=None, kick=None):
     """The one Strang step loop: yields (n, u) after each step n of steps.
 
@@ -218,11 +214,12 @@ def _split_steps(u: np.ndarray, tab, steps, substep, blocks=None, kick=None):
     one block allocated before the first step.
 
     kick, when given, is (rows, modes, half): half(n) is step n's half kick
-    h, a block of shape u[rows].shape[:-1] + (len(modes),), and step n runs
-    between two kicks u[rows] -> u[rows] + h on the coefficients of modes.
-    The leading kick enters the padded spectrum after the pad products, as
-    phase_in h; the trailing kick is added after the unpad, so the yielded
-    state is the kicked one.
+    h, a block of shape u[rows].shape[:-1] + (len(modes),), and the
+    substep of step n runs between two kicks u[rows] -> u[rows] + h on the
+    coefficients of modes, inside the two free half phases.  The leading
+    kick enters the padded spectrum after the pad products, with the
+    padding scale; the trailing kick is added after the unpad, as
+    P_half h, so the yielded state is the kicked one.
     """
     kk, n_pad = tab.k_max, tab.n_pad
     if blocks is None:
@@ -235,21 +232,22 @@ def _split_steps(u: np.ndarray, tab, steps, substep, blocks=None, kick=None):
     if kick is not None:
         rows, modes, half = kick
         cols = [kk + k for k in modes]
-        at, at_pad = (rows, _index(cols)), (rows, _index([k % n_pad for k in modes]))
-        phase = tab.phase_in[cols]
+        at, at_pad = (rows, cols), (rows, [k % n_pad for k in modes])
+        lead = n_pad / ROOT_2PI
+        trail = tab.phase_out[cols] * lead
     for n in steps:
         np.multiply(u[..., kk:], in_pos, out=head)
         np.multiply(u[..., :kk], in_neg, out=tail)
         if kick is not None:
             h = half(n)
-            w[at_pad] += phase * h
+            w[at_pad] += lead * h
         v = substep(n, np.fft.ifft(w, out=phys))
         spec = np.fft.fft(v, out=v)
         u = np.empty(u.shape, dtype=np.complex128)
         np.multiply(spec[..., : kk + 1], out_pos, out=u[..., kk:])
         np.multiply(spec[..., n_pad - kk :], out_neg, out=u[..., :kk])
         if kick is not None:
-            u[at] += h
+            u[at] += trail * h
         yield n, u
 
 
@@ -263,8 +261,9 @@ def _decays(tab, n, v):
 
 def _midpoint(w, rhs, dt, buf):
     """The explicit midpoint step w - i dt r(w - i (dt/2) r(w)) of the forced
-    substep, written over w; rhs(z, out) writes r(z), i times the slope.  buf holds the slope and the stage, two padded blocks allocated once
-    per sweep: a fresh complex temporary per operation on a 64-row block is
+    substep, written over w; rhs(z, out) writes r(z), i times the slope.
+    buf holds the slope and the stage, two padded blocks allocated once per
+    sweep: a fresh complex temporary per operation on a 64-row block is
     180 KB, past glibc's initial 128 KB mmap threshold, and the page faults
     of such temporaries made a sweep 20% slower.
     """

@@ -199,11 +199,10 @@ _MIDPOINT_FORCED_ERRORS = {
     ("constant", 0.05): ((1.1392e-05, 2.8351e-06, 7.0005e-07), (2.1762e-05, 5.0282e-06, 1.2223e-06)),
     ("constant", 0.5): ((3.5699e-05, 8.9175e-06, 2.2055e-06), (4.2633e-05, 1.0486e-05, 2.5857e-06)),
 }
-# The half kicks are a trapezoid rule for the damped forcing over a step,
-# where the midpoint substep was a midpoint rule with half its error: at
-# amplitude 0.5 the random datum's L2 error grows by 22%, the constant
-# datum's falls by 47%.  A kick of the wrong size or place is first order.
-_KICK_ERROR_RATIO = 1.25
+# The half kicks sit inside the free half phases, so the free flow carries
+# the forcing by the midpoint rule as before; every error stays within 1% of
+# these.  A kick of the wrong size or place is first order.
+_KICK_ERROR_RATIO = 1.01
 
 
 @pytest.mark.parametrize("datum", ["random_h1", "constant"])
@@ -499,8 +498,9 @@ def test_noise_drive_is_the_forcing_field_of_its_path():
     # on each noise cell the forcing sum_k b_k eta_k e^{ikx} has coefficient
     # sqrt(2pi) b_k eta_k on the normalized e_k, and a step's half kick
     # -i (dt/2) sqrt(2pi) b_k eta_k lands on mode k's coefficient and on no
-    # other: in the padded spectrum (through phase_in) before the substep,
-    # and in the state after the unpad
+    # other, inside the free half phases: in the padded spectrum (with the
+    # padding scale) before the substep, and in the state after the unpad
+    # through the half phase exp(-i k^2 dt/2)
     cfg = SolverConfig(grid=GRID, damping=bump_damping(GRID, 1.0, math.pi, 1.5), dt=DT / 2)
     spec = NoiseSpec(modes=(0, 1), amplitudes=(0.3, 0.7))
     path = sample_noise_path(spec, (9, 0, 0, 0))
@@ -521,12 +521,13 @@ def test_noise_drive_is_the_forcing_field_of_its_path():
         w = np.zeros(tab.n_pad, dtype=np.complex128)
         for m, k in enumerate(spec.modes):
             h[kk + k] = -0.5j * cfg.dt * ROOT_2PI * spec.amplitudes[m] * path.cells[m, cell]
-            w[k % tab.n_pad] = tab.phase_in[kk + k] * h[kk + k]
+            w[k % tab.n_pad] = tab.n_pad / ROOT_2PI * h[kk + k]
         for step in (cell * per_cell, (cell + 1) * per_cell - 1):
             np.testing.assert_allclose(kick[2](step)[0], h[kk:kk + 2], rtol=1e-15, atol=0)
             zero = np.zeros((1, GRID.n_coeff), dtype=np.complex128)
             ((_, got),) = _split_steps(zero, tab, [step], substep, blocks, kick)
-            np.testing.assert_allclose(got[0], h, rtol=1e-15, atol=0)
+            want = np.exp(-0.5j * cfg.dt * GRID.modes.astype(float) ** 2) * h
+            np.testing.assert_allclose(got[0], want, rtol=1e-15, atol=0)
             np.testing.assert_allclose(seen.pop(), w, rtol=1e-15, atol=0)
 
 
