@@ -16,12 +16,12 @@ step's maps at once, and the control sweep forms each control cell's just
 before it marches that cell, so no base holds its maps after a solve.  The
 substep is _tangent_map, run by dynamics._split_steps like every other
 substep.  A forcing g enters as in the nonlinear step, as the two half
-kicks -i (dt/2) g_hat around it: a kick is affine with identity derivative,
-so the map stays the unforced one.  The real-L2 transpose of the map is
-w -> conj(a_n) w + b_n conj(w), so the backward flow is the same substep
-with (conj(a_n), b_n), on conjugated phase tables, in reverse step order;
-the real pairing Re<v(t), phi(t)> is then conserved to round-off by
-construction, and the stored states solve
+kicks -i (dt/2) g_hat around it, inside the free half phases: a kick is
+affine with identity derivative, so the map stays the unforced one.  The
+real-L2 transpose of the map is w -> conj(a_n) w + b_n conj(w), so the
+backward flow is the same substep with (conj(a_n), b_n), on conjugated
+phase tables, in reverse step order; the real pairing Re<v(t), phi(t)> is
+then conserved to round-off by construction, and the stored states solve
 
     i phi_t + phi_xx - i a(x) phi = ((p+1)/2)|u|^{p-1} phi - ((p-1)/2)|u|^{p-3} u^2 conj(phi).
 
