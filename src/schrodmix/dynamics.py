@@ -22,23 +22,46 @@ with the exact half kick F u = u - i (dt/2) f_hat on the noise modes'
 coefficients alone, f_hat_k = sqrt(2pi) b_k eta_k.  The kicks sit inside
 the free half phases, so the free flow carries the forcing by the midpoint
 rule, as it did when f sat inside N; the decays carry it as D_half^2 h + h
-for 2 D_half h, a change of O((a dt)^2) in the kick.  Unforced, N is the exact modulus-preserving rotation
-u -> u exp(-i |u|^{p-1} dt); forced, it is the two-stage explicit midpoint
-rule for -i |u|^{p-1} u.
+for 2 D_half h, a change of O((a dt)^2) in the kick.
+
+The physical-space part of a step is one pointwise factor v -> g v, the
+two decays folded in.  With s = |D_half v|^{p-1}: unforced, N is the exact
+modulus-preserving rotation z -> z exp(-i s dt), so g = D_half^2
+exp(-i dt s), formed as one complex exp of -a dt - i dt s; forced, N is
+the two-stage explicit midpoint rule for -i |z|^{p-1} z, whose stage
+z - i (dt/2) s z keeps the form z -> z (scalar of |z|^2), so with
+t = s (1 + (dt s/2)^2)^{(p-1)/2}, the midpoint stage's |.|^{p-1}, it is
+
+    g = D_half^2 (1 - dt^2 t s/2 - i dt t),
+
+built by real arithmetic on |v|^{p-1} into one complex block.  These are
+the plain two-stage and D . rotation . D products to a few ulp, not their
+bits: the substep's bits are its own, as the tangent's are.
+
+The state rides from step to step as its padded spectrum: two
+consecutive half phases meet as the one full-step phase exp(-i k^2 dt),
+written from the forward FFT's output straight into the next step's
+input, and the trailing and next leading half kicks are added to the
+noise modes' columns of the spectrum on either side of it.  A state is
+unpadded, through the half phase, only where a caller keeps it: a stored
+stride, the cell end of a control sweep, the last step.  The blow-up
+guard reads the H1 norm off the spectrum's band with the padding scale
+in its weights.
 
 One kernel, _split_steps, runs every flow that shares this splitting: it
 takes the middle substep as a parameter, and the substep owns the whole
 physical-space part of its step, the two decays D_half included.  The
-forced, unforced and identity substeps multiply by D_half on either side of
-N themselves.  The tangent substep of linearized folds its decays into its
-own map instead: the frozen-coefficient midpoint step between two decays is
-one real-linear map w -> a_n w + b_n conj(w) per step, which linearized
-forms from the stored base for the steps it is about to take.  Run with
-conj(a_n), on conjugated phases, in reverse step order, the same map is the
-exact real-L2 adjoint (D_half is real and diagonal); with the identity
-between the decays the loop is linear_group, the damped free group.  The
-kernel also applies the half kicks: the noise's to every chain of a forced
-run, and a control column's to its row of linearized's tangent sweep.
+forced and unforced substeps multiply by their factor g, and the identity
+substep, the damped free group's, by D_half^2.  The tangent substep of
+linearized folds its decays into its own map: the frozen-coefficient
+midpoint step between two decays is one real-linear map
+w -> a_n w + b_n conj(w) per step, which linearized forms from the stored
+base for the steps it is about to take.  Run with conj(a_n), on
+conjugated phases, in reverse step order, the same map is the exact
+real-L2 adjoint (D_half is real and diagonal); with the identity between
+the decays the loop is linear_group, the damped free group.  The kernel
+also applies the half kicks: the noise's to every chain of a forced run,
+and a control column's to its row of linearized's tangent sweep.
 
 Everything that depends on p and its padded grid lives here, beside the
 nonlinearity: pad_points, the energy and lp_power_integral.  So does the
@@ -46,8 +69,10 @@ noise forcing: steps_per_cell is the one check that a NoiseSpec can force a
 SolverConfig, and _noise_drive the one builder of its half kicks.
 
 All state arrays carry the mode axis last and arbitrary batch axes in
-front, which is what keeps ensemble runs affordable.  A stored run is one
-block, allocated before its first step and filled as its steps finish.
+front, which is what keeps ensemble runs affordable.  Every operation of a
+step acts on each row alone (elementwise, or a per-row FFT or reduction),
+so a row's bits do not depend on its block.  A stored run is one block,
+allocated before its first step and filled as its steps finish.
 """
 
 from __future__ import annotations
@@ -169,18 +194,39 @@ def _step_tables(grid: Grid, damping: DampingProfile, dt: float, p: int) -> Simp
     """Per-step tables of the split step of size dt.
 
     phase_in and phase_out are the half-step phases with the padding scales
-    folded in; decay is D_half sampled on the padded grid.
+    folded in, for the pad before a sweep's first step and the unpad of a
+    state a caller keeps; phase is the full-step phase exp(-i k^2 dt) that
+    carries the padded spectrum from one step to the next.  On the padded
+    grid: decay is D_half, decay2 is D_half^2, log_decay2 its log -a dt, and
+    rate is -dt D_half^(p-1), so rate |v|^{p-1} is -dt |D_half v|^{p-1};
+    half_rate and decay2x2, rate/2 and 2 D_half^2 (exact scalings), serve
+    the forced substep.
+    h1 weighs the squared real and imaginary parts of the spectrum's band,
+    modes 0..K then -K..-1, so that their sum is the H1 norm squared of the
+    unpadded state.
     """
-    k = grid.modes
-    n_pad = pad_points(grid.k_max, p)
+    k = grid.modes.astype(float)
+    kk = grid.k_max
+    n_pad = pad_points(kk, p)
     x_pad = 2.0 * math.pi * np.arange(n_pad) / n_pad
-    phase_half = np.exp(-1j * k.astype(float) ** 2 * (dt / 2.0))
+    a = damping.at(x_pad)
+    phase_half = np.exp(-1j * k**2 * (dt / 2.0))
+    decay = np.exp(-a * (dt / 2.0))
+    decay2, decay_p = decay * decay, decay ** (p - 1)
+    k_pad = np.concatenate([k[kk:], k[:kk]])
     return SimpleNamespace(
         n_pad=n_pad,
-        k_max=grid.k_max,
+        k_max=kk,
         phase_in=phase_half * (n_pad / ROOT_2PI),
         phase_out=phase_half * (ROOT_2PI / n_pad),
-        decay=np.exp(-damping.at(x_pad) * (dt / 2.0)),
+        phase=np.exp(-1j * k**2 * dt),
+        decay=decay,
+        decay2=decay2,
+        log_decay2=-a * dt,
+        rate=-dt * decay_p,
+        half_rate=-0.5 * dt * decay_p,
+        decay2x2=2.0 * decay2,
+        h1=np.repeat((1.0 + k_pad**2) * (TWO_PI / n_pad**2), 2),
     )
 
 
@@ -196,30 +242,60 @@ def _amp_pow(v: np.ndarray, p: int, out=None) -> np.ndarray:
     return a2
 
 
-def _split_steps(u: np.ndarray, tab, steps, substep, blocks=None, kick=None):
-    """The one Strang step loop: yields (n, u) after each step n of steps.
+def _unpad(spec: np.ndarray, tab, out=None) -> np.ndarray:
+    """The state a step's yielded spectrum stands for: its band through the
+    trailing half phase, with the padding scale, into out (fresh if None)."""
+    kk, n_pad = tab.k_max, tab.n_pad
+    if out is None:
+        out = np.empty(spec.shape[:-1] + (2 * kk + 1,), dtype=np.complex128)
+    np.multiply(spec[..., : kk + 1], tab.phase_out[kk:], out=out[..., kk:])
+    np.multiply(spec[..., n_pad - kk :], tab.phase_out[:kk], out=out[..., :kk])
+    return out
+
+
+def _h1_guard(spec: np.ndarray, tab, sq: np.ndarray) -> np.ndarray:
+    """hs_norm_sq(_unpad(spec, tab), 1.0) of each row, read off the band of
+    spec: the squared parts go into the real block sq of shape
+    spec.shape[:-1] + (2 (2K+1),), are weighed elementwise by tab.h1 and
+    summed by a per-row np.add.reduce, so a row's value does not depend on
+    its block."""
+    kk, n_pad = tab.k_max, tab.n_pad
+    np.square(spec[..., : kk + 1].view(np.float64), out=sq[..., : 2 * kk + 2])
+    np.square(spec[..., n_pad - kk :].view(np.float64), out=sq[..., 2 * kk + 2 :])
+    sq *= tab.h1
+    return np.add.reduce(sq, axis=-1)
+
+
+def _split_steps(u, tab, steps, substep, blocks=None, kick=None):
+    """The one Strang step loop: yields (n, spec) after each step n of steps.
 
     Step n is P_half . unpad o substep(n, .) o pad . P_half, with substep(n, v)
     the whole physical-space part of the step, decays included, acting on
-    the padded physical grid.  Padding writes modes 0..K to the front of the
-    padded spectrum and -K..-1 to its back, two slice products; unpadding
-    reads the same slices back.  The padded spectrum (its zero band written
-    once) and the physical grid are two buffers allocated once per sweep,
-    which the FFTs fill through out=: the inverse FFT writes the physical
-    grid, the forward FFT writes over the block the substep returned.
-    blocks, when given, is that pair for u's rows, the spectrum zero outside
-    the band, so a caller that sweeps many times allocates them once.  The
-    yielded u is fresh each step and small, a band of coefficients per row:
-    a caller that stores a run copies the states it keeps into the rows of
-    one block allocated before the first step.
+    the padded physical grid.  The state rides between steps as its padded
+    spectrum.  The first step's input is u through the leading half phase,
+    with the padding scale: modes 0..K at the front of the padded spectrum
+    and -K..-1 at its back, two slice products.  Each later input is the
+    band of the previous step's spectrum times the full-step phase, two
+    slice products from the forward FFT's output into the next input.  The
+    yielded spec is that output, which stands for the state _unpad(spec,
+    tab) after step n; the next step overwrites it, so a caller that keeps
+    a state unpads it before it asks for the next step.  The padded
+    spectrum (zero outside the band) and the physical grid are two buffers
+    allocated once per sweep, which the FFTs fill through out=: the
+    inverse FFT writes the physical grid, and the forward FFT writes it
+    over with the spectrum.  blocks, when given, is that pair for u's
+    rows, so a caller that sweeps many times allocates them once.  u None
+    goes on from blocks as a previous sweep over them left it: its last
+    spectrum, still in the physical block, is the first step's state, and
+    rows that join a block there must be zero in both buffers.
 
     kick, when given, is (rows, modes, half): half(n) is step n's half kick
     h, a block of shape u[rows].shape[:-1] + (len(modes),), and the
     substep of step n runs between two kicks u[rows] -> u[rows] + h on the
-    coefficients of modes, inside the two free half phases.  The leading
-    kick enters the padded spectrum after the pad products, with the
-    padding scale; the trailing kick is added after the unpad, as
-    P_half h, so the yielded state is the kicked one.
+    coefficients of modes, inside the two free half phases.  Both enter
+    the padded spectrum with the padding scale, one column add per mode:
+    the leading kick into the step's input, the trailing one into its
+    output, so the yielded spectrum is the kicked state's.
     """
     kk, n_pad = tab.k_max, tab.n_pad
     if blocks is None:
@@ -227,56 +303,66 @@ def _split_steps(u: np.ndarray, tab, steps, substep, blocks=None, kick=None):
         blocks = np.zeros(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
     w, phys = blocks
     head, tail = w[..., : kk + 1], w[..., n_pad - kk :]
-    in_pos, in_neg = tab.phase_in[kk:], tab.phase_in[:kk]
-    out_pos, out_neg = tab.phase_out[kk:], tab.phase_out[:kk]
+    spec = phys if u is None else None
+    if u is not None:
+        np.multiply(u[..., kk:], tab.phase_in[kk:], out=head)
+        np.multiply(u[..., :kk], tab.phase_in[:kk], out=tail)
+    full_pos, full_neg = tab.phase[kk:], tab.phase[:kk]
     if kick is not None:
         rows, modes, half = kick
-        cols = [kk + k for k in modes]
-        at, at_pad = (rows, cols), (rows, [k % n_pad for k in modes])
+        cols = [(rows, k % n_pad) for k in modes]
         lead = n_pad / ROOT_2PI
-        trail = tab.phase_out[cols] * lead
     for n in steps:
-        np.multiply(u[..., kk:], in_pos, out=head)
-        np.multiply(u[..., :kk], in_neg, out=tail)
+        if spec is not None:
+            np.multiply(spec[..., : kk + 1], full_pos, out=head)
+            np.multiply(spec[..., n_pad - kk :], full_neg, out=tail)
         if kick is not None:
-            h = half(n)
-            w[at_pad] += lead * h
-        v = substep(n, np.fft.ifft(w, out=phys))
-        spec = np.fft.fft(v, out=v)
-        u = np.empty(u.shape, dtype=np.complex128)
-        np.multiply(spec[..., : kk + 1], out_pos, out=u[..., kk:])
-        np.multiply(spec[..., n_pad - kk :], out_neg, out=u[..., :kk])
+            h = lead * half(n)
+            for j, at in enumerate(cols):
+                w[at] += h[..., j]
+        spec = np.fft.fft(substep(n, np.fft.ifft(w, out=phys)), out=phys)
         if kick is not None:
-            u[at] += trail * h
-        yield n, u
+            for j, at in enumerate(cols):
+                spec[at] += h[..., j]
+        yield n, spec
 
 
 def _decays(tab, n, v):
     """The identity between the two half-step decays, in place: the
     substep of the damped free group."""
-    v *= tab.decay
-    v *= tab.decay
+    v *= tab.decay2
     return v
 
 
-def _midpoint(w, rhs, dt, buf):
-    """The explicit midpoint step w - i dt r(w - i (dt/2) r(w)) of the forced
-    substep, written over w; rhs(z, out) writes r(z), i times the slope.
-    buf holds the slope and the stage, two padded blocks allocated once per
-    sweep: a fresh complex temporary per operation on a 64-row block is
-    180 KB, past glibc's initial 128 KB mmap threshold, and the page faults
-    of such temporaries made a sweep 20% slower.
-    """
-    k, m = buf
-    np.add(w, np.multiply(-0.5j * dt, rhs(w, k), out=k), out=m)
-    return np.add(w, np.multiply(-1j * dt, rhs(m, k), out=k), out=w)
+def _rotation(tab, p: int, amp, g, n, v):
+    """The unforced substep, in place: v times g = D_half^2 exp(-i dt s),
+    s = |D_half v|^{p-1}, formed as exp(-a dt - i dt s) in the complex
+    block g with |v|^{p-1} in amp, _amp_pow's pair."""
+    np.multiply(_amp_pow(v, p, amp), tab.rate, out=g.imag)
+    np.copyto(g.real, tab.log_decay2)
+    v *= np.exp(g, out=g)
+    return v
 
 
-def _forced_rhs(z, out, p: int, amp=None):
-    """|z|^{p-1} z into out: the forced substep's rhs for _midpoint, which
-    applies its -i; |z|^{p-1} is formed in amp, _amp_pow's pair of real
-    blocks, if given."""
-    return np.multiply(_amp_pow(z, p, amp), z, out=out)
+def _midpoint_factor(tab, p: int, amp, g, n, v):
+    """The forced substep, in place: the two-stage explicit midpoint rule
+    for -i |z|^{p-1} z between the two decays, which is v times
+    g = D_half^2 (1 - dt^2 t s/2 - i dt t), with s = |D_half v|^{p-1} and
+    t = s (1 + (dt s/2)^2)^{(p-1)/2} the midpoint stage's |.|^{p-1}.  g is
+    built by real arithmetic in amp, _amp_pow's pair, into the complex
+    block g."""
+    s = _amp_pow(v, p, amp)
+    s *= tab.half_rate  # -dt s/2
+    t = np.square(s, out=amp[1])
+    t += 1.0
+    if p != 3:
+        t **= (p - 1) // 2
+    t *= s  # -dt t/2
+    np.multiply(t, tab.decay2x2, out=g.imag)  # -D_half^2 dt t
+    s *= g.imag  # D_half^2 dt^2 t s/2
+    np.subtract(tab.decay2, s, out=g.real)
+    v *= g
+    return v
 
 
 def steps_per_cell(spec: NoiseSpec, cfg: SolverConfig) -> int:
@@ -348,36 +434,23 @@ def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, kick, collect: bool)
 
     With collect, the run is stored at cfg's stride, the final step always
     included, in one block of shape (..., n_stored, n_coeff) allocated
-    before the first step: the states are copied into its rows as their
-    steps finish, so stored[..., j, :] is the j-th stored state of each
-    chain and stored[i] the whole run of row i of a (B, n_coeff) block.
-    Without collect, times and stored are None.  Every block the substep
-    writes is allocated once per sweep: |v|^{p-1} goes into a pair of real
-    blocks, the unforced rotation factor into a complex one, and the forced
-    midpoint's stages into two complex ones.
+    before the first step: the states are unpadded straight into its rows
+    as their steps finish, so stored[..., j, :] is the j-th stored state of
+    each chain and stored[i] the whole run of row i of a (B, n_coeff)
+    block, and final is a view of the last state.  Without collect, times
+    and stored are None, and only the last step is unpadded.  Every block
+    a step writes is allocated once per sweep: |v|^{p-1} goes into a pair
+    of real blocks, the substep's factor into a complex one, and the
+    guard's squares into a real one.
     """
     tab = cfg._tab
     dt, p, stride = cfg.dt, cfg.p, cfg.store_stride
     thr2 = H1_BLOWUP**2
     pad = u.shape[:-1] + (tab.n_pad,)
-    amp = np.empty(pad), np.empty(pad)
-    if kick is None:
-        rot = np.empty(pad, dtype=np.complex128)
-    else:
-        buf = np.empty(pad, dtype=np.complex128), np.empty(pad, dtype=np.complex128)
-        rhs = partial(_forced_rhs, p=p, amp=amp)
-
-    # the decays are applied in place: a fresh block-sized temporary for
-    # each lets glibc trim and refault the heap top every step
-    def substep(n, v):
-        v *= tab.decay
-        if kick is None:
-            np.multiply(_amp_pow(v, p, amp), -1j * dt, out=rot)
-            v *= np.exp(rot, out=rot)
-        else:
-            v = _midpoint(v, rhs, dt, buf)
-        v *= tab.decay
-        return v
+    factor = _rotation if kick is None else _midpoint_factor
+    amp, g = (np.empty(pad), np.empty(pad)), np.empty(pad, dtype=np.complex128)
+    substep = partial(factor, tab, p, amp, g)
+    sq = np.empty(u.shape[:-1] + (2 * u.shape[-1],))
 
     times = stored = None
     if collect:
@@ -386,16 +459,18 @@ def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, kick, collect: bool)
         stored = np.empty(u.shape[:-1] + (n_stored, u.shape[-1]), dtype=np.complex128)
         stored[..., 0, :] = u
         j = 1
-    for n, u in _split_steps(u, tab, range(n_steps), substep, kick=kick):
-        h1 = hs_norm_sq(u, 1.0)
+    for n, spec in _split_steps(u, tab, range(n_steps), substep, kick=kick):
+        h1 = _h1_guard(spec, tab, sq)
         if not (h1.max() <= thr2):  # NaN compares false, so it trips too
             row = int(np.argmax(h1))
             raise BlowUpError(n + 1, (n + 1) * dt, float(np.sqrt(h1.flat[row])), row)
-        if collect and ((n + 1) % stride == 0 or n + 1 == n_steps):
+        if collect and (n + 1) % stride == 0 and n + 1 < n_steps:
             times[j] = (n + 1) * dt
-            stored[..., j, :] = u
+            _unpad(spec, tab, stored[..., j, :])
             j += 1
-    return times, stored, u
+    if collect:
+        times[-1] = n_steps * dt
+    return times, stored, _unpad(spec, tab, stored[..., -1, :] if collect else None)
 
 
 @dataclass
@@ -528,8 +603,9 @@ def linear_group(u0: FourierField, t: float, cfg: SolverConfig) -> FourierField:
     if t > 0:
         n = max(1, int(round(t / cfg.dt)))
         tab = _step_tables(cfg.grid, cfg.damping, t / n, cfg.p)
-        for _, u in _split_steps(u, tab, range(n), partial(_decays, tab)):
+        for _, spec in _split_steps(u, tab, range(n), partial(_decays, tab)):
             pass
+        u = _unpad(spec, tab)
     return FourierField(u0.grid, u)
 
 

@@ -48,7 +48,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import _TIME_TOL, Trajectory, _amp_pow, _split_steps
+from .dynamics import _TIME_TOL, Trajectory, _amp_pow, _split_steps, _unpad
 from .noise import haar_basis, haar_time_keys
 from .spectral import FourierField, ValidationError, mode_weights, synth
 
@@ -87,7 +87,7 @@ def _tangent_coefficients(base: Trajectory, lo: int, hi: int) -> tuple:
     # c2 and then b are formed over u, so the build holds u, c1 and a
     c2 = np.square(u, out=u) if p == 3 else np.multiply(_amp_pow(u, p - 2), u * u, out=u)
     c2 *= (p - 1) / 2.0
-    d2 = tab.decay**2
+    d2 = tab.decay2
     a = np.empty_like(u)
     np.multiply(c1, -dt * d2, out=a.imag)
     re = np.square(c1, out=a.real)
@@ -109,11 +109,12 @@ def _tangent_map(w, a, b, t):
 
 
 def _tangent_steps(v, maps, tab, steps, kick=None, blocks=None):
-    """Tangent steps of v (..., C) under maps = (a, b): yields (n, v) after
-    each step n of steps, which index the rows of a and b.  kick, when
-    given, is _split_steps' kick of the forcing; blocks, when given, are
-    the padded spectrum (zero), physical grid and scratch blocks of v's
-    rows."""
+    """Tangent steps of v (..., C) under maps = (a, b): yields (n, spec)
+    after each step n of steps, which index the rows of a and b, with spec
+    _split_steps' padded spectrum.  kick, when given, is _split_steps' kick
+    of the forcing; blocks, when given, are the padded spectrum (zero),
+    physical grid and scratch blocks of v's rows, and v None goes on from
+    them as _split_steps does."""
     a, b = maps
     spec, phys, t = blocks if blocks is not None else _padded_blocks(v.shape[:-1], tab)
     substep = lambda n, w: _tangent_map(w, a[n], b[n], t)
@@ -121,8 +122,8 @@ def _tangent_steps(v, maps, tab, steps, kick=None, blocks=None):
 
 
 def solve_linearized(base: Trajectory, v0: FourierField) -> Trajectory:
-    """Unforced tangent flow along base from v0, each state copied into its
-    row of one block as its step finishes."""
+    """Unforced tangent flow along base from v0, each state unpadded into
+    its row of one block as its step finishes."""
     if v0.grid != base.grid:
         raise ValidationError("direction lives on a different grid")
     cfg = base.config
@@ -130,8 +131,9 @@ def solve_linearized(base: Trajectory, v0: FourierField) -> Trajectory:
     maps = _tangent_coefficients(base, 0, n_steps)
     stored = np.empty(base.coeffs.shape, dtype=np.complex128)
     stored[0] = v0.coeffs
-    for n, v in _tangent_steps(stored[0], maps, cfg._tab, range(n_steps)):
-        stored[n + 1] = v
+    tab = cfg._tab
+    for n, spec in _tangent_steps(stored[0], maps, tab, range(n_steps)):
+        _unpad(spec, tab, stored[n + 1])
     return Trajectory(base.grid, base.times.copy(), stored, cfg)
 
 
@@ -149,12 +151,12 @@ def solve_adjoint_backward(base: Trajectory, phi1: FourierField) -> Trajectory:
     a, b = _tangent_coefficients(base, 0, base.n_stored - 1)
     tab = cfg._tab
     adj = SimpleNamespace(
-        **{**vars(tab), "phase_in": np.conj(tab.phase_in), "phase_out": np.conj(tab.phase_out)}
+        **{**vars(tab), **{k: np.conj(getattr(tab, k)) for k in ("phase_in", "phase_out", "phase")}}
     )
     stored = np.empty(base.coeffs.shape, dtype=np.complex128)
     stored[-1] = phi1.coeffs
-    for n, phi in _tangent_steps(stored[-1], (np.conj(a), b), adj, range(len(a) - 1, -1, -1)):
-        stored[n] = phi
+    for n, spec in _tangent_steps(stored[-1], (np.conj(a), b), adj, range(len(a) - 1, -1, -1)):
+        _unpad(spec, adj, stored[n])
     return Trajectory(base.grid, base.times.copy(), stored, cfg)
 
 
@@ -257,29 +259,32 @@ def control_response_matrix(
 
     tab = cfg._tab
     # the separation, if any, is row 0 and the columns follow it
-    if separation is None:
-        v = np.zeros((0, base.grid.n_coeff), dtype=np.complex128)
-    else:
-        if separation.grid != base.grid:
-            raise ValidationError("separation lives on a different grid")
-        v = separation.coeffs.astype(np.complex128)[None, :]
-    off = len(v)
+    if separation is not None and separation.grid != base.grid:
+        raise ValidationError("separation lives on a different grid")
+    off = 0 if separation is None else 1
     # padded blocks for every row, allocated once per map; a cell steps its
-    # rows through the leading slices, and kicks only the column rows
+    # rows through the leading slices, and kicks only the column rows.  The
+    # first cell pads its rows, the separation and zero columns; each later
+    # one goes on from the spectrum the last left, a joining column a zero
+    # row of both blocks.
     spec, phys, t = _padded_blocks((off + n_cols,), tab)
     for lo in range(0, n_steps, per_cell):
         m = int(np.searchsorted(first, lo, side="right"))
-        if off + m > len(v):
-            v = np.concatenate([v, np.zeros((off + m - len(v), v.shape[1]), dtype=np.complex128)])
         h = kicks[lo // per_cell, :m]
         r = off + m
+        v = None
+        if lo == 0:
+            v = np.zeros((r, base.grid.n_coeff), dtype=np.complex128)
+            if separation is not None:
+                v[0] = separation.coeffs
         maps = _tangent_coefficients(base, lo, lo + per_cell)
         cell = _tangent_steps(
             v, maps, tab, range(per_cell), (slice(off, r), modes, lambda n: h),
             (spec[:r], phys[:r], t[:r]),
         )
-        for _, v in cell:
+        for _ in cell:
             pass
+    v = _unpad(phys[:r], tab)
     final = np.empty_like(v[off:])
     final[order] = v[off:]
     matrix = h1_coords(final, base.grid.k_max, cutoff).T.copy()  # (n_x, n_cols)

@@ -37,10 +37,15 @@ from schrodmix import (
     zero_field,
 )
 from schrodmix.config import random_h1_field
+import schrodmix.dynamics as dynamics_mod
 from schrodmix.dynamics import (
     _amp_pow,
+    _h1_guard,
+    _midpoint_factor,
     _noise_drive,
+    _rotation,
     _split_steps,
+    _unpad,
     energy_series,
     steps_per_cell,
     trajectory_remainder,
@@ -402,20 +407,21 @@ def test_amp_pow_into_buffers_keeps_the_plain_bits():
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_unforced_step_keeps_the_plain_rotation_bits(p):
-    # the unforced substep forms |v|^{p-1} and the rotation factor in blocks
-    # allocated once per sweep; every stored state is that of the plain
-    # expression v * exp(-1j dt |v|^{p-1}) with fresh temporaries
+    # the unforced substep forms |v|^{p-1} and the rotation factor
+    # D^2 exp(-i dt |D v|^{p-1}) = exp(-a dt - i dt D^{p-1} |v|^{p-1}) in
+    # blocks allocated once per sweep; every stored state is that of the
+    # plain expression with fresh temporaries
     cfg = damped_cfg(p=p, store_stride=3)
+    tab = cfg._tab
     u0 = random_h1_field(GRID, 1.0, 3.0, 12, 0)
 
     def plain(n, v):
-        v *= cfg._tab.decay
-        v = v * np.exp(-1j * cfg.dt * ((v.real**2 + v.imag**2) ** ((p - 1) // 2)))
-        v *= cfg._tab.decay
-        return v
+        amp = (v.real**2 + v.imag**2) ** ((p - 1) // 2)
+        return v * np.exp(tab.log_decay2 + 1j * (amp * tab.rate))
 
     traj = solve_nls(u0, None, 16 * cfg.dt, cfg)
-    want = [u0.coeffs] + [u.copy() for _, u in _split_steps(u0.coeffs, cfg._tab, range(16), plain)]
+    steps = _split_steps(u0.coeffs, tab, range(16), plain)
+    want = [u0.coeffs] + [_unpad(spec, tab) for _, spec in steps]
     assert traj.coeffs.tobytes() == np.stack([want[n] for n in (0, 3, 6, 9, 12, 15, 16)]).tobytes()
     assert traj.times.tobytes() == (np.array([0, 3, 6, 9, 12, 15, 16]) * cfg.dt).tobytes()
 
@@ -499,8 +505,8 @@ def test_noise_drive_is_the_forcing_field_of_its_path():
     # sqrt(2pi) b_k eta_k on the normalized e_k, and a step's half kick
     # -i (dt/2) sqrt(2pi) b_k eta_k lands on mode k's coefficient and on no
     # other, inside the free half phases: in the padded spectrum (with the
-    # padding scale) before the substep, and in the state after the unpad
-    # through the half phase exp(-i k^2 dt/2)
+    # padding scale) before the substep and after it, so that the unpadded
+    # state carries it through the half phase exp(-i k^2 dt/2)
     cfg = SolverConfig(grid=GRID, damping=bump_damping(GRID, 1.0, math.pi, 1.5), dt=DT / 2)
     spec = NoiseSpec(modes=(0, 1), amplitudes=(0.3, 0.7))
     path = sample_noise_path(spec, (9, 0, 0, 0))
@@ -527,7 +533,7 @@ def test_noise_drive_is_the_forcing_field_of_its_path():
             zero = np.zeros((1, GRID.n_coeff), dtype=np.complex128)
             ((_, got),) = _split_steps(zero, tab, [step], substep, blocks, kick)
             want = np.exp(-0.5j * cfg.dt * GRID.modes.astype(float) ** 2) * h
-            np.testing.assert_allclose(got[0], want, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(_unpad(got, tab)[0], want, rtol=1e-15, atol=0)
             np.testing.assert_allclose(seen.pop(), w, rtol=1e-15, atol=0)
 
 
@@ -564,14 +570,84 @@ def test_markov_step_batch_refuses_mixed_specs():
 
 
 @pytest.mark.parametrize("n_rows", [1, 64, 65])
-def test_blowup_norm_rows_independent_of_block(n_rows):
-    # the blow-up guard reads hs_norm_sq(u, 1.0) on the whole block
+def test_blowup_norm_rows_independent_of_block(n_rows, monkeypatch):
+    # the blow-up guard reads the H1 norm off the band of the padded
+    # spectrum, with the padding scale in its weights: each row's value is
+    # hs_norm_sq(u, 1.0) of its unpadded state u within 1e-12, and does not
+    # depend on its block
+    cfg = damped_cfg()
+    tab, width = cfg._tab, 2 * GRID.n_coeff
     rng = np.random.default_rng(n_rows)
-    block = rng.normal(size=(n_rows, GRID.n_coeff)) + 1j * rng.normal(size=(n_rows, GRID.n_coeff))
-    h1 = hs_norm_sq(block, 1.0)
+    spec = rng.normal(size=(n_rows, tab.n_pad)) + 1j * rng.normal(size=(n_rows, tab.n_pad))
+    h1 = _h1_guard(spec, tab, np.empty((n_rows, width)))
     assert h1.shape == (n_rows,)
+    np.testing.assert_allclose(h1, hs_norm_sq(_unpad(spec, tab), 1.0), rtol=1e-12, atol=0)
     for i in range(n_rows):
-        assert h1[i] == hs_norm_sq(block[i], 1.0)
+        assert h1[i] == _h1_guard(spec[i], tab, np.empty(width))
+    # a planted NaN row and a planted huge row trip it at the first step,
+    # and the error names that row and its norm
+    seen = []
+
+    def guard(s, t, sq, _real=dynamics_mod._h1_guard):
+        seen.append((s.copy(), _real(s, t, sq)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(dynamics_mod, "_h1_guard", guard)
+    paths = [sample_noise_path(NoiseSpec(), (35, 0, i, 0)) for i in range(n_rows)]
+    block = np.stack([random_h1_field(GRID, 0.5, 3.0, 35, i).coeffs for i in range(n_rows)])
+    for row, planted in ((n_rows - 1, np.nan), (n_rows // 2, 2.0e6)):
+        u = block.copy()
+        if np.isnan(planted):
+            u[row, GRID.k_max + 3] = planted
+        else:
+            u[row] *= planted / math.sqrt(hs_norm_sq(u[row], 1.0))
+        with pytest.raises(BlowUpError) as info:
+            markov_step_batch(u, paths, cfg)
+        err = info.value
+        assert (err.step, err.row) == (1, row)
+        last, value = seen[-1]
+        want = hs_norm_sq(_unpad(last, tab), 1.0)
+        if np.isnan(planted):
+            assert math.isnan(err.h1_norm) and np.isnan(want[row])
+        else:
+            assert err.h1_norm == math.sqrt(value[row]) and err.h1_norm > 1.0e6
+            np.testing.assert_allclose(value, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_substep_factors_match_the_plain_stages(p):
+    # the forced substep is v times one factor, D^2 (1 - dt^2 t s/2 - i dt t)
+    # with s = |D v|^{p-1} and t = s (1 + (dt s/2)^2)^{(p-1)/2}: its bits
+    # are its own, within 4 ulp of |v| of the plain two-stage midpoint rule
+    # for -i |z|^{p-1} z between two decays D, on a block salted with zeros
+    # of either sign; and the unforced factor D^2 exp(-i dt s) is within 4
+    # ulp of |v| of the plain D . rotation . D.  The block is in the step's
+    # regime, dt s <= 1: past it both round-offs grow with dt s (at p = 7
+    # and |v| near 4 the midpoint stage amplifies |v| by 1e11)
+    cfg = damped_cfg(p=p)
+    tab = cfg._tab
+    rng = np.random.default_rng(p)
+    v = 0.5 * (rng.standard_normal((12, tab.n_pad)) + 1j * rng.standard_normal((12, tab.n_pad)))
+    for i, z in enumerate((0.0, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0))):
+        v[i, : tab.n_pad // 2] = z
+    v.real[4, ::3] = -0.0
+    v.imag[5, ::3] = -0.0
+    assert tab.decay.min() < 1.0
+    d = tab.decay
+    amp = lambda z: (z.real**2 + z.imag**2) ** ((p - 1) // 2)
+    assert DT * amp(v).max() <= 1.0
+    z = d * v
+    zm = z + (0.5 * DT) * (-1j * (amp(z) * z))
+    forced = d * (z + DT * (-1j) * (amp(zm) * zm))
+    rotated = d * (z * np.exp(-1j * DT * amp(z)))
+    ulp = 4.0 * np.spacing(np.abs(v))
+    pair = np.empty(v.shape), np.empty(v.shape)
+    g = np.empty_like(v)
+    for factor, want in ((_midpoint_factor, forced), (_rotation, rotated)):
+        got = factor(tab, p, pair, g, 0, v.copy())
+        err = np.maximum(np.abs(got.real - want.real), np.abs(got.imag - want.imag))
+        assert (err <= ulp).all(), (factor.__name__, float((err / ulp).max()))
+        assert (got[:4, : tab.n_pad // 2] == 0.0).all()
 
 
 def test_phase_theta_constant_amplitude():
