@@ -42,7 +42,9 @@ The state rides from step to step as its padded spectrum: two
 consecutive half phases meet as the one full-step phase exp(-i k^2 dt),
 written from the forward FFT's output straight into the next step's
 input, and the trailing and next leading half kicks are added to the
-noise modes' columns of the spectrum on either side of it.  A state is
+noise modes' columns of the spectrum on either side of it.  A kick is
+data: step n reads it from a table, (rows, modes, cells), at cell
+n // per_cell.  A state is
 unpadded, through the half phase, only where a caller keeps it: a stored
 stride, the cell end of a control sweep, the last step.  The blow-up
 guard reads the H1 norm off the spectrum's band with the padding scale
@@ -66,7 +68,7 @@ and a control column's to its row of linearized's tangent sweep.
 Everything that depends on p and its padded grid lives here, beside the
 nonlinearity: pad_points, the energy and lp_power_integral.  So does the
 noise forcing: steps_per_cell is the one check that a NoiseSpec can force a
-SolverConfig, and _noise_drive the one builder of its half kicks.
+SolverConfig, and _noise_drive the one place its table of half kicks is built.
 
 All state arrays carry the mode axis last and arbitrary batch axes in
 front, which is what keeps ensemble runs affordable.  Every operation of a
@@ -138,7 +140,8 @@ class SolverConfig:
         if not (0.0 < self.dt <= MAX_DT * (1 + 1e-12)):
             raise ValidationError("dt must sit in (0, %g], got %r" % (MAX_DT, self.dt))
         _check_power(self.p)
-        if self.store_stride < 1 or int(self.store_stride) != self.store_stride:
+        check_integer("store_stride", self.store_stride)
+        if self.store_stride < 1:
             raise ValidationError("store_stride must be a positive integer")
         if self.damping.grid != self.grid:
             raise ValidationError("damping profile lives on a different grid")
@@ -289,13 +292,15 @@ def _split_steps(u, tab, steps, substep, blocks=None, kick=None):
     spectrum, still in the physical block, is the first step's state, and
     rows that join a block there must be zero in both buffers.
 
-    kick, when given, is (rows, modes, half): half(n) is step n's half kick
-    h, a block of shape u[rows].shape[:-1] + (len(modes),), and the
-    substep of step n runs between two kicks u[rows] -> u[rows] + h on the
-    coefficients of modes, inside the two free half phases.  Both enter
-    the padded spectrum with the padding scale, one column add per mode:
-    the leading kick into the step's input, the trailing one into its
-    output, so the yielded spectrum is the kicked state's.
+    kick, when given, is (rows, modes, table, per_cell): step n's half kick
+    is h = table[..., n // per_cell], a block of shape u[rows].shape[:-1] +
+    (len(modes),), so table[..., m, c] is the kick on mode modes[m] over
+    cell c of per_cell steps.  The substep of step n runs between two kicks
+    u[rows] -> u[rows] + h on the coefficients of modes, inside the two
+    free half phases.  Both enter the padded spectrum with the padding
+    scale, one column add per mode: the leading kick into the step's input,
+    the trailing one into its output, so the yielded spectrum is the kicked
+    state's.
     """
     kk, n_pad = tab.k_max, tab.n_pad
     if blocks is None:
@@ -309,7 +314,7 @@ def _split_steps(u, tab, steps, substep, blocks=None, kick=None):
         np.multiply(u[..., :kk], tab.phase_in[:kk], out=tail)
     full_pos, full_neg = tab.phase[kk:], tab.phase[:kk]
     if kick is not None:
-        rows, modes, half = kick
+        rows, modes, table, per_cell = kick
         cols = [(rows, k % n_pad) for k in modes]
         lead = n_pad / ROOT_2PI
     for n in steps:
@@ -317,7 +322,7 @@ def _split_steps(u, tab, steps, substep, blocks=None, kick=None):
             np.multiply(spec[..., : kk + 1], full_pos, out=head)
             np.multiply(spec[..., n_pad - kk :], full_neg, out=tail)
         if kick is not None:
-            h = lead * half(n)
+            h = lead * table[..., n // per_cell]
             for j, at in enumerate(cols):
                 w[at] += h[..., j]
         spec = np.fft.fft(substep(n, np.fft.ifft(w, out=phys)), out=phys)
@@ -385,12 +390,12 @@ def _noise_drive(rows, cfg: SolverConfig):
     """The noise forcing of a block of chains, as the kick of _split_steps.
 
     rows[i] lists the unit-interval paths chain i runs through, one per time
-    unit.  Returns (Ellipsis, modes, half): half(step) is the half kick
-    h = -i (dt/2) sqrt(2pi) b_k eta_k of each row on each noise mode k, a
-    (len(rows), len(modes)) block, formed elementwise (so a row has the bits
-    it has alone) once per noise cell into one buffer, which half returns
-    until the next cell overwrites it.  Every entry must be a NoisePath
-    carrying the first one's NoiseSpec, amplitudes too.
+    unit.  Returns (Ellipsis, modes, table, per_cell): table[i, m, c] is
+    row i's half kick h = -i (dt/2) sqrt(2pi) b_k eta_k on mode k =
+    modes[m] over cell c of its run, the cells of its units in order, and a
+    cell is per_cell steps.  The table is built once, elementwise (so a row
+    has the bits it has alone).  Every entry must be a NoisePath carrying
+    the first one's NoiseSpec, amplitudes too.
     """
     if not all(isinstance(path, NoisePath) for row in rows for path in row):
         raise ValidationError("every forcing entry must be a NoisePath")
@@ -398,33 +403,10 @@ def _noise_drive(rows, cfg: SolverConfig):
     if any(path.spec != spec for row in rows for path in row):
         raise ValidationError("paths must share one noise spec")
     per_cell = steps_per_cell(spec, cfg)
-    spu = per_cell * spec.n_cells
     amp = np.asarray(spec.amplitudes)[:, None]
-    stack = np.array([[amp * p.cells for p in row] for row in rows])  # (B, units, modes, cells)
-    scale = -0.5j * cfg.dt * ROOT_2PI
-    out = np.empty((len(rows), len(spec.modes)), dtype=np.complex128)
-    built = None
-
-    def half(step: int):
-        nonlocal built
-        unit, within = divmod(step, spu)
-        cell = (unit, within // per_cell)
-        if cell != built:
-            np.multiply(stack[:, unit, :, cell[1]], scale, out=out)
-            built = cell
-        return out
-
-    return Ellipsis, spec.modes, half
-
-
-def _row_drive(paths, cfg: SolverConfig):
-    """The kick of one chain through paths, as row 0 of the block builder.
-
-    Single-chain runs step a 1-D state: a (1, n_coeff) block costs about 10%
-    more per step.
-    """
-    rows, modes, block = _noise_drive([paths], cfg)
-    return rows, modes, lambda step: block(step)[0]
+    table = np.array([np.hstack([amp * p.cells for p in row]) for row in rows], dtype=np.complex128)
+    table *= -0.5j * cfg.dt * ROOT_2PI
+    return Ellipsis, spec.modes, table, per_cell
 
 
 def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, kick, collect: bool):
@@ -532,7 +514,12 @@ def _solve(u0: FourierField, forcing, horizon: float, cfg: SolverConfig, collect
         raise ValidationError("initial state lives on a different grid")
     n_steps = cfg.steps_for(horizon)
     paths = _as_path_list(forcing, horizon)
-    kick = _row_drive(paths, cfg) if paths is not None else None
+    kick = None
+    if paths is not None:
+        # a single chain steps a 1-D state, row 0 of the table: a
+        # (1, n_coeff) block costs about 10% more per step
+        rows, modes, table, per_cell = _noise_drive([paths], cfg)
+        kick = rows, modes, table[0], per_cell
     return _evolve(u0.coeffs.astype(np.complex128), cfg, n_steps, kick, collect)
 
 

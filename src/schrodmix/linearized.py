@@ -223,8 +223,9 @@ def control_response_matrix(
     the columns are marched in order of their first forced step (the first
     nonzero of their haar_basis row), and only the active ones: a column
     joins the block as a zero row on the control cell where its support
-    begins.  The forcing is constant on a control cell, and the active
-    columns' kicks are a prefix of the sorted ones, read once per cell.
+    begins.  The forcing is constant on a control cell, and a cell's steps
+    read the kick table's slice of the active columns, a prefix of the
+    sorted ones, at that cell.
     The cell's tangent maps are formed just before its steps: the sweep
     holds a cell's maps, never the whole base's.
     """
@@ -245,17 +246,18 @@ def control_response_matrix(
                 col_keys.append((k, key[0], key[1], comp))
     n_cols = len(col_keys)
 
-    # per-cell half kicks of each column on the coefficient of e_k:
-    # -i (dt/2) comp 2^(j/2) h_jl, for the forcing comp 2^(j/2) h_jl e_k
+    # the kick table, (columns, modes, control cells): each column's half
+    # kick on the coefficient of e_k over each cell, -i (dt/2) comp 2^(j/2)
+    # h_jl, for the forcing comp 2^(j/2) h_jl e_k
     per_cell = n_steps >> (time_level + 1)
-    kicks = np.zeros((n_steps // per_cell, n_cols, len(modes)), dtype=np.complex128)
+    kicks = np.zeros((n_cols, len(modes), n_steps // per_cell), dtype=np.complex128)
     for c, (k, j, l, comp) in enumerate(col_keys):
-        kicks[:, c, modes.index(k)] = (-0.5j * cfg.dt * comp) * basis[2**j - 1 + l, ::per_cell]
+        kicks[c, modes.index(k)] = (-0.5j * cfg.dt * comp) * basis[2**j - 1 + l, ::per_cell]
 
     # each column's first forced step, read off its basis row
     first = np.argmax(basis != 0, axis=1)[[2**j - 1 + l for _, j, l, _ in col_keys]]
     order = np.argsort(first, kind="stable")
-    kicks, first = kicks[:, order], first[order]
+    kicks, first = kicks[order], first[order]
 
     tab = cfg._tab
     # the separation, if any, is row 0 and the columns follow it
@@ -270,7 +272,7 @@ def control_response_matrix(
     spec, phys, t = _padded_blocks((off + n_cols,), tab)
     for lo in range(0, n_steps, per_cell):
         m = int(np.searchsorted(first, lo, side="right"))
-        h = kicks[lo // per_cell, :m]
+        c = lo // per_cell
         r = off + m
         v = None
         if lo == 0:
@@ -278,10 +280,8 @@ def control_response_matrix(
             if separation is not None:
                 v[0] = separation.coeffs
         maps = _tangent_coefficients(base, lo, lo + per_cell)
-        cell = _tangent_steps(
-            v, maps, tab, range(per_cell), (slice(off, r), modes, lambda n: h),
-            (spec[:r], phys[:r], t[:r]),
-        )
+        kick = slice(off, r), modes, kicks[:m, :, c : c + 1], per_cell
+        cell = _tangent_steps(v, maps, tab, range(per_cell), kick, (spec[:r], phys[:r], t[:r]))
         for _ in cell:
             pass
     v = _unpad(phys[:r], tab)

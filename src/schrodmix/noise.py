@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral import ValidationError
+from .spectral import ValidationError, check_integer
 
 # ppf solves G(e) = q for e = 1 - |x|, where G(e) = e/2 - sin(pi e)/(2 pi) is
 # the mass of the density on [1 - e, 1].  For e < _SERIES_E, G is summed as
@@ -221,6 +221,8 @@ class NoiseSpec:
     def __post_init__(self):
         if len(self.modes) == 0:
             raise ValidationError("at least one active mode is required")
+        for k in self.modes:
+            check_integer("noise mode", k)
         if len(set(self.modes)) != len(self.modes):
             raise ValidationError("duplicate noise modes")
         if len(self.amplitudes) != len(self.modes):
@@ -234,6 +236,7 @@ class NoiseSpec:
             raise ValidationError("level decay exponent must satisfy q > 1")
         if not self.haar_c >= 0:
             raise ValidationError("haar_c must be >= 0")
+        check_integer("level_max", self.level_max)
         if not (1 <= self.level_max <= 16):
             raise ValidationError("level_max must sit in 1..16")
         object.__setattr__(self, "modes", tuple(int(k) for k in self.modes))

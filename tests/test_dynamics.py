@@ -82,6 +82,12 @@ def test_solver_config_validation():
         with pytest.raises(ValidationError, match="p must be an integer"):
             SolverConfig(grid=GRID, damping=zero_damping(GRID), dt=DT, p=p)
     assert SolverConfig(grid=GRID, damping=zero_damping(GRID), dt=DT, p=np.int64(5)).p == 5
+    # so would a float stride, and a flag would run as stride 1
+    for stride in (2.0, True):
+        with pytest.raises(ValidationError, match="store_stride must be an integer"):
+            SolverConfig(grid=GRID, damping=zero_damping(GRID), dt=DT, store_stride=stride)
+    cfg = SolverConfig(grid=GRID, damping=zero_damping(GRID), dt=DT, store_stride=np.int64(2))
+    assert cfg.store_stride == 2
     other = Grid(42)
     with pytest.raises(ValidationError):
         SolverConfig(grid=GRID, damping=zero_damping(other), dt=DT)
@@ -490,14 +496,13 @@ def test_noise_drive_rows_independent_of_block(n_rows, modes):
     cfg = damped_cfg()
     spec = NoiseSpec(modes=modes, amplitudes=(0.15,) * len(modes))
     paths = [sample_noise_path(spec, (31, 0, i, 0)) for i in range(n_rows)]
-    rows, kick_modes, batch = _noise_drive([[p] for p in paths], cfg)
+    rows, kick_modes, batch, per_cell = _noise_drive([[p] for p in paths], cfg)
     assert rows is Ellipsis and kick_modes == modes
-    singles = [_noise_drive([[p]], cfg)[2] for p in paths]
-    for step in range(cfg.steps_for(1.0)):
-        out = batch(step)
-        assert out.shape == (n_rows, len(modes))
-        for i in range(n_rows):
-            assert out[i].tobytes() == singles[i](step)[0].tobytes()
+    assert batch.shape == (n_rows, len(modes), spec.n_cells) and per_cell == 1
+    for i, p in enumerate(paths):
+        single = _noise_drive([[p]], cfg)[2]
+        assert single.shape == (1,) + batch.shape[1:]
+        assert batch[i].tobytes() == single[0].tobytes()
 
 
 def test_noise_drive_is_the_forcing_field_of_its_path():
@@ -506,13 +511,15 @@ def test_noise_drive_is_the_forcing_field_of_its_path():
     # -i (dt/2) sqrt(2pi) b_k eta_k lands on mode k's coefficient and on no
     # other, inside the free half phases: in the padded spectrum (with the
     # padding scale) before the substep and after it, so that the unpadded
-    # state carries it through the half phase exp(-i k^2 dt/2)
+    # state carries it through the half phase exp(-i k^2 dt/2).  The row
+    # runs through two units, whose cells follow each other in the table.
     cfg = SolverConfig(grid=GRID, damping=bump_damping(GRID, 1.0, math.pi, 1.5), dt=DT / 2)
     spec = NoiseSpec(modes=(0, 1), amplitudes=(0.3, 0.7))
-    path = sample_noise_path(spec, (9, 0, 0, 0))
-    kick = _noise_drive([[path]], cfg)
+    units = [sample_noise_path(spec, (9, 0, 0, t)) for t in range(2)]
+    kick = _noise_drive([units], cfg)
     per_cell = steps_per_cell(spec, cfg)
     assert per_cell == 2 and per_cell * spec.n_cells == cfg.steps_for(1.0)
+    assert kick[3] == per_cell and kick[2].shape == (1, 2, 2 * spec.n_cells)
     tab, kk = cfg._tab, GRID.k_max
     blocks = np.zeros((1, tab.n_pad), dtype=np.complex128), np.empty((1, tab.n_pad), dtype=np.complex128)
     seen = []
@@ -522,14 +529,15 @@ def test_noise_drive_is_the_forcing_field_of_its_path():
         v.fill(0.0)
         return v
 
-    for cell in (0, 17, spec.n_cells - 1):
+    for unit, within in itertools.product(range(2), (0, 17, spec.n_cells - 1)):
+        cell = unit * spec.n_cells + within
         h = np.zeros(GRID.n_coeff, dtype=np.complex128)
         w = np.zeros(tab.n_pad, dtype=np.complex128)
         for m, k in enumerate(spec.modes):
-            h[kk + k] = -0.5j * cfg.dt * ROOT_2PI * spec.amplitudes[m] * path.cells[m, cell]
+            h[kk + k] = -0.5j * cfg.dt * ROOT_2PI * spec.amplitudes[m] * units[unit].cells[m, within]
             w[k % tab.n_pad] = tab.n_pad / ROOT_2PI * h[kk + k]
+        np.testing.assert_allclose(kick[2][0, :, cell], h[kk:kk + 2], rtol=1e-15, atol=0)
         for step in (cell * per_cell, (cell + 1) * per_cell - 1):
-            np.testing.assert_allclose(kick[2](step)[0], h[kk:kk + 2], rtol=1e-15, atol=0)
             zero = np.zeros((1, GRID.n_coeff), dtype=np.complex128)
             ((_, got),) = _split_steps(zero, tab, [step], substep, blocks, kick)
             want = np.exp(-0.5j * cfg.dt * GRID.modes.astype(float) ** 2) * h

@@ -87,6 +87,39 @@ def test_compare_names_a_field_scaled_by_one_part_in_1e8(values_file, tmp_path):
     assert all(float(line.split()[0]) == 0.0 for line in lines[1:])
 
 
+GOLDEN = ROOT / "tests" / "golden" / "kind_values.json"
+VALUES_TOL = 1e-9
+
+
+def _moves_over(golden, fresh, tol=VALUES_TOL):
+    """The --compare lines of golden against fresh whose move exceeds tol:
+    each names its move, case and field."""
+    lines = _tool("--compare", str(golden), str(fresh)).splitlines()
+    return [line for line in lines if not float(line.split()[0]) <= tol]
+
+
+def test_values_match_the_golden_file(values_file, tmp_path):
+    """Every output value of every case stays within 1e-9 of its field's
+    largest |value| in tests/golden/kind_values.json: the values contract,
+    which holds across machines where the digests do not.  A change that
+    moves values on purpose regenerates the file with
+
+        python3 tools/kind_digests.py --values . > tests/golden/kind_values.json
+
+    and reports the --compare of the old file against the new one."""
+    over = _moves_over(GOLDEN, values_file)
+    assert not over, "values moved past %g (move, case, field):\n%s" % (VALUES_TOL, "\n".join(over))
+    # one field scaled by (1 + 1e-8) must fail, by name
+    values = json.loads(values_file.read_text())
+    case, field = "p3/stabilize", "stabilize.json:q_ratio"
+    values[case][field] *= 1 + 1e-8
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(values))
+    (line,) = _moves_over(GOLDEN, moved)
+    move, *where = line.split()
+    assert where == [case, field] and float(move) == pytest.approx(1e-8, rel=1e-3)
+
+
 def test_kind_digests_refuses_a_package_outside_the_checkout(tmp_path):
     # tmp_path has no src/schrodmix, so the import falls through to the
     # copy on PYTHONPATH

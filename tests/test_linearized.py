@@ -205,12 +205,13 @@ def test_response_matrix_matches_dense_march(p):
     for level in (0, 1, 3, 6):
         got, keys, _ = control_response_matrix(base, modes, level, cutoff)
         basis = haar_basis(level, n_steps)
-        # each column's half kick -i (dt/2) comp 2^(j/2) h_jl on its mode
-        kicks = np.zeros((n_steps, len(keys), len(modes)), dtype=np.complex128)
+        # each column's half kick -i (dt/2) comp 2^(j/2) h_jl on its mode,
+        # one table entry per step
+        kicks = np.zeros((len(keys), len(modes), n_steps), dtype=np.complex128)
         for c, (k, j, l, comp) in enumerate(keys):
-            kicks[:, c, modes.index(k)] = (-0.5j * cfg.dt * comp) * basis[2**j - 1 + l]
+            kicks[c, modes.index(k)] = (-0.5j * cfg.dt * comp) * basis[2**j - 1 + l]
         v = np.zeros((len(keys), GRID.n_coeff), dtype=np.complex128)
-        for _, spec in _tangent_steps(v, maps, tab, range(n_steps), (Ellipsis, modes, kicks.__getitem__)):
+        for _, spec in _tangent_steps(v, maps, tab, range(n_steps), (Ellipsis, modes, kicks, 1)):
             pass
         want = h1_coords(_unpad(spec, tab), GRID.k_max, cutoff).T
         # compared as bit patterns, so a zero of the other sign fails too

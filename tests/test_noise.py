@@ -220,6 +220,16 @@ def test_noise_spec_validation():
         NoiseSpec(level_max=0)
     with pytest.raises(ValidationError):
         NoiseSpec(level_max=17)
+    # a float or a flag would be truncated to a mode, and a float level
+    # would fail only later, inside numpy
+    for modes in ((0, 1.5), (0, 1.0), (True, 2)):
+        with pytest.raises(ValidationError, match="noise mode must be an integer"):
+            NoiseSpec(modes=modes, amplitudes=(0.1, 0.1))
+    for level in (3.0, 3.5, True):
+        with pytest.raises(ValidationError, match="level_max must be an integer"):
+            NoiseSpec(level_max=level)
+    spec = NoiseSpec(modes=(np.int64(0), np.int32(2)), level_max=np.int64(3))
+    assert spec.modes == (0, 2) and spec.level_max == 3 and spec.n_cells == 16
 
 
 def test_noise_spec_derived_quantities():
