@@ -50,7 +50,7 @@ import numpy as np
 
 from .dynamics import _TIME_TOL, Trajectory, _amp_pow, _split_steps, _unpad
 from .noise import haar_basis, haar_time_keys
-from .spectral import FourierField, ValidationError, mode_weights, synth
+from .spectral import FourierField, ValidationError, check_integer, mode_weights, synth
 
 
 def _padded_blocks(lead: tuple, tab) -> list:
@@ -175,6 +175,7 @@ def check_bands(cutoff: int, k_max: int = None, target_cutoff: int = 0) -> None:
     nonnegative, the band lies inside the stored band |k| <= k_max, when
     given, and holds the target band |k| <= target_cutoff."""
     for name, c in (("cutoff", cutoff), ("target cutoff", target_cutoff)):
+        check_integer(name, c)
         if c < 0:
             raise ValidationError("%s must be >= 0, got %d" % (name, c))
     if k_max is not None and cutoff > k_max:
@@ -233,6 +234,7 @@ def control_response_matrix(
     n_steps = base.n_stored - 1
     if abs(n_steps * cfg.dt - 1.0) > _TIME_TOL:
         raise ValidationError("the control basis needs a base over one time unit")
+    check_bands(cutoff, base.grid.k_max)
     keys = haar_time_keys(time_level)
     basis = haar_basis(time_level, n_steps)
     modes = tuple(int(k) for k in modes)

@@ -68,6 +68,7 @@ def _check_haar_index(j: int, l: int):
 
 def haar_time_keys(level: int):
     """(j, l) keys of the Haar functions up to a level, in coefficient order."""
+    check_integer("time basis level", level)
     if level < 0:
         raise ValidationError("time basis level must be >= 0")
     keys = [(0, 0)]

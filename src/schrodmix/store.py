@@ -10,11 +10,13 @@ or container is ever held whole in memory, and only a complete .tmp
 replaces <name> (os.replace).  A write that fails, mid-stream or at the replace, removes the
 .tmp and leaves the old file as it was.
 
-A trajectory CSV is read back the same way: a chunk of whole states at a
-time, parsed straight into its coefficient block, which is allocated once
-from a line count of the file, so no table of the whole file is held
-beside the block (only a file it refuses is parsed again whole, to name
-its first fault).
+A table is read back in the order its writer writes it, and any other
+order is refused.  A trajectory CSV is read a chunk of whole states at a
+time into its coefficient block, which is allocated once from a line count
+of the file, so no table of the whole file is held beside the block; a
+noise CSV is compared with the (cell, t_left, mode) columns its writer
+emits for the spec.  A refusal names the faulty row by its number in the
+whole table.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import struct
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
@@ -42,7 +45,6 @@ _BIN_VERSION = 1
 # never read: older files hold a point count there and read back the same)
 _HEADER = struct.Struct("<4sBBHIHH")
 _DIGEST_BLOCK = 1 << 16  # bytes per read of file_digest and _count_lines
-_NEWLINE = ord("\n")
 
 
 def file_digest(path) -> str:
@@ -85,16 +87,12 @@ _TRAJECTORY_HEADER = "t,mode,re,im"
 _NOISE_HEADER = "cell_index,t_left,mode_k,re,im"
 
 
-def _write_table(path, header: str, fmt: str, *columns) -> None:
-    """header, then one fmt line (one % conversion per column, comma
-    separated) per row of the equal-length 1-D columns."""
-    _write_atomic(path, _table_chunks(header, fmt, columns))
-
-
 def _table_chunks(header: str, fmt: str, columns):
-    """The bytes of _write_table, _TABLE_CHUNK rows at a time.  Each chunk
-    stacks its column slices as float64, so a %d column is checked to hold
-    integers below 2**53 in magnitude, which float64 carries exactly."""
+    """The bytes of a table, _TABLE_CHUNK rows at a time: header, then one
+    fmt line (one % conversion per column, comma separated) per row of the
+    equal-length 1-D columns.  Each chunk stacks its column slices as
+    float64, so a %d column is checked to hold integers below 2**53 in
+    magnitude, which float64 carries exactly."""
     yield header.encode("ascii") + b"\n"
     names = header.split(",")
     int_cols = [j for j, conv in enumerate(fmt.rstrip("\n").split(",")) if conv == "%d"]
@@ -113,70 +111,49 @@ def _table_chunks(header: str, fmt: str, columns):
         yield (fmt * (hi - lo) % tuple(chunk.ravel().tolist())).encode("ascii")
 
 
-@contextlib.contextmanager
-def _table_rows(path, header: str, what: str):
-    """Opens the table at path and checks its header; yields the handle at
-    its first row, or None when every line after the header is blank (which
-    np.loadtxt would warn holds no data)."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != header:
-            raise ValidationError("unexpected %s CSV header: %r" % (what, first.split(",")))
-        start = fh.tell()
-        empty = all(line.isspace() for line in iter(fh.readline, ""))
-        fh.seek(start)
-        yield None if empty else fh
+def _check_header(fh, header: str, what: str) -> None:
+    """Reads the first line of the open table fh, which must be header."""
+    first = fh.readline().rstrip("\n")
+    if first != header:
+        raise ValidationError("unexpected %s CSV header: %r" % (what, first.split(",")))
 
 
-def _load_rows(src, what: str, n_cols: int, index_cols, max_rows=None, skiprows=0) -> np.ndarray:
-    """The next max_rows rows of src (all of them when None), a path or an
-    open handle, past its first skiprows lines, as an (n, n_cols) float
-    array, with the columns index_cols checked to hold integers.  Blank
-    lines are skipped and not counted."""
+def _load_rows(fh, what: str, n_cols: int, max_rows, done: int) -> np.ndarray:
+    """The next max_rows rows of the open table fh (all of them when None)
+    as an (n, n_cols) float array.  Blank lines are skipped and not
+    counted.  numpy counts the row it refuses from where this read starts,
+    so done, the rows read before it, is added: a refusal names the row's
+    number in the whole table."""
     try:
         with warnings.catch_warnings():
             # a blank line, or no row left at all: neither is a fault
             warnings.filterwarnings("ignore", r"(Input line \d+|loadtxt: input) contained no data")
-            data = np.loadtxt(src, delimiter=",", comments=None, skiprows=skiprows, ndmin=2,
-                              max_rows=max_rows)
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=max_rows)
     except ValueError as exc:
-        raise ValidationError("malformed %s CSV row: %s" % (what, exc)) from None
+        # numpy takes the width from the read's first row: a wrong one there is refused below
+        width = re.search(r"changed from (\d+) to", str(exc))
+        if not width or int(width[1]) == n_cols:
+            msg = re.sub(r"at row (\d+)", lambda m: "at row %d" % (int(m[1]) + done), str(exc),
+                         count=1)
+            raise ValidationError("malformed %s CSV row: %s" % (what, msg)) from None
+        data = np.zeros((1, int(width[1])))
     if len(data) == 0:
         return np.zeros((0, n_cols))
     if data.shape[1] != n_cols:
-        raise ValidationError("%s CSV rows need %d columns, got %d" % (what, n_cols, data.shape[1]))
-    idx = data[:, index_cols]
-    bad = (idx != np.trunc(idx)) | (np.abs(idx) >= 2.0**31)
-    if bad.any():
-        raise ValidationError("%s CSV holds a non-integer index %s" % (what, idx[bad][0]))
+        raise ValidationError("%s CSV row %d has %d columns, where the writer puts %d"
+                              % (what, done + 1, data.shape[1], n_cols))
     return data
-
-
-def _read_table(path, header: str, what: str, index_cols) -> np.ndarray:
-    """The rows under header as one (n_rows, n_cols) float array, with the
-    columns index_cols checked to hold integers.  numpy reads a path in
-    bulk, where it iterates an open handle line by line."""
-    with _table_rows(path, header, what) as fh:
-        empty = fh is None
-    n_cols = header.count(",") + 1
-    if empty:
-        return np.zeros((0, n_cols))
-    return _load_rows(path, what, n_cols, index_cols, skiprows=1)
 
 
 def _count_lines(path) -> int:
     """The '\n'-ended lines of the file at path, plus a last line without
     one: an upper bound on the rows of a table with '\n' or '\r\n' line
-    ends.  The file is read in binary blocks, and numpy counts each block's
-    newlines."""
-    buf = bytearray(_DIGEST_BLOCK)
-    view = np.frombuffer(buf, dtype=np.uint8)
-    n, last = 0, _NEWLINE
+    ends.  The file is read, and its newlines counted, in binary blocks."""
+    n, last = 0, b"\n"
     with open(path, "rb", buffering=0) as fh:
-        while m := fh.readinto(buf):
-            n += int(np.count_nonzero(view[:m] == _NEWLINE))
-            last = view[m - 1]
-    return n + (last != _NEWLINE)
+        while block := fh.read(_DIGEST_BLOCK):
+            n, last = n + block.count(b"\n"), block[-1:]
+    return n + (last != b"\n")
 
 
 # ---------------------------------------------------------------------------
@@ -215,92 +192,67 @@ def _trajectory_chunks(times: np.ndarray, coeffs: np.ndarray):
 
 
 def read_trajectory_csv(path):
-    """Returns (times, coeffs): every block of rows lists each mode of one
-    symmetric band once, at one time.
+    """Returns (times, coeffs) from a table in write_trajectory_csv's order:
+    each state's rows list the modes -K..K in turn, at one time.
 
-    The rows are parsed a chunk of whole states at a time, straight into
-    the (n_states, 2K+1) coefficient block, which is allocated once from a
-    line count of the file: each row's integer index takes the cells its
-    parsed mode held, and its (re, im) pair is read as one complex.  K is
-    read off the first chunk, which runs on until it holds a row of a
-    second time, or the whole file, so that it holds the first band whole.
-    A file a chunk refuses is read again as one table and checked whole,
-    so a refusal is the first fault of the whole table, whichever chunk
-    holds it: the same message, in the same order of checks.
+    K is minus the first row's mode.  The rows are parsed a chunk of whole
+    states at a time into the (n_states, 2K+1) coefficient block, which is
+    allocated once from a line count of the file.  Each chunk is checked
+    against the band's mode column and one time per state, then its
+    (re, im) pairs are copied into the block as they lie.  A refusal names
+    the faulty row by its number in the whole table.
     """
-    try:
-        return _read_trajectory_chunks(path)
-    except ValidationError as exc:
-        chunk_error = exc
-    data = _read_table(path, _TRAJECTORY_HEADER, "trajectory", [1])
-    if len(data):
-        _band_blocks(data, int(np.abs(data[:, 1]).max()))
-    raise chunk_error
-
-
-def _read_trajectory_chunks(path):
-    """read_trajectory_csv's chunked read: a refusal names the first fault
-    of the first chunk that shows one."""
-    with _table_rows(path, _TRAJECTORY_HEADER, "trajectory") as fh:
-        if fh is None:
+    with open(path, encoding="utf-8") as fh:
+        _check_header(fh, _TRAJECTORY_HEADER, "trajectory")
+        load = functools.partial(_load_rows, fh, "trajectory", 4)
+        data = load(1, 0)
+        if len(data) == 0:
             return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
-        load = functools.partial(_load_rows, fh, "trajectory", 4, [1])
-        data = load(_TABLE_CHUNK)
-        more = len(data) == _TABLE_CHUNK  # the last load was full: rows may follow
-        while more and (data[:, 0] == data[0, 0]).all():
-            chunk = load(_TABLE_CHUNK)
-            data, more = np.concatenate([data, chunk]), len(chunk) == _TABLE_CHUNK
-        k_max = int(np.abs(data[:, 1]).max())
+        if not 0 <= -data[0, 1] < 2**31:  # a fractional mode is refused with the rest
+            raise ValidationError(
+                "trajectory CSV row 1: mode %r does not start a band -K..K" % float(data[0, 1]))
+        k_max = int(-data[0, 1])
         n_band = 2 * k_max + 1
-        if more and len(data) % n_band:  # the first chunk ends on a whole state
-            want = -len(data) % n_band
-            chunk = load(want)
-            data, more = np.concatenate([data, chunk]), len(chunk) == want
-        per = max(1, _TABLE_CHUNK // n_band) * n_band  # rows per later chunk
+        per = max(1, _TABLE_CHUNK // n_band) * n_band  # rows per chunk
+        data = np.concatenate([data, load(per - 1, 1)])
         times = np.empty((_count_lines(path) - 1) // n_band)  # less the header's line
         coeffs = np.empty((len(times), n_band), dtype=np.complex128)
-        done = 0  # states filled
+        done = 0  # rows read
         while len(data):
-            t, col = _band_blocks(data, k_max)
-            stop = done + len(t)
+            _check_states(data, k_max, done)
+            lo, stop = done // n_band, (done + len(data)) // n_band
             if stop > len(times):  # lines ended by a lone '\r' escape the count
                 times, coeffs = np.resize(times, 2 * stop), np.resize(coeffs, (2 * stop, n_band))
-            times[done:stop] = t[:, 0]
-            coeffs[done:stop].reshape(-1)[col] = data[:, 2:4].view(np.complex128).reshape(t.shape)
-            done = stop
-            data = load(per) if more else data[:0]
-            more = len(data) == per
-    if done < len(times):  # blank lines were counted
-        return times[:done].copy(), coeffs[:done].copy()
+            times[lo:stop] = data[::n_band, 0]
+            coeffs[lo:stop] = data[:, 2:4].view(np.complex128).reshape(-1, n_band)
+            done += len(data)
+            data = load(per, done) if len(data) == per else data[:0]
+    if stop < len(times):  # blank lines were counted
+        return times[:stop].copy(), coeffs[:stop].copy()
     return times, coeffs
 
 
-def _band_blocks(data: np.ndarray, k_max: int):
-    """Checks parsed rows, whole states, against the band -k_max..k_max;
-    returns the times as (n_states, 2K+1) and each row's flat index into
-    the rows' states.  Beyond data, only small masks are allocated: each
-    row's integer index takes the cells its parsed mode held."""
+def _check_states(data: np.ndarray, k_max: int, done: int) -> None:
+    """Checks rows, which start a state done rows into the table, for the
+    writer's order: the modes -k_max..k_max in turn at their state's first
+    time, in whole states.  The first row that fails is named."""
     n_band = 2 * k_max + 1
-    mode = data[:, 1]
-    col = mode.view(np.intp)
-    col[...] = mode + k_max
-    # every mode of -k_max..k_max occurs; a band wider than the rows cannot
-    if (col.min() < 0 or col.max() >= n_band or n_band > len(data)
-            or not np.bincount(col, minlength=n_band).all()):
-        raise ValidationError("trajectory CSV does not cover a symmetric band")
-    if len(data) % n_band != 0:
-        raise ValidationError("row count is not a multiple of the band size")
-    shape = (len(data) // n_band, n_band)
-    col = col.reshape(shape)
-    col += n_band * np.arange(shape[0])[:, None]  # the flat index into the states
-    hit = np.zeros(len(data), dtype=bool)
-    hit[col] = True
-    if not hit.all():
-        raise ValidationError("a mode repeats inside one time block")
-    t = data[:, 0].reshape(shape)
-    if np.any(t != t[:, :1]):
-        raise ValidationError("mixed times inside one block")
-    return t, col
+    n = len(data)
+    modes = np.arange(n) % n_band - k_max
+    block_t = np.repeat(data[::n_band, 0], n_band)[:n]
+    bad = (data[:, 1] != modes) | (data[:, 0] != block_t)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if data[i, 1] != modes[i]:
+            raise ValidationError(
+                "trajectory CSV row %d: mode %r, where the writer of the band -%d..%d puts %d"
+                % (done + i + 1, float(data[i, 1]), k_max, k_max, modes[i]))
+        raise ValidationError(
+            "mixed times inside one block: trajectory CSV row %d has t %r, its block %r"
+            % (done + i + 1, float(data[i, 0]), float(block_t[i])))
+    if n % n_band:
+        raise ValidationError("trajectory CSV row count %d is not a multiple of the band size %d"
+                              % (done + n, n_band))
 
 
 def write_trajectory_bin(path, times: np.ndarray, coeffs: np.ndarray, grid: Grid) -> None:
@@ -311,6 +263,9 @@ def write_trajectory_bin(path, times: np.ndarray, coeffs: np.ndarray, grid: Grid
         raise ValidationError("coeffs must be (n_stored, n_coeff) matching times")
     if coeffs.shape[1] != grid.n_coeff:
         raise ValidationError("coefficient width does not match the grid band")
+    if coeffs.shape[1] > 0xFFFF or len(times) > 0xFFFFFFFF:  # the header's u16 and u32
+        raise ValidationError(
+            "a trajectory container holds at most 65535 modes and 2**32 - 1 states")
     header = _HEADER.pack(_MAGIC, _BIN_VERSION, 0, coeffs.shape[1], coeffs.shape[0], grid.k_max, 0)
     _write_atomic(path, (header, times, coeffs))
 
@@ -343,52 +298,47 @@ def write_curve_csv(path, header, rows) -> None:
     columns = list(zip(*rows)) or [()]  # no rows: the header alone
     is_int = [bool(col) and isinstance(col[0], (int, np.integer)) for col in columns]
     fmt = ",".join("%d" if i else "%.17g" for i in is_int)
-    _write_table(path, ",".join(header), fmt + "\n", *columns)
+    _write_atomic(path, _table_chunks(",".join(header), fmt + "\n", columns))
 
 
 # ---------------------------------------------------------------------------
 # noise paths
 
 
+def _noise_columns(spec: NoiseSpec):
+    """The (cell, t_left, mode) columns of spec's noise table: each cell in
+    turn, its modes in spec's order."""
+    cell = np.repeat(np.arange(spec.n_cells), len(spec.modes))
+    return cell, cell / spec.n_cells, np.tile(spec.modes, spec.n_cells)
+
+
 def write_noise_path_csv(path, noise: NoisePath) -> None:
     """Cell table of eta_k (amplitudes b_k are *not* folded in; they live in
     the NoiseSpec, so shifted paths and raw draws share one format)."""
-    spec = noise.spec
-    cell = np.repeat(np.arange(spec.n_cells), len(spec.modes))
-    mode = np.tile(spec.modes, spec.n_cells)
     flat = noise.cells.T.ravel()
     fmt = "%d,%.17g,%d,%.17g,%.17g\n"
-    _write_table(path, _NOISE_HEADER, fmt, cell, cell / spec.n_cells, mode, flat.real, flat.imag)
+    columns = (*_noise_columns(noise.spec), flat.real, flat.imag)
+    _write_atomic(path, _table_chunks(_NOISE_HEADER, fmt, columns))
 
 
 def read_noise_path_csv(path, spec: NoiseSpec) -> NoisePath:
-    """The path a noise CSV holds: every (cell, mode) of spec exactly once."""
-    data = _read_table(path, _NOISE_HEADER, "noise", [0, 2])
-    c, k = data[:, 0].astype(np.intp), data[:, 2].astype(np.intp)
-    unknown = ~np.isin(k, spec.modes)
-    if unknown.any():
-        raise ValidationError("mode %d not in the noise spec" % k[unknown][0])
-    outside = (c < 0) | (c >= spec.n_cells)
-    if outside.any():
-        raise ValidationError("cell index %d out of range" % c[outside][0])
-    off = data[:, 1] != c / spec.n_cells
-    if off.any():
-        i = int(np.argmax(off))
+    """The path a noise CSV holds, in write_noise_path_csv's order for spec:
+    its (cell, t_left, mode) columns must be those the writer emits."""
+    with open(path, encoding="utf-8") as fh:
+        _check_header(fh, _NOISE_HEADER, "noise")
+        data = _load_rows(fh, "noise", 5, None, 0)
+    want = np.column_stack(_noise_columns(spec))
+    bad = data[: len(want), :3] != want[: len(data)]  # the rows both hold
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), 3)
         raise ValidationError(
-            "noise CSV row %d: t_left %r is not the left end of cell %d"
-            % (i + 1, float(data[i, 1]), c[i])
-        )
-    m = np.argmax(k[:, None] == np.asarray(spec.modes), axis=1)
-    counts = np.bincount(m * spec.n_cells + c, minlength=len(spec.modes) * spec.n_cells)
-    if counts.max() > 1:
-        m_rep, c_rep = divmod(int(np.argmax(counts > 1)), spec.n_cells)
-        raise ValidationError("noise CSV repeats cell %d of mode %d" % (c_rep, spec.modes[m_rep]))
-    if counts.min() == 0:
-        raise ValidationError("noise CSV does not cover every (cell, mode)")
-    cells = np.empty((len(spec.modes), spec.n_cells), dtype=np.complex128)
-    cells.real[m, c] = data[:, 3]
-    cells.imag[m, c] = data[:, 4]
-    return NoisePath(spec, cells)
+            "noise CSV row %d: %s %r, where the writer of this spec puts %r"
+            % (i + 1, _NOISE_HEADER.split(",")[j], float(data[i, j]), float(want[i, j])))
+    if len(data) != len(want):
+        raise ValidationError("noise CSV has %d rows, where the spec has %d (cell, mode)"
+                              % (len(data), len(want)))
+    pairs = data[:, 3:5].view(np.complex128).reshape(spec.n_cells, len(spec.modes))
+    return NoisePath(spec, pairs.T.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -690,10 +690,14 @@ def test_noise_path_csv_round_trip(tmp_path):
         store.read_noise_path_csv(bad, spec)
     missing = tmp_path / "missing.csv"
     missing.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ValidationError, match="does not cover every"):
+    with pytest.raises(ValidationError, match=r"has 255 rows, where the spec has 256 \(cell, mode"):
         store.read_noise_path_csv(missing, spec)
+    extra = tmp_path / "extra.csv"
+    extra.write_text("\n".join(lines + lines[-1:]) + "\n")
+    with pytest.raises(ValidationError, match=r"has 257 rows, where the spec has 256 \(cell, mode"):
+        store.read_noise_path_csv(extra, spec)
     other = NoiseSpec(modes=(0, 2), amplitudes=(0.1, 0.1))
-    with pytest.raises(ValidationError, match="mode 1 not in the noise spec"):
+    with pytest.raises(ValidationError, match="row 2: mode_k 1.0, where the writer .* puts 2.0"):
         store.read_noise_path_csv(path, other)
 
 
@@ -705,7 +709,7 @@ def test_noise_path_csv_rejects_repeated_cell(tmp_path):
     lines = path.read_text().splitlines()
     lines[2] = lines[1]  # the row count stays right, one (cell, mode) is missing
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValidationError, match="repeats cell"):
+    with pytest.raises(ValidationError, match="row 2: mode_k 0.0, where the writer .* puts 1.0"):
         store.read_noise_path_csv(path, spec)
 
 
@@ -720,7 +724,24 @@ def test_noise_path_csv_rejects_wrong_t_left(tmp_path):
     fields[1] = "0.9"
     lines[3] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValidationError, match="row 3: t_left 0.9 is not the left end of cell 1"):
+    with pytest.raises(ValidationError, match="row 3: t_left 0.9, where the writer .* 0.0078125$"):
+        store.read_noise_path_csv(path, spec)
+
+
+def test_noise_path_csv_refuses_a_moved_row(tmp_path):
+    # the table is read in the writer's order: a row moved to the end of
+    # the table is refused at the row it left, though every (cell, mode)
+    # is still there once
+    spec = NoiseSpec(amplitudes=(0.1, 0.1))
+    (z,) = sample_noise_paths(spec, [(5, 0, 0, 0)])
+    path = tmp_path / "noise.csv"
+    store.write_noise_path_csv(path, z)
+    lines = path.read_text().splitlines()
+    assert lines[5].startswith("2,0.015625,0,") and lines[6].startswith("2,0.015625,1,")
+    lines.append(lines.pop(5))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=r"^noise CSV row 5: mode_k 1\.0, where the writer"
+                                              r" of this spec puts 0\.0$"):
         store.read_noise_path_csv(path, spec)
 
 
@@ -732,7 +753,8 @@ def test_trajectory_csv_rejects_repeated_mode(tmp_path):
     lines = path.read_text().splitlines()
     lines[8] = lines[7]  # the second block lists one mode twice and misses one
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValidationError, match="mode repeats"):
+    with pytest.raises(ValidationError, match=r"row 8: mode -1\.0, where the writer of the"
+                                              r" band -2\.\.2 puts 0$"):
         store.read_trajectory_csv(path)
 
 
@@ -753,6 +775,16 @@ def test_trajectory_csv_refuses_zero_states(tmp_path):
     path = tmp_path / "traj.csv"
     with pytest.raises(ValidationError, match="at least one state"):
         store.write_trajectory_csv(path, np.zeros(0), np.zeros((0, 5), dtype=complex))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trajectory_bin_refuses_a_band_its_header_cannot_hold(tmp_path):
+    # the header holds 2K+1 as a u16: K 32768 is refused before a byte is
+    # written, with no file and no .tmp left behind
+    grid = Grid(32768)
+    path = tmp_path / "traj.bin"
+    with pytest.raises(ValidationError, match="at most 65535 modes"):
+        store.write_trajectory_bin(path, [0.0], np.zeros((1, grid.n_coeff), dtype=complex), grid)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -787,27 +819,38 @@ def test_trajectory_csv_reader_checks_in_order(tmp_path):
         path.write_text("\n".join([header, *lines]) + "\n")
         return store.read_trajectory_csv(path)
 
-    # a block may list its modes in any order
-    t, c = read([rows[2], rows[0], rows[1], rows[4], rows[5], rows[3]])
+    t, c = read(rows)
     assert t.tobytes() == times.tobytes() and c.tobytes() == coeffs.tobytes()
-    with pytest.raises(ValidationError, match="does not cover a symmetric band"):
+    # a block lists its modes -K..K in turn, as the writer does, and K is
+    # minus the first row's mode
+    with pytest.raises(ValidationError, match=r"row 4: mode 0\.0, where the writer of the band"
+                                              r" -1\.\.1 puts -1$"):
+        read([rows[0], rows[1], rows[2], rows[4], rows[3], rows[5]])
+    with pytest.raises(ValidationError, match=r"row 1: mode 1\.0 does not start a band -K\.\.K$"):
+        read([rows[2], rows[0], rows[1], rows[3], rows[4], rows[5]])
+    with pytest.raises(ValidationError, match=r"row 1: mode -1\.5, where the writer of the band"
+                                              r" -1\.\.1 puts -1$"):
+        read([rows[0].replace(",-1,", ",-1.5,")] + rows[1:])
+    with pytest.raises(ValidationError, match=r"row 2: mode 1\.0, where the writer .* puts 0$"):
         read([rows[0], rows[2], rows[3], rows[5]])  # mode 0 nowhere
-    with pytest.raises(ValidationError, match="does not cover a symmetric band"):
+    with pytest.raises(ValidationError, match=r"row 1: mode 2\.0 does not start a band"):
         read([r.replace(",-1,", ",2,") for r in rows])  # modes 0..2
-    with pytest.raises(ValidationError, match="not a multiple of the band size"):
+    with pytest.raises(ValidationError, match="row count 5 is not a multiple of the band size 3$"):
         read(rows[:5])
     mixed = rows[:4] + [rows[4].replace("0.5,", "0.25,", 1), rows[5]]
-    with pytest.raises(ValidationError, match="mixed times inside one block"):
+    with pytest.raises(ValidationError, match=r"mixed times inside one block: trajectory CSV"
+                                              r" row 5 has t 0\.25, its block 0\.5$"):
         read(mixed)
-    # a repeated mode is reported before a mixed time
-    with pytest.raises(ValidationError, match="a mode repeats"):
+    # the first row that fails a check is named, whichever check it fails
+    with pytest.raises(ValidationError, match="row 5 has t 0.25"):
         read(mixed[:5] + [rows[0]])
+    with pytest.raises(ValidationError, match=r"row 5: mode -1\.0, where"):
+        read(rows[:4] + [rows[0], mixed[4]])
 
 
 def _chunked_file(tmp_path, k_max, n_states, seed):
-    """A trajectory CSV of n_states states of the band -k_max..k_max, with
-    the modes of each block in a random order; returns (path, times,
-    coeffs, header, rows)."""
+    """A trajectory CSV of n_states states of the band -k_max..k_max, as
+    the writer writes it; returns (path, times, coeffs, header, rows)."""
     rng = np.random.default_rng(seed)
     n = 2 * k_max + 1
     coeffs = rng.standard_normal((n_states, n)) + 1j * rng.standard_normal((n_states, n))
@@ -815,8 +858,6 @@ def _chunked_file(tmp_path, k_max, n_states, seed):
     path = tmp_path / "traj.csv"
     store.write_trajectory_csv(path, times, coeffs)
     header, *rows = path.read_text().splitlines()
-    for lo in range(0, len(rows), n):
-        rows[lo : lo + n] = [rows[lo + i] for i in rng.permutation(n)]
     return path, times, coeffs, header, rows
 
 
@@ -826,10 +867,9 @@ def _write_rows(path, header, rows, end="\n"):
 
 def test_trajectory_csv_round_trips_across_chunks(tmp_path):
     # 300 states of 41 modes are 12,300 rows, more than three chunks of
-    # whole states, each block listing its modes in its own order
+    # whole states
     path, times, coeffs, header, rows = _chunked_file(tmp_path, 20, 300, 30)
     assert len(rows) > 3 * store._TABLE_CHUNK
-    _write_rows(path, header, rows)
     t, c = store.read_trajectory_csv(path)
     assert t.tobytes() == times.tobytes() and c.tobytes() == coeffs.tobytes()
     # blank lines are skipped wherever they fall, also at a chunk's end and
@@ -844,17 +884,18 @@ def test_trajectory_csv_round_trips_across_chunks(tmp_path):
 
 
 def test_trajectory_csv_band_wider_than_a_chunk(tmp_path):
-    # 4201 modes: the first chunk runs on until it holds a row of the
-    # second time, so K is read off a whole band, also when each block
-    # lists its modes by |k| and the first 4096 rows hold |k| <= 2048 only
+    # 4201 modes: every chunk is one whole state, longer than _TABLE_CHUNK
     path, times, coeffs, header, rows = _chunked_file(tmp_path, 2100, 2, 31)
     assert 2 * 2100 + 1 > store._TABLE_CHUNK
-    by_size = [r for lo in (0, 4201)
-               for r in sorted(rows[lo : lo + 4201], key=lambda r: abs(int(r.split(",")[1])))]
-    for lines in (rows, by_size):
-        _write_rows(path, header, lines)
-        t, c = store.read_trajectory_csv(path)
-        assert t.tobytes() == times.tobytes() and c.tobytes() == coeffs.tobytes()
+    t, c = store.read_trajectory_csv(path)
+    assert t.tobytes() == times.tobytes() and c.tobytes() == coeffs.tobytes()
+    # two modes swapped past the first 4096 rows of the second state
+    i = 4201 + 4100
+    rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    _write_rows(path, header, rows)
+    with pytest.raises(ValidationError, match=r"row 8302: mode 2001\.0, where the writer of the"
+                                              r" band -2100\.\.2100 puts 2000$"):
+        store.read_trajectory_csv(path)
 
 
 def _set_field(row, j, value):
@@ -870,15 +911,20 @@ def _set_field(row, j, value):
                       r" at row 12291;"),
         ("non_numeric", r"malformed trajectory CSV row: could not convert string 'x' to float64"
                         r" at row 12290, column 3\."),
-        ("fractional_mode", r"trajectory CSV holds a non-integer index -?\d+\.5$"),
-        ("repeated_mode", r"a mode repeats inside one time block$"),
-        ("mixed_times", r"mixed times inside one block$"),
-        ("mode_outside", r"trajectory CSV does not cover a symmetric band$"),
+        ("fractional_mode", r"trajectory CSV row 12291: mode 11\.5, where the writer of the band"
+                            r" -20\.\.20 puts 11$"),
+        ("repeated_mode", r"trajectory CSV row 12291: mode 10\.0, where the writer of the band"
+                          r" -20\.\.20 puts 11$"),
+        ("mixed_times", r"mixed times inside one block: trajectory CSV row 12291 has t 0\.5,"
+                        r" its block 2\.3359375$"),
+        ("mode_outside", r"trajectory CSV row 12291: mode 21\.0, where the writer of the band"
+                         r" -20\.\.20 puts 11$"),
     ],
 )
 def test_trajectory_csv_refuses_a_fault_in_the_last_chunk(tmp_path, fault, message):
-    # a fault in the last of four chunks is refused with the message the
-    # whole table gives, row numbers counted over the whole file
+    # a fault in the last of four chunks is refused, its row numbered over
+    # the whole file, also when blank lines in earlier chunks push its line
+    # down: they are not rows
     path, _, _, header, rows = _chunked_file(tmp_path, 20, 300, 32)
     i = len(rows) - 10  # data row 12290, counted from 0, in the last state
     damage = {
@@ -890,8 +936,64 @@ def test_trajectory_csv_refuses_a_fault_in_the_last_chunk(tmp_path, fault, messa
         "mode_outside": lambda r: _set_field(r[i], 1, lambda v: "21"),
     }[fault]
     rows[i] = damage(rows)
-    _write_rows(path, header, rows)
-    with pytest.raises(ValidationError, match=message):
+    blanks = list(rows)
+    for j in (9000, 4100, 1):
+        blanks[j:j] = [""] * 2
+    for lines in (rows, blanks):
+        _write_rows(path, header, lines)
+        with pytest.raises(ValidationError, match=message):
+            store.read_trajectory_csv(path)
+
+
+def test_trajectory_csv_names_a_wrong_width_at_a_chunk_start(tmp_path):
+    # numpy takes a read's width from its first row, so a short or long row
+    # that starts a chunk, or the file, is named itself, not the row after
+    path, _, _, header, rows = _chunked_file(tmp_path, 20, 300, 33)
+    per = store._TABLE_CHUNK // 41 * 41
+    for i, damage in ((0, lambda r: r.rsplit(",", 1)[0]), (per, lambda r: r.rsplit(",", 1)[0]),
+                      (2 * per, lambda r: r + ",0")):
+        lines = list(rows)
+        lines[i] = damage(rows[i])
+        _write_rows(path, header, lines)
+        width = lines[i].count(",") + 1
+        with pytest.raises(ValidationError, match=r"^trajectory CSV row %d has %d columns, where"
+                                                  r" the writer puts 4$" % (i + 1, width)):
+            store.read_trajectory_csv(path)
+
+
+# (K, states): for every K of 1..30, two chunks of whole states and one
+# state more; at K 1 and 30, one state and exactly one chunk
+_WRITER_ORDER_CASES = [
+    *((k, 2 * (store._TABLE_CHUNK // (2 * k + 1)) + 1) for k in range(1, 31)),
+    *((k, n) for k in (1, 30) for n in (1, store._TABLE_CHUNK // (2 * k + 1))),
+]
+
+
+@pytest.mark.parametrize("k_max, n_states", _WRITER_ORDER_CASES)
+def test_trajectory_csv_writer_order(tmp_path, k_max, n_states):
+    """Every file the writer makes reads back bit for bit, one state or
+    several chunks of them; swapping two modes inside one block, or
+    changing one row's time, is refused at that row's number in the file."""
+    path, times, coeffs, header, rows = _chunked_file(tmp_path, k_max, n_states, k_max)
+    t, c = store.read_trajectory_csv(path)
+    assert t.tobytes() == times.tobytes() and c.tobytes() == coeffs.tobytes()
+    n_band = 2 * k_max + 1
+    rng = np.random.default_rng(n_states)
+    lo = int(rng.integers(n_states)) * n_band  # a state's first row
+    # the file's first row says K, so it stays where it is
+    a, b = sorted(rng.choice(np.arange(lo == 0, n_band), 2, replace=False))
+    swapped = list(rows)
+    swapped[lo + a], swapped[lo + b] = rows[lo + b], rows[lo + a]
+    _write_rows(path, header, swapped)
+    message = r"^trajectory CSV row %d: mode %d\.0, where the writer .* puts %d$"
+    with pytest.raises(ValidationError, match=message % (lo + a + 1, b - k_max, a - k_max)):
+        store.read_trajectory_csv(path)
+    r = lo + int(rng.integers(1, n_band))  # not the row that sets its block's time
+    moved = list(rows)
+    moved[r] = _set_field(rows[r], 0, lambda v: "%r" % (float(v) + 0.25))
+    _write_rows(path, header, moved)
+    with pytest.raises(ValidationError, match=r"^mixed times inside one block: trajectory CSV row"
+                                              r" %d has t " % (r + 1)):
         store.read_trajectory_csv(path)
 
 

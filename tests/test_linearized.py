@@ -387,6 +387,23 @@ def test_response_matrix_shape_and_validation():
         control_response_matrix(long_base, (0,), 2, 5)
 
 
+def test_response_matrix_refuses_a_non_integer_level_or_cutoff():
+    # a whole float or a bool is not a level or a cutoff; numpy integers are
+    base = zero_base(free_cfg())
+    for level, cutoff, name in ((2.0, 5, "time basis level"), (True, 5, "time basis level"),
+                                (2, 4.0, "cutoff"), (2, False, "cutoff")):
+        with pytest.raises(ValidationError, match="%s must be an integer, got" % name):
+            control_response_matrix(base, (0,), level, cutoff)
+    with pytest.raises(ValidationError, match="time basis level must be an integer"):
+        assemble_gramian(base, (0,), 2.0, 5)
+    with pytest.raises(ValidationError, match="target cutoff must be an integer"):
+        assemble_gramian(base, (0,), 1, 3, target_cutoff=1.0)
+    got, _, _ = control_response_matrix(base, (0,), np.int64(1), np.int32(3))
+    want, _, _ = control_response_matrix(base, (0,), 1, 3)
+    assert got.tobytes() == want.tobytes()
+    assert assemble_gramian(base, (0,), np.int64(1), np.int64(3)).column_count == 6
+
+
 def test_gramian_zero_base_structure():
     """Free flow cannot move control mass across modes."""
     cfg = free_cfg()

@@ -1,7 +1,7 @@
 """Time the unit Markov step from two checkouts, in alternating fresh
 processes, and write the A/B record.
 
-    python3 tools/step_ab.py OLD NEW [--label L] [--pairs 5] [--repeat 5]
+    python3 tools/step_ab.py OLD NEW [--label L] [--pairs 5] [--repeat 15]
                              [--k-max 42] [--rows 1,64,400] [--out DIR]
 
 Times markov_step (one chain) and markov_step_batch at each row count of
@@ -117,7 +117,7 @@ def main(argv=None) -> int:
     ap.add_argument("new")
     ap.add_argument("--label", default="ab")
     ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--repeat", type=int, default=5)
+    ap.add_argument("--repeat", type=int, default=15)
     ap.add_argument("--k-max", type=int, default=42)
     ap.add_argument("--rows", default="1,64,400")
     ap.add_argument("--out", default=".")
