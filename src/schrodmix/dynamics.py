@@ -36,7 +36,10 @@ t = s (1 + (dt s/2)^2)^{(p-1)/2}, the midpoint stage's |.|^{p-1}, it is
 
 built by real arithmetic on |v|^{p-1} into one complex block.  These are
 the plain two-stage and D . rotation . D products to a few ulp, not their
-bits: the substep's bits are its own, as the tangent's are.
+bits: the substep's bits are its own.  Beside each factor stands its
+slope dg/ds, and _substep_derivative forms from the two the substep's
+real-linear derivative w -> a w + b conj(w) at v, the map of a tangent
+step.
 
 The state rides from step to step as its padded spectrum: two
 consecutive half phases meet as the one full-step phase exp(-i k^2 dt),
@@ -55,15 +58,14 @@ takes the middle substep as a parameter, and the substep owns the whole
 physical-space part of its step, the two decays D_half included.  The
 forced and unforced substeps multiply by their factor g, and the identity
 substep, the damped free group's, by D_half^2.  The tangent substep of
-linearized folds its decays into its own map: the frozen-coefficient
-midpoint step between two decays is one real-linear map
-w -> a_n w + b_n conj(w) per step, which linearized forms from the stored
-base for the steps it is about to take.  Run with conj(a_n), on
-conjugated phases, in reverse step order, the same map is the exact
-real-L2 adjoint (D_half is real and diagonal); with the identity between
-the decays the loop is linear_group, the damped free group.  The kernel
-also applies the half kicks: the noise's to every chain of a forced run,
-and a control column's to its row of linearized's tangent sweep.
+linearized is the derivative of the step's substep at the base,
+w -> a_n w + b_n conj(w), which linearized asks _substep_derivative for,
+for the steps it is about to take.  Run with conj(a_n), on conjugated
+phases, in reverse step order, the same map is the exact real-L2 adjoint;
+with the identity between the decays the loop is linear_group, the
+damped free group.  The kernel also applies the half kicks: the noise's
+to every chain of a forced run, and a control column's to its row of
+linearized's tangent sweep.
 
 Everything that depends on p and its padded grid lives here, beside the
 nonlinearity: pad_points, the energy and lp_power_integral.  So does the
@@ -196,10 +198,11 @@ def pad_points(k_max: int, p: int) -> int:
 def _step_tables(grid: Grid, damping: DampingProfile, dt: float, p: int) -> SimpleNamespace:
     """Per-step tables of the split step of size dt.
 
-    phase_in and phase_out are the half-step phases with the padding scales
-    folded in, for the pad before a sweep's first step and the unpad of a
-    state a caller keeps; phase is the full-step phase exp(-i k^2 dt) that
-    carries the padded spectrum from one step to the next.  On the padded
+    phase_half is the half-step phase exp(-i k^2 dt/2); phase_in and
+    phase_out are it with the padding scales folded in, for the pad before
+    a sweep's first step and the unpad of a state a caller keeps; phase is
+    the full-step phase exp(-i k^2 dt) that carries the padded spectrum
+    from one step to the next.  On the padded
     grid: decay is D_half, decay2 is D_half^2, log_decay2 its log -a dt, and
     rate is -dt D_half^(p-1), so rate |v|^{p-1} is -dt |D_half v|^{p-1};
     half_rate and decay2x2, rate/2 and 2 D_half^2 (exact scalings), serve
@@ -220,6 +223,7 @@ def _step_tables(grid: Grid, damping: DampingProfile, dt: float, p: int) -> Simp
     return SimpleNamespace(
         n_pad=n_pad,
         k_max=kk,
+        phase_half=phase_half,
         phase_in=phase_half * (n_pad / ROOT_2PI),
         phase_out=phase_half * (ROOT_2PI / n_pad),
         phase=np.exp(-1j * k**2 * dt),
@@ -339,23 +343,31 @@ def _decays(tab, n, v):
     return v
 
 
-def _rotation(tab, p: int, amp, g, n, v):
-    """The unforced substep, in place: v times g = D_half^2 exp(-i dt s),
-    s = |D_half v|^{p-1}, formed as exp(-a dt - i dt s) in the complex
-    block g with |v|^{p-1} in amp, _amp_pow's pair."""
+def _rotation_g(tab, p: int, amp, g, v):
+    """The unforced factor g = D_half^2 exp(-i dt s), s = |D_half v|^{p-1},
+    formed as exp(-a dt - i dt s) in the complex block g, and left with
+    |v|^{p-1} in amp[0] of amp, _amp_pow's pair.  Its slope dg/ds is
+    -i dt g."""
     np.multiply(_amp_pow(v, p, amp), tab.rate, out=g.imag)
     np.copyto(g.real, tab.log_decay2)
-    v *= np.exp(g, out=g)
+    return np.exp(g, out=g)
+
+
+def _rotation(tab, p: int, amp, g, n, v):
+    """The unforced substep, in place: v times _rotation_g's factor."""
+    v *= _rotation_g(tab, p, amp, g, v)
     return v
 
 
-def _midpoint_factor(tab, p: int, amp, g, n, v):
-    """The forced substep, in place: the two-stage explicit midpoint rule
-    for -i |z|^{p-1} z between the two decays, which is v times
-    g = D_half^2 (1 - dt^2 t s/2 - i dt t), with s = |D_half v|^{p-1} and
-    t = s (1 + (dt s/2)^2)^{(p-1)/2} the midpoint stage's |.|^{p-1}.  g is
-    built by real arithmetic in amp, _amp_pow's pair, into the complex
-    block g."""
+def _midpoint_g(tab, p: int, amp, g, v):
+    """The forced factor g = D_half^2 (1 - dt^2 t s/2 - i dt t), with
+    s = |D_half v|^{p-1} and t = s (1 + x)^q the midpoint stage's |.|^{p-1},
+    x = (dt s/2)^2 and q = (p-1)/2, built by real arithmetic in amp,
+    _amp_pow's pair, into the complex block g, and left with -dt s/2 in
+    amp[0].  Its slope is
+
+        dg/ds = D_half^2 (-(dt^2/2)(t + s t') - i dt t'),
+        t' = dt/ds = (1 + x)^{q-1} (1 + x + 2 q x)."""
     s = _amp_pow(v, p, amp)
     s *= tab.half_rate  # -dt s/2
     t = np.square(s, out=amp[1])
@@ -364,10 +376,66 @@ def _midpoint_factor(tab, p: int, amp, g, n, v):
         t **= (p - 1) // 2
     t *= s  # -dt t/2
     np.multiply(t, tab.decay2x2, out=g.imag)  # -D_half^2 dt t
-    s *= g.imag  # D_half^2 dt^2 t s/2
-    np.subtract(tab.decay2, s, out=g.real)
-    v *= g
+    np.multiply(s, g.imag, out=t)  # D_half^2 dt^2 t s/2
+    np.subtract(tab.decay2, t, out=g.real)
+    return g
+
+
+def _midpoint_factor(tab, p: int, amp, g, n, v):
+    """The forced substep, in place: the two-stage explicit midpoint rule
+    for -i |z|^{p-1} z between the two decays, which is v times
+    _midpoint_g's factor."""
+    v *= _midpoint_g(tab, p, amp, g, v)
     return v
+
+
+def _substep_derivative(tab, p: int, forced: bool, v: np.ndarray) -> tuple:
+    """The real-linear derivative w -> a w + b conj(w) at v of the forced
+    (_midpoint_factor) or unforced (_rotation) substep v -> v g(s).
+
+    With rho = |v|^2, q = (p-1)/2 and s = D_half^{p-1} rho^q, ds is
+    q D_half^{p-1} rho^{q-1} (conj(v) w + v conj(w)), so
+
+        a = g + q s g_s,   b = v^2 g_s q D_half^{p-1} rho^{q-1},
+
+    g_s = dg/ds the slope in _rotation_g's or _midpoint_g's docstring.
+    Both are formed from gam = g_s/dt, as a = g + (q dt s) gam and
+    b = c v^2 gam with the real c = q dt D_half^{p-1} rho^{q-1}
+    = -q rate rho^{q-1}: no division.  g is the factor's own, formed by the
+    function the step calls, and dt s is read off what it leaves in amp.
+    Every operation is elementwise, so a row's (a, b) are its own.
+    """
+    q = (p - 1) // 2
+    amp = np.empty(v.shape), np.empty(v.shape)
+    if forced:
+        g = _midpoint_g(tab, p, amp, np.empty_like(v), v)
+        y = amp[0]  # -dt s/2
+        x = np.square(y, out=amp[1])
+        ts = x * (2 * q + 1)
+        ts += 1.0  # 1 + x + 2 q x
+        if q > 1:
+            x += 1.0
+            x **= q - 1
+            ts *= x  # t'
+        gam = np.empty_like(g)
+        np.multiply(ts, tab.decay2, out=gam.imag)
+        np.negative(gam.imag, out=gam.imag)  # -D_half^2 t'
+        np.multiply(y, gam.imag, out=ts)  # D_half^2 (dt/2) s t'
+        np.multiply(g.imag, 0.5, out=gam.real)  # -D_half^2 (dt/2) t
+        gam.real -= ts
+        y *= -2 * q  # q dt s
+    else:
+        g = _rotation_g(tab, p, amp, np.empty_like(v), v)
+        gam = g * -1j
+        y = amp[0]  # |v|^{p-1}
+        y *= -q * tab.rate  # q dt s
+    a = gam * y
+    a += g
+    c = -tab.rate if q == 1 else (-q * tab.rate) * _amp_pow(v, 3, amp) ** (q - 1)
+    b = np.square(v)
+    b *= c
+    b *= gam
+    return a, b
 
 
 def steps_per_cell(spec: NoiseSpec, cfg: SolverConfig) -> int:

@@ -1,29 +1,26 @@
 """Linearization along a stored trajectory, its backward adjoint, and the
 controllability Gramian assembled from the control response matrix.
 
-The forward tangent flow solves
-
-    i v_t + v_xx + i a(x) v = ((p+1)/2)|u|^{p-1} v + ((p-1)/2)|u|^{p-3} u^2 conj(v) + g
-
-with u frozen per substep (midpoint interpolation of the stored base), using
-the same splitting as the nonlinear stepper.  The frozen rhs
--i(c1 w + c2 conj(w)) is real-linear, so its explicit midpoint step between
-the two half-step decays is one pointwise map per step,
-w -> a_n w + b_n conj(w).  _tangent_coefficients forms the maps of any
-range of steps from a base stored at every step; step n's map reads the
-base's states n and n+1 alone.  The tangent and adjoint solves form every
-step's maps at once, and the control sweep forms each control cell's just
-before it marches that cell, so no base holds its maps after a solve.  The
+The tangent flow is the derivative of the step the base took
+(discretize, then differentiate): the free half phases and the kicks are
+affine, so a tangent step is the step with its substep v -> v g replaced
+by that substep's derivative at the base, the pointwise real-linear map
+w -> a_n w + b_n conj(w).  dynamics forms g and (a_n, b_n) side by side,
+and this module holds no formula of the nonlinearity: _tangent_coefficients
+synthesizes each step's substep input from the stored base and asks
+dynamics for the maps, for any range of steps; step n's map reads the
+base's state n alone.  The tangent and adjoint solves form every step's
+maps at once, and the control sweep forms each control cell's just before
+it marches that cell, so no base holds its maps after a solve.  The
 substep is _tangent_map, run by dynamics._split_steps like every other
 substep.  A forcing g enters as in the nonlinear step, as the two half
 kicks -i (dt/2) g_hat around it, inside the free half phases: a kick is
-affine with identity derivative, so the map stays the unforced one.  The
+affine with identity derivative, so the map stays the same.  The
 real-L2 transpose of the map is w -> conj(a_n) w + b_n conj(w), so the
 backward flow is the same substep with (conj(a_n), b_n), on conjugated
-phase tables, in reverse step order; the real pairing Re<v(t), phi(t)> is
-then conserved to round-off by construction, and the stored states solve
-
-    i phi_t + phi_xx - i a(x) phi = ((p+1)/2)|u|^{p-1} phi - ((p-1)/2)|u|^{p-3} u^2 conj(phi).
+phase tables, in reverse step order: the exact transpose of each tangent
+step, so the real pairing Re<v(t), phi(t)> is conserved to round-off by
+construction.
 
 Tangent and adjoint runs are Trajectory objects on the base's grid, times and
 solver config, each stored in one block allocated before its first step:
@@ -48,7 +45,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import _TIME_TOL, Trajectory, _amp_pow, _split_steps, _unpad
+from .dynamics import (
+    _TIME_TOL,
+    Trajectory,
+    _as_path_list,
+    _noise_drive,
+    _split_steps,
+    _substep_derivative,
+    _unpad,
+)
 from .noise import haar_basis, haar_time_keys
 from .spectral import FourierField, ValidationError, check_integer, mode_weights, synth
 
@@ -62,40 +67,25 @@ def _tangent_coefficients(base: Trajectory, lo: int, hi: int) -> tuple:
     """The maps (a, b) of the tangent flow along base for steps lo..hi-1,
     row i the map of step lo + i.
 
-    Step n freezes the derivative of |u|^{p-1} u at the midpoint state u
-    of the step: c1 = ((p+1)/2)|u|^{p-1} (real) and
-    c2 = ((p-1)/2)|u|^{p-3} u^2, on the padded grid.  The explicit
-    midpoint step of w' = -i(c1 w + c2 conj(w)) between the two
-    half-step decays D is exactly the real-linear map
-    w -> a_n w + b_n conj(w), with
-
-        a_n = D^2 (1 - i dt c1 + (dt^2/2)(|c2|^2 - c1^2)),   b_n = -i dt D^2 c2,
-
-    since the rhs applied twice is (|c2|^2 - c1^2) w; |c2| is
-    ((p-1)/(p+1)) c1, so |c2|^2 - c1^2 = -(4p/(p+1)^2) c1^2.  a and b
-    have shape (hi - lo, n_pad) each.  Every operation acts on one row
-    alone, so the maps of any range are bitwise those rows of the maps
-    over all steps.
+    Step n's map is the derivative of its substep (dynamics'
+    _substep_derivative, forced when base has a forcing) at the substep's
+    input v_n = synth(P_half u_n + h_n), u_n the stored state and h_n the
+    leading half kick of the base's noise on its modes.  The forward sweep
+    carries its spectrum with the full-step phase, so its input differs
+    from v_n at round-off alone.  a and b have shape (hi - lo, n_pad) each.
+    Every operation acts on one row alone, so the maps of any range are
+    bitwise those rows of the maps over all steps.
     """
     cfg = base.config
     if cfg.store_stride != 1:
         raise ValidationError("linearization needs a base stored at every step")
-    tab, dt, p = cfg._tab, cfg.dt, cfg.p
-    u = synth(0.5 * (base.coeffs[lo:hi] + base.coeffs[lo + 1 : hi + 1]), tab.n_pad)
-    c1 = _amp_pow(u, p)
-    c1 *= (p + 1) / 2.0
-    # c2 and then b are formed over u, so the build holds u, c1 and a
-    c2 = np.square(u, out=u) if p == 3 else np.multiply(_amp_pow(u, p - 2), u * u, out=u)
-    c2 *= (p - 1) / 2.0
-    d2 = tab.decay2
-    a = np.empty_like(u)
-    np.multiply(c1, -dt * d2, out=a.imag)
-    re = np.square(c1, out=a.real)
-    re *= -0.5 * dt * dt * 4.0 * p / (p + 1) ** 2
-    re += 1.0
-    re *= d2
-    b = np.multiply(c2, (-1j * dt) * d2, out=c2)
-    return a, b
+    tab = cfg._tab
+    u = base.coeffs[lo:hi] * tab.phase_half
+    paths = _as_path_list(base.forcing, float(base.times[-1]))
+    if paths is not None:
+        _, modes, table, per_cell = _noise_drive([paths], cfg)
+        u[:, [k + tab.k_max for k in modes]] += table[0][:, np.arange(lo, hi) // per_cell].T
+    return _substep_derivative(tab, cfg.p, paths is not None, synth(u, tab.n_pad))
 
 
 def _tangent_map(w, a, b, t):

@@ -45,6 +45,7 @@ from schrodmix.dynamics import (
     _noise_drive,
     _rotation,
     _split_steps,
+    _substep_derivative,
     _unpad,
     energy_series,
     steps_per_cell,
@@ -622,6 +623,19 @@ def test_blowup_norm_rows_independent_of_block(n_rows, monkeypatch):
             np.testing.assert_allclose(value, want, rtol=1e-12, atol=0)
 
 
+def plain_substeps(tab, p, v):
+    """The plain forced and unforced substeps of v: the two-stage explicit
+    midpoint rule for -i |z|^{p-1} z between two decays D, and D . rotation
+    . D, with fresh temporaries."""
+    d = tab.decay
+    amp = lambda z: (z.real**2 + z.imag**2) ** ((p - 1) // 2)
+    z = d * v
+    zm = z + (0.5 * DT) * (-1j * (amp(z) * z))
+    forced = d * (z + DT * (-1j) * (amp(zm) * zm))
+    rotated = d * (z * np.exp(-1j * DT * amp(z)))
+    return forced, rotated
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_substep_factors_match_the_plain_stages(p):
     # the forced substep is v times one factor, D^2 (1 - dt^2 t s/2 - i dt t)
@@ -641,13 +655,9 @@ def test_substep_factors_match_the_plain_stages(p):
     v.real[4, ::3] = -0.0
     v.imag[5, ::3] = -0.0
     assert tab.decay.min() < 1.0
-    d = tab.decay
     amp = lambda z: (z.real**2 + z.imag**2) ** ((p - 1) // 2)
     assert DT * amp(v).max() <= 1.0
-    z = d * v
-    zm = z + (0.5 * DT) * (-1j * (amp(z) * z))
-    forced = d * (z + DT * (-1j) * (amp(zm) * zm))
-    rotated = d * (z * np.exp(-1j * DT * amp(z)))
+    forced, rotated = plain_substeps(tab, p, v)
     ulp = 4.0 * np.spacing(np.abs(v))
     pair = np.empty(v.shape), np.empty(v.shape)
     g = np.empty_like(v)
@@ -656,6 +666,31 @@ def test_substep_factors_match_the_plain_stages(p):
         err = np.maximum(np.abs(got.real - want.real), np.abs(got.imag - want.imag))
         assert (err <= ulp).all(), (factor.__name__, float((err / ulp).max()))
         assert (got[:4, : tab.n_pad // 2] == 0.0).all()
+
+
+def test_substep_derivative_matches_central_differences():
+    # the tangent map of a step is the derivative of its substep,
+    # w -> a w + b conj(w): against central differences of the plain
+    # forced and unforced substeps the gap falls as eps^2, at p = 3 and 5,
+    # on a block in the step's regime; and (conj(a), b) is its real-L2
+    # transpose
+    rng = np.random.default_rng(36)
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for p in (3, 5):
+        tab = damped_cfg(p=p)._tab
+        v, w, phi = 0.5 * cplx(6, tab.n_pad), cplx(6, tab.n_pad), cplx(6, tab.n_pad)
+        assert DT * (np.abs(v) ** (p - 1)).max() <= 1.0
+        for j, forced in enumerate((True, False)):
+            a, b = _substep_derivative(tab, p, forced, v)
+            dv = a * w + b * np.conj(w)
+            gaps = []
+            for eps in (1e-2, 1e-3, 1e-4):
+                hi, lo = plain_substeps(tab, p, v + eps * w)[j], plain_substeps(tab, p, v - eps * w)[j]
+                gaps.append(np.abs((hi - lo) / (2 * eps) - dv).max() / np.abs(dv).max())
+            assert gaps[0] / gaps[1] >= 90 and gaps[1] / gaps[2] >= 90, (p, forced, gaps)
+            lhs = np.sum(dv * np.conj(phi)).real
+            rhs = np.sum(w * np.conj(np.conj(a) * phi + b * np.conj(phi))).real
+            assert abs(lhs - rhs) <= 1e-14 * np.sum(np.abs(dv * phi)), (p, forced)
 
 
 def test_phase_theta_constant_amplitude():

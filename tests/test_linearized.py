@@ -28,11 +28,10 @@ from schrodmix import (
     zero_field,
 )
 from schrodmix.config import random_h1_field
-from schrodmix.control import compact_T_apply
-from schrodmix.dynamics import _amp_pow, _unpad
+from schrodmix.control import build_control_basis_map, compact_T_apply, realize_shift_cells
+from schrodmix.dynamics import _unpad
 from schrodmix.linearized import (
     _tangent_coefficients,
-    _tangent_map,
     _tangent_steps,
     control_response_matrix,
     h1_coords,
@@ -41,7 +40,6 @@ from schrodmix.linearized import (
 )
 from schrodmix.mixing import synchronous_coupling_experiment
 from schrodmix.noise import haar_basis, haar_eval, sample_noise_path
-from schrodmix.spectral import synth
 
 GRID = Grid(20)
 DT = 2.0**-7
@@ -100,27 +98,38 @@ def test_linearization_needs_dense_base():
 
 
 def test_directional_derivative_slope():
-    """Finite differences of the unit step converge to the linearized run.
-
-    The frozen-coefficient scheme carries an eps-independent O(dt^2) offset
-    against the exact derivative of the discrete step, so the smallest eps
-    only shows first-order behaviour once dt is small enough.
-    """
-    cfg = SolverConfig(grid=GRID, damping=bump_damping(GRID, 1.0, math.pi, 1.5), dt=2.0**-12)
-    spec = NoiseSpec()
-    z = sample_noise_path(spec, (17, 0, 0, 0))
-    u0 = random_h1_field(GRID, 0.5, 3.0, 17, 0)
-    base = solve_nls(u0, z, 1.0, cfg)
+    """The tangent is the Jacobian of the unit step: central differences of
+    markov_step close on it as eps^2, at the step's own dt, forced and
+    unforced, at p = 3 and 5.  In u0 against solve_linearized, and in the
+    noise, shifted through realize_shift_cells, against -A c for the control
+    map's response matrix A.  The base is H1 size 3, where a scheme other
+    than the step's derivative leaves a gap of about 1e-2 at every eps."""
+    u0 = random_h1_field(GRID, 3.0, 3.0, 17, 0)
     w = random_h1_field(GRID, 1.0, 2.5, 18, 1)
-    v1 = solve_linearized(base, w).endpoint
-    errs = []
-    eps_list = (1e-3, 1e-4, 1e-5)
-    for eps in eps_list:
-        bumped = markov_step(u0 + eps * w, z, cfg)
-        diff = (bumped - base.endpoint) * (1.0 / eps)
-        errs.append(sobolev_norm(diff - v1, 1.0))
-    slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
-    assert slope >= 0.9
+    z = sample_noise_path(NoiseSpec(), (17, 0, 0, 0))
+    c = np.random.default_rng(17).standard_normal(2 * 2 * 15)  # modes (0, 1) at level 3
+    eps_list = (1e-2, 1e-3, 1e-4)
+
+    def falls(step, want, coords):
+        gaps = []
+        for eps in eps_list:
+            d = (step(eps) - step(-eps)) * (0.5 / eps)
+            gaps.append(np.linalg.norm(coords(d) - want) / np.linalg.norm(want))
+        return gaps[0] / gaps[1] >= 90 and gaps[1] / gaps[2] >= 90, gaps
+
+    h1 = lambda f: h1_coords(f.coeffs, GRID.k_max, GRID.k_max)
+    for p in (3, 5):
+        cfg = damped_cfg(p=p)
+        for forcing in (None, z):
+            base = solve_nls(u0, forcing, 1.0, cfg)
+            want = h1(solve_linearized(base, w).endpoint)
+            ok, gaps = falls(lambda e: markov_step(u0 + e * w, forcing, cfg), want, h1)
+            assert ok, (p, forcing is None, gaps)
+        cmap = build_control_basis_map(base, 3, 12, u0)  # on the forced base
+        delta = realize_shift_cells(cmap, c)
+        ok, gaps = falls(lambda e: markov_step(u0, z.shifted(e * delta), cfg), -cmap.matrix @ c,
+                         lambda f: h1_coords(f.coeffs, GRID.k_max, 12))
+        assert ok, (p, "noise", gaps)
 
 
 def test_adjoint_free_preserves_l2():
@@ -216,40 +225,6 @@ def test_response_matrix_matches_dense_march(p):
         want = h1_coords(_unpad(spec, tab), GRID.k_max, cutoff).T
         # compared as bit patterns, so a zero of the other sign fails too
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=str(level))
-
-
-def test_tangent_midpoint_keeps_the_plain_bits():
-    # one tangent map step is the plain frozen-midpoint expression between
-    # the two half-step decays, forward and adjoint (c1 < 0), to round-off
-    # (the forced nonlinear substep's closed form is checked against its
-    # plain stages in test_dynamics)
-    cfg = damped_cfg()
-    tab, base = cfg._tab, noisy_base(cfg)
-    a, b = _tangent_coefficients(base, 0, base.n_stored - 1)
-    rng = np.random.default_rng(9)
-    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    w = cplx(5, tab.n_pad)
-    d = tab.decay
-
-    def plain(c1, c2):
-        def rhs(z):
-            return -1j * (c1 * z + c2 * np.conj(z))
-
-        z = d * w
-        zm = z + (0.5 * DT) * rhs(z)
-        return d * (z + DT * rhs(zm))
-
-    t = np.empty_like(w)
-    for n in (0, 77):
-        # the frozen coefficients at the step's midpoint state, on the
-        # padded grid
-        un = synth(0.5 * (base.coeffs[n] + base.coeffs[n + 1]), tab.n_pad)
-        c1, c2 = 2.0 * _amp_pow(un, 3), un**2
-        for got, want in (
-            (_tangent_map(w.copy(), a[n], b[n], t), plain(c1, c2)),
-            (_tangent_map(w.copy(), np.conj(a[n]), b[n], t), plain(-c1, c2)),
-        ):
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n
 
 
 @pytest.mark.parametrize("p", [3, 5])

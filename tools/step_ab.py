@@ -1,5 +1,5 @@
-"""Time the unit Markov step from two checkouts, in alternating fresh
-processes, and write the A/B record.
+"""Time the unit Markov step and the control sweep from two checkouts, in
+alternating fresh processes, and write the A/B record.
 
     python3 tools/step_ab.py OLD NEW [--label L] [--pairs 5] [--repeat 15]
                              [--k-max 42] [--rows 1,64,400] [--out DIR]
@@ -7,7 +7,13 @@ processes, and write the A/B record.
 Times markov_step (one chain) and markov_step_batch at each row count of
 --rows, at the ensemble_mix workload's physics (bump damping 0.8, dt 2^-7,
 noise on modes (0, 1) at amplitudes 0.05 and level_max 6, random H1 chains
-of amplitude 0.35 and tail 2.2) on a grid of --k-max.  A pair is one fresh
+of amplitude 0.35 and tail 2.2) on a grid of --k-max.  It also times one
+control_response_matrix, the tangent sweep of a controlled step, at the
+controlled_coupling workload's physics (bump damping 1.5, noise on modes
+(0, 1) at amplitudes 0.5 and level_max 6, a random H1 chain of amplitude
+1.0 and tail 3.0): time level 3 and Galerkin cutoff 12 (the whole band of
+a smaller grid) on the chain's forced base stored at every step, with a
+separation of H1 size 1e-3 as its extra row.  A pair is one fresh
 process per checkout, OLD first in even pairs and NEW first in odd ones, so
 a slow or fast spell of the machine falls on both sides.  Each process
 imports schrodmix from <checkout>/src (and exits 2 if the import resolves
@@ -40,7 +46,8 @@ import numpy as np
 
 
 def _case_names(rows) -> list:
-    return ["markov_step"] + ["markov_step_batch/%d" % r for r in rows]
+    batches = ["markov_step_batch/%d" % r for r in rows]
+    return ["markov_step", *batches, "control_response_matrix"]
 
 
 def _child(checkout: str, k_max: int, rows, repeat: int) -> dict:
@@ -68,6 +75,17 @@ def _child(checkout: str, k_max: int, rows, repeat: int) -> dict:
         cases["markov_step_batch/%d" % r] = (
             lambda r=r: schrodmix.markov_step_batch(block[:r], paths[:r], cfg)
         )
+    control_cfg = schrodmix.SolverConfig(
+        grid, schrodmix.bump_damping(grid, 1.5, np.pi, 1.5), dt=2.0**-7
+    )
+    control_spec = schrodmix.NoiseSpec(modes=(0, 1), amplitudes=(0.5, 0.5), level_max=6)
+    (zeta,) = sample_noise_paths(control_spec, [(2026, 1, 0, 0)])
+    base = schrodmix.solve_nls(random_h1_field(grid, 1.0, 3.0, 2026, 0), zeta, 1.0, control_cfg)
+    w = random_h1_field(grid, 1e-3, 3.0, 2026, 1)
+    cutoff = min(12, k_max)
+    cases["control_response_matrix"] = lambda: schrodmix.control_response_matrix(
+        base, (0, 1), 3, cutoff, w
+    )
     best = {}
     for name, run in cases.items():
         run()
