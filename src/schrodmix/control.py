@@ -25,6 +25,7 @@ acts on, measured on that same free image: equivalent_norm(w).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,8 +94,8 @@ def largest_interval(values) -> tuple:
 
 def check_gamma(gamma: float) -> None:
     """The one check of the Tikhonov weight of regularized_pinv_solve."""
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
+    if not (math.isfinite(gamma) and gamma > 0):  # nan passes a sign test
+        raise ValidationError("gamma must be finite and positive, got %r" % (gamma,))
 
 
 def regularized_pinv_solve(a: np.ndarray, gamma: float, target: np.ndarray) -> np.ndarray:

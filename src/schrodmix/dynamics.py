@@ -56,15 +56,16 @@ in its weights.
 One kernel, _split_steps, runs every flow that shares this splitting: it
 takes the middle substep as a parameter, and the substep owns the whole
 physical-space part of its step, the two decays D_half included.  The
-forced and unforced substeps multiply by their factor g, and the identity
-substep, the damped free group's, by D_half^2.  The tangent substep of
-linearized is the derivative of the step's substep at the base,
-w -> a_n w + b_n conj(w), which linearized asks _substep_derivative for,
-for the steps it is about to take.  Run with conj(a_n), on conjugated
-phases, in reverse step order, the same map is the exact real-L2 adjoint;
-with the identity between the decays the loop is linear_group, the
-damped free group.  The kernel also applies the half kicks: the noise's
-to every chain of a forced run, and a control column's to its row of
+forced and unforced substeps are one, _factor_substep: v times the
+factor g of _midpoint_g or _rotation_g, picked once per run.  The
+tangent substep of linearized is its derivative at the base,
+w -> a_n w + b_n conj(w), which linearized asks _substep_derivative for.
+Run with conj(a_n), on conjugated phases, in reverse step order, the
+same map is the exact real-L2 adjoint; with D_half^2 between the half
+phases the loop is linear_group, the damped free group.  Every sweep
+reads the one table set of SolverConfig._tab, so all share one step
+grid.  The kernel also applies the half kicks: the noise's to every
+chain of a forced run, and a control column's to its row of
 linearized's tangent sweep.
 
 Everything that depends on p and its padded grid lives here, beside the
@@ -149,7 +150,7 @@ class SolverConfig:
             raise ValidationError("damping profile lives on a different grid")
         if self.damping.kind == "bump":
             # a narrower bump damps at most one point of the padded grid
-            # that _step_tables samples a(x) on, or none
+            # that _tab samples a(x) on, or none
             width, n_pad = self.damping.params[2], pad_points(self.grid.k_max, self.p)
             if width < TWO_PI / n_pad:
                 raise ValidationError(
@@ -168,7 +169,45 @@ class SolverConfig:
 
     @cached_property
     def _tab(self) -> SimpleNamespace:
-        return _step_tables(self.grid, self.damping, self.dt, self.p)
+        """The split step's tables at dt, the one set every sweep reads.
+
+        phase_half is the half-step phase exp(-i k^2 dt/2); phase_in and
+        phase_out are it with the padding scales folded in, for the pad
+        before a sweep's first step and the unpad of a state a caller
+        keeps; phase is the full-step phase exp(-i k^2 dt) that carries the
+        padded spectrum from one step to the next.  On the padded grid:
+        decay is D_half, decay2 is D_half^2, log_decay2 its log -a dt, and
+        rate is -dt D_half^(p-1), so rate |v|^{p-1} is -dt |D_half v|^{p-1};
+        half_rate and decay2x2, rate/2 and 2 D_half^2 (exact scalings),
+        serve the forced factor.  h1 weighs the squared real and imaginary
+        parts of the spectrum's band, modes 0..K then -K..-1, so that their
+        sum is the H1 norm squared of the unpadded state.
+        """
+        dt, p = self.dt, self.p
+        k = self.grid.modes.astype(float)
+        kk = self.grid.k_max
+        n_pad = pad_points(kk, p)
+        x_pad = 2.0 * math.pi * np.arange(n_pad) / n_pad
+        a = self.damping.at(x_pad)
+        phase_half = np.exp(-1j * k**2 * (dt / 2.0))
+        decay = np.exp(-a * (dt / 2.0))
+        decay2, decay_p = decay * decay, decay ** (p - 1)
+        k_pad = np.concatenate([k[kk:], k[:kk]])
+        return SimpleNamespace(
+            n_pad=n_pad,
+            k_max=kk,
+            phase_half=phase_half,
+            phase_in=phase_half * (n_pad / ROOT_2PI),
+            phase_out=phase_half * (ROOT_2PI / n_pad),
+            phase=np.exp(-1j * k**2 * dt),
+            decay=decay,
+            decay2=decay2,
+            log_decay2=-a * dt,
+            rate=-dt * decay_p,
+            half_rate=-0.5 * dt * decay_p,
+            decay2x2=2.0 * decay2,
+            h1=np.repeat((1.0 + k_pad**2) * (TWO_PI / n_pad**2), 2),
+        )
 
 
 def _check_power(p: int) -> None:
@@ -193,48 +232,6 @@ def _five_smooth_even(n: int) -> int:
 def pad_points(k_max: int, p: int) -> int:
     """Physical resolution that keeps p-fold products of band-K fields alias-free."""
     return _five_smooth_even((p + 1) * k_max + 2)
-
-
-def _step_tables(grid: Grid, damping: DampingProfile, dt: float, p: int) -> SimpleNamespace:
-    """Per-step tables of the split step of size dt.
-
-    phase_half is the half-step phase exp(-i k^2 dt/2); phase_in and
-    phase_out are it with the padding scales folded in, for the pad before
-    a sweep's first step and the unpad of a state a caller keeps; phase is
-    the full-step phase exp(-i k^2 dt) that carries the padded spectrum
-    from one step to the next.  On the padded
-    grid: decay is D_half, decay2 is D_half^2, log_decay2 its log -a dt, and
-    rate is -dt D_half^(p-1), so rate |v|^{p-1} is -dt |D_half v|^{p-1};
-    half_rate and decay2x2, rate/2 and 2 D_half^2 (exact scalings), serve
-    the forced substep.
-    h1 weighs the squared real and imaginary parts of the spectrum's band,
-    modes 0..K then -K..-1, so that their sum is the H1 norm squared of the
-    unpadded state.
-    """
-    k = grid.modes.astype(float)
-    kk = grid.k_max
-    n_pad = pad_points(kk, p)
-    x_pad = 2.0 * math.pi * np.arange(n_pad) / n_pad
-    a = damping.at(x_pad)
-    phase_half = np.exp(-1j * k**2 * (dt / 2.0))
-    decay = np.exp(-a * (dt / 2.0))
-    decay2, decay_p = decay * decay, decay ** (p - 1)
-    k_pad = np.concatenate([k[kk:], k[:kk]])
-    return SimpleNamespace(
-        n_pad=n_pad,
-        k_max=kk,
-        phase_half=phase_half,
-        phase_in=phase_half * (n_pad / ROOT_2PI),
-        phase_out=phase_half * (ROOT_2PI / n_pad),
-        phase=np.exp(-1j * k**2 * dt),
-        decay=decay,
-        decay2=decay2,
-        log_decay2=-a * dt,
-        rate=-dt * decay_p,
-        half_rate=-0.5 * dt * decay_p,
-        decay2x2=2.0 * decay2,
-        h1=np.repeat((1.0 + k_pad**2) * (TWO_PI / n_pad**2), 2),
-    )
 
 
 def _amp_pow(v: np.ndarray, p: int, out=None) -> np.ndarray:
@@ -353,12 +350,6 @@ def _rotation_g(tab, p: int, amp, g, v):
     return np.exp(g, out=g)
 
 
-def _rotation(tab, p: int, amp, g, n, v):
-    """The unforced substep, in place: v times _rotation_g's factor."""
-    v *= _rotation_g(tab, p, amp, g, v)
-    return v
-
-
 def _midpoint_g(tab, p: int, amp, g, v):
     """The forced factor g = D_half^2 (1 - dt^2 t s/2 - i dt t), with
     s = |D_half v|^{p-1} and t = s (1 + x)^q the midpoint stage's |.|^{p-1},
@@ -381,17 +372,18 @@ def _midpoint_g(tab, p: int, amp, g, v):
     return g
 
 
-def _midpoint_factor(tab, p: int, amp, g, n, v):
-    """The forced substep, in place: the two-stage explicit midpoint rule
-    for -i |z|^{p-1} z between the two decays, which is v times
-    _midpoint_g's factor."""
-    v *= _midpoint_g(tab, p, amp, g, v)
+def _factor_substep(factor, tab, p: int, amp, g, n, v):
+    """The forced or unforced substep, in place: v times the factor that
+    factor (_midpoint_g, the two-stage explicit midpoint rule for
+    -i |z|^{p-1} z between the two decays, or _rotation_g, the exact
+    rotation between them) forms in g."""
+    v *= factor(tab, p, amp, g, v)
     return v
 
 
 def _substep_derivative(tab, p: int, forced: bool, v: np.ndarray) -> tuple:
     """The real-linear derivative w -> a w + b conj(w) at v of the forced
-    (_midpoint_factor) or unforced (_rotation) substep v -> v g(s).
+    (_midpoint_g) or unforced (_rotation_g) factor substep v -> v g(s).
 
     With rho = |v|^2, q = (p-1)/2 and s = D_half^{p-1} rho^q, ds is
     q D_half^{p-1} rho^{q-1} (conj(v) w + v conj(w)), so
@@ -497,9 +489,9 @@ def _evolve(u: np.ndarray, cfg: SolverConfig, n_steps: int, kick, collect: bool)
     dt, p, stride = cfg.dt, cfg.p, cfg.store_stride
     thr2 = H1_BLOWUP**2
     pad = u.shape[:-1] + (tab.n_pad,)
-    factor = _rotation if kick is None else _midpoint_factor
+    factor = _rotation_g if kick is None else _midpoint_g
     amp, g = (np.empty(pad), np.empty(pad)), np.empty(pad, dtype=np.complex128)
-    substep = partial(factor, tab, p, amp, g)
+    substep = partial(_factor_substep, factor, tab, p, amp, g)
     sq = np.empty(u.shape[:-1] + (2 * u.shape[-1],))
 
     times = stored = None
@@ -545,6 +537,9 @@ class Trajectory:
         return self.state(-1)
 
     def index_at(self, t: float) -> int:
+        # nan and inf pass the tolerance test below against any time
+        if not math.isfinite(t):
+            raise ValidationError("time %r is not finite" % (t,))
         i = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[i] - t) > _TIME_TOL * max(1.0, abs(t)):
             raise ValidationError("time %r not on the stored grid" % (t,))
@@ -642,13 +637,13 @@ def solve_nls_batch(coeffs: np.ndarray, paths, cfg: SolverConfig) -> list:
 
 
 def linear_group(u0: FourierField, t: float, cfg: SolverConfig) -> FourierField:
-    """Damped free group S_a(t) of cfg's splitting: the split step with the
-    identity substep, at the step t/n closest to cfg.dt.
-
-    Each step is the exact spectral half phases around two exact pointwise
-    half-step decays exp(-a(x) dt/2) on the padded grid of cfg.p, so for a
-    zero potential the linearized solver under cfg and this map take the
-    same steps and agree to round-off.
+    """Damped free group S_a(t) of cfg's splitting: cfg.steps_for(t) steps
+    on cfg's own tables, with the two half-step decays D_half^2 where a
+    forced or unforced step takes its factor substep.  t = 0 is the
+    identity; any other t must lie on the solver's step grid, as every
+    horizon must.  So the group and the tangent flow under cfg share one
+    step grid and one table set: for a zero potential they take the same
+    steps and agree to round-off.
     """
     if u0.grid != cfg.grid:
         raise ValidationError("state and solver config live on different grids")
@@ -656,9 +651,8 @@ def linear_group(u0: FourierField, t: float, cfg: SolverConfig) -> FourierField:
         raise ValidationError("group time must be finite and nonnegative, got %r" % (t,))
     u = u0.coeffs.astype(np.complex128)
     if t > 0:
-        n = max(1, int(round(t / cfg.dt)))
-        tab = _step_tables(cfg.grid, cfg.damping, t / n, cfg.p)
-        for _, spec in _split_steps(u, tab, range(n), partial(_decays, tab)):
+        tab = cfg._tab
+        for _, spec in _split_steps(u, tab, range(cfg.steps_for(t)), partial(_decays, tab)):
             pass
         u = _unpad(spec, tab)
     return FourierField(u0.grid, u)

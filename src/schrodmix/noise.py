@@ -279,6 +279,13 @@ class NoisePath:
                 "cells shape %r does not match spec (%d modes, %d cells)"
                 % (c.shape, len(self.spec.modes), self.spec.n_cells)
             )
+        finite = np.isfinite(c)
+        if not finite.all():
+            m, j = np.argwhere(~finite)[0]
+            raise ValidationError(
+                "noise path cells must be finite, got %r on mode %d, cell %d"
+                % (c[m, j], self.spec.modes[m], j)
+            )
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "cells", c)

@@ -504,10 +504,10 @@ def test_do_nothing_setting_is_refused_at_load(case, tmp_path, capsys):
 _LATE_REFUSAL = {
     "saturate_negative_iterations": ({"kind": "saturate", "iterations": -1}, "iterations must be >= 0"),
     "saturate_without_modes": ({"kind": "saturate", "sat_modes": ""}, "base set must be nonempty"),
-    "stabilize_zero_gamma": ({"kind": "stabilize", "gamma": 0.0}, "gamma must be positive"),
+    "stabilize_zero_gamma": ({"kind": "stabilize", "gamma": 0.0}, "gamma must be finite and positive"),
     "couple_control_negative_gamma": (
         {"kind": "couple", "use_control": "true", "gamma": -1.0, "n_steps": 1},
-        "gamma must be positive"),
+        "gamma must be finite and positive"),
     "initial_mode_outside_band": ({"kind": "simulate", "initial_mode": 21}, "mode 21 outside band"),
     "initial_b_mode_outside_band": (
         {"kind": "couple", "n_steps": 1, "initial_b": "plane_wave", "initial_b_mode": -30},
@@ -699,6 +699,23 @@ def test_noise_path_csv_round_trip(tmp_path):
     other = NoiseSpec(modes=(0, 2), amplitudes=(0.1, 0.1))
     with pytest.raises(ValidationError, match="row 2: mode_k 1.0, where the writer .* puts 2.0"):
         store.read_noise_path_csv(path, other)
+
+
+def test_noise_path_csv_rejects_a_value_that_is_not_finite(tmp_path):
+    # a path read back with one nan cell forced a run that was reported as
+    # a blow-up
+    spec = NoiseSpec(amplitudes=(0.1, 0.1))
+    (z,) = sample_noise_paths(spec, [(5, 0, 0, 0)])
+    path = tmp_path / "noise.csv"
+    store.write_noise_path_csv(path, z)
+    lines = path.read_text().splitlines()
+    fields = lines[4].split(",")
+    assert fields[:3] == ["1", "0.0078125", "1"]  # cell 1, mode 1
+    fields[4] = "nan"
+    lines[4] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="cells must be finite, got .* on mode 1, cell 1"):
+        store.read_noise_path_csv(path, spec)
 
 
 def test_noise_path_csv_rejects_repeated_cell(tmp_path):
@@ -1009,9 +1026,9 @@ TRAJECTORY_GOLDEN = (
 
 NOISE_GOLDEN = (
     "cell_index,t_left,mode_k,re,im\n"
-    "0,0,1,nan,-0\n"
-    "0,0,0,-inf,0.33333333333333331\n"
-    "1,0.25,1,4.9406564584124654e-324,inf\n"
+    "0,0,1,1.7976931348623157e+308,-0\n"
+    "0,0,0,-1.7976931348623157e+308,0.33333333333333331\n"
+    "1,0.25,1,4.9406564584124654e-324,2.5000000000000171e-310\n"
     "1,0.25,0,-0,0\n"
     "2,0.5,1,0.25,0\n"
     "2,0.5,0,2,0\n"
@@ -1042,11 +1059,14 @@ def test_csv_writers_golden_bytes(tmp_path):
     assert t.tobytes() == np.array([0.0, 0.1]).tobytes()
     assert c.tobytes() == coeffs.tobytes()
 
+    # a noise path holds finite cells only, so its table's extremes are
+    # the largest float and the subnormals
     spec = NoiseSpec(modes=(1, 0), amplitudes=(0.1, 0.1), level_max=1)
+    big = np.finfo(float).max
     cells = np.array(
         [
-            [complex(nan, -0.0), complex(5e-324, inf), 0.25, 1j],
-            [complex(-inf, 1 / 3), complex(-0.0, 0.0), 2, 3],
+            [complex(big, -0.0), complex(5e-324, 2.5e-310), 0.25, 1j],
+            [complex(-big, 1 / 3), complex(-0.0, 0.0), 2, 3],
         ]
     )
     path = tmp_path / "noise.csv"

@@ -119,6 +119,19 @@ def test_pinv_validation():
         regularized_pinv_solve(np.eye(2), -1.0, np.ones(2))
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_pinv_refuses_a_gamma_that_is_not_finite(gamma):
+    # nan passed the sign test and gave nan coefficients, which drove a
+    # controlled step's x with a nan noise path into a blow-up; inf raised
+    # an overflow warning
+    with pytest.raises(ValidationError, match="gamma must be finite and positive, got %r" % gamma):
+        regularized_pinv_solve(np.eye(2), gamma, np.ones(2))
+    _, z, u0, cfg = noisy_base(seed=13)
+    bump = random_h1_field(GRID, 1e-3, 2.0, 14, 0)
+    with pytest.raises(ValidationError, match="gamma must be finite and positive"):
+        contraction_test(u0, u0 + bump, z, gamma, cfg, time_level=1, galerkin_cutoff=4)
+
+
 def test_pinv_gamma_monotonicity():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((4, 9))

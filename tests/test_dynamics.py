@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -40,10 +41,11 @@ from schrodmix.config import random_h1_field
 import schrodmix.dynamics as dynamics_mod
 from schrodmix.dynamics import (
     _amp_pow,
+    _factor_substep,
     _h1_guard,
-    _midpoint_factor,
+    _midpoint_g,
     _noise_drive,
-    _rotation,
+    _rotation_g,
     _split_steps,
     _substep_derivative,
     _unpad,
@@ -103,10 +105,11 @@ def test_steps_for():
 
 
 def test_linear_group_free_single_mode():
+    t = 38 * DT
     for k in (-3, 0, 5):
         u = basis_field(GRID, k, 1.0 + 0.5j)
-        out = linear_group(u, 0.3, free_cfg())
-        want = (1.0 + 0.5j) * np.exp(-1j * k * k * 0.3)
+        out = linear_group(u, t, free_cfg())
+        want = (1.0 + 0.5j) * np.exp(-1j * k * k * t)
         np.testing.assert_allclose(out.coeff(k), want, rtol=1e-12)
         rest = np.delete(out.coeffs, k + GRID.k_max)
         np.testing.assert_allclose(rest, 0, atol=1e-14)
@@ -116,7 +119,7 @@ def test_linear_group_unitary_without_damping():
     rng = np.random.default_rng(3)
     c = rng.standard_normal(GRID.n_coeff) + 1j * rng.standard_normal(GRID.n_coeff)
     u = FourierField(GRID, c)
-    out = linear_group(u, 0.7, free_cfg())
+    out = linear_group(u, 90 * DT, free_cfg())
     np.testing.assert_allclose(sobolev_norm(out, 0.0), sobolev_norm(u, 0.0), rtol=1e-12)
 
 
@@ -151,6 +154,22 @@ def test_linear_group_time_validation():
     np.testing.assert_allclose(linear_group(u, 0.0, free_cfg()).coeffs, u.coeffs, atol=0)
     with pytest.raises(ValidationError, match="different grids"):
         linear_group(basis_field(Grid(42), 1, 1.0), 0.5, free_cfg())
+    # the group runs on the solver's own step grid, as every horizon does:
+    # a t between two steps, or short of the first, is refused
+    for t in (0.3, 0.5 * DT):
+        with pytest.raises(ValidationError, match="%r is not an integer multiple of dt" % t):
+            linear_group(u, t, free_cfg())
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_linear_group_is_a_group_on_the_solver_grid(p):
+    # S_a(96 dt) = S_a(64 dt) S_a(32 dt): both sides take 96 steps of the
+    # one table set, so they differ by the round-off of one extra unpad
+    cfg = damped_cfg(p=p)
+    w = random_h1_field(GRID, 0.7, 2.5, 37, 0)
+    once = linear_group(w, 96 * DT, cfg).coeffs
+    twice = linear_group(linear_group(w, 32 * DT, cfg), 64 * DT, cfg).coeffs
+    assert np.linalg.norm(twice - once) <= 1e-13 * np.linalg.norm(once)
 
 
 def test_solve_zero_stays_zero():
@@ -661,10 +680,11 @@ def test_substep_factors_match_the_plain_stages(p):
     ulp = 4.0 * np.spacing(np.abs(v))
     pair = np.empty(v.shape), np.empty(v.shape)
     g = np.empty_like(v)
-    for factor, want in ((_midpoint_factor, forced), (_rotation, rotated)):
+    for factor, want in ((partial(_factor_substep, _midpoint_g), forced),
+                         (partial(_factor_substep, _rotation_g), rotated)):
         got = factor(tab, p, pair, g, 0, v.copy())
         err = np.maximum(np.abs(got.real - want.real), np.abs(got.imag - want.imag))
-        assert (err <= ulp).all(), (factor.__name__, float((err / ulp).max()))
+        assert (err <= ulp).all(), (factor.args[0].__name__, float((err / ulp).max()))
         assert (got[:4, : tab.n_pad // 2] == 0.0).all()
 
 
@@ -714,6 +734,16 @@ def test_phase_theta_zero_and_monotone():
     traj = solve_nls(random_h1_field(GRID, 0.5, 3.0, 3, 0), z, 1.0, cfg)
     vals = [phase_theta(traj, t) for t in np.linspace(0.0, 1.0, 9)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_trajectory_refuses_a_time_that_is_not_finite(t):
+    # nan and inf passed index_at's tolerance test against any stored time,
+    # so each read state 0: phase_theta(traj, nan) was 0.0
+    traj = solve_nls(random_h1_field(GRID, 0.5, 3.0, 3, 0), None, 0.25, damped_cfg())
+    for read in (traj.index_at, traj.state_at, partial(phase_theta, traj)):
+        with pytest.raises(ValidationError, match="time %r is not finite" % t):
+            read(t)
 
 
 def test_phase_theta_needs_every_step_stored():

@@ -312,6 +312,22 @@ def test_path_cells_validation():
         NoisePath(spec, np.zeros((2, 64), dtype=complex))
 
 
+def test_path_refuses_cells_that_are_not_finite():
+    # FourierField refuses them, but a path took them, and a forced run
+    # from it was reported as a blow-up
+    spec = NoiseSpec()
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        cells = np.zeros((2, 128), dtype=complex)
+        cells[1, 7] = bad
+        with pytest.raises(ValidationError, match=r"cells must be finite, got .* on mode 1, cell 7"):
+            NoisePath(spec, cells)
+    path = sample_noise_path(spec, (4, 0, 0, 0))
+    delta = np.zeros((2, 128), dtype=complex)
+    delta[0, 3] = math.nan
+    with pytest.raises(ValidationError, match="on mode 0, cell 3"):
+        path.shifted(delta)
+
+
 def test_shifted_subtracts():
     spec = NoiseSpec()
     path = sample_noise_path(spec, (4, 0, 0, 0))

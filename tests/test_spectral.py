@@ -292,7 +292,8 @@ def test_bump_narrower_than_grid_spacing_rejected(width):
 
 @pytest.mark.parametrize("p, n_pad", [(3, 180), (5, 256)])
 def test_bump_width_floor_is_the_padded_spacing(p, n_pad):
-    """The floor is the spacing of the grid _step_tables samples a(x) on."""
+    """The floor is the spacing of the padded grid SolverConfig._tab
+    samples a(x) on."""
     spacing = TWO_PI / n_pad
     assert pad_points(GRID.k_max, p) == n_pad
     below = bump_damping(GRID, 1.0, math.pi, np.nextafter(spacing, 0.0))

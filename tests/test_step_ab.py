@@ -12,8 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_step_ab_writes_its_record(tmp_path):
     # one pair of fresh processes on the same checkout at k_max 8: every
-    # case, the control sweep's too, is timed on both sides, and the record
-    # names the machine
+    # case, the control sweep's and the free group's too, is timed on both
+    # sides, and the record names the machine
     subprocess.run(
         [sys.executable, str(ROOT / "tools" / "step_ab.py"), str(ROOT), str(ROOT),
          "--label", "tiny", "--pairs", "1", "--repeat", "1", "--k-max", "8", "--rows", "1,3",
@@ -23,7 +23,7 @@ def test_step_ab_writes_its_record(tmp_path):
     record = json.loads((tmp_path / "BENCH_step_tiny.json").read_text())
     assert record["rows"] == [1, 3] and record["pairs"] == 1 and record["k_max"] == 8
     assert set(record["cases"]) == {"markov_step", "markov_step_batch/1", "markov_step_batch/3",
-                                    "control_response_matrix"}
+                                    "control_response_matrix", "linear_group"}
     for case in record["cases"].values():
         for side in ("old", "new"):
             s = case[side]

@@ -1,5 +1,6 @@
-"""Time the unit Markov step and the control sweep from two checkouts, in
-alternating fresh processes, and write the A/B record.
+"""Time the unit Markov step, the control sweep and the damped free group
+from two checkouts, in alternating fresh processes, and write the A/B
+record.
 
     python3 tools/step_ab.py OLD NEW [--label L] [--pairs 5] [--repeat 15]
                              [--k-max 42] [--rows 1,64,400] [--out DIR]
@@ -13,9 +14,11 @@ controlled_coupling workload's physics (bump damping 1.5, noise on modes
 (0, 1) at amplitudes 0.5 and level_max 6, a random H1 chain of amplitude
 1.0 and tail 3.0): time level 3 and Galerkin cutoff 12 (the whole band of
 a smaller grid) on the chain's forced base stored at every step, with a
-separation of H1 size 1e-3 as its extra row.  A pair is one fresh
-process per checkout, OLD first in even pairs and NEW first in odd ones, so
-a slow or fast spell of the machine falls on both sides.  Each process
+separation of H1 size 1e-3 as its extra row; and one linear_group, the
+damped free group over t = 1 at that physics, on the same separation.  A
+pair is one fresh process per checkout, OLD first in even pairs and NEW
+first in odd ones, so a slow or fast spell of the machine falls on both
+sides.  Each process
 imports schrodmix from <checkout>/src (and exits 2 if the import resolves
 to another copy), steps every case once to build its tables, then takes
 the best of --repeat runs of each case: one time per case per process.
@@ -47,7 +50,7 @@ import numpy as np
 
 def _case_names(rows) -> list:
     batches = ["markov_step_batch/%d" % r for r in rows]
-    return ["markov_step", *batches, "control_response_matrix"]
+    return ["markov_step", *batches, "control_response_matrix", "linear_group"]
 
 
 def _child(checkout: str, k_max: int, rows, repeat: int) -> dict:
@@ -86,6 +89,7 @@ def _child(checkout: str, k_max: int, rows, repeat: int) -> dict:
     cases["control_response_matrix"] = lambda: schrodmix.control_response_matrix(
         base, (0, 1), 3, cutoff, w
     )
+    cases["linear_group"] = lambda: schrodmix.linear_group(w, 1.0, control_cfg)
     best = {}
     for name, run in cases.items():
         run()
